@@ -1,17 +1,15 @@
 """Exact integer arithmetic primitives: sieves, factorization, multiplicative
-functions, Kronecker symbol, multiplicative order.
+functions, Kronecker symbol, multiplicative order, and the elementwise int64
+kernels the prime scans run on (residues, modular powers, factoring p - 1).
 
-Everything here is pure and reentrant; sieve tables are immutable after
-construction and can be shared across workers.
+Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
@@ -84,10 +82,6 @@ class FactoredRational:
     def from_map(sign: int, exps: dict[int, int]) -> "FactoredRational":
         items = tuple(sorted((p, e) for p, e in exps.items() if e != 0))
         return FactoredRational(sign, items)
-
-    @staticmethod
-    def from_int(n: int, table: Optional["SpfTable"] = None) -> "FactoredRational":
-        return factorize(n, table)
 
     @staticmethod
     def from_fraction(q: Fraction | int) -> "FactoredRational":
@@ -213,54 +207,78 @@ def segmented_primes(lo: int, hi: int, block: int = 1 << 22) -> np.ndarray:
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
 
-class SpfTable:
-    """Smallest-prime-factor table for [2, limit]; immutable once built.
+# ---------------------------------------------------------------------------
+# elementwise kernels over int64 arrays of primes; p <= 10^9 keeps p^2 < 2^63
 
-    Factoring is a chain of table lookups, O(log k) per value, which keeps
-    the per-prime cost of factoring p-1 negligible inside scans.
+# Base primes below this divide-test every p - 1; larger ones visit only
+# their own multiples, which is cheaper once q exceeds the prime gap ~ log p.
+_STRIDE_FROM = 64
+
+
+def residues(n: int, mods: np.ndarray) -> np.ndarray:
+    """n mod m for each m in `mods` (0 < m < 2^31), exact for any Python int:
+    Horner over 31-bit limbs of |n|, so n never has to fit in int64."""
+    out = np.zeros_like(mods)
+    for shift in reversed(range(0, max(abs(n).bit_length(), 1), 31)):
+        limb = abs(n) >> shift & 0x7FFFFFFF
+        out = ((out << 31) + limb) % mods
+    return -out % mods if n < 0 else out
+
+
+def powmod(base: np.ndarray, exp, mod: np.ndarray) -> np.ndarray:
+    """Elementwise base^exp mod `mod` (exp >= 0, 1 < mod <= 3*10^9 so every
+    product stays below 2^63); arguments broadcast against each other."""
+    base = base % mod
+    exp = np.array(exp, dtype=np.int64)
+    out = np.ones_like(base)
+    while True:
+        out = out * ((base - 1) * (exp & 1) + 1) % mod
+        exp >>= 1
+        if not exp.any():
+            return out
+        base = base * base % mod
+
+
+def factor_p_minus_1(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factorisations of p - 1 for an ascending int64 array of consecutive
+    primes, as flat arrays (row, q, e) with q^e exactly dividing primes[row] - 1.
+
+    Base primes q <= sqrt(max p) below _STRIDE_FROM are tested against every
+    p; larger ones are strided, all at once, over their multiples in the
+    window [min p - 1, max p - 1], so the cost is the window width times
+    sum 1/q instead of #primes * pi(sqrt(max p)).  The cofactor left after
+    the base primes is 1 or a single prime.
     """
-
-    def __init__(self, limit: int):
-        if limit < 2:
-            raise ValueError("limit must be >= 2")
-        if limit >= 2**31:
-            raise ResourceCapError("SpfTable limited to 32-bit entries")
-        self.limit = limit
-        spf = np.zeros(limit + 1, dtype=np.int32)
-        for p in range(2, math.isqrt(limit) + 1):
-            if spf[p] == 0:
-                seg = spf[p * p :: p]
-                seg[seg == 0] = p
-        rest = np.nonzero(spf[2:] == 0)[0] + 2
-        spf[rest] = rest
-        # array('i') hands back plain ints, which is faster in the hot loop
-        buf = array("i")
-        buf.frombytes(spf.tobytes())
-        self.spf = buf
-
-    def smallest_factor(self, k: int) -> int:
-        return self.spf[k]
-
-    def factor_pairs(self, k: int) -> list[tuple[int, int]]:
-        """Ascending (prime, exponent) pairs of k (1 <= k <= limit)."""
-        if not (1 <= k <= self.limit):
-            raise ValueError("value outside table range")
-        spf = self.spf
-        out = []
-        while k > 1:
-            p = spf[k]
-            e = 0
-            while k % p == 0:
-                k //= p
-                e += 1
-            out.append((p, e))
-        return out
-
-
-@lru_cache(maxsize=2)
-def shared_spf_table(limit: int) -> SpfTable:
-    """Process-wide SpfTable cache (tables are immutable, safe to share)."""
-    return SpfTable(limit)
+    pm1 = primes - 1
+    if not pm1.size:
+        return pm1, pm1, pm1
+    base = prime_list(math.isqrt(int(pm1[-1])))
+    small, large = base[base < _STRIDE_FROM], base[base >= _STRIDE_FROM]
+    hits = [np.flatnonzero(pm1 % q == 0) for q in small.tolist()]
+    lo, hi = int(pm1[0]), int(pm1[-1])
+    first = -(-lo // large) * large
+    count = np.maximum((hi - first) // large + 1, 0)
+    strided = np.repeat(large, count)
+    step = np.arange(strided.size) - np.repeat(np.cumsum(count) - count, count)
+    slot = np.full(hi - lo + 1, -1, dtype=np.int64)
+    slot[pm1 - lo] = np.arange(pm1.size)
+    at = slot[np.repeat(first, count) + strided * step - lo]  # row of each multiple, or -1
+    row = np.concatenate(hits + [at[at >= 0]])
+    q = np.concatenate([np.repeat(small, [h.size for h in hits]), strided[at >= 0]])
+    v = pm1[row] // q
+    e = np.ones_like(v)
+    while (more := v % q == 0).any():
+        e += more
+        v = np.where(more, v // q, v)
+    smooth = np.ones_like(pm1)
+    np.multiply.at(smooth, row, q**e)
+    cofactor = pm1 // smooth
+    big = np.flatnonzero(cofactor > 1)
+    return (
+        np.concatenate([row, big]),
+        np.concatenate([q, cofactor[big]]),
+        np.concatenate([e, np.ones_like(big)]),
+    )
 
 
 def phi_sieve(limit: int) -> np.ndarray:
@@ -276,52 +294,47 @@ def phi_sieve(limit: int) -> np.ndarray:
 # multiplicative functions
 
 
-def factorize(n: int, table: Optional[SpfTable] = None) -> FactoredRational:
+def factorize(n: int) -> FactoredRational:
     """Factor a nonzero integer into sign and prime exponent map."""
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = 1 if n > 0 else -1
     n = abs(n)
     exps: dict[int, int] = {}
-    if table is not None and n <= table.limit:
-        if n > 1:
-            for p, e in table.factor_pairs(n):
-                exps[p] = e
-    else:
-        for p in (2, 3):
+    for p in (2, 3):
+        while n % p == 0:
+            exps[p] = exps.get(p, 0) + 1
+            n //= p
+    f = 5
+    while f * f <= n:
+        for p in (f, f + 2):
             while n % p == 0:
                 exps[p] = exps.get(p, 0) + 1
                 n //= p
-        f = 5
-        while f * f <= n:
-            for p in (f, f + 2):
-                while n % p == 0:
-                    exps[p] = exps.get(p, 0) + 1
-                    n //= p
-            f += 6
-        if n > 1:
-            exps[n] = exps.get(n, 0) + 1
+        f += 6
+    if n > 1:
+        exps[n] = exps.get(n, 0) + 1
     return FactoredRational.from_map(sign, exps)
 
 
-def moebius(n: int, table: Optional[SpfTable] = None) -> int:
+def moebius(n: int) -> int:
     """Moebius function: 0 unless n is squarefree, else (-1)^(#prime factors)."""
     if n < 1:
         raise ValueError("moebius needs n >= 1")
     if n == 1:
         return 1
-    fr = factorize(n, table)
+    fr = factorize(n)
     if any(e > 1 for _, e in fr.factors):
         return 0
     return -1 if len(fr.factors) % 2 else 1
 
 
-def euler_phi(n: int, table: Optional[SpfTable] = None) -> int:
+def euler_phi(n: int) -> int:
     """Euler totient |(Z/n)^x|."""
     if n < 1:
         raise ValueError("euler_phi needs n >= 1")
     out = 1
-    for p, e in factorize(n, table).factors:
+    for p, e in factorize(n).factors:
         out *= (p - 1) * p ** (e - 1)
     return out
 
@@ -354,30 +367,26 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def order_from_pairs(a: int, p: int, pairs: Iterable[tuple[int, int]]) -> int:
-    """Multiplicative order of a mod p given the factorization of p-1.
+def multiplicative_order(
+    a: int, p: int, factored_pm1: Optional[FactoredRational] = None
+) -> int:
+    """Least k >= 1 with a^k = 1 mod p (p prime, p must not divide a).
 
-    Starts at p-1 and strips prime factors while the power stays 1.
+    The scalar reference for the scans' vectorised index kernel: starts at
+    p-1 and strips prime factors while the power stays 1.
     """
+    if a % p == 0:
+        raise ValueError("p divides a, order undefined")
+    if factored_pm1 is None:
+        factored_pm1 = factorize(p - 1)
     o = p - 1
-    for q, e in pairs:
+    for q, e in factored_pm1.factors:
         for _ in range(e):
             if pow(a, o // q, p) == 1:
                 o //= q
             else:
                 break
     return o
-
-
-def multiplicative_order(
-    a: int, p: int, factored_pm1: Optional[FactoredRational] = None
-) -> int:
-    """Least k >= 1 with a^k = 1 mod p (p prime, p must not divide a)."""
-    if a % p == 0:
-        raise ValueError("p divides a, order undefined")
-    if factored_pm1 is None:
-        factored_pm1 = factorize(p - 1)
-    return order_from_pairs(a % p, p, factored_pm1.factors)
 
 
 # ---------------------------------------------------------------------------

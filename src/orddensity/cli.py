@@ -148,11 +148,18 @@ def _spec_params(args: argparse.Namespace) -> dict:
     }
 
 
-def _resolve(args: argparse.Namespace, key: str, fallback):
+def _resolve(args: argparse.Namespace, key: str, fallback, minimum: Optional[int] = None):
+    """An integer flag (or config value), checked against its lower bound."""
     val = getattr(args, key, None)
     if val is None:
         return fallback
-    return int(val)
+    try:
+        val = int(val)
+    except ValueError as exc:
+        raise ConfigError(f"--{key} needs an integer, got {val!r}") from exc
+    if minimum is not None and val < minimum:
+        raise ConfigError(f"--{key} must be >= {minimum}, got {val}")
+    return val
 
 
 def cmd_density(args: argparse.Namespace) -> int:
@@ -197,13 +204,14 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     spec = build_condition_spec(args)
-    if args.x is None:
+    x = _resolve(args, "x", None, minimum=2)
+    if x is None:
         raise ConfigError("scan needs --x (flag or config file)")
     started = time.monotonic()
     result = empirical.scan(
         spec,
-        int(args.x),
-        workers=_resolve(args, "workers", 1),
+        x,
+        workers=_resolve(args, "workers", 1, minimum=1),
         checkpoints=bool(args.csv),
     )
     doc = _base_doc(args, "scan-result")
@@ -228,19 +236,20 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     spec = build_condition_spec(args)
-    if args.x is None:
+    x = _resolve(args, "x", None, minimum=2)
+    if x is None:
         raise ConfigError("compare needs --x (flag or config file)")
     nmax = _resolve(args, "nmax", dens.DEFAULT_NMAX)
     tmax = _resolve(args, "tmax", dens.DEFAULT_TMAX)
     started = time.monotonic()
     result = dens.evaluate(spec, nmax, tmax)
-    scan_result = empirical.scan(spec, int(args.x), workers=_resolve(args, "workers", 1))
+    scan_result = empirical.scan(spec, x, workers=_resolve(args, "workers", 1, minimum=1))
     report = empirical.compare(result, scan_result, rank=spec.rank)
     doc = _base_doc(args, "compare-report")
     doc.update(
         {
             "params": _spec_params(args),
-            "x": int(args.x),
+            "x": x,
             "value": result.value,
             "tail_estimate": result.tail_estimate,
             "scan": scan_result.to_dict(),
@@ -323,7 +332,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif args.target == "kummer":
         doc = verify_kummer(args.grid)
     elif args.target == "chebotarev":
-        doc = verify_chebotarev(int(args.x))
+        doc = verify_chebotarev(_resolve(args, "x", None, minimum=2))
     else:  # argparse choices guard this
         raise ConfigError(f"unknown verify target {args.target!r}")
     doc["timestamp"] = datetime.now(timezone.utc).isoformat()

@@ -4,31 +4,34 @@ splitting fractions, and comparison against the series values.
 
 Scans are data-parallel over fixed-width prime segments; per-segment counters
 merge by addition in segment order, so results are identical for any worker
-count.  A shared smallest-prime-factor table makes factoring p-1 a chain of
-table lookups.
+count.  Every scan runs on one vectorised kernel, `block_indices`, over blocks
+of consecutive primes: it reduces each alpha mod p exactly, factors p-1 over
+the base primes <= sqrt(x) inside the block, and reads ind_p(alpha) off int64
+modular powers.  Memory is bounded by the block and segment sizes, not by x.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
 from scipy.integrate import quad
 
 from .arith import (
     ResourceCapError,
+    factor_p_minus_1,
     factorize,
-    order_from_pairs,
+    powmod,
+    residues,
     segmented_primes,
-    shared_spf_table,
 )
 from .density import ConditionSpec, DensityResult, IndexFixed, IndexSet, OrderAP
 from .kummer import FieldSpec
 
-SCAN_X_CAP = 10**9
+SCAN_X_CAP = 10**9  # the kernel's int64 modular products need p^2 < 2^63
 DEFAULT_SEGMENT = 1 << 22
 
 
@@ -123,81 +126,103 @@ def excluded_primes(spec: ConditionSpec) -> frozenset[int]:
     return frozenset(out)
 
 
-def _matches(spec: ConditionSpec, ords, inds, p: int) -> bool:
-    if spec.frobenius is not None:
-        f, C = spec.frobenius
-        if p % f not in C:
-            return False
+def _matches(spec: ConditionSpec, ind: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Mask of the primes meeting the spec's mode and Frobenius condition,
+    given one row of indices per alpha of the spec."""
     mode = spec.mode
     if isinstance(mode, IndexFixed):
-        return all(ind == t for ind, t in zip(inds, mode.T))
-    if isinstance(mode, OrderAP):
-        return all(o % d == a % d for o, a, d in zip(ords, mode.a, mode.d))
-    assert isinstance(mode, IndexSet)
-    return all(s.contains(ind) for ind, s in zip(inds, mode.S))
+        ok = (ind == np.array(mode.T)[:, None]).all(axis=0)
+    elif isinstance(mode, OrderAP):
+        d = np.array(mode.d)[:, None]
+        ok = ((primes - 1) // ind % d == np.array(mode.a)[:, None] % d).all(axis=0)
+    else:
+        # SetDescriptor.contains, elementwise (indices are always >= 1)
+        ok = np.all(
+            [np.isin(i, s.values) if s.kind == "finite" else i % s.d == s.a
+             for s, i in zip(mode.S, ind)],
+            axis=0,
+        )
+    if spec.frobenius is not None:
+        f, C = spec.frobenius
+        ok &= np.isin(primes % f, sorted(C))
+    return ok
+
+
+# ---------------------------------------------------------------------------
+# the per-prime kernel
+
+# Primes per block.  A block's p-1 factorisations and modular powers are held
+# at once, so this bounds the kernel's working memory whatever x and segment.
+_BLOCK = 4096
+
+
+def _prime_blocks(lo: int, hi: int, segment: int):
+    """The primes in [lo, hi), one sieve call per segment, in blocks of _BLOCK."""
+    for start in range(lo, hi, segment):
+        primes = segmented_primes(start, min(start + segment, hi))
+        for i in range(0, primes.size, _BLOCK):
+            yield primes[i : i + _BLOCK]
+
+
+def _alpha_residues(pair: tuple[int, int], primes: np.ndarray) -> np.ndarray:
+    """num/den mod p for each prime; 0 where p divides num * den."""
+    num, den = pair
+    a = residues(num, primes)
+    if den != 1:
+        a = a * powmod(residues(den, primes), primes - 2, primes) % primes
+    return a
+
+
+def block_indices(primes: np.ndarray, alpha_pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """ind_p(alpha) = (p-1)/ord_p(alpha) for a block of consecutive primes and
+    alphas given as (numerator, denominator) pairs; shape (len(alphas), n).
+
+    For each q^e exactly dividing p-1, put b = alpha^((p-1)/q^e): the q-part
+    of the order is q^k for the least k with b^(q^k) = 1, so q^(e-k) is the
+    q-part of the index.  A prime dividing a numerator or denominator gets
+    index p-1 (alpha read as 1); every caller excludes such primes.
+    """
+    row, q, e = factor_p_minus_1(primes)
+    a = np.stack([_alpha_residues(pair, primes) for pair in alpha_pairs])
+    a[a == 0] = 1
+    p = primes[row]
+    b = powmod(a[:, row], (p - 1) // q**e, p)
+    k = (b != 1).astype(np.int64)
+    ai, pi = np.nonzero((b != 1) & (e > 1))
+    b = b[ai, pi]
+    while ai.size:
+        b = powmod(b, q[pi], p[pi])
+        more = b != 1
+        ai, pi, b = ai[more], pi[more], b[more]
+        k[ai, pi] += 1
+    ind = np.ones(a.shape, dtype=np.int64)
+    part = q ** (e - k)
+    for i in range(len(alpha_pairs)):
+        np.multiply.at(ind[i], row, part[i])
+    return ind
 
 
 # Per-process scan state, installed before forking so workers inherit it.
 _SCAN: dict = {}
 
 
-def _segment_bounds(x: int, segment: int, idx: int) -> tuple[int, int]:
-    lo = 2 + idx * segment
-    return lo, min(lo + segment, x + 1)
-
-
-def _scan_segment(idx: int):
+def _scan_segment(idx: int) -> np.ndarray:
+    """counts[spec, 0 matched | 1 considered, checkpoint bucket] for segment idx."""
     st = _SCAN
-    x, segment = st["x"], st["segment"]
-    lo, hi = _segment_bounds(x, segment, idx)
-    table = st["table"]
-    alpha_pairs = st["alpha_pairs"]
+    lo = 2 + idx * st["segment"]
+    hi = min(lo + st["segment"], st["x"] + 1)
     specs = st["specs"]
-    spec_alpha_idx = st["spec_alpha_idx"]
-    spec_excl = st["spec_excl"]
     thresholds = st["thresholds"]
-    factor_pairs = table.factor_pairs
-    n_specs = len(specs)
-    matched = [0] * n_specs
-    considered = [0] * n_specs
-    ck_matched = [[0] * (len(thresholds) + 1) for _ in range(n_specs)] if thresholds else None
-    ck_considered = (
-        [[0] * (len(thresholds) + 1) for _ in range(n_specs)] if thresholds else None
-    )
-    ords = [0] * len(alpha_pairs)
-    inds = [0] * len(alpha_pairs)
-    done = [False] * len(alpha_pairs)
-    for p in segmented_primes(lo, hi):
-        p = int(p)
-        pairs = None
-        for k in range(len(alpha_pairs)):
-            done[k] = False
-        bucket = bisect_left(thresholds, p) if thresholds else 0
-        for si in range(n_specs):
-            if p in spec_excl[si]:
-                continue
-            considered[si] += 1
-            if ck_considered:
-                ck_considered[si][bucket] += 1
-            for k in spec_alpha_idx[si]:
-                if not done[k]:
-                    if pairs is None:
-                        pairs = factor_pairs(p - 1)
-                    num, den = alpha_pairs[k]
-                    val = num % p if den == 1 else num * pow(den, -1, p) % p
-                    o = order_from_pairs(val, p, pairs)
-                    ords[k] = o
-                    inds[k] = (p - 1) // o
-                    assert o * inds[k] == p - 1  # order divides p-1 exactly
-                    done[k] = True
-            spec = specs[si]
-            sel_ords = [ords[k] for k in spec_alpha_idx[si]]
-            sel_inds = [inds[k] for k in spec_alpha_idx[si]]
-            if _matches(spec, sel_ords, sel_inds, p):
-                matched[si] += 1
-                if ck_matched:
-                    ck_matched[si][bucket] += 1
-    return idx, matched, considered, ck_matched, ck_considered
+    counts = np.zeros((len(specs), 2, thresholds.size + 1), dtype=np.int64)
+    for primes in _prime_blocks(lo, hi, st["segment"]):
+        ind = block_indices(primes, st["alpha_pairs"])
+        bucket = np.searchsorted(thresholds, primes)
+        for si, spec in enumerate(specs):
+            considered = ~np.isin(primes, st["spec_excl"][si])
+            matched = considered & _matches(spec, ind[st["spec_alpha_idx"][si]], primes)
+            counts[si, 0] += np.bincount(bucket[matched], minlength=thresholds.size + 1)
+            counts[si, 1] += np.bincount(bucket[considered], minlength=thresholds.size + 1)
+    return counts
 
 
 def scan_many(
@@ -210,43 +235,30 @@ def scan_many(
 ) -> list[ScanResult]:
     """Scan all primes p <= x once, classifying against every spec.
 
-    Orders are computed once per distinct alpha per prime and shared across
+    Indices are computed once per distinct alpha per prime and shared across
     the specs.  Results are independent of the worker count.
     """
     if x > SCAN_X_CAP:
         raise ResourceCapError(f"scan bound {x} exceeds cap {SCAN_X_CAP}")
     if x < 2:
         raise ValueError("need x >= 2")
-    alpha_pairs: list[tuple[int, int]] = []
-    index_of: dict[tuple[int, int], int] = {}
-    spec_alpha_idx: list[list[int]] = []
-    for spec in specs:
-        idxs = []
-        for a in spec.alphas:
-            key = _alpha_pair(a)
-            if key not in index_of:
-                index_of[key] = len(alpha_pairs)
-                alpha_pairs.append(key)
-            idxs.append(index_of[key])
-        spec_alpha_idx.append(idxs)
-    thresholds: list[int] = []
-    if checkpoints:
-        t = x // 2
-        while t >= 4:
-            thresholds.append(t)
-            t //= 2
-        thresholds.sort()
+    if workers < 1:
+        raise ValueError("need workers >= 1")
+    alpha_pairs = list(dict.fromkeys(_alpha_pair(a) for s in specs for a in s.alphas))
+    spec_alpha_idx = [[alpha_pairs.index(_alpha_pair(a)) for a in s.alphas] for s in specs]
+    # dyadic checkpoints x // 2^k >= 4, ascending
+    thresholds = sorted(x >> k for k in range(1, x.bit_length() - 2)) if checkpoints else []
+    excluded = [tuple(sorted(p for p in excluded_primes(s) if p <= x)) for s in specs]
     _SCAN.clear()
     _SCAN.update(
         {
             "x": x,
             "segment": segment,
-            "table": shared_spf_table(x),
             "alpha_pairs": alpha_pairs,
             "specs": list(specs),
             "spec_alpha_idx": spec_alpha_idx,
-            "spec_excl": [excluded_primes(s) for s in specs],
-            "thresholds": thresholds,
+            "spec_excl": [np.array(e, dtype=np.int64) for e in excluded],
+            "thresholds": np.array(thresholds, dtype=np.int64),
         }
     )
     n_segments = (x - 1 + segment - 1) // segment
@@ -261,28 +273,13 @@ def scan_many(
             results = list(pool.imap(_scan_segment, range(n_segments)))
     else:
         results = [_scan_segment(i) for i in range(n_segments)]
-    results.sort(key=lambda r: r[0])
+    totals = sum(results)
     li_x = li(x)
     out = []
-    for si, spec in enumerate(specs):
-        matched = sum(r[1][si] for r in results)
-        considered = sum(r[2][si] for r in results)
-        ck = None
-        if checkpoints:
-            cm = [0] * (len(thresholds) + 1)
-            cc = [0] * (len(thresholds) + 1)
-            for r in results:
-                for b in range(len(thresholds) + 1):
-                    cm[b] += r[3][si][b]
-                    cc[b] += r[4][si][b]
-            ck = []
-            run_m = run_c = 0
-            for b, t in enumerate(thresholds):
-                run_m += cm[b]
-                run_c += cc[b]
-                ck.append((t, run_m, run_c))
-            ck.append((x, run_m + cm[-1], run_c + cc[-1]))
-        excl = tuple(sorted(p for p in excluded_primes(spec) if p <= x))
+    for (matched, considered), excl in zip(totals, excluded):
+        running = (np.cumsum(c).tolist() for c in (matched, considered))
+        ck = list(zip(thresholds + [x], *running)) if checkpoints else None
+        matched, considered = int(matched.sum()), int(considered.sum())
         out.append(
             ScanResult(
                 x=x,
@@ -326,79 +323,65 @@ def splitting_fraction(fspec: FieldSpec, x: int, *, segment: int = DEFAULT_SEGME
 def splitting_fraction_many(
     fspecs: Sequence[FieldSpec], x: int, *, segment: int = DEFAULT_SEGMENT
 ) -> list[float]:
+    """Splitting fractions of several fields in one pass over p <= x.
+
+    No factoring: after the mask p = 1 (mod M), alpha_i is an m_i-th power
+    residue exactly when alpha_i^((p-1)/m_i) = 1 (mod p).
+    """
     if x > SCAN_X_CAP:
         raise ResourceCapError(f"scan bound {x} exceeds cap {SCAN_X_CAP}")
+    if x < 2:
+        raise ValueError("need x >= 2")
     data = []
     for fs in fspecs:
         excl = set(p for a in fs.alphas for p in a.support())
         if fs.M > 1:  # ramified primes divide the cyclotomic level
             excl.update(p for p, _ in factorize(fs.M).factors)
-        pairs = [_alpha_pair(a) for a in fs.alphas]
-        data.append((fs.M, fs.m, pairs, frozenset(excl)))
+        excl_arr = np.array(sorted(p for p in excl if p <= x), dtype=np.int64)
+        data.append((fs.M, fs.m, [_alpha_pair(a) for a in fs.alphas], excl_arr))
     matched = [0] * len(fspecs)
     considered = [0] * len(fspecs)
-    start = 2
-    while start <= x:
-        stop = min(start + segment, x + 1)
-        for p in segmented_primes(start, stop):
-            p = int(p)
-            for k, (M, m, pairs, excl) in enumerate(data):
-                if p in excl:
-                    continue
-                considered[k] += 1
-                if (p - 1) % M:
-                    continue
-                ok = True
-                for (num, den), mi in zip(pairs, m):
-                    val = num % p if den == 1 else num * pow(den, -1, p) % p
-                    if pow(val, (p - 1) // mi, p) != 1:
-                        ok = False
-                        break
-                if ok:
-                    matched[k] += 1
-        start = stop
+    for primes in _prime_blocks(2, x + 1, segment):
+        for k, (M, m, pairs, excl) in enumerate(data):
+            keep = ~np.isin(primes, excl)
+            considered[k] += int(np.count_nonzero(keep))
+            split = primes[keep & ((primes - 1) % M == 0)]
+            for pair, mi in zip(pairs, m):
+                residue = powmod(_alpha_residues(pair, split), (split - 1) // mi, split)
+                split = split[residue == 1]
+            matched[k] += split.size
     return [m / c if c else 0.0 for m, c in zip(matched, considered)]
+
+
+def _indices_upto(alpha, x: int):
+    """ind_p(alpha) over the unexcluded primes p <= x, one array per block."""
+    if x > SCAN_X_CAP:
+        raise ResourceCapError(f"scan bound {x} exceeds cap {SCAN_X_CAP}")
+    a = alpha if hasattr(alpha, "factors") else factorize(alpha)
+    pair = _alpha_pair(a)
+    excl = np.array([p for p in a.support() if p <= x], dtype=np.int64)
+    for primes in _prime_blocks(2, x + 1, DEFAULT_SEGMENT):
+        yield block_indices(primes, [pair])[0][~np.isin(primes, excl)]
 
 
 def large_index_diagnostic(alpha, x: int, rho: float) -> DiagnosticReport:
     """Count primes p <= x with ind_p(alpha) > (log x)^rho."""
     if not (0 < rho < 1):
         raise ValueError("need 0 < rho < 1")
-    a = alpha if hasattr(alpha, "factors") else factorize(alpha)
-    num, den = _alpha_pair(a)
-    excl = frozenset(a.support())
     threshold = math.log(x) ** rho
-    table = shared_spf_table(x)
-    count = 0
-    for p in segmented_primes(2, x + 1):
-        p = int(p)
-        if p in excl:
-            continue
-        val = num % p if den == 1 else num * pow(den, -1, p) % p
-        o = order_from_pairs(val, p, table.factor_pairs(p - 1))
-        if (p - 1) // o > threshold:
-            count += 1
+    count = sum(int(np.count_nonzero(ind > threshold)) for ind in _indices_upto(alpha, x))
     scale = x / math.log(x) ** (1 + rho)
     return DiagnosticReport(rho, count, scale, x, count / scale)
 
 
 def index_counts(alpha, x: int) -> tuple[dict[int, int], int]:
     """Histogram of ind_p(alpha) over unexcluded p <= x, plus the prime count."""
-    a = alpha if hasattr(alpha, "factors") else factorize(alpha)
-    num, den = _alpha_pair(a)
-    excl = frozenset(a.support())
-    table = shared_spf_table(x)
     hist: dict[int, int] = {}
     considered = 0
-    for p in segmented_primes(2, x + 1):
-        p = int(p)
-        if p in excl:
-            continue
-        considered += 1
-        val = num % p if den == 1 else num * pow(den, -1, p) % p
-        o = order_from_pairs(val, p, table.factor_pairs(p - 1))
-        ind = (p - 1) // o
-        hist[ind] = hist.get(ind, 0) + 1
+    for ind in _indices_upto(alpha, x):
+        considered += ind.size
+        for value, count in zip(*(v.tolist() for v in np.unique(ind, return_counts=True))):
+            hist[value] = hist.get(value, 0) + count
     return hist, considered
 
 

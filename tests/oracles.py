@@ -103,3 +103,58 @@ def residue_check_fraction(q: Fraction, n: int, M: int, x: int) -> tuple[int, in
         if is_nth_power_residue(q, n, p):
             hit += 1
     return hit, total
+
+
+def trial_order(a: int, p: int) -> int:
+    """Least divisor d of p - 1 with a^d = 1 (mod p); divisors by trial division."""
+    n = p - 1
+    divs = sorted({d for k in range(1, math.isqrt(n) + 1) if n % k == 0 for d in (k, n // k)})
+    for d in divs:
+        if pow(a, d, p) == 1:
+            return d
+    raise ValueError(f"{a} is not a unit mod {p}")
+
+
+def brute_scan(alphas, mode: str, params, frobenius, x: int):
+    """Prime-by-prime reference for scan_many with checkpoints, written from
+    the definitions: (matched, considered, [(x_k, matched, considered), ...]).
+
+    alphas are Fractions; mode is "index" (params = targets t_i), "order"
+    (params = (a_i, d_i) pairs) or "indexset" (params = ("finite", values) or
+    ("ap", a, d) per alpha); frobenius is None or (f, residues)."""
+    bad = {p for q in alphas for p in range(2, x + 1) if (q.numerator * q.denominator) % p == 0}
+    if frobenius is not None:
+        bad |= {p for p in range(2, x + 1) if frobenius[0] % p == 0}
+    thresholds = []
+    t = x // 2
+    while t >= 4:
+        thresholds.append(t)
+        t //= 2
+    thresholds = sorted(thresholds) + [x]
+    rows = []  # (p, matched)
+    for p in prime_list(x):
+        p = int(p)
+        if p in bad:
+            continue
+        if frobenius is not None and p % frobenius[0] not in frobenius[1]:
+            rows.append((p, False))
+            continue
+        inds = [
+            (p - 1) // trial_order(q.numerator * pow(q.denominator, -1, p) % p, p)
+            for q in alphas
+        ]
+        if mode == "index":
+            ok = all(i == t for i, t in zip(inds, params))
+        elif mode == "order":
+            ok = all(((p - 1) // i) % d == a % d for i, (a, d) in zip(inds, params))
+        else:
+            ok = all(
+                i in s[1] if s[0] == "finite" else i % s[2] == s[1] % s[2]
+                for i, s in zip(inds, params)
+            )
+        rows.append((p, ok))
+    checkpoints = [
+        (t, sum(ok for p, ok in rows if p <= t), sum(1 for p, _ in rows if p <= t))
+        for t in thresholds
+    ]
+    return checkpoints[-1][1], checkpoints[-1][2], checkpoints

@@ -37,6 +37,14 @@ from orddensity.kummer import (
 from oracles import TRUE_POWER_TRIPLES, is_nth_power_residue
 
 SCAN_X = 10**7
+# exact (matched, considered) of the five configs at SCAN_X
+SCAN_COUNTS_1E7 = [
+    (248491, 664578),
+    (470633, 664578),
+    (97913, 664577),
+    (166237, 664578),
+    (165883, 664577),
+]
 ZETA_CONSTANT = 1.9435964368207592  # zeta(2) zeta(3) / zeta(6)
 
 # the five empirical-agreement configurations: (label, spec factory, series
@@ -131,6 +139,7 @@ def empirical_runs():
                 "theory": [t.value for t in theory],
                 "ratios": [s.ratio_li for s in scans],
                 "matched": [s.matched for s in scans],
+                "counts": [(s.matched, s.considered) for s in scans],
                 "scan_seconds": elapsed,
             }
         )
@@ -183,6 +192,11 @@ def test_criterion_3_empirical_agreement(empirical_runs):
         ok,
         "; ".join(details) + f"; shared scan {run['scan_seconds']:.0f}s",
     )
+
+
+def test_scan_counts_pinned_at_1e7(empirical_runs):
+    for run in empirical_runs:
+        assert run["counts"] == SCAN_COUNTS_1E7
 
 
 def test_criterion_4_kummer_degrees_vs_splitting():

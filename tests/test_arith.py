@@ -6,9 +6,9 @@ import pytest
 
 from orddensity.arith import (
     FactoredRational,
-    SpfTable,
     crt_merge,
     euler_phi,
+    factor_p_minus_1,
     factorize,
     is_prime,
     kronecker,
@@ -41,9 +41,8 @@ def test_factorize_examples():
 
 
 def test_factorize_reconstructs():
-    table = SpfTable(5000)
     for n in list(range(1, 300)) + [4096, 4999, -360]:
-        fr = factorize(n, table)
+        fr = factorize(n)
         assert fr.value() == Fraction(n)
 
 
@@ -67,9 +66,8 @@ def test_euler_phi_examples():
 def test_divisor_sum_identities():
     # sum_{d|n} mu(d) = [n == 1] and sum_{d|n} phi(d) = n for all n <= 10^4
     N = 10**4
-    table = SpfTable(N)
-    mu = [0] + [moebius(n, table) for n in range(1, N + 1)]
-    phi = [0] + [euler_phi(n, table) for n in range(1, N + 1)]
+    mu = [0] + [moebius(n) for n in range(1, N + 1)]
+    phi = [0] + [euler_phi(n) for n in range(1, N + 1)]
     mu_sum = [0] * (N + 1)
     phi_sum = [0] * (N + 1)
     for d in range(1, N + 1):
@@ -142,9 +140,8 @@ def test_multiplicative_order_brute_force():
 
 
 def test_order_times_index_is_p_minus_one():
-    table = SpfTable(10**4)
     for p in trial_division_primes(3, 500):
-        fpm1 = factorize(p - 1, table)
+        fpm1 = factorize(p - 1)
         for a in (2, 3, 10):
             if a % p == 0:
                 continue
@@ -179,16 +176,19 @@ def test_segmented_primes_rejects_bad_range():
         segmented_primes(10, 10)
 
 
-def test_spf_table_invariants():
-    table = SpfTable(2000)
-    for k in range(2, 2001):
-        s = table.smallest_factor(k)
-        assert k % s == 0
-        assert is_prime(s)
-        if is_prime(k):
-            assert s == k
-    assert table.factor_pairs(12) == [(2, 2), (3, 1)]
-    assert table.factor_pairs(1997) == [(1997, 1)]
+def test_factor_p_minus_1_matches_trial_division():
+    # consecutive primes from 2 up, and a window below the 10^9 scan cap where
+    # base primes above the direct-test bound and large cofactors occur
+    for lo, hi in [(2, 5000), (10**9 - 3000, 10**9)]:
+        primes = segmented_primes(lo, hi)
+        row, q, e = factor_p_minus_1(primes)
+        got = [dict() for _ in primes]
+        for i, qi, ei in zip(row.tolist(), q.tolist(), e.tolist()):
+            assert qi not in got[i]
+            got[i][qi] = ei
+        for p, pairs in zip(primes.tolist(), got):
+            assert pairs == factorize(p - 1).exponents()
+            assert all(is_prime(qi) for qi in pairs)
 
 
 def test_is_prime_matches_trial_division():

@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 from orddensity.cli import main
 
 
@@ -83,6 +85,25 @@ def test_unknown_subcommand_exits_2():
 def test_missing_mode_arguments_exit_2(tmp_path):
     code, _ = run(tmp_path, "density", "--mode", "order", "--alpha", "2")
     assert code == 2
+
+
+SCAN_INDEX_ONE = ["scan", "--mode", "index", "--alpha", "2", "--t", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        SCAN_INDEX_ONE + ["--x", "1"],
+        SCAN_INDEX_ONE + ["--x", "0"],
+        SCAN_INDEX_ONE + ["--x", "100", "--workers", "0"],
+        SCAN_INDEX_ONE + ["--x", "100", "--workers", "-3"],
+        ["verify", "chebotarev", "--x", "1"],
+    ],
+)
+def test_malformed_scan_inputs_exit_2(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
 
 
 def test_resource_cap_exits_3(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -135,6 +136,28 @@ def test_scan_worker_invariance():
     assert (serial.matched, serial.considered) == (forked.matched, forked.considered)
 
 
+def test_scan_memory_is_bounded_by_the_segment():
+    # tracemalloc sees numpy's buffers; an O(x) table would grow 4x here
+    both_even = IndexSet((SetDescriptor.progression(0, 2), SetDescriptor.progression(0, 2)))
+    specs = [
+        ConditionSpec.make([2], IndexFixed((1,))),
+        ConditionSpec.make([2], OrderAP((0,), (2,))),
+        ConditionSpec.make([2, 3], IndexFixed((1, 1))),
+        ConditionSpec.make([2], OrderAP((1,), (2,)), frobenius=(4, {3})),
+        ConditionSpec.make([2, 5], both_even),
+    ]
+    peaks = []
+    for x in (10**6, 4 * 10**6):
+        tracemalloc.start()
+        try:
+            scan_many(specs, x, segment=1 << 16)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 4 * 2**20
+    assert peaks[1] < 1.1 * peaks[0]
+
+
 def test_scan_checkpoints_monotone():
     spec = ConditionSpec.make([2], IndexFixed((1,)))
     res = scan(spec, 10**4, checkpoints=True)
@@ -150,6 +173,10 @@ def test_scan_resource_guard():
     spec = ConditionSpec.make([2], IndexFixed((1,)))
     with pytest.raises(ResourceCapError):
         scan(spec, 10**9 + 1)
+    with pytest.raises(ResourceCapError):
+        index_counts(2, 10**9 + 1)
+    with pytest.raises(ResourceCapError):
+        large_index_diagnostic(2, 10**9 + 1, 0.5)
 
 
 def test_excluded_primes():
