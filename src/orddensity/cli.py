@@ -38,15 +38,20 @@ def _parse_alpha(text: str) -> FactoredRational:
 
 def _parse_set(text: str) -> SetDescriptor:
     """Index set syntax: '1,2,5' (finite) or 'ap:a:d' (k = a mod d, k >= 1)."""
-    if text.startswith("ap:"):
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError("progression set must be ap:<a>:<d>")
-        return SetDescriptor.progression(int(parts[1]), int(parts[2]))
     try:
+        if text.startswith("ap:"):
+            _, a, d = text.split(":")
+            return SetDescriptor.progression(int(a), int(d))
         return SetDescriptor.finite([int(v) for v in text.split(",")])
+    except ValueError as exc:  # also a wrong number of ap: fields
+        raise ConfigError(f"bad index set {text!r}: {exc}") from exc
+
+
+def _ints(values, flag: str) -> list[int]:
+    try:
+        return [int(v) for v in values or []]
     except ValueError as exc:
-        raise ConfigError(f"bad index set {text!r}") from exc
+        raise ConfigError(f"--{flag} needs integers, got {values!r}") from exc
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -90,13 +95,13 @@ def build_condition_spec(args: argparse.Namespace) -> ConditionSpec:
     r = len(alphas)
     mode = args.mode
     if mode == "order":
-        a = [int(v) for v in args.a or []]
-        d = [int(v) for v in args.d or []]
+        a = _ints(args.a, "a")
+        d = _ints(args.d, "d")
         if len(a) != r or len(d) != r:
             raise ConfigError("order mode needs --a and --d once per alpha")
         m: dens.Mode = OrderAP(tuple(a), tuple(d))
     elif mode == "index":
-        t = [int(v) for v in args.t or []]
+        t = _ints(args.t, "t")
         if len(t) != r:
             raise ConfigError("index mode needs --t once per alpha")
         m = IndexFixed(tuple(t))
@@ -108,11 +113,12 @@ def build_condition_spec(args: argparse.Namespace) -> ConditionSpec:
     else:
         raise ConfigError(f"unknown mode {mode!r}")
     frobenius = None
-    if args.f is not None:
-        classes = [int(v) for v in args.c or []]
+    f = _resolve(args, "f", None, minimum=1)
+    if f is not None:
+        classes = _ints(args.c, "c")
         if not classes:
             raise ConfigError("--f needs at least one --c residue")
-        frobenius = (int(args.f), frozenset(classes))
+        frobenius = (f, frozenset(classes))
     try:
         return ConditionSpec.make(alphas, m, frobenius)
     except ValueError as exc:
@@ -148,8 +154,14 @@ def _spec_params(args: argparse.Namespace) -> dict:
     }
 
 
-def _resolve(args: argparse.Namespace, key: str, fallback, minimum: Optional[int] = None):
-    """An integer flag (or config value), checked against its lower bound."""
+def _resolve(
+    args: argparse.Namespace,
+    key: str,
+    fallback,
+    minimum: Optional[int] = None,
+    maximum: Optional[int] = None,
+):
+    """An integer flag (or config value), checked against its bounds."""
     val = getattr(args, key, None)
     if val is None:
         return fallback
@@ -159,18 +171,17 @@ def _resolve(args: argparse.Namespace, key: str, fallback, minimum: Optional[int
         raise ConfigError(f"--{key} needs an integer, got {val!r}") from exc
     if minimum is not None and val < minimum:
         raise ConfigError(f"--{key} must be >= {minimum}, got {val}")
+    if maximum is not None and val > maximum:
+        raise ConfigError(f"--{key} must be <= {maximum}, got {val}")
     return val
 
 
 def cmd_density(args: argparse.Namespace) -> int:
     spec = build_condition_spec(args)
-    nmax = _resolve(args, "nmax", dens.DEFAULT_NMAX)
-    tmax = _resolve(args, "tmax", dens.DEFAULT_TMAX)
-    cache = kummer.DegreeCache(args.degree_cache) if args.degree_cache else None
+    nmax = _resolve(args, "nmax", dens.DEFAULT_NMAX, minimum=1)
+    tmax = _resolve(args, "tmax", dens.DEFAULT_TMAX, minimum=1)
     started = time.monotonic()
-    result = dens.evaluate(
-        spec, nmax, tmax, log_terms=bool(args.term_log), cache=cache
-    )
+    result = dens.evaluate(spec, nmax, tmax, log_terms=bool(args.term_log))
     doc = _base_doc(args, "density-result")
     doc.update(
         {
@@ -239,8 +250,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     x = _resolve(args, "x", None, minimum=2)
     if x is None:
         raise ConfigError("compare needs --x (flag or config file)")
-    nmax = _resolve(args, "nmax", dens.DEFAULT_NMAX)
-    tmax = _resolve(args, "tmax", dens.DEFAULT_TMAX)
+    nmax = _resolve(args, "nmax", dens.DEFAULT_NMAX, minimum=1)
+    tmax = _resolve(args, "tmax", dens.DEFAULT_TMAX, minimum=1)
     started = time.monotonic()
     result = dens.evaluate(spec, nmax, tmax)
     scan_result = empirical.scan(spec, x, workers=_resolve(args, "workers", 1, minimum=1))
@@ -273,6 +284,9 @@ CHEBOTAREV_FIELDS: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [
     ((12,), (2,), 12),
     ((3, 5), (2, 2), 60),
 ]
+
+
+EULER_MIN_CAP = 32  # the smallest cap with one grid point, x = 4 <= cap // 8
 
 
 def verify_euler(r: int, cap: int = 4096) -> dict:
@@ -328,7 +342,10 @@ def verify_chebotarev(x: int) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.target == "euler":
-        doc = verify_euler(int(args.r), int(args.cap))
+        doc = verify_euler(
+            _resolve(args, "r", 2, minimum=1, maximum=3),
+            _resolve(args, "cap", 4096, minimum=EULER_MIN_CAP),
+        )
     elif args.target == "kummer":
         doc = verify_kummer(args.grid)
     elif args.target == "chebotarev":
@@ -365,10 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=None)
     p.add_argument("--tmax", type=int, default=None)
     p.add_argument("--term-log", default=None, help="optional per-term CSV path")
-    p.add_argument(
-        "--degree-cache", default=None,
-        help="persistent degree cache file (key<TAB>degree<TAB>failure lines)",
-    )
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("scan", help="scan primes p <= x against the condition")

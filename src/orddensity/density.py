@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .arith import FactoredRational, crt_merge, moebius
 from .eulerseries import KahanSum, phi_lcm_tail
@@ -214,74 +214,57 @@ def tail_estimate(caps: Sequence[int], b_observed: int) -> float:
 # series evaluation
 
 
-def _squarefree_values(nmax: int) -> list[tuple[int, int]]:
-    return [(n, moebius(n)) for n in range(1, nmax + 1) if moebius(n) != 0]
+_Block = tuple[tuple[int, ...], tuple[tuple[int, int], ...], int]
 
 
-def _term(
-    alphas: tuple[FactoredRational, ...],
-    m: tuple[int, ...],
-    W: int,
-    fix_level: int,
-    congruences: tuple[tuple[int, int], ...],
-    frobenius,
-    cache: Optional[DegreeCache],
-) -> tuple[int, int, int]:
-    """(automorphism count, field degree, failure ratio) of one summand."""
-    spec = FieldSpec(alphas, m, W)
-    degree, fail = degree_info(spec, cache)
-    count = count_automorphisms(spec, fix_level, congruences, frobenius)
-    return count, degree, fail
-
-
-def _fixed_T_sum(
+def _series(
     spec: ConditionSpec,
-    T: tuple[int, ...],
-    nmax: int,
-    congr_for,
-    extra_level: int,
-    acc: KahanSum,
-    log: Optional[list],
+    blocks: Iterable[_Block],
+    caps: tuple[int, int],
+    tail_caps: Sequence[int],
+    log_terms: bool,
     cache: Optional[DegreeCache],
-) -> tuple[int, int]:
-    """Accumulate the inclusion-exclusion sum over squarefree N for fixed T.
+) -> DensityResult:
+    """Sum the inclusion-exclusion terms over squarefree N <= caps[0], block
+    by block.
 
-    congr_for(T) supplies the unit congruences; extra_level joins the field
-    level (the progression level, lcm of d_i t_i, for order conditions).
-    Returns (terms evaluated, lcm of failure ratios seen).
+    A block (T, congruences, extra_level) fixes the index targets, the unit
+    congruences and the level joined to the field level (the progression
+    level lcm(d_i t_i) for order conditions, 1 otherwise).  The tail
+    estimate covers `tail_caps` with the lcm of the failure ratios seen.
     """
-    r = spec.rank
+    order = spec.mode if isinstance(spec.mode, OrderAP) else None
     f = spec.frobenius[0] if spec.frobenius else 1
-    sf = _squarefree_values(nmax)
+    sf = [(n, mu) for n in range(1, caps[0] + 1) if (mu := moebius(n))]
+    acc = KahanSum()
+    log: Optional[list] = [] if log_terms else None
     terms = 0
     b_seen = 1
-    congruences = congr_for(T)
-    for Nmu in itertools.product(sf, repeat=r):
-        N = tuple(n for n, _ in Nmu)
-        mu_prod = math.prod(mu for _, mu in Nmu)
-        if isinstance(spec.mode, OrderAP):
+    for T, congruences, extra_level in blocks:
+        for Nmu in itertools.product(sf, repeat=spec.rank):
+            N = tuple(n for n, _ in Nmu)
             # identity on zeta_(n_i t_i) and the progression action on
             # zeta_(d_i t_i) must agree on the overlap
-            if any(
+            if order is not None and any(
                 (a * t) % (math.gcd(d, n) * t)
-                for a, d, n, t in zip(spec.mode.a, spec.mode.d, N, T)
+                for a, d, n, t in zip(order.a, order.d, N, T)
             ):
                 continue
-        m = tuple(n * t for n, t in zip(N, T))
-        v = math.lcm(*m)
-        W = math.lcm(v, extra_level, f)
-        count, degree, fail = _term(
-            spec.alphas, m, W, v, congruences, spec.frobenius, cache
-        )
-        b_seen = math.lcm(b_seen, fail)
-        terms += 1
-        if count:
-            acc.add(mu_prod * count / degree)
-        if log is not None:
-            log.append(
-                {"N": N, "T": T, "mu": mu_prod, "c": count, "degree": degree}
-            )
-    return terms, b_seen
+            m = tuple(n * t for n, t in zip(N, T))
+            v = math.lcm(*m)
+            field = FieldSpec(spec.alphas, m, math.lcm(v, extra_level, f))
+            degree, fail = degree_info(field, cache)
+            count = count_automorphisms(field, v, congruences, spec.frobenius, cache)
+            b_seen = math.lcm(b_seen, fail)
+            terms += 1
+            mu_prod = math.prod(mu for _, mu in Nmu)
+            if count:
+                acc.add(mu_prod * count / degree)
+            if log is not None:
+                log.append(
+                    {"N": N, "T": T, "mu": mu_prod, "c": count, "degree": degree}
+                )
+    return DensityResult(acc.value, terms, caps, tail_estimate(tail_caps, b_seen), log)
 
 
 def index_density_fixed(
@@ -294,13 +277,8 @@ def index_density_fixed(
     """Density of primes with ind_p(alpha_i) = t_i for every i."""
     if not isinstance(spec.mode, IndexFixed):
         raise ValueError("spec must carry fixed index targets")
-    acc = KahanSum()
-    log: Optional[list] = [] if log_terms else None
-    terms, b_seen = _fixed_T_sum(
-        spec, spec.mode.T, nmax, lambda T: (), 1, acc, log, cache
-    )
-    tail = tail_estimate([nmax] * spec.rank, b_seen)
-    return DensityResult(acc.value, terms, (nmax, 0), tail, log)
+    blocks = [(spec.mode.T, (), 1)]
+    return _series(spec, blocks, (nmax, 0), [nmax] * spec.rank, log_terms, cache)
 
 
 def index_density_set(
@@ -314,19 +292,24 @@ def index_density_set(
     """Density of primes with ind_p(alpha_i) in S_i for every i."""
     if not isinstance(spec.mode, IndexSet):
         raise ValueError("spec must carry index sets")
-    acc = KahanSum()
-    log: Optional[list] = [] if log_terms else None
-    terms = 0
-    b_seen = 1
     t_lists = [s.upto(tmax) for s in spec.mode.S]
-    for T in itertools.product(*t_lists):
-        t, b = _fixed_T_sum(spec, T, nmax, lambda T: (), 1, acc, log, cache)
-        terms += t
-        b_seen = math.lcm(b_seen, b)
-    caps = [nmax] * spec.rank
-    caps += [tmax for s in spec.mode.S if s.truncated_above(tmax)]
-    tail = tail_estimate(caps, b_seen)
-    return DensityResult(acc.value, terms, (nmax, tmax), tail, log)
+    blocks = ((T, (), 1) for T in itertools.product(*t_lists))
+    tail_caps = [nmax] * spec.rank
+    tail_caps += [tmax for s in spec.mode.S if s.truncated_above(tmax)]
+    return _series(spec, blocks, (nmax, tmax), tail_caps, log_terms, cache)
+
+
+def _order_blocks(a: tuple[int, ...], d: tuple[int, ...], tmax: int) -> Iterator[_Block]:
+    """(T, c = 1 + a_i t_i (mod d_i t_i), lcm(d_i t_i)) for the admissible T."""
+    for T in itertools.product(range(1, tmax + 1), repeat=len(a)):
+        if any(math.gcd(1 + ai * ti, di) != 1 for ai, di, ti in zip(a, d, T)):
+            continue
+        if crt_merge([(ai * ti, di * ti) for ai, di, ti in zip(a, d, T)]) is None:
+            continue
+        congr = tuple(
+            ((1 + ai * ti) % (di * ti), di * ti) for ai, di, ti in zip(a, d, T)
+        )
+        yield T, congr, math.lcm(*(di * ti for di, ti in zip(d, T)))
 
 
 def order_density(
@@ -347,26 +330,9 @@ def order_density(
     if not isinstance(spec.mode, OrderAP):
         raise ValueError("spec must carry order progressions")
     a = tuple(ai % di for ai, di in zip(spec.mode.a, spec.mode.d))
-    d = spec.mode.d
-    acc = KahanSum()
-    log: Optional[list] = [] if log_terms else None
-    terms = 0
-    b_seen = 1
-    for T in itertools.product(range(1, tmax + 1), repeat=spec.rank):
-        if any(math.gcd(1 + ai * ti, di) != 1 for ai, di, ti in zip(a, d, T)):
-            continue
-        if crt_merge([(ai * ti, di * ti) for ai, di, ti in zip(a, d, T)]) is None:
-            continue
-        w = math.lcm(*(di * ti for di, ti in zip(d, T)))
-        congr = tuple(
-            ((1 + ai * ti) % (di * ti), di * ti) for ai, di, ti in zip(a, d, T)
-        )
-        t, b = _fixed_T_sum(spec, T, nmax, lambda T, c=congr: c, w, acc, log, cache)
-        terms += t
-        b_seen = math.lcm(b_seen, b)
-    caps = [nmax] * spec.rank + [tmax] * spec.rank
-    tail = tail_estimate(caps, b_seen)
-    return DensityResult(acc.value, terms, (nmax, tmax), tail, log)
+    blocks = _order_blocks(a, spec.mode.d, tmax)
+    tail_caps = [nmax] * spec.rank + [tmax] * spec.rank
+    return _series(spec, blocks, (nmax, tmax), tail_caps, log_terms, cache)
 
 
 def evaluate(spec: ConditionSpec, nmax: int, tmax: int, **kw) -> DensityResult:

@@ -17,10 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .arith import (
@@ -191,13 +188,13 @@ def _lattice_solutions(
     yield from rec(0, [0] * len(support))
 
 
-@lru_cache(maxsize=65536)
 def relation_group(spec: FieldSpec, cap: int = RELATION_ENUMERATION_CAP) -> RelationGroup:
     """All exponent tuples whose radical product lies in Q(zeta_M).
 
     Enumeration walks the rational-lattice candidates in lexicographic order
     with early exit on subgroup closure; each surviving candidate is
-    confirmed by the Galois character test on its witness.
+    confirmed by the Galois character test on its witness.  Every call
+    enumerates; `DegreeCache` keeps the result per field.
     """
     total = math.prod(spec.m)
     if total > cap:
@@ -220,73 +217,46 @@ def relation_group(spec: FieldSpec, cap: int = RELATION_ENUMERATION_CAP) -> Rela
 
 
 # ---------------------------------------------------------------------------
-# degree cache
+# field cache
+
+
+FIELD_CACHE_SIZE = 65536
 
 
 class DegreeCache:
-    """Memoized (degree, failure-ratio) pairs keyed by a canonical rendering.
+    """Each field's relation group and degree, enumerated once per field.
 
-    Lookups and inserts are last-writer-wins; values are deterministic so
-    collisions are benign.  With a path, records append as
-    "key<TAB>degree<TAB>failure" lines.
+    Keyed by `FieldSpec`.  It holds at most FIELD_CACHE_SIZE fields; past
+    that the oldest entry goes first.
     """
 
-    def __init__(self, path: Optional[str] = None):
-        self._mem: dict[str, tuple[int, int]] = {}
-        self._lock = threading.Lock()
-        self._path = path
-        if path and os.path.exists(path):
-            with open(path, "r", encoding="ascii") as fh:
-                for line in fh:
-                    parts = line.rstrip("\n").split("\t")
-                    if len(parts) == 3:
-                        self._mem[parts[0]] = (int(parts[1]), int(parts[2]))
+    def __init__(self):
+        self._fields: dict[FieldSpec, tuple[RelationGroup, int]] = {}
 
-    def get(self, key: str) -> Optional[tuple[int, int]]:
-        return self._mem.get(key)
-
-    def put(self, key: str, degree: int, failure: int) -> None:
-        with self._lock:
-            self._mem[key] = (degree, failure)
-            if self._path:
-                with open(self._path, "a", encoding="ascii") as fh:
-                    fh.write(f"{key}\t{degree}\t{failure}\n")
-                    fh.flush()
+    def lookup(self, spec: FieldSpec) -> tuple[RelationGroup, int]:
+        """(relation group, degree over Q) of the field, enumerating on a miss."""
+        entry = self._fields.get(spec)
+        if entry is None:
+            rel = relation_group(spec)
+            numerator = euler_phi(spec.M) * math.prod(spec.m)
+            assert numerator % len(rel.members) == 0
+            entry = (rel, numerator // len(rel.members))
+            if len(self._fields) >= FIELD_CACHE_SIZE:
+                del self._fields[next(iter(self._fields))]
+            self._fields[spec] = entry
+        return entry
 
     def __len__(self) -> int:
-        return len(self._mem)
+        return len(self._fields)
 
 
 DEFAULT_CACHE = DegreeCache()
 
 
-@lru_cache(maxsize=4096)
-def _alpha_str(a: FactoredRational) -> str:
-    return str(a.value())
-
-
-def canonical_key(spec: FieldSpec) -> str:
-    pairs = sorted(
-        (_alpha_str(a), mi) for a, mi in zip(spec.alphas, spec.m)
-    )
-    body = ";".join(f"{a}^1/{mi}" for a, mi in pairs)
-    return f"{body};M={spec.M}"
-
-
 def degree_info(spec: FieldSpec, cache: Optional[DegreeCache] = None) -> tuple[int, int]:
-    """(field degree over Q, failure ratio |Rel|) with caching."""
-    cache = cache if cache is not None else DEFAULT_CACHE
-    key = canonical_key(spec)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    rel = relation_group(spec)
-    failure = len(rel.members)
-    numerator = euler_phi(spec.M) * math.prod(spec.m)
-    assert numerator % failure == 0
-    degree = numerator // failure
-    cache.put(key, degree, failure)
-    return degree, failure
+    """(field degree over Q, failure ratio |Rel|)."""
+    rel, degree = (cache if cache is not None else DEFAULT_CACHE).lookup(spec)
+    return degree, len(rel.members)
 
 
 def kummer_degree(spec: FieldSpec, cache: Optional[DegreeCache] = None) -> int:
@@ -323,6 +293,7 @@ def count_automorphisms(
     fix_level: int,
     congruences: Sequence[tuple[int, int]] = (),
     frobenius: Optional[tuple[int, frozenset[int] | set[int]]] = None,
+    cache: Optional[DegreeCache] = None,
 ) -> int:
     """Count units c of Z/M with c = 1 (mod fix_level), every congruence
     satisfied, c mod f in C when a Frobenius class set is given, and every
@@ -330,7 +301,8 @@ def count_automorphisms(
 
     Each counted c corresponds to exactly one automorphism of the field that
     restricts to the identity on Q(zeta_fix_level, radicals).  Inconsistent
-    congruence systems count zero; they are not an error.
+    congruence systems count zero; they are not an error.  The relation
+    group comes from `cache` (the shared default cache when None).
     """
     W = spec.M
     if W % fix_level != 0 or any(W % mod != 0 for _, mod in congruences):
@@ -343,7 +315,7 @@ def count_automorphisms(
     rho, mu = merged
     if math.gcd(rho, mu) != 1:
         return 0
-    rel = relation_group(spec)
+    rel = (cache if cache is not None else DEFAULT_CACHE).lookup(spec)[0]
     gens = rel.generators()
     level = W
     for g in gens:

@@ -88,6 +88,7 @@ def test_missing_mode_arguments_exit_2(tmp_path):
 
 
 SCAN_INDEX_ONE = ["scan", "--mode", "index", "--alpha", "2", "--t", "1"]
+DENSITY_INDEX_ONE = ["density", "--mode", "index", "--alpha", "2", "--t", "1"]
 
 
 @pytest.mark.parametrize(
@@ -98,6 +99,12 @@ SCAN_INDEX_ONE = ["scan", "--mode", "index", "--alpha", "2", "--t", "1"]
         SCAN_INDEX_ONE + ["--x", "100", "--workers", "0"],
         SCAN_INDEX_ONE + ["--x", "100", "--workers", "-3"],
         ["verify", "chebotarev", "--x", "1"],
+        DENSITY_INDEX_ONE + ["--nmax", "0"],
+        ["density", "--mode", "order", "--alpha", "2", "--a", "0", "--d", "2", "--tmax", "0"],
+        ["density", "--mode", "indexset", "--alpha", "2", "--s", "ap:0:0"],
+        DENSITY_INDEX_ONE + ["--f", "0", "--c", "1"],
+        ["verify", "euler", "--r", "5"],
+        ["verify", "euler", "--cap", "8"],
     ],
 )
 def test_malformed_scan_inputs_exit_2(tmp_path, capsys, argv):
@@ -182,24 +189,15 @@ def test_density_indexset_command(tmp_path):
     assert code == 2
 
 
-def test_density_degree_cache_file(tmp_path):
-    cache = tmp_path / "degrees.tsv"
-    out = tmp_path / "o.json"
-    code = main(
-        ["density", "--mode", "index", "--alpha", "2", "--t", "1",
-         "--nmax", "30", "--out", str(out), "--degree-cache", str(cache)]
+def test_density_rejects_degree_cache_flag(tmp_path, capsys):
+    # degrees are memoised per process; there is no degree file to pass
+    code, _ = run(
+        tmp_path, "density", "--mode", "index", "--alpha", "2", "--t", "1",
+        "--degree-cache", str(tmp_path / "degrees.tsv"),
     )
-    assert code == 0
-    lines = cache.read_text().strip().splitlines()
-    assert lines and all(len(l.split("\t")) == 3 for l in lines)
-    # second run consumes the cache and reproduces the value
-    out2 = tmp_path / "o2.json"
-    code = main(
-        ["density", "--mode", "index", "--alpha", "2", "--t", "1",
-         "--nmax", "30", "--out", str(out2), "--degree-cache", str(cache)]
-    )
-    assert code == 0
-    assert json.loads(out.read_text())["value"] == json.loads(out2.read_text())["value"]
+    assert code == 2
+    assert "unrecognized arguments: --degree-cache" in capsys.readouterr().err
+    assert not (tmp_path / "degrees.tsv").exists()
 
 
 def test_compare_command(tmp_path):

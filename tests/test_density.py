@@ -15,8 +15,9 @@ from orddensity.density import (
     order_density,
     tail_estimate,
 )
+from orddensity import density, kummer
 from orddensity.eulerseries import phi_lcm_tail
-from orddensity.kummer import FieldSpec, kummer_degree
+from orddensity.kummer import DegreeCache, FieldSpec, kummer_degree
 
 
 def artin_euler_product(limit=10**6) -> float:
@@ -172,6 +173,27 @@ def test_full_frobenius_class_is_vacuous():
     assert full_o.value == plain_o.value
     for row_a, row_b in zip(plain_o.per_term_log, full_o.per_term_log):
         assert row_a["c"] * row_b["degree"] == row_b["c"] * row_a["degree"]
+
+
+def test_order_density_enumerates_each_field_once(monkeypatch):
+    enumerated, counted = [], []
+    relation_group = kummer.relation_group
+    count_automorphisms = density.count_automorphisms
+
+    def enumerate_(field, *args, **kwargs):
+        enumerated.append(field)
+        return relation_group(field, *args, **kwargs)
+
+    def count(field, *args, **kwargs):
+        counted.append(field)
+        return count_automorphisms(field, *args, **kwargs)
+
+    monkeypatch.setattr(kummer, "relation_group", enumerate_)
+    monkeypatch.setattr(density, "count_automorphisms", count)
+    spec = ConditionSpec.make([2], OrderAP((0,), (2,)))
+    res = order_density(spec, nmax=24, tmax=24, cache=DegreeCache())
+    assert len(counted) == res.terms_evaluated
+    assert len(enumerated) == len(set(counted)) < res.terms_evaluated
 
 
 def test_rank_one_series_shape():

@@ -3,11 +3,11 @@ import math
 
 import pytest
 
+from orddensity import kummer
 from orddensity.arith import ResourceCapError, euler_phi, factorize
 from orddensity.kummer import (
     DegreeCache,
     FieldSpec,
-    canonical_key,
     count_automorphisms,
     degree_info,
     discriminant_bound,
@@ -202,23 +202,45 @@ def test_field_spec_rejects_units_and_bad_levels():
         fs([], (), 1)
 
 
-def test_degree_cache_file_roundtrip(tmp_path):
-    path = tmp_path / "degrees.tsv"
-    cache = DegreeCache(str(path))
+def counting_relation_group(monkeypatch) -> list:
+    """Record the spec of every relation-group enumeration."""
+    calls = []
+    original = kummer.relation_group
+
+    def counted(spec, *args, **kwargs):
+        calls.append(spec)
+        return original(spec, *args, **kwargs)
+
+    monkeypatch.setattr(kummer, "relation_group", counted)
+    return calls
+
+
+def test_degree_cache_enumerates_each_field_once(monkeypatch):
+    calls = counting_relation_group(monkeypatch)
+    cache = DegreeCache()
     spec = fs([2], (2,), 8)
-    degree_info(spec, cache)
-    line = path.read_text().strip()
-    key, deg, fail = line.split("\t")
-    assert key == canonical_key(spec)
-    assert (int(deg), int(fail)) == (4, 2)
-    reloaded = DegreeCache(str(path))
-    assert reloaded.get(key) == (4, 2)
+    assert degree_info(spec, cache) == (4, 2)
+    assert kummer_degree(fs([2], (2,), 8), cache) == 4
+    assert failure_ratio(spec, cache) == 2
+    assert count_automorphisms(spec, 2, (), None, cache) == 2
+    assert calls == [spec] and len(cache) == 1
+    assert kummer_degree(fs([2, 3], (2, 2), 12), cache) == 8
+    assert len(calls) == 2 and len(cache) == 2
 
 
-def test_canonical_key_sorts_pairs():
-    k1 = canonical_key(fs([2, 3], (2, 4), 8))
-    k2 = canonical_key(fs([3, 2], (4, 2), 8))
-    assert k1 == k2
+def test_degree_cache_drops_oldest_field_past_its_bound(monkeypatch):
+    monkeypatch.setattr(kummer, "FIELD_CACHE_SIZE", 2)
+    calls = counting_relation_group(monkeypatch)
+    cache = DegreeCache()
+    specs = [fs([2], (2,), 8), fs([2], (2,), 4), fs([3], (2,), 12)]
+    assert [kummer_degree(s, cache) for s in specs] == [4, 4, 4]
+    assert len(cache) == 2
+    kummer_degree(specs[2], cache)
+    kummer_degree(specs[0], cache)  # dropped, so enumerated again
+    assert calls == specs + [specs[0]]
+
+
+def test_degree_ignores_pair_order():
     assert kummer_degree(fs([2, 3], (2, 4), 8)) == kummer_degree(fs([3, 2], (4, 2), 8))
 
 
