@@ -317,6 +317,14 @@ def factorize(n: int) -> FactoredRational:
     return FactoredRational.from_map(sign, exps)
 
 
+def divisors(n: int) -> list[int]:
+    """Positive divisors of n >= 1 in increasing order."""
+    out = [1]
+    for p, e in factorize(n).factors:
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
 def moebius(n: int) -> int:
     """Moebius function: 0 unless n is squarefree, else (-1)^(#prime factors)."""
     if n < 1:

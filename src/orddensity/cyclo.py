@@ -34,20 +34,9 @@ def quadratic_discriminant(d: int) -> int:
     return d if d % 4 == 1 else 4 * d
 
 
-@dataclass(frozen=True)
-class QuadraticConductor:
-    """Conductor of Q(sqrt(d)): sqrt(d) lies in Q(zeta_M) iff conductor | M."""
-
-    d: int
-    conductor: int
-
-    @staticmethod
-    def from_radicand(d: int) -> "QuadraticConductor":
-        return QuadraticConductor(d, abs(quadratic_discriminant(d)))
-
-
 def conductor(d: int) -> int:
-    return QuadraticConductor.from_radicand(d).conductor
+    """Conductor of Q(sqrt(d)): sqrt(d) lies in Q(zeta_M) iff conductor | M."""
+    return abs(quadratic_discriminant(d))
 
 
 def signed_squarefree_part(
@@ -78,62 +67,6 @@ def sqrt_in_cyclotomic(d: int, M: int) -> bool:
     if M < 1:
         raise ValueError("M must be positive")
     return M % conductor(d) == 0
-
-
-def _zeta_sqrt_in_cyclotomic(zorder: int, zexp: int, d: int, M: int) -> bool:
-    """Is zeta_zorder^zexp * sqrt(d) in Q(zeta_M)?
-
-    Galois test: the value lies in Q(zeta_L) with L = lcm(zorder, cond(d), M),
-    and membership in Q(zeta_M) means every sigma_c with c = 1 (mod M) fixes
-    it, i.e. zeta^(zexp*(c-1)) * chi_d(c) = 1.
-    """
-    disc = quadratic_discriminant(d)
-    L = math.lcm(zorder, abs(disc), M)
-    if L > _CHAR_LOOP_CAP:
-        raise ResourceCapError(f"character loop modulus {L} too large")
-    for c in range(1, L + 1, M):
-        if math.gcd(c, L) != 1:
-            continue
-        z = zexp * (c - 1) % zorder
-        chi = kronecker(disc, c)
-        if not ((z == 0 and chi == 1) or (2 * z == zorder and chi == -1)):
-            return False
-    return True
-
-
-def is_power_in_cyclotomic(q, n: int, M: int) -> bool:
-    """Decide whether the rational q is an n-th power in Q(zeta_M).
-
-    Split n = 2^e * u with u odd.  The odd part forces a rational u-th root
-    (exponent vector divisible by u, sign preserved).  For the 2-part the
-    normal form requires |q| = t^(2^e) * d^(2^(e-1)) with d squarefree; then
-    q is a 2^e-th power iff some zeta_(2^(e+1))^j * sqrt(d) with (-1)^j equal
-    to the sign of q lies in Q(zeta_M).
-    """
-    if n < 1 or M < 1:
-        raise ValueError("need n >= 1 and M >= 1")
-    q = _as_factored(q)
-    u = n
-    e = 0
-    while u % 2 == 0:
-        u //= 2
-        e += 1
-    if not q.divisible(u):
-        return False
-    q0 = q.root(u)
-    if e == 0:
-        return True
-    half = 1 << (e - 1)
-    if not q0.divisible(half):
-        return False
-    h = q0.abs_().root(half)
-    _, d, _ = signed_squarefree_part(h)
-    zorder = 1 << (e + 1)
-    start = 0 if q0.sign == 1 else 1
-    for j in range(start, zorder, 2):
-        if _zeta_sqrt_in_cyclotomic(zorder, j, d, M):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

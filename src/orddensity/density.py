@@ -169,8 +169,10 @@ class ConditionSpec:
             for a in alphas
         )
         if frobenius is not None:
-            f, C = frobenius
-            frobenius = (int(f), frozenset(int(c) % int(f) for c in C))
+            f = int(frobenius[0])
+            if f < 1:
+                raise ValueError("Frobenius level must be >= 1")
+            frobenius = (f, frozenset(int(c) % f for c in frobenius[1]))
         return ConditionSpec(fr, mode, frobenius)
 
     @property

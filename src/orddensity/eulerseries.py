@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import ResourceCapError, factorize, phi_sieve, prime_list
+from .arith import ResourceCapError, divisors, factorize, phi_sieve, prime_list
 
 _BOX_CAP = 4096  # r >= 2 needs a phi table up to cap^2
 _R1_CAP = 2 * 10**7
@@ -114,13 +114,6 @@ def _marginal_r2(cap: int, squarefree: bool) -> np.ndarray:
     return h
 
 
-def _divisors_of(n: int) -> list[int]:
-    out = [1]
-    for p, e in factorize(n).factors:
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
 def _marginal_r3(cap: int, squarefree: bool) -> np.ndarray:
     """H3[a] = sum over admissible b, c <= cap of 1 / (b c phi(lcm(a, b, c)))."""
     key = (3, cap, squarefree)
@@ -147,7 +140,7 @@ def _marginal_r3(cap: int, squarefree: bool) -> np.ndarray:
     h = np.zeros(cap + 1)
     for a in range(1, cap + 1):
         pairs = factorize(a).factors
-        divs = _divisors_of(a)
+        divs = divisors(a)
         total = 0.0
         for delta in divs:
             # Ex(a, delta) = phi(lcm(a, m)) / phi(m) for any m with gcd(a, m) = delta

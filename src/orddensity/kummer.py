@@ -7,7 +7,8 @@ Rel the subgroup of exponent tuples whose radical product already lies in F,
 
     [Q(zeta_M, radicals) : Q] = phi(M) * prod(m_i) / |Rel|.
 
-Each unit c mod M that fixes every relation witness extends to exactly
+Each unit c mod M that fixes the witnesses of the generators the enumeration
+of Rel accepts (and so every relation witness) extends to exactly
 prod(m_i)/|Rel| automorphisms of the full field, one of which acts trivially
 on all radicals; that turns Galois counting into unit counting.  The duality
 step is guarded by the empirical splitting consistency checks in the tests.
@@ -25,8 +26,8 @@ from .arith import (
     ResourceCapError,
     crt_merge,
     crt_pair,
+    divisors,
     euler_phi,
-    factorize,
 )
 from .cyclo import RadicalValue, fixed_by, lies_in_cyclotomic, radical_product
 
@@ -61,28 +62,15 @@ class FieldSpec:
         return FieldSpec(fr, tuple(int(v) for v in m), int(M))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RelationGroup:
     """Subgroup of prod Z/m_i of exponent tuples whose radical product lies in
-    the cyclotomic base, with the witnessing values."""
+    the cyclotomic base, with the generators the enumeration accepted (each
+    exponent tuple paired with its witnessing value), lexicographic order."""
 
     moduli: tuple[int, ...]
     members: frozenset[tuple[int, ...]]
-    witnesses: dict[tuple[int, ...], RadicalValue]
-    _generators: Optional[list[tuple[int, ...]]] = None
-
-    def generators(self) -> list[tuple[int, ...]]:
-        """Greedy generating set (lexicographic, deterministic)."""
-        if self._generators is None:
-            gens: list[tuple[int, ...]] = []
-            span = {tuple([0] * len(self.moduli))}
-            for member in sorted(self.members):
-                if member in span:
-                    continue
-                gens.append(member)
-                span = _closure(span, member, self.moduli)
-            self._generators = gens
-        return self._generators
+    generators: tuple[tuple[tuple[int, ...], RadicalValue], ...]
 
 
 @dataclass(frozen=True)
@@ -129,54 +117,37 @@ def _lattice_solutions(
     vecs = [[a.exponent(p) for p in support] for a in alphas]
     r = len(m)
 
-    def solve_last(residuals: list[int]):
+    def solve(idx: int, residuals: list[int], moduli: Sequence[int]) -> range:
+        # e_idx with coef * w * e_idx + res = 0 (mod moduli[j]) at every
+        # support prime j, intersected as arithmetic progressions
         base, step = 0, 1
-        for coef, res in zip(vecs[r - 1], residuals):
-            A = coef * weights[r - 1] % modulus
-            B = -res % modulus
-            g = math.gcd(A, modulus)
+        for coef, res, mod in zip(vecs[idx], residuals, moduli):
+            if mod == 1:
+                continue
+            A = coef * weights[idx] % mod
+            B = -res % mod
+            g = math.gcd(A, mod)
             if B % g:
-                return None
-            mod_k = modulus // g
+                return range(0)
+            mod_k = mod // g
             e0 = (B // g) * pow(A // g, -1, mod_k) % mod_k if mod_k > 1 else 0
             merged = crt_pair(base, step, e0, mod_k)
             if merged is None:
-                return None
+                return range(0)
             base, step = merged
-        return base, step
+        return range(base, m[idx], step)
 
+    full = [modulus] * len(support)
+    # e_(r-2) is pruned by solvability of the last coordinate: each support
+    # prime needs gcd(A_last, modulus) to divide the running residual
     last_gcds = [math.gcd(coef * weights[r - 1] % modulus, modulus) for coef in vecs[r - 1]]
-
-    def admissible(idx: int, residuals: list[int]):
-        # prune e_idx by solvability of the last coordinate: each support
-        # prime needs gcd(A_last, modulus) to divide the running residual
-        base, step = 0, 1
-        for coef, res, g in zip(vecs[idx], residuals, last_gcds):
-            if g == 1:
-                continue
-            A = coef * weights[idx] % g
-            B = -res % g
-            gg = math.gcd(A, g)
-            if B % gg:
-                return
-            mod_k = g // gg
-            e0 = (B // gg) * pow(A // gg, -1, mod_k) % mod_k if mod_k > 1 else 0
-            merged = crt_pair(base, step, e0, mod_k)
-            if merged is None:
-                return
-            base, step = merged
-        yield from range(base, m[idx], step)
 
     def rec(idx: int, residuals: list[int]):
         if idx == r - 1:
-            sol = solve_last(residuals)
-            if sol is None:
-                return
-            base, step = sol
-            for er in range(base, m[r - 1], step):
+            for er in solve(idx, residuals, full):
                 yield (er,)
             return
-        source = admissible(idx, residuals) if idx == r - 2 else range(m[idx])
+        source = solve(idx, residuals, last_gcds) if idx == r - 2 else range(m[idx])
         for ei in source:
             nxt = [
                 (res + ei * weights[idx] * coef) % modulus
@@ -191,10 +162,11 @@ def _lattice_solutions(
 def relation_group(spec: FieldSpec, cap: int = RELATION_ENUMERATION_CAP) -> RelationGroup:
     """All exponent tuples whose radical product lies in Q(zeta_M).
 
-    Enumeration walks the rational-lattice candidates in lexicographic order
-    with early exit on subgroup closure; each surviving candidate is
-    confirmed by the Galois character test on its witness.  Every call
-    enumerates; `DegreeCache` keeps the result per field.
+    Enumeration walks the rational-lattice candidates in lexicographic order,
+    skipping those already in the span; each other candidate is confirmed by
+    the Galois character test on its witness, and the accepted ones, with
+    their witnesses, become the group's generators.  Every call enumerates;
+    `DegreeCache` keeps the result per field.
     """
     total = math.prod(spec.m)
     if total > cap:
@@ -202,6 +174,7 @@ def relation_group(spec: FieldSpec, cap: int = RELATION_ENUMERATION_CAP) -> Rela
     L = math.lcm(*spec.m)
     zero = tuple([0] * len(spec.m))
     members: set[tuple[int, ...]] = {zero}
+    generators: list[tuple[tuple[int, ...], RadicalValue]] = []
     for cand in _lattice_solutions(spec.alphas, spec.m, L):
         if cand in members:
             continue
@@ -209,11 +182,9 @@ def relation_group(spec: FieldSpec, cap: int = RELATION_ENUMERATION_CAP) -> Rela
         if value is None:
             continue
         if lies_in_cyclotomic(value, spec.M):
+            generators.append((cand, value))
             members = _closure(members, cand, spec.m)
-    witnesses = {
-        e: radical_product(spec.alphas, spec.m, e) for e in sorted(members)
-    }
-    return RelationGroup(spec.m, frozenset(members), witnesses)
+    return RelationGroup(spec.m, frozenset(members), tuple(generators))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +268,7 @@ def count_automorphisms(
 ) -> int:
     """Count units c of Z/M with c = 1 (mod fix_level), every congruence
     satisfied, c mod f in C when a Frobenius class set is given, and every
-    relation witness fixed by sigma_c.
+    generator's witness fixed by sigma_c.
 
     Each counted c corresponds to exactly one automorphism of the field that
     restricts to the identity on Q(zeta_fix_level, radicals).  Inconsistent
@@ -316,10 +287,10 @@ def count_automorphisms(
     if math.gcd(rho, mu) != 1:
         return 0
     rel = (cache if cache is not None else DEFAULT_CACHE).lookup(spec)[0]
-    gens = rel.generators()
+    witnesses = [value for _, value in rel.generators]
     level = W
-    for g in gens:
-        level = math.lcm(level, rel.witnesses[g].galois_level(W))
+    for w in witnesses:
+        level = math.lcm(level, w.galois_level(W))
     fset = None
     if frobenius is not None:
         f, classes = frobenius
@@ -332,7 +303,7 @@ def count_automorphisms(
         if fset is not None and c % fset[0] not in fset[1]:
             continue
         lifted = _lift_coprime(c, W, level) if level != W else c
-        if all(fixed_by(lifted, rel.witnesses[g], W) for g in gens):
+        if all(fixed_by(lifted, w, W) for w in witnesses):
             count += 1
     return count
 
@@ -353,13 +324,6 @@ def discriminant_bound(spec: FieldSpec) -> float:
 # failure-of-maximality grid
 
 
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for p, e in factorize(n).factors:
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
 def observe_failure_bound(
     alpha_pool: Sequence[int],
     m_divisor: int = 12,
@@ -374,8 +338,8 @@ def observe_failure_bound(
     `M_divisor` compatible with the indices.
     """
     alphas = [FactoredRational.from_fraction(a) for a in alpha_pool]
-    m_choices = _divisors(m_divisor)
-    M_choices = _divisors(M_divisor)
+    m_choices = divisors(m_divisor)
+    M_choices = divisors(M_divisor)
     bound = 1
     for r in ranks:
         for combo in itertools.combinations(range(len(alphas)), r):

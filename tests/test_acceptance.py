@@ -13,7 +13,6 @@ import time
 import pytest
 
 from orddensity.arith import FactoredRational, prime_list
-from orddensity.cyclo import is_power_in_cyclotomic
 from orddensity.density import (
     ConditionSpec,
     IndexFixed,
@@ -34,7 +33,7 @@ from orddensity.kummer import (
     observe_failure_bound,
 )
 
-from oracles import TRUE_POWER_TRIPLES, is_nth_power_residue
+from oracles import TRUE_POWER_TRIPLES, is_nth_power_residue, is_power_in_cyclotomic
 
 SCAN_X = 10**7
 # exact (matched, considered) of the five configs at SCAN_X

@@ -3,10 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from orddensity.arith import (
     FactoredRational,
     crt_merge,
+    crt_pair,
+    divisors,
     euler_phi,
     factor_p_minus_1,
     factorize,
@@ -222,3 +226,53 @@ def test_crt_merge():
     assert crt_merge([(1, 4), (3, 4)]) is None
     assert crt_merge([(0, 2), (1, 4)]) is None
     assert crt_merge([]) == (0, 1)
+
+
+def _solutions(pairs, period):
+    return {x for x in range(period) if all((x - r) % m == 0 for r, m in pairs)}
+
+
+congruence = st.integers(1, 24).flatmap(
+    lambda m: st.tuples(st.integers(-3 * m, 3 * m), st.just(m))
+)
+
+
+@given(congruence, congruence)
+def test_crt_pair_matches_brute_force(c1, c2):
+    (r1, m1), (r2, m2) = c1, c2
+    period = math.lcm(m1, m2)
+    expected = _solutions([c1, c2], period)
+    merged = crt_pair(r1 % m1, m1, r2, m2)
+    if not expected:
+        assert merged is None
+    else:
+        r, m = merged
+        assert m == period and 0 <= r < m
+        assert expected == {r}
+
+
+@given(st.lists(congruence, max_size=4))
+def test_crt_merge_matches_brute_force(pairs):
+    period = math.lcm(1, *(m for _, m in pairs))
+    expected = _solutions(pairs, period)
+    merged = crt_merge(pairs)
+    if not expected:
+        assert merged is None
+    else:
+        r, m = merged
+        assert m == period and 0 <= r < m
+        assert expected == {r}
+
+
+@given(
+    st.integers(-(10**6), 10**6).filter(bool),
+    st.integers(1, 10**6),
+)
+def test_factored_rational_round_trip(num, den):
+    q = Fraction(num, den)
+    assert FactoredRational.from_fraction(q).value() == q
+
+
+@given(st.integers(1, 5000))
+def test_divisors_matches_trial_division(n):
+    assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]

@@ -5,11 +5,9 @@ import pytest
 
 from orddensity.arith import FactoredRational, factorize, prime_list
 from orddensity.cyclo import (
-    QuadraticConductor,
     RadicalValue,
     conductor,
     fixed_by,
-    is_power_in_cyclotomic,
     lies_in_cyclotomic,
     radical_product,
     signed_squarefree_part,
@@ -20,6 +18,7 @@ from oracles import (
     FALSE_POWER_TRIPLES,
     TRUE_POWER_TRIPLES,
     is_nth_power_residue,
+    is_power_in_cyclotomic,
     residue_check_fraction,
 )
 
@@ -40,11 +39,11 @@ def test_signed_squarefree_part_reconstructs():
 
 
 def test_quadratic_conductor():
-    assert QuadraticConductor.from_radicand(5).conductor == 5
-    assert QuadraticConductor.from_radicand(2).conductor == 8
-    assert QuadraticConductor.from_radicand(-3).conductor == 3
-    assert QuadraticConductor.from_radicand(-1).conductor == 4
-    assert QuadraticConductor.from_radicand(1).conductor == 1
+    assert conductor(5) == 5
+    assert conductor(2) == 8
+    assert conductor(-3) == 3
+    assert conductor(-1) == 4
+    assert conductor(1) == 1
     assert conductor(-2) == 8
     assert conductor(15) == 60
 

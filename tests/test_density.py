@@ -251,6 +251,8 @@ def test_condition_spec_validation():
     with pytest.raises(ValueError):
         ConditionSpec.make([2], IndexFixed((1,)), frobenius=(4, {2}))  # 2 not a unit
     with pytest.raises(ValueError):
+        ConditionSpec.make([2], IndexFixed((1,)), frobenius=(0, {1}))  # level < 1
+    with pytest.raises(ValueError):
         ConditionSpec.make([-2, 2], IndexFixed((1, 1)))  # (-2)^2 = 2^2
     ConditionSpec.make([6, 10, 15], IndexFixed((1, 1, 1)))
 

@@ -5,6 +5,7 @@ import pytest
 
 from orddensity import kummer
 from orddensity.arith import ResourceCapError, euler_phi, factorize
+from orddensity.cyclo import lies_in_cyclotomic, radical_product
 from orddensity.kummer import (
     DegreeCache,
     FieldSpec,
@@ -49,14 +50,53 @@ def test_relation_group_examples():
 
 
 def test_relation_group_members_form_subgroup_with_witnesses():
-    rg = relation_group(fs([2, 3], (2, 2), 24))
+    spec = fs([2, 3], (2, 2), 24)
+    rg = relation_group(spec)
     for a in rg.members:
         for b in rg.members:
             s = tuple((x + y) % m for x, y, m in zip(a, b, rg.moduli))
             assert s in rg.members
-    assert set(rg.witnesses) == set(rg.members)
-    gens = rg.generators()
-    assert len(gens) == 2  # Klein four-group needs two generators
+    assert len(rg.generators) == 2  # Klein four-group needs two generators
+    for e, witness in rg.generators:
+        assert witness == radical_product(spec.alphas, spec.m, e)
+        assert lies_in_cyclotomic(witness, spec.M)
+    span = {(0, 0)}
+    for e, _ in rg.generators:
+        while True:
+            grown = span | {
+                tuple((x + y) % m for x, y, m in zip(s, e, rg.moduli)) for s in span
+            }
+            if grown == span:
+                break
+            span = grown
+    assert span == set(rg.members)
+
+
+@pytest.mark.parametrize(
+    "M, evaluated, generators",
+    [
+        # (0, 0) starts the group and (1, 1) is in the span of (0, 1) and
+        # (1, 0) when it is reached
+        (24, [(0, 1), (1, 0)], [(0, 1), (1, 0)]),
+        # sqrt(3) and sqrt(6) are tested and rejected; sqrt(2) is accepted
+        (8, [(0, 1), (1, 0), (1, 1)], [(1, 0)]),
+    ],
+)
+def test_relation_group_computes_witnesses_only_for_candidates(
+    monkeypatch, M, evaluated, generators
+):
+    calls = []
+
+    def recording(alphas, m, e):
+        calls.append(tuple(e))
+        return radical_product(alphas, m, e)
+
+    monkeypatch.setattr(kummer, "radical_product", recording)
+    rg = relation_group(fs([2, 3], (2, 2), M))
+    # m = (2, 2) puts all four tuples on the lattice: one radical product per
+    # candidate not already in the group, and none per member afterwards
+    assert calls == evaluated
+    assert [e for e, _ in rg.generators] == generators
 
 
 def test_relation_group_cap():
