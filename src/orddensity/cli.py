@@ -55,17 +55,29 @@ def _ints(values, flag: str) -> list[int]:
 
 
 def _load_config_file(path: str) -> dict[str, str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"bad config line: {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"bad config line: {line!r}")
+        key, val = line.split("=", 1)
+        out[key.strip()] = val.strip()
     return out
+
+
+def _open_output(path: str):
+    """Open a file for writing; a path that cannot be written is a config error."""
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -128,7 +140,7 @@ def build_condition_spec(args: argparse.Namespace) -> ConditionSpec:
 def _emit(doc: dict, out: Optional[str]) -> None:
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _open_output(out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -197,7 +209,7 @@ def cmd_density(args: argparse.Namespace) -> int:
     )
     _emit(doc, args.out)
     if args.term_log and result.per_term_log is not None:
-        with open(args.term_log, "w", newline="", encoding="utf-8") as fh:
+        with _open_output(args.term_log) as fh:
             w = csv.writer(fh)
             w.writerow(["N", "T", "mu", "c", "degree"])
             for row in result.per_term_log:
@@ -238,7 +250,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     doc.pop("checkpoints", None)
     _emit(doc, args.out)
     if args.csv and result.checkpoints:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+        with _open_output(args.csv) as fh:
             w = csv.writer(fh)
             w.writerow(["x", "matched", "considered"])
             w.writerows(result.checkpoints)

@@ -5,8 +5,8 @@ The classification backbone: any solution of x^(2^e) = q (q rational) inside
 an abelian number field has the shape (root of unity) * t * sqrt(d) with t a
 positive rational and d a squarefree positive integer.  That normal form is
 adopted here as an axiom of the oracle and is guarded by empirical splitting
-property tests elsewhere; given it, membership questions reduce to quadratic
-characters and root-of-unity bookkeeping, both exact.
+property tests elsewhere; given it, membership in Q(zeta_M) is divisibility of
+M by the value's conductor (Kronecker-Weber; Perucca-Sgobba-Tronto).
 """
 
 from __future__ import annotations
@@ -15,10 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .arith import FactoredRational, ResourceCapError, kronecker
-
-# Character loops run over (Z/L)^x; L stays desk-scale for all supported uses.
-_CHAR_LOOP_CAP = 10**8
+from .arith import FactoredRational, kronecker
 
 
 def _as_factored(q) -> FactoredRational:
@@ -53,10 +50,6 @@ def signed_squarefree_part(
         if e:
             s_exps[p] = e // 2
     return q.sign, d, FactoredRational.from_map(1, s_exps)
-
-
-def squarefree_part(q: FactoredRational) -> int:
-    return signed_squarefree_part(q)[1]
 
 
 def sqrt_in_cyclotomic(d: int, M: int) -> bool:
@@ -98,9 +91,15 @@ class RadicalValue:
     def is_rational(self) -> bool:
         return self.zeta_order == 1 and self.d == 1
 
-    def galois_level(self, M: int) -> int:
-        """Cyclotomic level whose Galois action on the value is transparent."""
-        return math.lcm(self.zeta_order, conductor(self.d), M)
+    def conductor(self) -> int:
+        """The least M with the value in Q(zeta_M)."""
+        n, D = self.zeta_order, conductor(self.d)
+        a, b = ((k & -k).bit_length() - 1 for k in (n, D))  # 2-adic valuations
+        # zeta and sqrt(d) generating the same quadratic field lower the
+        # 2-part by one, as in zeta_8 * sqrt(2) = 1 + i
+        e = a - 1 if a == b >= 2 else max(a, b)
+        odd = math.lcm(n >> a, D >> b)
+        return odd << e if e >= 2 else odd
 
 
 def radical_product(
@@ -156,12 +155,13 @@ def radical_product(
 
 
 def fixed_by(c: int, v: RadicalValue, M: int) -> bool:
-    """Does sigma_c (zeta -> zeta^c on Q(zeta_L), L = v.galois_level(M)) fix v?
+    """Does sigma_c (zeta -> zeta^c on Q(zeta_L), L = lcm(zeta_order,
+    conductor(d), M)) fix v?
 
     sigma_c(zeta^s t sqrt(d)) = zeta^(s c) * chi_d(c) * t * sqrt(d), so the
     value is fixed iff zeta^(s(c-1)) * kronecker(disc(d), c) = 1.
     """
-    L = v.galois_level(M)
+    L = math.lcm(v.zeta_order, conductor(v.d), M)
     if math.gcd(c, L) != 1:
         raise ValueError(f"c = {c} not coprime to the acting level {L}")
     disc = quadratic_discriminant(v.d)
@@ -171,13 +171,7 @@ def fixed_by(c: int, v: RadicalValue, M: int) -> bool:
 
 
 def lies_in_cyclotomic(v: RadicalValue, M: int) -> bool:
-    """True iff the radical value lies in Q(zeta_M) (all sigma_c, c=1 mod M, fix it)."""
-    L = v.galois_level(M)
-    if L > _CHAR_LOOP_CAP:
-        raise ResourceCapError(f"character loop modulus {L} too large")
-    for c in range(1 + M, L + 1, M):
-        if math.gcd(c, L) != 1:
-            continue
-        if not fixed_by(c, v, M):
-            return False
-    return True
+    """True iff the radical value lies in Q(zeta_M): its conductor divides M."""
+    if M < 1:
+        raise ValueError("M must be positive")
+    return M % v.conductor() == 0

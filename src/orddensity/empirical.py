@@ -244,6 +244,8 @@ def scan_many(
         raise ValueError("need x >= 2")
     if workers < 1:
         raise ValueError("need workers >= 1")
+    if segment < 1:
+        raise ValueError("need segment >= 1")
     alpha_pairs = list(dict.fromkeys(_alpha_pair(a) for s in specs for a in s.alphas))
     spec_alpha_idx = [[alpha_pairs.index(_alpha_pair(a)) for a in s.alphas] for s in specs]
     # dyadic checkpoints x // 2^k >= 4, ascending
@@ -332,6 +334,8 @@ def splitting_fraction_many(
         raise ResourceCapError(f"scan bound {x} exceeds cap {SCAN_X_CAP}")
     if x < 2:
         raise ValueError("need x >= 2")
+    if segment < 1:
+        raise ValueError("need segment >= 1")
     data = []
     for fs in fspecs:
         excl = set(p for a in fs.alphas for p in a.support())
@@ -368,6 +372,8 @@ def large_index_diagnostic(alpha, x: int, rho: float) -> DiagnosticReport:
     """Count primes p <= x with ind_p(alpha) > (log x)^rho."""
     if not (0 < rho < 1):
         raise ValueError("need 0 < rho < 1")
+    if x < 2:
+        raise ValueError("need x >= 2")
     threshold = math.log(x) ** rho
     count = sum(int(np.count_nonzero(ind > threshold)) for ind in _indices_upto(alpha, x))
     scale = x / math.log(x) ** (1 + rho)

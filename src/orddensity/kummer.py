@@ -163,9 +163,9 @@ def relation_group(spec: FieldSpec, cap: int = RELATION_ENUMERATION_CAP) -> Rela
     """All exponent tuples whose radical product lies in Q(zeta_M).
 
     Enumeration walks the rational-lattice candidates in lexicographic order,
-    skipping those already in the span; each other candidate is confirmed by
-    the Galois character test on its witness, and the accepted ones, with
-    their witnesses, become the group's generators.  Every call enumerates;
+    skipping those already in the span; each other candidate is accepted when
+    the conductor of its witness divides M, and the accepted ones, with their
+    witnesses, become the group's generators.  Every call enumerates;
     `DegreeCache` keeps the result per field.
     """
     total = math.prod(spec.m)
@@ -244,21 +244,6 @@ def failure_ratio(spec: FieldSpec, cache: Optional[DegreeCache] = None) -> int:
 # automorphism counting
 
 
-def _lift_coprime(c: int, W: int, level: int) -> int:
-    """Lift c mod W to a residue mod `level` coprime to it (W | level)."""
-    rest = level
-    g = math.gcd(rest, W)
-    while g > 1:
-        rest //= g
-        g = math.gcd(rest, W)
-    # rest carries the primes of level not dividing W
-    if rest == 1:
-        return c
-    merged = crt_merge([(c, W), (1, rest)])
-    assert merged is not None
-    return merged[0] if merged[0] else merged[1]
-
-
 def count_automorphisms(
     spec: FieldSpec,
     fix_level: int,
@@ -288,9 +273,6 @@ def count_automorphisms(
         return 0
     rel = (cache if cache is not None else DEFAULT_CACHE).lookup(spec)[0]
     witnesses = [value for _, value in rel.generators]
-    level = W
-    for w in witnesses:
-        level = math.lcm(level, w.galois_level(W))
     fset = None
     if frobenius is not None:
         f, classes = frobenius
@@ -302,7 +284,9 @@ def count_automorphisms(
             continue
         if fset is not None and c % fset[0] not in fset[1]:
             continue
-        lifted = _lift_coprime(c, W, level) if level != W else c
+        # fixed_by acts on Q(zeta_L), L = lcm(zeta order, conductor(d), W); a
+        # witness's conductor divides W, so only 2 can divide L and not W
+        lifted = c if c % 2 else c + W
         if all(fixed_by(lifted, w, W) for w in witnesses):
             count += 1
     return count

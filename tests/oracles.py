@@ -5,7 +5,6 @@ from fractions import Fraction
 
 from orddensity.arith import ResourceCapError, kronecker, prime_list
 from orddensity.cyclo import (
-    _CHAR_LOOP_CAP,
     _as_factored,
     quadratic_discriminant,
     signed_squarefree_part,
@@ -13,7 +12,10 @@ from orddensity.cyclo import (
 
 # Power-in-cyclotomic oracle: decides membership by a Galois character loop
 # over the root-of-unity candidates, a code path separate from the package's
-# `lies_in_cyclotomic` on explicit radical values.
+# conductor rule in `lies_in_cyclotomic`.
+
+# The loop runs over (Z/L)^x; L stays desk-scale for every tested case.
+_CHAR_LOOP_CAP = 10**8
 
 
 def _zeta_sqrt_in_cyclotomic(zorder: int, zexp: int, d: int, M: int) -> bool:

@@ -115,6 +115,17 @@ def test_kronecker_multiplicative_both_arguments():
                 assert kronecker(a, n * m) == kronecker(a, n) * kronecker(a, m)
 
 
+@given(
+    st.integers(-(10**9), 10**9),
+    st.integers(-(10**9), 10**9),
+    st.integers(-(10**6), 10**6).filter(bool),
+    st.integers(1, 10**6),
+)
+def test_kronecker_multiplicative_random(a, b, n, m):
+    assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
+    assert kronecker(a, abs(n) * m) == kronecker(a, abs(n)) * kronecker(a, m)
+
+
 def test_kronecker_two_and_negative_conventions():
     assert kronecker(2, 2) == 0
     assert kronecker(1, 2) == 1

@@ -105,10 +105,24 @@ DENSITY_INDEX_ONE = ["density", "--mode", "index", "--alpha", "2", "--t", "1"]
         DENSITY_INDEX_ONE + ["--f", "0", "--c", "1"],
         ["verify", "euler", "--r", "5"],
         ["verify", "euler", "--cap", "8"],
+        SCAN_INDEX_ONE + ["--config", "{tmp}/missing.conf"],
+        SCAN_INDEX_ONE + ["--config", "{tmp}"],
+        SCAN_INDEX_ONE + ["--config", "{tmp}/latin1.conf"],
+        SCAN_INDEX_ONE + ["--x", "100", "--csv", "{tmp}/missing/ck.csv"],
+        DENSITY_INDEX_ONE + ["--nmax", "8", "--term-log", "{tmp}/missing/terms.csv"],
     ],
 )
 def test_malformed_scan_inputs_exit_2(tmp_path, capsys, argv):
+    (tmp_path / "latin1.conf").write_bytes(b"x = 100 # caf\xe9\n")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.json"
+    assert main(SCAN_INDEX_ONE + ["--x", "100", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
 

@@ -17,6 +17,7 @@ from orddensity.cyclo import (
 from oracles import (
     FALSE_POWER_TRIPLES,
     TRUE_POWER_TRIPLES,
+    _zeta_sqrt_in_cyclotomic,
     is_nth_power_residue,
     is_power_in_cyclotomic,
     residue_check_fraction,
@@ -166,6 +167,43 @@ def test_lies_in_cyclotomic_matches_conductors():
             rv = RadicalValue.make(4, 1, FactoredRational.one(), -d)
         for M in (3, 4, 5, 8, 12, 20, 24, 40, 60, 120):
             assert lies_in_cyclotomic(rv, M) == sqrt_in_cyclotomic(d, M), (d, M)
+
+
+@pytest.mark.parametrize(
+    "zorder, zexp, d, expected",
+    [
+        (8, 1, 2, 4),  # zeta_8 sqrt(2) = 1 + i
+        (4, 1, 3, 3),  # i sqrt(3) = sqrt(-3)
+        (2, 1, 5, 5),  # -sqrt(5)
+        (8, 1, 3, 24),
+        (1, 0, 2, 8),
+        (6, 1, 1, 3),
+        (2, 1, 1, 1),  # -1
+    ],
+)
+def test_radical_value_conductor_examples(zorder, zexp, d, expected):
+    v = RadicalValue.make(zorder, zexp, FactoredRational.one(), d)
+    assert v.conductor() == expected
+    assert lies_in_cyclotomic(v, expected)
+    assert not any(lies_in_cyclotomic(v, M) for M in range(1, expected))
+
+
+def test_lies_in_cyclotomic_matches_character_loop_oracle():
+    # the conductor rule against the Galois character loop, for three units
+    # s per root-of-unity order n (the rule does not depend on s)
+    squarefree = [d for d in range(1, 61) if all(d % (p * p) for p in (2, 3, 5, 7))]
+    count = inside = 0
+    for n in range(1, 49):
+        units = [s for s in range(n) if math.gcd(s, n) == 1]
+        for s in {units[0], units[len(units) // 2], units[-1]}:
+            for d in squarefree:
+                v = RadicalValue.make(n, s, FactoredRational.one(), d)
+                for M in range(1, 121):
+                    got = lies_in_cyclotomic(v, M)
+                    assert got == _zeta_sqrt_in_cyclotomic(n, s, d, M), (n, s, d, M)
+                    count += 1
+                    inside += got
+    assert count == 608280 and inside == 3962
 
 
 def test_power_oracle_against_cyclotomic_factorization():

@@ -177,6 +177,16 @@ def test_scan_resource_guard():
         index_counts(2, 10**9 + 1)
     with pytest.raises(ResourceCapError):
         large_index_diagnostic(2, 10**9 + 1, 0.5)
+    fspec = FieldSpec.make([2], (2,), 8)
+    for bad_call in [
+        lambda: scan(spec, 100, segment=0),
+        lambda: scan_many([spec], 100, segment=-1),
+        lambda: splitting_fraction(fspec, 100, segment=0),
+        lambda: splitting_fraction_many([fspec], 100, segment=-1),
+        lambda: large_index_diagnostic(2, 1, 0.5),
+    ]:
+        with pytest.raises(ValueError):
+            bad_call()
 
 
 def test_excluded_primes():

@@ -187,6 +187,15 @@ def test_count_automorphisms_brute_force_small_field():
     # with the radical free over the base the count doubles
     spec = fs([3], (2,), 8)
     assert count_automorphisms(spec, 2, ()) == 4
+    # odd levels, where each even unit c is tested as c + M: the cube roots
+    # of -27 are -3 zeta_3^k, so the field is Q(zeta_3)
+    spec = fs([-27], (3,), 3)
+    assert kummer_degree(spec) == 2
+    assert count_automorphisms(spec, 1, ()) == 1
+    # (-8)^(1/3) = 2 zeta_6 lies in Q(zeta_3), which Q(zeta_15) contains
+    spec = fs([-8], (3,), 15)
+    assert kummer_degree(spec) == 8
+    assert count_automorphisms(spec, 1, ()) == 4
 
 
 def test_count_automorphisms_caps():
