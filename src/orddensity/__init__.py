@@ -46,7 +46,6 @@ from .kummer import (
     KummerBound,
     RelationGroup,
     count_automorphisms,
-    discriminant_bound,
     failure_ratio,
     kummer_degree,
     relation_group,
@@ -75,7 +74,6 @@ __all__ = [
     "kummer_degree",
     "failure_ratio",
     "count_automorphisms",
-    "discriminant_bound",
     "TailReport",
     "phi_lcm_tail",
     "gcd_phi_sum",

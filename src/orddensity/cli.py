@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -78,6 +79,22 @@ def _open_output(path: str):
         return open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+
+
+def _check_writable(*paths: Optional[str]) -> None:
+    """Fail before any computation when an output path cannot be written.
+
+    An existing file is left as it is; a file this check creates is removed.
+    """
+    for path in filter(None, paths):
+        existed = os.path.exists(path)
+        try:
+            with open(path, "a", encoding="utf-8"):
+                pass
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+        if not existed:
+            os.remove(path)
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -340,8 +357,8 @@ def verify_chebotarev(x: int) -> dict:
     fractions = empirical.splitting_fraction_many(fspecs, x)
     rows = []
     passed = True
-    for (a, m, M), frac in zip(CHEBOTAREV_FIELDS, fractions):
-        deg = kummer.kummer_degree(kummer.FieldSpec.make(a, m, M))
+    for (a, m, M), spec, frac in zip(CHEBOTAREV_FIELDS, fspecs, fractions):
+        deg = kummer.kummer_degree(spec)
         product = frac * deg
         ok = 0.95 <= product <= 1.05
         passed = passed and ok
@@ -431,6 +448,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         args = _merge_config(args)
+        _check_writable(args.out, getattr(args, "csv", None), getattr(args, "term_log", None))
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

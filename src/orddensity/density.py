@@ -20,12 +20,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .arith import FactoredRational, crt_merge, moebius
 from .eulerseries import KahanSum, phi_lcm_tail
-from .kummer import DegreeCache, FieldSpec, count_automorphisms, degree_info
+from .kummer import (
+    DegreeCache,
+    FieldSpec,
+    count_automorphisms,
+    degree_info,
+    exponent_minor_gcd,
+)
 
 DEFAULT_NMAX = 64
 DEFAULT_TMAX = 64
@@ -96,32 +101,9 @@ class IndexSet:
 Mode = Union[OrderAP, IndexFixed, IndexSet]
 
 
-def _exponent_rank(alphas: Sequence[FactoredRational]) -> int:
-    """Rank over Q of the prime-exponent vectors.
-
-    Signs are ignored: any rational dependency prod alpha_i^(k_i) = +-1 can
-    be squared, so torsion never rescues independence and the multiplicative
-    rank of the generated group equals the rank of the exponent matrix.
-    """
-    support = sorted({p for a in alphas for p in a.support()})
-    rows = [[Fraction(a.exponent(p)) for p in support] for a in alphas]
-    rank = 0
-    for col in range(len(support)):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / rows[rank][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 def multiplicatively_independent(alphas: Sequence[FactoredRational]) -> bool:
     """True when the alphas generate a multiplicative group of full rank."""
-    return _exponent_rank(alphas) == len(alphas)
+    return exponent_minor_gcd(tuple(alphas)) != 0
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,29 @@
 """Exact degrees of Q(zeta_M, alpha_1^(1/m_1), ..., alpha_r^(1/m_r)) over Q,
-relation groups of radicals, automorphism counts under congruence and
-Frobenius conditions, and a discriminant bound evaluator.
+relation groups of radicals and automorphism counts under congruence and
+Frobenius conditions.
 
-Degrees come from Kummer duality over F = Q(zeta_M): with L = lcm(m_i) and
-Rel the subgroup of exponent tuples whose radical product already lies in F,
+Degrees come from Kummer duality over F = Q(zeta_M): with Rel the subgroup of
+exponent tuples e in prod Z/m_i whose radical product prod alpha_i^(e_i/m_i)
+already lies in F,
 
     [Q(zeta_M, radicals) : Q] = phi(M) * prod(m_i) / |Rel|.
 
-Each unit c mod M that fixes the witnesses of the generators the enumeration
-of Rel accepts (and so every relation witness) extends to exactly
-prod(m_i)/|Rel| automorphisms of the full field, one of which acts trivially
-on all radicals; that turns Galois counting into unit counting.  The duality
-step is guarded by the empirical splitting consistency checks in the tests.
+Rel lies in a box fixed by the alphas, not by M or the size of m.  Let V be
+the r x |supp| matrix of exponents v_p(alpha_i) and Delta the gcd of its r x r
+minors.  A member's value has the shape zeta * t * sqrt(d), so its square
+has rational absolute value: sum_i v_p(alpha_i) * x_i is an integer at every
+prime p, with x_i = 2 e_i / m_i.  The vector x thus pairs integrally with
+the lattice spanned by the columns of V.  That lattice has index Delta in
+Z^r, so it contains Delta * Z^r and every Delta * x_i is an integer: e_i is
+a multiple of m_i / gcd(m_i, 2 Delta).  The box holds prod gcd(m_i, 2 Delta)
+tuples, at most 4 for the alphas (2, 5) whatever m is.  Dependent alphas have
+Delta = 0, and gcd(m_i, 0) = m_i makes the box all of prod Z/m_i.
+
+Each unit c mod M that fixes the witnesses of all members of Rel extends to
+exactly prod(m_i)/|Rel| automorphisms of the full field, one of which acts
+trivially on all radicals; that turns Galois counting into unit counting.
+The duality step is guarded by the empirical splitting consistency checks in
+the tests.
 """
 
 from __future__ import annotations
@@ -19,16 +31,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .arith import (
-    FactoredRational,
-    ResourceCapError,
-    crt_merge,
-    crt_pair,
-    divisors,
-    euler_phi,
-)
+from .arith import FactoredRational, ResourceCapError, crt_merge, divisors, euler_phi
 from .cyclo import RadicalValue, fixed_by, lies_in_cyclotomic, radical_product
 
 RELATION_ENUMERATION_CAP = 10**6
@@ -65,12 +71,11 @@ class FieldSpec:
 @dataclass(frozen=True)
 class RelationGroup:
     """Subgroup of prod Z/m_i of exponent tuples whose radical product lies in
-    the cyclotomic base, with the generators the enumeration accepted (each
-    exponent tuple paired with its witnessing value), lexicographic order."""
+    the cyclotomic base.  `members` maps each tuple, in lexicographic order,
+    to its witnessing value; the zero tuple has no witness (None)."""
 
     moduli: tuple[int, ...]
-    members: frozenset[tuple[int, ...]]
-    generators: tuple[tuple[tuple[int, ...], RadicalValue], ...]
+    members: dict[tuple[int, ...], Optional[RadicalValue]]
 
 
 @dataclass(frozen=True)
@@ -81,110 +86,57 @@ class KummerBound:
     grid_description: str
 
 
-def _addv(a: tuple[int, ...], b: tuple[int, ...], m: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple((x + y) % mi for x, y, mi in zip(a, b, m))
+@lru_cache(maxsize=1024)
+def exponent_minor_gcd(alphas: tuple[FactoredRational, ...]) -> int:
+    """Delta: the gcd of the r x r minors of the matrix (v_p(alpha_i)).
 
-
-def _closure(
-    span: set[tuple[int, ...]], new: tuple[int, ...], m: tuple[int, ...]
-) -> set[tuple[int, ...]]:
-    order = math.lcm(*(mi // math.gcd(ei, mi) for ei, mi in zip(new, m)))
-    out = set()
-    for base in span:
-        cur = base
-        for _ in range(order):
-            out.add(cur)
-            cur = _addv(cur, new, m)
-    return out
-
-
-def _lattice_solutions(
-    alphas: Sequence[FactoredRational], m: Sequence[int], L: int
-):
-    """Tuples e with prod |alpha_i|^(e_i L/m_i) of t^L d^(L/2) shape.
-
-    These are exactly the tuples whose radical product collapses to the
-    zeta * t * sqrt(d) normal form; the condition is linear on exponent
-    vectors, so the last coordinate is solved as an intersection of
-    arithmetic progressions instead of being enumerated.
+    Delta is the index in Z^r of the lattice spanned by the matrix's columns
+    (one vector (v_p(alpha_i))_i per prime p), which column Euclid steps
+    triangularise without changing the lattice; it is 0 when the lattice has
+    rank < r.  That happens exactly when the alphas are multiplicatively
+    dependent: a relation prod alpha_i^(k_i) = +-1 squares to one with +1.
     """
-    modulus = L if L % 2 else L // 2
-    if modulus == 1:
-        yield from itertools.product(*(range(mi) for mi in m))
-        return
     support = sorted({p for a in alphas for p in a.support()})
-    weights = [L // mi for mi in m]
-    vecs = [[a.exponent(p) for p in support] for a in alphas]
-    r = len(m)
-
-    def solve(idx: int, residuals: list[int], moduli: Sequence[int]) -> range:
-        # e_idx with coef * w * e_idx + res = 0 (mod moduli[j]) at every
-        # support prime j, intersected as arithmetic progressions
-        base, step = 0, 1
-        for coef, res, mod in zip(vecs[idx], residuals, moduli):
-            if mod == 1:
-                continue
-            A = coef * weights[idx] % mod
-            B = -res % mod
-            g = math.gcd(A, mod)
-            if B % g:
-                return range(0)
-            mod_k = mod // g
-            e0 = (B // g) * pow(A // g, -1, mod_k) % mod_k if mod_k > 1 else 0
-            merged = crt_pair(base, step, e0, mod_k)
-            if merged is None:
-                return range(0)
-            base, step = merged
-        return range(base, m[idx], step)
-
-    full = [modulus] * len(support)
-    # e_(r-2) is pruned by solvability of the last coordinate: each support
-    # prime needs gcd(A_last, modulus) to divide the running residual
-    last_gcds = [math.gcd(coef * weights[r - 1] % modulus, modulus) for coef in vecs[r - 1]]
-
-    def rec(idx: int, residuals: list[int]):
-        if idx == r - 1:
-            for er in solve(idx, residuals, full):
-                yield (er,)
-            return
-        source = solve(idx, residuals, last_gcds) if idx == r - 2 else range(m[idx])
-        for ei in source:
-            nxt = [
-                (res + ei * weights[idx] * coef) % modulus
-                for res, coef in zip(residuals, vecs[idx])
-            ]
-            for tail in rec(idx + 1, nxt):
-                yield (ei,) + tail
-
-    yield from rec(0, [0] * len(support))
+    cols = [[a.exponent(p) for a in alphas] for p in support]
+    index = 1
+    for i in range(len(alphas)):
+        pivot, rest = [0] * len(alphas), []
+        for col in cols:
+            while col[i]:
+                q = pivot[i] // col[i]
+                pivot, col = col, [x - q * y for x, y in zip(pivot, col)]
+            if any(col):
+                rest.append(col)
+        if pivot[i] == 0:
+            return 0
+        index *= abs(pivot[i])
+        cols = rest
+    return index
 
 
-def relation_group(spec: FieldSpec, cap: int = RELATION_ENUMERATION_CAP) -> RelationGroup:
+def relation_group(spec: FieldSpec) -> RelationGroup:
     """All exponent tuples whose radical product lies in Q(zeta_M).
 
-    Enumeration walks the rational-lattice candidates in lexicographic order,
-    skipping those already in the span; each other candidate is accepted when
-    the conductor of its witness divides M, and the accepted ones, with their
-    witnesses, become the group's generators.  Every call enumerates;
-    `DegreeCache` keeps the result per field.
+    Walks the box of the module docstring, e_i over the multiples of
+    m_i / gcd(m_i, 2 Delta), in lexicographic order.  A nonzero tuple is a
+    member, with its radical product as witness, when that product has the
+    zeta * t * sqrt(d) form and its conductor divides M.  Every call
+    enumerates; `DegreeCache` keeps the result per field.
     """
-    total = math.prod(spec.m)
-    if total > cap:
-        raise ResourceCapError(f"relation group size {total} exceeds cap {cap}")
-    L = math.lcm(*spec.m)
-    zero = tuple([0] * len(spec.m))
-    members: set[tuple[int, ...]] = {zero}
-    generators: list[tuple[tuple[int, ...], RadicalValue]] = []
-    for cand in _lattice_solutions(spec.alphas, spec.m, L):
-        if cand in members:
-            continue
-        value = radical_product(spec.alphas, spec.m, cand)
-        if value is None:
-            continue
-        if lies_in_cyclotomic(value, spec.M):
-            generators.append((cand, value))
-            members = _closure(members, cand, spec.m)
-    return RelationGroup(spec.m, frozenset(members), tuple(generators))
+    two_delta = 2 * exponent_minor_gcd(spec.alphas)
+    sides = [math.gcd(mi, two_delta) for mi in spec.m]
+    size = math.prod(sides)
+    if size > RELATION_ENUMERATION_CAP:
+        raise ResourceCapError(
+            f"relation box size {size} exceeds cap {RELATION_ENUMERATION_CAP}"
+        )
+    box = itertools.product(*(range(0, mi, mi // g) for mi, g in zip(spec.m, sides)))
+    members: dict[tuple[int, ...], Optional[RadicalValue]] = {next(box): None}  # zero first
+    for e in box:
+        value = radical_product(spec.alphas, spec.m, e)
+        if value is not None and lies_in_cyclotomic(value, spec.M):
+            members[e] = value
+    return RelationGroup(spec.m, members)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +204,10 @@ def count_automorphisms(
     cache: Optional[DegreeCache] = None,
 ) -> int:
     """Count units c of Z/M with c = 1 (mod fix_level), every congruence
-    satisfied, c mod f in C when a Frobenius class set is given, and every
-    generator's witness fixed by sigma_c.
+    satisfied, c mod f in C when a Frobenius class set is given, and the
+    witness of every nonzero member of the relation group fixed by sigma_c.
+    No generating set is needed: sigma_c is multiplicative and fixes Q^x,
+    so it fixes every member exactly when it fixes a set of generators.
 
     Each counted c corresponds to exactly one automorphism of the field that
     restricts to the identity on Q(zeta_fix_level, radicals).  Inconsistent
@@ -272,7 +226,7 @@ def count_automorphisms(
     if math.gcd(rho, mu) != 1:
         return 0
     rel = (cache if cache is not None else DEFAULT_CACHE).lookup(spec)[0]
-    witnesses = [value for _, value in rel.generators]
+    witnesses = [value for value in rel.members.values() if value is not None]
     fset = None
     if frobenius is not None:
         f, classes = frobenius
@@ -290,18 +244,6 @@ def count_automorphisms(
         if all(fixed_by(lifted, w, W) for w in witnesses):
             count += 1
     return count
-
-
-def discriminant_bound(spec: FieldSpec) -> float:
-    """Upper bound for log|disc| / (phi(M) * prod m_i) of the field.
-
-    Evaluates log(M * prod m_i) + 2 * sum_i log|num(alpha_i) * den(alpha_i)|;
-    exact discriminants are out of scope, only the bound is provided.
-    """
-    out = math.log(spec.M * math.prod(spec.m))
-    for a in spec.alphas:
-        out += 2.0 * math.log(a.numerator() * a.denominator())
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Shared independent oracles and fixed test matrices."""
 
+import itertools
 import math
 from fractions import Fraction
 
 from orddensity.arith import ResourceCapError, kronecker, prime_list
 from orddensity.cyclo import (
     _as_factored,
+    lies_in_cyclotomic,
     quadratic_discriminant,
+    radical_product,
     signed_squarefree_part,
 )
 
@@ -227,3 +230,44 @@ def brute_scan(alphas, mode: str, params, frobenius, x: int):
         for t in thresholds
     ]
     return checkpoints[-1][1], checkpoints[-1][2], checkpoints
+
+
+def full_box_relations(spec) -> set:
+    """Every exponent tuple of prod range(m_i) whose radical product has the
+    normal form and lies in Q(zeta_M): the relation group without the
+    package's bound on where its members can be."""
+    out = set()
+    for e in itertools.product(*(range(mi) for mi in spec.m)):
+        value = radical_product(spec.alphas, spec.m, e)
+        if value is not None and lies_in_cyclotomic(value, spec.M):
+            out.add(e)
+    return out
+
+
+# Deterministic Miller-Rabin witness set, valid far beyond 2^64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for 64-bit-scale inputs."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

@@ -14,7 +14,6 @@ from orddensity.arith import (
     euler_phi,
     factor_p_minus_1,
     factorize,
-    is_prime,
     kronecker,
     moebius,
     multiplicative_order,
@@ -22,6 +21,8 @@ from orddensity.arith import (
     prime_list,
     segmented_primes,
 )
+
+from oracles import is_prime
 
 
 def trial_division_primes(lo, hi):

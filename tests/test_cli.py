@@ -3,6 +3,8 @@ import re
 
 import pytest
 
+from orddensity import density as dens
+from orddensity import empirical
 from orddensity.cli import main
 
 
@@ -120,11 +122,25 @@ def test_malformed_scan_inputs_exit_2(tmp_path, capsys, argv):
     assert "config error" in err and "Traceback" not in err
 
 
-def test_unwritable_out_path_exits_2(tmp_path, capsys):
-    out = tmp_path / "missing" / "out.json"
-    assert main(SCAN_INDEX_ONE + ["--x", "100", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "Traceback" not in err
+def test_unwritable_out_path_exits_2(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("computed before the output paths were checked")
+
+    monkeypatch.setattr(empirical, "scan", never)
+    monkeypatch.setattr(dens, "evaluate", never)
+    bad = str(tmp_path / "missing" / "out.json")
+    good = tmp_path / "out.json"
+    for argv in [
+        SCAN_INDEX_ONE + ["--x", "100", "--out", bad],
+        SCAN_INDEX_ONE + ["--x", "100", "--out", str(good), "--csv", bad],
+        DENSITY_INDEX_ONE + ["--out", str(good), "--term-log", bad],
+        ["compare", "--mode", "index", "--alpha", "2", "--t", "1", "--x", "100", "--out", bad],
+        ["verify", "euler", "--out", bad],
+    ]:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not good.exists()  # a path the check creates is removed again
 
 
 def test_resource_cap_exits_3(tmp_path):

@@ -1,6 +1,8 @@
 import itertools
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from orddensity import kummer
@@ -11,12 +13,14 @@ from orddensity.kummer import (
     FieldSpec,
     count_automorphisms,
     degree_info,
-    discriminant_bound,
+    exponent_minor_gcd,
     failure_ratio,
     kummer_degree,
     observe_failure_bound,
     relation_group,
 )
+
+from oracles import full_box_relations
 
 GRID_ALPHAS = (2, 3, 5, -2, 8, 12)
 GRID_M = (1, 2, 3, 4, 6, 12)
@@ -56,35 +60,14 @@ def test_relation_group_members_form_subgroup_with_witnesses():
         for b in rg.members:
             s = tuple((x + y) % m for x, y, m in zip(a, b, rg.moduli))
             assert s in rg.members
-    assert len(rg.generators) == 2  # Klein four-group needs two generators
-    for e, witness in rg.generators:
-        assert witness == radical_product(spec.alphas, spec.m, e)
-        assert lies_in_cyclotomic(witness, spec.M)
-    span = {(0, 0)}
-    for e, _ in rg.generators:
-        while True:
-            grown = span | {
-                tuple((x + y) % m for x, y, m in zip(s, e, rg.moduli)) for s in span
-            }
-            if grown == span:
-                break
-            span = grown
-    assert span == set(rg.members)
+    assert rg.members[(0, 0)] is None
+    for e, witness in rg.members.items():
+        if any(e):
+            assert witness == radical_product(spec.alphas, spec.m, e)
+            assert lies_in_cyclotomic(witness, spec.M)
 
 
-@pytest.mark.parametrize(
-    "M, evaluated, generators",
-    [
-        # (0, 0) starts the group and (1, 1) is in the span of (0, 1) and
-        # (1, 0) when it is reached
-        (24, [(0, 1), (1, 0)], [(0, 1), (1, 0)]),
-        # sqrt(3) and sqrt(6) are tested and rejected; sqrt(2) is accepted
-        (8, [(0, 1), (1, 0), (1, 1)], [(1, 0)]),
-    ],
-)
-def test_relation_group_computes_witnesses_only_for_candidates(
-    monkeypatch, M, evaluated, generators
-):
+def test_relation_group_computes_witnesses_only_for_candidates(monkeypatch):
     calls = []
 
     def recording(alphas, m, e):
@@ -92,16 +75,86 @@ def test_relation_group_computes_witnesses_only_for_candidates(
         return radical_product(alphas, m, e)
 
     monkeypatch.setattr(kummer, "radical_product", recording)
-    rg = relation_group(fs([2, 3], (2, 2), M))
-    # m = (2, 2) puts all four tuples on the lattice: one radical product per
-    # candidate not already in the group, and none per member afterwards
-    assert calls == evaluated
-    assert [e for e, _ in rg.generators] == generators
+    rg = relation_group(fs([2, 3], (12, 12), 24))
+    # 2 and 3 have Delta = 1, so the box is {0, 6}^2 of the 144 tuples: one
+    # radical product per nonzero tuple, in lexicographic order
+    assert calls == [(0, 6), (6, 0), (6, 6)]
+    assert list(rg.members) == [(0, 0), (0, 6), (6, 0), (6, 6)]
+    # at M = 8 sqrt(3) and sqrt(6) are tested and rejected; sqrt(2) is kept
+    calls.clear()
+    rg = relation_group(fs([2, 3], (2, 2), 8))
+    assert calls == [(0, 1), (1, 0), (1, 1)]
+    assert list(rg.members) == [(0, 0), (1, 0)]
+
+
+@pytest.mark.parametrize(
+    "alphas, delta",
+    [
+        ([2], 1),
+        ([64], 6),
+        ([-8], 3),
+        ([Fraction(3, 4)], 1),  # exponents (-2, 1)
+        ([2, 3], 1),
+        ([12, 18], 3),  # exponents (2, 1), (1, 2)
+        ([4, 27, 5], 6),
+        ([2, 8], 0),
+        ([-2, 2], 0),
+        ([6, 10, 15], 2),  # (1,1,0), (1,0,1), (0,1,1)
+        ([6, 10, 15, 30], 0),
+    ],
+)
+def test_exponent_minor_gcd(alphas, delta):
+    spec = fs(alphas, (1,) * len(alphas), 1)
+    assert exponent_minor_gcd(spec.alphas) == delta
+    support = sorted({p for a in spec.alphas for p in a.support()})
+    V = [[a.exponent(p) for p in support] for a in spec.alphas]
+    minors = [
+        round(np.linalg.det(np.array([[row[j] for j in cols] for row in V], dtype=float)))
+        for cols in itertools.combinations(range(len(support)), len(V))
+    ]
+    assert math.gcd(*minors) == delta
+
+
+def test_relation_group_matches_full_box_oracle():
+    # rank 1-3 fields with prod m_i <= 576, including dependent pairs, negative
+    # and fractional alphas; levels where the quadratic and zeta parts of the
+    # witnesses enter and leave Q(zeta_M)
+    cases = [
+        ([2], (8,), (8, 16, 24)),
+        ([-8], (12,), (12, 24, 36)),
+        ([64], (24,), (24, 48)),
+        ([Fraction(3, 4)], (12,), (12, 24)),
+        ([-27], (6,), (6, 12)),
+        ([2, 8], (12, 12), (12, 24)),
+        ([2, 4], (8, 8), (8, 16)),
+        ([-2, 2], (4, 12), (12, 24)),
+        ([-3, Fraction(1, 2)], (12, 6), (12, 24)),
+        ([12, 18], (6, 12), (12, 24, 36)),
+        ([2, 3, 5], (4, 4, 6), (12, 60, 120)),
+        ([-2, 6, Fraction(5, 3)], (2, 6, 6), (6, 12, 60)),
+        ([2, 8, 3], (4, 4, 4), (4, 8, 24)),
+    ]
+    for alphas, m, levels in cases:
+        for M in levels:
+            spec = fs(alphas, m, M)
+            assert set(relation_group(spec).members) == full_box_relations(spec), spec
 
 
 def test_relation_group_cap():
+    # dependent alphas have Delta = 0, so their box is all 4 * 10^6 tuples
     with pytest.raises(ResourceCapError):
-        relation_group(fs([2, 3], (2000, 2000), 2000 * 2000), cap=10**6)
+        relation_group(fs([2, 8], (2000, 2000), 2000))
+    # independent ones need only gcd(2000, 2)^2 = 4 of them; of sqrt(2),
+    # sqrt(3) and sqrt(6) only sqrt(2) lies in Q(zeta_M), M = 2^8 * 5^6
+    spec = fs([2, 3], (2000, 2000), 2000 * 2000)
+    assert sorted(relation_group(spec).members) == [(0, 0), (1000, 0)]
+    assert kummer_degree(spec) == euler_phi(2000 * 2000) * 2000 * 2000 // 2
+
+
+def test_large_radical_index_has_no_cap():
+    # sqrt(2) = 2^(2^19 / 2^20) lies in Q(zeta_8), and nothing else of the
+    # box {0, 2^19} does: the degree is phi(2^20) * 2^20 / 2
+    assert kummer_degree(fs([2], (2**20,), 2**20)) == 2**38
 
 
 def test_kummer_degree_examples():
@@ -229,15 +282,6 @@ def test_count_automorphisms_validates_levels():
         count_automorphisms(fs([2], (2,), 4), 3, ())
     with pytest.raises(ValueError):
         count_automorphisms(fs([2], (2,), 4), 2, ((1, 3),))
-
-
-def test_discriminant_bound_examples():
-    assert discriminant_bound(fs([2], (2,), 4)) == pytest.approx(
-        math.log(8) + 2 * math.log(2)
-    )
-    assert discriminant_bound(fs([2, 3], (2, 3), 6)) == pytest.approx(
-        math.log(36) + 2 * math.log(6)
-    )
 
 
 def test_field_spec_rejects_units_and_bad_levels():
