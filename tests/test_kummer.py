@@ -67,7 +67,46 @@ def test_relation_group_members_form_subgroup_with_witnesses():
             assert lies_in_cyclotomic(witness, spec.M)
 
 
-def test_relation_group_computes_witnesses_only_for_candidates(monkeypatch):
+def span(generators, moduli):
+    group = {tuple(0 for _ in moduli)}
+    for e in generators:
+        while True:
+            grown = group | {
+                tuple((x + y) % m for x, y, m in zip(s, e, moduli)) for s in group
+            }
+            if grown == group:
+                break
+            group = grown
+    return group
+
+
+@pytest.mark.parametrize(
+    "M, evaluated, generators",
+    [
+        # m = (2, 2) and Delta = 1 put all four tuples in the box; every one
+        # of sqrt(3), sqrt(2), sqrt(6) lies in Q(zeta_24)
+        (24, [(0, 1), (1, 0), (1, 1)], [(0, 1), (1, 0)]),
+        # sqrt(3) and sqrt(6) are tested and rejected; sqrt(2) is accepted
+        (8, [(0, 1), (1, 0), (1, 1)], [(1, 0)]),
+    ],
+)
+def test_relation_group_computes_witnesses_only_for_candidates(
+    monkeypatch, M, evaluated, generators
+):
+    calls = []
+
+    def recording(alphas, m, e):
+        calls.append(tuple(e))
+        return radical_product(alphas, m, e)
+
+    monkeypatch.setattr(kummer, "radical_product", recording)
+    rg = relation_group(fs([2, 3], (2, 2), M))
+    # one radical product per nonzero tuple of the box, in lexicographic order
+    assert calls == evaluated
+    assert set(rg.members) == span(generators, rg.moduli)
+
+
+def test_relation_group_box_skips_non_multiples(monkeypatch):
     calls = []
 
     def recording(alphas, m, e):
@@ -80,11 +119,6 @@ def test_relation_group_computes_witnesses_only_for_candidates(monkeypatch):
     # radical product per nonzero tuple, in lexicographic order
     assert calls == [(0, 6), (6, 0), (6, 6)]
     assert list(rg.members) == [(0, 0), (0, 6), (6, 0), (6, 6)]
-    # at M = 8 sqrt(3) and sqrt(6) are tested and rejected; sqrt(2) is kept
-    calls.clear()
-    rg = relation_group(fs([2, 3], (2, 2), 8))
-    assert calls == [(0, 1), (1, 0), (1, 1)]
-    assert list(rg.members) == [(0, 0), (1, 0)]
 
 
 @pytest.mark.parametrize(
