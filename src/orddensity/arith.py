@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -265,27 +265,29 @@ def phi_sieve(limit: int) -> np.ndarray:
 # multiplicative functions
 
 
+def _prime_powers(n: int) -> Iterator[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing n >= 1, p ascending:
+    trial division by 2, 3 and the pairs 6k - 1, 6k + 1."""
+    pair, f = (2, 3), -1
+    while pair[0] * pair[0] <= n:
+        for p in pair:
+            if n % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                yield p, e
+        f += 6
+        pair = (f, f + 2)
+    if n > 1:
+        yield n, 1
+
+
 def factorize(n: int) -> FactoredRational:
     """Factor a nonzero integer into sign and prime exponent map."""
     if n == 0:
         raise ValueError("cannot factor 0")
-    sign = 1 if n > 0 else -1
-    n = abs(n)
-    exps: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            exps[p] = exps.get(p, 0) + 1
-            n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                exps[p] = exps.get(p, 0) + 1
-                n //= p
-        f += 6
-    if n > 1:
-        exps[n] = exps.get(n, 0) + 1
-    return FactoredRational.from_map(sign, exps)
+    return FactoredRational(1 if n > 0 else -1, tuple(_prime_powers(abs(n))))
 
 
 def divisors(n: int) -> list[int]:
@@ -300,21 +302,21 @@ def moebius(n: int) -> int:
     """Moebius function: 0 unless n is squarefree, else (-1)^(#prime factors)."""
     if n < 1:
         raise ValueError("moebius needs n >= 1")
-    if n == 1:
-        return 1
-    fr = factorize(n)
-    if any(e > 1 for _, e in fr.factors):
-        return 0
-    return -1 if len(fr.factors) % 2 else 1
+    out = 1
+    for _, e in _prime_powers(n):
+        if e > 1:
+            return 0
+        out = -out
+    return out
 
 
 def euler_phi(n: int) -> int:
     """Euler totient |(Z/n)^x|."""
     if n < 1:
         raise ValueError("euler_phi needs n >= 1")
-    out = 1
-    for p, e in factorize(n).factors:
-        out *= (p - 1) * p ** (e - 1)
+    out = n
+    for p, _ in _prime_powers(n):
+        out = out // p * (p - 1)
     return out
 
 

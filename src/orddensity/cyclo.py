@@ -169,9 +169,3 @@ def fixed_by(c: int, v: RadicalValue, M: int) -> bool:
     chi = kronecker(disc, c)
     return (z == 0 and chi == 1) or (2 * z == v.zeta_order and chi == -1)
 
-
-def lies_in_cyclotomic(v: RadicalValue, M: int) -> bool:
-    """True iff the radical value lies in Q(zeta_M): its conductor divides M."""
-    if M < 1:
-        raise ValueError("M must be positive")
-    return M % v.conductor() == 0

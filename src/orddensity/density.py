@@ -2,7 +2,8 @@
 or index conditions on a list of rationals, with truncation bookkeeping and
 heuristic tail bounds.
 
-Three condition modes on pairwise multiplicatively independent alpha_1..alpha_r:
+Three condition modes on alpha_1..alpha_r independent as a whole, with no
+k != 0 making prod alpha_i^(k_i) = +-1 (pairwise is not enough: 2, 3, 6):
 
   * OrderAP:     ord_p(alpha_i) = a_i (mod d_i) for every i,
   * IndexFixed:  ind_p(alpha_i) = t_i exactly,

@@ -140,24 +140,20 @@ def _marginal_r3(cap: int, squarefree: bool) -> np.ndarray:
     h = np.zeros(cap + 1)
     for a in range(1, cap + 1):
         pairs = factorize(a).factors
-        divs = divisors(a)
         total = 0.0
-        for delta in divs:
+        for delta in divisors(a):
             # Ex(a, delta) = phi(lcm(a, m)) / phi(m) for any m with gcd(a, m) = delta
             ex = 1
+            ratios = [(1, 1)]  # squarefree e/delta with delta | e | a, and mu(e/delta)
             for p, j in pairs:
-                v = 0
-                dd = delta
-                while dd % p == 0:
-                    dd //= p
-                    v += 1
-                if v == 0:
-                    ex *= (p - 1) * p ** (j - 1)
-                elif v < j:
-                    ex *= p ** (j - v)
+                pj = p**j
+                pv = math.gcd(delta, pj)  # p^v_p(delta)
+                ex *= (p - 1) * pj // p if pv == 1 else pj // pv
+                if pv < pj:
+                    ratios += [(r * p, -sign) for r, sign in ratios]
             # U = sum_{delta | e | a, e/delta squarefree} mu(e/delta) D[e]
             u = 0.0
-            for e_ratio, sign in _squarefree_ratios(pairs, delta, a):
+            for e_ratio, sign in ratios:
                 u += sign * D[delta * e_ratio]
             total += u / ex
         h[a] = total
@@ -171,23 +167,6 @@ def _sum_over_range(h: np.ndarray, x: int, cap: int, squarefree: bool) -> float:
     if squarefree:
         vals = vals[squarefree_mask(cap)[x + 1 : cap + 1]]
     return float(np.sum(vals))
-
-
-def _squarefree_ratios(pairs, delta: int, a: int):
-    """(ratio, mu(ratio)) over squarefree ratios with delta * ratio | a."""
-    primes = []
-    for p, e in pairs:
-        v = 0
-        dd = delta
-        while dd % p == 0:
-            dd //= p
-            v += 1
-        if v < e:  # p can extend delta inside a
-            primes.append(p)
-    out = [(1, 1)]
-    for p in primes:
-        out += [(r * p, -s) for r, s in out]
-    return out
 
 
 def phi_lcm_tail(r: int, x: int, cap: int, *, squarefree: bool = False) -> float:

@@ -19,6 +19,11 @@ a multiple of m_i / gcd(m_i, 2 Delta).  The box holds prod gcd(m_i, 2 Delta)
 tuples, at most 4 for the alphas (2, 5) whatever m is.  Dependent alphas have
 Delta = 0, and gcd(m_i, 0) = m_i makes the box all of prod Z/m_i.
 
+With sides g_i = gcd(m_i, 2 Delta), a box tuple is e_i = k_i * m_i / g_i for k
+in prod Z/g_i, and its radical product is prod alpha_i^(k_i/g_i).  So Rel
+depends on m only through g and on M only through the test that a product's
+conductor divides M: `DegreeCache` enumerates a box once per (alphas, g).
+
 Each unit c mod M that fixes the witnesses of all members of Rel extends to
 exactly prod(m_i)/|Rel| automorphisms of the full field, one of which acts
 trivially on all radicals; that turns Galois counting into unit counting.
@@ -31,11 +36,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .arith import FactoredRational, ResourceCapError, crt_merge, divisors, euler_phi
-from .cyclo import RadicalValue, fixed_by, lies_in_cyclotomic, radical_product
+from .cyclo import RadicalValue, fixed_by, radical_product
 
 RELATION_ENUMERATION_CAP = 10**6
 
@@ -86,7 +90,6 @@ class KummerBound:
     grid_description: str
 
 
-@lru_cache(maxsize=1024)
 def exponent_minor_gcd(alphas: tuple[FactoredRational, ...]) -> int:
     """Delta: the gcd of the r x r minors of the matrix (v_p(alpha_i)).
 
@@ -114,63 +117,67 @@ def exponent_minor_gcd(alphas: tuple[FactoredRational, ...]) -> int:
     return index
 
 
-def relation_group(spec: FieldSpec) -> RelationGroup:
-    """All exponent tuples whose radical product lies in Q(zeta_M).
-
-    Walks the box of the module docstring, e_i over the multiples of
-    m_i / gcd(m_i, 2 Delta), in lexicographic order.  A nonzero tuple is a
-    member, with its radical product as witness, when that product has the
-    zeta * t * sqrt(d) form and its conductor divides M.  Every call
-    enumerates; `DegreeCache` keeps the result per field.
-    """
-    two_delta = 2 * exponent_minor_gcd(spec.alphas)
-    sides = [math.gcd(mi, two_delta) for mi in spec.m]
+def _abelian_box(alphas: tuple[FactoredRational, ...], sides: tuple[int, ...]) -> list:
+    """(k, prod alpha_i^(k_i/g_i), its conductor) for every nonzero k in the
+    box prod Z/g_i, in lexicographic order, whose radical product has the
+    zeta * t * sqrt(d) form.  One radical product per nonzero tuple."""
     size = math.prod(sides)
     if size > RELATION_ENUMERATION_CAP:
         raise ResourceCapError(
             f"relation box size {size} exceeds cap {RELATION_ENUMERATION_CAP}"
         )
-    box = itertools.product(*(range(0, mi, mi // g) for mi, g in zip(spec.m, sides)))
-    members: dict[tuple[int, ...], Optional[RadicalValue]] = {next(box): None}  # zero first
-    for e in box:
-        value = radical_product(spec.alphas, spec.m, e)
-        if value is not None and lies_in_cyclotomic(value, spec.M):
-            members[e] = value
+    box = itertools.product(*map(range, sides))
+    next(box)  # the zero tuple is always a member and has no witness
+    values = ((k, radical_product(alphas, sides, k)) for k in box)
+    return [(k, v, v.conductor()) for k, v in values if v is not None]
+
+
+def relation_group(spec: FieldSpec) -> RelationGroup:
+    """All exponent tuples whose radical product lies in Q(zeta_M), each
+    nonzero one with that product as witness.  Every call enumerates the box
+    of the module docstring; `DegreeCache` keeps it per alpha tuple instead."""
+    two_delta = 2 * exponent_minor_gcd(spec.alphas)
+    sides = tuple(math.gcd(mi, two_delta) for mi in spec.m)
+    members: dict[tuple[int, ...], Optional[RadicalValue]] = {(0,) * len(sides): None}
+    for k, value, cond in _abelian_box(spec.alphas, sides):
+        if spec.M % cond == 0:
+            members[tuple(ki * mi // g for ki, mi, g in zip(k, spec.m, sides))] = value
     return RelationGroup(spec.m, members)
 
 
 # ---------------------------------------------------------------------------
-# field cache
+# box cache
 
 
-FIELD_CACHE_SIZE = 65536
+CACHE_SIZE = 1024
 
 
 class DegreeCache:
-    """Each field's relation group and degree, enumerated once per field.
-
-    Keyed by `FieldSpec`.  It holds at most FIELD_CACHE_SIZE fields; past
-    that the oldest entry goes first.
+    """Relation boxes, each enumerated once.  Keyed by the alpha tuple, an
+    entry holds 2 Delta and `_abelian_box(alphas, g)` per side tuple g.  It
+    holds at most CACHE_SIZE alpha tuples; past that the oldest goes first.
     """
 
     def __init__(self):
-        self._fields: dict[FieldSpec, tuple[RelationGroup, int]] = {}
+        self._alphas: dict[tuple[FactoredRational, ...], tuple[int, dict]] = {}
 
-    def lookup(self, spec: FieldSpec) -> tuple[RelationGroup, int]:
-        """(relation group, degree over Q) of the field, enumerating on a miss."""
-        entry = self._fields.get(spec)
+    def witnesses(self, spec: FieldSpec) -> list[RadicalValue]:
+        """The witnesses of the nonzero members of the field's relation group:
+        the values of its box whose conductor divides M."""
+        entry = self._alphas.get(spec.alphas)
         if entry is None:
-            rel = relation_group(spec)
-            numerator = euler_phi(spec.M) * math.prod(spec.m)
-            assert numerator % len(rel.members) == 0
-            entry = (rel, numerator // len(rel.members))
-            if len(self._fields) >= FIELD_CACHE_SIZE:
-                del self._fields[next(iter(self._fields))]
-            self._fields[spec] = entry
-        return entry
+            if len(self._alphas) >= CACHE_SIZE:
+                del self._alphas[next(iter(self._alphas))]
+            entry = self._alphas[spec.alphas] = (2 * exponent_minor_gcd(spec.alphas), {})
+        two_delta, boxes = entry
+        sides = tuple(math.gcd(mi, two_delta) for mi in spec.m)
+        box = boxes.get(sides)
+        if box is None:
+            box = boxes[sides] = _abelian_box(spec.alphas, sides)
+        return [value for _, value, cond in box if spec.M % cond == 0]
 
     def __len__(self) -> int:
-        return len(self._fields)
+        return len(self._alphas)
 
 
 DEFAULT_CACHE = DegreeCache()
@@ -178,8 +185,10 @@ DEFAULT_CACHE = DegreeCache()
 
 def degree_info(spec: FieldSpec, cache: Optional[DegreeCache] = None) -> tuple[int, int]:
     """(field degree over Q, failure ratio |Rel|)."""
-    rel, degree = (cache if cache is not None else DEFAULT_CACHE).lookup(spec)
-    return degree, len(rel.members)
+    rel_size = 1 + len((cache if cache is not None else DEFAULT_CACHE).witnesses(spec))
+    numerator = euler_phi(spec.M) * math.prod(spec.m)
+    assert numerator % rel_size == 0
+    return numerator // rel_size, rel_size
 
 
 def kummer_degree(spec: FieldSpec, cache: Optional[DegreeCache] = None) -> int:
@@ -211,32 +220,30 @@ def count_automorphisms(
 
     Each counted c corresponds to exactly one automorphism of the field that
     restricts to the identity on Q(zeta_fix_level, radicals).  Inconsistent
-    congruence systems count zero; they are not an error.  The relation
-    group comes from `cache` (the shared default cache when None).
+    congruence systems count zero; they are not an error.  The witnesses
+    come from `cache` (the shared default cache when None).
     """
     W = spec.M
-    if W % fix_level != 0 or any(W % mod != 0 for _, mod in congruences):
-        raise ValueError("spec.M must be a common multiple of all moduli")
-    if frobenius is not None and W % frobenius[0] != 0:
-        raise ValueError("spec.M must be a multiple of the Frobenius level")
+    levels = [fix_level, *(mod for _, mod in congruences)]
+    if frobenius is not None:
+        levels.append(frobenius[0])
+    if min(levels) < 1 or any(W % level != 0 for level in levels):
+        raise ValueError("spec.M must be a common multiple of all levels, each >= 1")
     merged = crt_merge([(1, fix_level), *congruences])
     if merged is None:
         return 0
     rho, mu = merged
     if math.gcd(rho, mu) != 1:
         return 0
-    rel = (cache if cache is not None else DEFAULT_CACHE).lookup(spec)[0]
-    witnesses = [value for value in rel.members.values() if value is not None]
-    fset = None
+    witnesses = (cache if cache is not None else DEFAULT_CACHE).witnesses(spec)
     if frobenius is not None:
-        f, classes = frobenius
-        fset = (f, frozenset(x % f for x in classes))
+        f, classes = frobenius[0], {x % frobenius[0] for x in frobenius[1]}
     count = 0
     start = rho if rho >= 1 else mu
     for c in range(start, W + 1, mu):
         if math.gcd(c, W) != 1:
             continue
-        if fset is not None and c % fset[0] not in fset[1]:
+        if frobenius is not None and c % f not in classes:
             continue
         # fixed_by acts on Q(zeta_L), L = lcm(zeta order, conductor(d), W); a
         # witness's conductor divides W, so only 2 can divide L and not W

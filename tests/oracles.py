@@ -6,16 +6,24 @@ from fractions import Fraction
 
 from orddensity.arith import ResourceCapError, kronecker, prime_list
 from orddensity.cyclo import (
+    RadicalValue,
     _as_factored,
-    lies_in_cyclotomic,
     quadratic_discriminant,
     radical_product,
     signed_squarefree_part,
 )
 
+
+def lies_in_cyclotomic(v: RadicalValue, M: int) -> bool:
+    """True iff the radical value lies in Q(zeta_M): its conductor divides M."""
+    if M < 1:
+        raise ValueError("M must be positive")
+    return M % v.conductor() == 0
+
+
 # Power-in-cyclotomic oracle: decides membership by a Galois character loop
 # over the root-of-unity candidates, a code path separate from the package's
-# conductor rule in `lies_in_cyclotomic`.
+# conductor rule in `RadicalValue.conductor`.
 
 # The loop runs over (Z/L)^x; L stays desk-scale for every tested case.
 _CHAR_LOOP_CAP = 10**8

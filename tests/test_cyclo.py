@@ -8,7 +8,6 @@ from orddensity.cyclo import (
     RadicalValue,
     conductor,
     fixed_by,
-    lies_in_cyclotomic,
     radical_product,
     signed_squarefree_part,
     sqrt_in_cyclotomic,
@@ -19,6 +18,7 @@ from oracles import (
     TRUE_POWER_TRIPLES,
     _zeta_sqrt_in_cyclotomic,
     is_nth_power_residue,
+    lies_in_cyclotomic,
     is_power_in_cyclotomic,
     residue_check_fraction,
 )

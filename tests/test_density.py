@@ -177,23 +177,25 @@ def test_full_frobenius_class_is_vacuous():
 
 def test_order_density_enumerates_each_field_once(monkeypatch):
     enumerated, counted = [], []
-    relation_group = kummer.relation_group
+    abelian_box = kummer._abelian_box
     count_automorphisms = density.count_automorphisms
 
-    def enumerate_(field, *args, **kwargs):
-        enumerated.append(field)
-        return relation_group(field, *args, **kwargs)
+    def enumerate_(alphas, sides):
+        enumerated.append(sides)
+        return abelian_box(alphas, sides)
 
     def count(field, *args, **kwargs):
         counted.append(field)
         return count_automorphisms(field, *args, **kwargs)
 
-    monkeypatch.setattr(kummer, "relation_group", enumerate_)
+    monkeypatch.setattr(kummer, "_abelian_box", enumerate_)
     monkeypatch.setattr(density, "count_automorphisms", count)
     spec = ConditionSpec.make([2], OrderAP((0,), (2,)))
     res = order_density(spec, nmax=24, tmax=24, cache=DegreeCache())
     assert len(counted) == res.terms_evaluated
-    assert len(enumerated) == len(set(counted)) < res.terms_evaluated
+    # Delta = 1 for alpha = 2: the many fields share the sides (1,) and (2,),
+    # and each of the two boxes is enumerated once
+    assert len(set(counted)) > 2 and enumerated == [(1,), (2,)]
 
 
 def test_rank_one_series_shape():

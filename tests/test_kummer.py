@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from orddensity import kummer
 from orddensity.arith import ResourceCapError, euler_phi, factorize
-from orddensity.cyclo import lies_in_cyclotomic, radical_product
+from orddensity.cyclo import radical_product
 from orddensity.kummer import (
     DegreeCache,
     FieldSpec,
@@ -20,7 +21,7 @@ from orddensity.kummer import (
     relation_group,
 )
 
-from oracles import full_box_relations
+from oracles import full_box_relations, lies_in_cyclotomic
 
 GRID_ALPHAS = (2, 3, 5, -2, 8, 12)
 GRID_M = (1, 2, 3, 4, 6, 12)
@@ -110,14 +111,15 @@ def test_relation_group_box_skips_non_multiples(monkeypatch):
     calls = []
 
     def recording(alphas, m, e):
-        calls.append(tuple(e))
+        calls.append((tuple(m), tuple(e)))
         return radical_product(alphas, m, e)
 
     monkeypatch.setattr(kummer, "radical_product", recording)
     rg = relation_group(fs([2, 3], (12, 12), 24))
-    # 2 and 3 have Delta = 1, so the box is {0, 6}^2 of the 144 tuples: one
-    # radical product per nonzero tuple, in lexicographic order
-    assert calls == [(0, 6), (6, 0), (6, 6)]
+    # 2 and 3 have Delta = 1, so the box has sides gcd(12, 2) = 2: one radical
+    # product per nonzero k of {0, 1}^2, in lexicographic order, standing for
+    # e = 6k among the 144 tuples
+    assert calls == [((2, 2), (0, 1)), ((2, 2), (1, 0)), ((2, 2), (1, 1))]
     assert list(rg.members) == [(0, 0), (0, 6), (6, 0), (6, 6)]
 
 
@@ -312,10 +314,16 @@ def test_vanishing_conditions_small_grid():
 
 
 def test_count_automorphisms_validates_levels():
-    with pytest.raises(ValueError):
-        count_automorphisms(fs([2], (2,), 4), 3, ())
-    with pytest.raises(ValueError):
-        count_automorphisms(fs([2], (2,), 4), 2, ((1, 3),))
+    spec = fs([2], (2,), 4)
+    for fix_level, congruences, frobenius in [
+        (3, (), None),  # 3 does not divide M = 4
+        (2, ((1, 3),), None),
+        (0, (), None),  # levels below 1 used to divide by zero
+        (2, ((1, 0),), None),
+        (2, (), (0, {1})),
+    ]:
+        with pytest.raises(ValueError):
+            count_automorphisms(spec, fix_level, congruences, frobenius)
 
 
 def test_field_spec_rejects_units_and_bad_levels():
@@ -329,42 +337,89 @@ def test_field_spec_rejects_units_and_bad_levels():
         fs([], (), 1)
 
 
-def counting_relation_group(monkeypatch) -> list:
-    """Record the spec of every relation-group enumeration."""
+def counting_boxes(monkeypatch) -> list:
+    """Record the alphas and sides of every box enumeration."""
     calls = []
-    original = kummer.relation_group
+    original = kummer._abelian_box
 
-    def counted(spec, *args, **kwargs):
-        calls.append(spec)
-        return original(spec, *args, **kwargs)
+    def counted(alphas, sides):
+        calls.append((alphas, sides))
+        return original(alphas, sides)
 
-    monkeypatch.setattr(kummer, "relation_group", counted)
+    monkeypatch.setattr(kummer, "_abelian_box", counted)
     return calls
 
 
 def test_degree_cache_enumerates_each_field_once(monkeypatch):
-    calls = counting_relation_group(monkeypatch)
+    # each field is read from its alphas' box, enumerated once per side tuple
+    calls = counting_boxes(monkeypatch)
     cache = DegreeCache()
     spec = fs([2], (2,), 8)
     assert degree_info(spec, cache) == (4, 2)
     assert kummer_degree(fs([2], (2,), 8), cache) == 4
     assert failure_ratio(spec, cache) == 2
     assert count_automorphisms(spec, 2, (), None, cache) == 2
-    assert calls == [spec] and len(cache) == 1
+    assert kummer_degree(fs([2], (2,), 4), cache) == 4  # same box, other level
+    assert kummer_degree(fs([2], (6,), 24), cache) == 8 * 6 // 2  # same sides
+    assert calls == [(spec.alphas, (2,))] and len(cache) == 1
+    assert kummer_degree(fs([2], (3,), 3), cache) == 6  # sides (1,)
     assert kummer_degree(fs([2, 3], (2, 2), 12), cache) == 8
-    assert len(calls) == 2 and len(cache) == 2
+    assert len(calls) == 3 and len(cache) == 2
 
 
 def test_degree_cache_drops_oldest_field_past_its_bound(monkeypatch):
-    monkeypatch.setattr(kummer, "FIELD_CACHE_SIZE", 2)
-    calls = counting_relation_group(monkeypatch)
+    # the bound counts alpha tuples; a dropped tuple takes its boxes along
+    monkeypatch.setattr(kummer, "CACHE_SIZE", 2)
+    calls = counting_boxes(monkeypatch)
     cache = DegreeCache()
-    specs = [fs([2], (2,), 8), fs([2], (2,), 4), fs([3], (2,), 12)]
+    specs = [fs([2], (2,), 8), fs([3], (2,), 12), fs([5], (2,), 10)]
     assert [kummer_degree(s, cache) for s in specs] == [4, 4, 4]
     assert len(cache) == 2
     kummer_degree(specs[2], cache)
+    kummer_degree(fs([3], (2,), 24), cache)
     kummer_degree(specs[0], cache)  # dropped, so enumerated again
-    assert calls == specs + [specs[0]]
+    assert calls == [(s.alphas, (2,)) for s in specs + [specs[0]]]
+
+
+def test_fields_sharing_alphas_and_sides_enumerate_one_box(monkeypatch):
+    calls = []
+
+    def recording(alphas, m, e):
+        calls.append(tuple(e))
+        return radical_product(alphas, m, e)
+
+    monkeypatch.setattr(kummer, "radical_product", recording)
+    cache = DegreeCache()
+    # Delta = 1 for (2, 3): every m below has sides gcd(m_i, 2) = (2, 2)
+    for m in [(2, 2), (6, 4), (12, 12)]:
+        for M in (12, 24):
+            spec = fs([2, 3], m, M)
+            degree_info(spec, cache)
+            count_automorphisms(spec, 1, (), None, cache)
+    assert calls == [(0, 1), (1, 0), (1, 1)]
+
+
+def test_shared_cache_matches_fresh_cache_per_field():
+    pool = [(2,), (-3,), (-8,), (12,), (2, 8), (-2, 3), (2, 5), (-3, Fraction(1, 2)),
+            (2, 3, 5), (-2, 6, 8)]
+    grid = []
+    for alphas in pool:
+        for m in itertools.product((1, 2, 3, 4, 6), repeat=len(alphas)):
+            if len(alphas) == 3 and max(m) > 2 * min(m):
+                continue
+            for mult in (1, 2, 5, 12):
+                grid.append(fs(alphas, m, math.lcm(*m) * mult))
+    random.Random(7).shuffle(grid)
+    shared = DegreeCache()
+    for spec in grid:
+        fix = math.lcm(*spec.m)
+        frob = (spec.M, {1, spec.M - 1})
+        got = [degree_info(spec, shared), count_automorphisms(spec, fix, (), frob, shared)]
+        fresh = DegreeCache()
+        want = [degree_info(spec, fresh), count_automorphisms(spec, fix, (), frob, fresh)]
+        assert got == want, spec
+        assert got[0][1] == len(relation_group(spec).members), spec
+    assert len(shared) == len(pool)
 
 
 def test_degree_ignores_pair_order():
