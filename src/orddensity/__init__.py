@@ -40,7 +40,7 @@ from .empirical import (
     scan_many,
     splitting_fraction,
 )
-from .eulerseries import TailReport, gcd_phi_sum, lcm_phi_sum, phi_lcm_tail
+from .eulerseries import gcd_phi_sum, lcm_phi_sum, phi_lcm_tail
 from .kummer import (
     FieldSpec,
     KummerBound,
@@ -74,7 +74,6 @@ __all__ = [
     "kummer_degree",
     "failure_ratio",
     "count_automorphisms",
-    "TailReport",
     "phi_lcm_tail",
     "gcd_phi_sum",
     "lcm_phi_sum",

@@ -8,6 +8,7 @@ Everything here is pure and reentrant.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
@@ -62,6 +63,19 @@ class FactoredRational:
         num = factorize(q.numerator)
         den = factorize(q.denominator)
         return num.mul(den.pow_(-1))
+
+    @staticmethod
+    def of(q) -> "FactoredRational":
+        """q itself when it is a FactoredRational, else the factored value of
+        an int, Fraction or rational string such as '3/5'.  ValueError for
+        zero and for anything that is not a rational."""
+        if isinstance(q, FactoredRational):
+            return q
+        try:
+            value = Fraction(q)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad rational {q!r}") from exc
+        return FactoredRational.from_fraction(value)
 
     # -- queries ------------------------------------------------------------
 
@@ -285,6 +299,10 @@ def _prime_powers(n: int) -> Iterator[tuple[int, int]]:
 
 def factorize(n: int) -> FactoredRational:
     """Factor a nonzero integer into sign and prime exponent map."""
+    try:
+        n = operator.index(n)
+    except TypeError as exc:
+        raise ValueError(f"cannot factor the non-integer {n!r}") from exc
     if n == 0:
         raise ValueError("cannot factor 0")
     return FactoredRational(1 if n > 0 else -1, tuple(_prime_powers(abs(n))))
@@ -348,9 +366,7 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def multiplicative_order(
-    a: int, p: int, factored_pm1: Optional[FactoredRational] = None
-) -> int:
+def multiplicative_order(a: int, p: int) -> int:
     """Least k >= 1 with a^k = 1 mod p (p prime, p must not divide a).
 
     The scalar reference for the scans' vectorised index kernel: starts at
@@ -358,10 +374,8 @@ def multiplicative_order(
     """
     if a % p == 0:
         raise ValueError("p divides a, order undefined")
-    if factored_pm1 is None:
-        factored_pm1 = factorize(p - 1)
     o = p - 1
-    for q, e in factored_pm1.factors:
+    for q, e in _prime_powers(p - 1):
         for _ in range(e):
             if pow(a, o // q, p) == 1:
                 o //= q

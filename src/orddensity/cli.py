@@ -13,28 +13,18 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import density as dens
 from . import empirical, eulerseries, kummer
-from .arith import FactoredRational, ResourceCapError
+from .arith import ResourceCapError
 from .density import ConditionSpec, IndexFixed, IndexSet, OrderAP, SetDescriptor
 
 
 class ConfigError(ValueError):
     pass
-
-
-def _parse_alpha(text: str) -> FactoredRational:
-    try:
-        q = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad rational {text!r}") from exc
-    if q in (0, 1, -1):
-        raise ConfigError(f"alpha must not be 0 or a unit, got {text}")
-    return FactoredRational.from_fraction(q)
 
 
 def _parse_set(text: str) -> SetDescriptor:
@@ -45,14 +35,14 @@ def _parse_set(text: str) -> SetDescriptor:
             return SetDescriptor.progression(int(a), int(d))
         return SetDescriptor.finite([int(v) for v in text.split(",")])
     except ValueError as exc:  # also a wrong number of ap: fields
-        raise ConfigError(f"bad index set {text!r}: {exc}") from exc
+        raise ValueError(f"bad index set {text!r}: {exc}") from exc
 
 
 def _ints(values, flag: str) -> list[int]:
     try:
         return [int(v) for v in values or []]
     except ValueError as exc:
-        raise ConfigError(f"--{flag} needs integers, got {values!r}") from exc
+        raise ValueError(f"--{flag} needs integers, got {values!r}") from exc
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -115,43 +105,37 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
-def build_condition_spec(args: argparse.Namespace) -> ConditionSpec:
-    alphas = [_parse_alpha(a) for a in args.alpha or []]
-    if not alphas:
-        raise ConfigError("at least one --alpha is required")
-    if not dens.multiplicatively_independent(alphas):
-        raise ConfigError("alphas are multiplicatively dependent")
-    r = len(alphas)
-    mode = args.mode
-    if mode == "order":
-        a = _ints(args.a, "a")
-        d = _ints(args.d, "d")
-        if len(a) != r or len(d) != r:
-            raise ConfigError("order mode needs --a and --d once per alpha")
-        m: dens.Mode = OrderAP(tuple(a), tuple(d))
-    elif mode == "index":
-        t = _ints(args.t, "t")
-        if len(t) != r:
-            raise ConfigError("index mode needs --t once per alpha")
-        m = IndexFixed(tuple(t))
-    elif mode == "indexset":
-        sets = [_parse_set(s) for s in args.s or []]
-        if len(sets) != r:
-            raise ConfigError("indexset mode needs --s once per alpha")
-        m = IndexSet(tuple(sets))
-    else:
-        raise ConfigError(f"unknown mode {mode!r}")
-    frobenius = None
-    f = _resolve(args, "f", None, minimum=1)
-    if f is not None:
-        classes = _ints(args.c, "c")
-        if not classes:
-            raise ConfigError("--f needs at least one --c residue")
-        frobenius = (f, frozenset(classes))
+def build_condition_spec(args: argparse.Namespace) -> tuple[ConditionSpec, dict]:
+    """The run's condition spec and the `params` echo of its JSON report.
+
+    Every spec flag given, on the command line or in the config file, is
+    parsed here whatever the mode, so a malformed one fails before any
+    computation.  The semantic checks are ConditionSpec.make's; any
+    ValueError becomes a ConfigError.
+    """
     try:
-        return ConditionSpec.make(alphas, m, frobenius)
+        a, d, t, c = (_ints(getattr(args, key), key) for key in "adtc")
+        f = None if args.f is None else _ints([args.f], "f")[0]
+        modes = {
+            "order": OrderAP(tuple(a), tuple(d)),
+            "index": IndexFixed(tuple(t)),
+            "indexset": IndexSet(tuple(_parse_set(s) for s in args.s or [])),
+        }
+        frobenius = None if f is None else (f, c)
+        spec = ConditionSpec.make(args.alpha or [], modes[args.mode], frobenius)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    params = {
+        "mode": args.mode,
+        "alphas": list(args.alpha or []),
+        "a": a or None,
+        "d": d or None,
+        "t": t or None,
+        "s": list(args.s) if args.s else None,
+        "f": f,
+        "c": c or None,
+    }
+    return spec, params
 
 
 def _emit(doc: dict, out: Optional[str]) -> None:
@@ -163,24 +147,17 @@ def _emit(doc: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _base_doc(args: argparse.Namespace, kind: str) -> dict:
-    return {
+def _report(
+    args: argparse.Namespace, kind: str, params: dict, started: float, **fields
+) -> None:
+    """Emit the JSON report of a density, scan or compare run."""
+    doc = {
         "schema": f"{kind}/1",
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        "params": params,
+        "runtime_ms": int((time.monotonic() - started) * 1000),
     }
-
-
-def _spec_params(args: argparse.Namespace) -> dict:
-    return {
-        "mode": args.mode,
-        "alphas": list(args.alpha or []),
-        "a": [int(v) for v in args.a] if args.a else None,
-        "d": [int(v) for v in args.d] if args.d else None,
-        "t": [int(v) for v in args.t] if args.t else None,
-        "s": list(args.s) if args.s else None,
-        "f": int(args.f) if args.f is not None else None,
-        "c": [int(v) for v in args.c] if args.c else None,
-    }
+    _emit({**doc, **fields}, args.out)
 
 
 def _resolve(
@@ -206,25 +183,17 @@ def _resolve(
 
 
 def cmd_density(args: argparse.Namespace) -> int:
-    spec = build_condition_spec(args)
+    spec, params = build_condition_spec(args)
     nmax = _resolve(args, "nmax", dens.DEFAULT_NMAX, minimum=1)
     tmax = _resolve(args, "tmax", dens.DEFAULT_TMAX, minimum=1)
     started = time.monotonic()
     result = dens.evaluate(spec, nmax, tmax, log_terms=bool(args.term_log))
-    doc = _base_doc(args, "density-result")
-    doc.update(
-        {
-            "params": _spec_params(args),
-            "mode": args.mode,
-            "alphas": list(args.alpha),
-            "value": result.value,
-            "tail_estimate": result.tail_estimate,
-            "caps": {"nmax": result.caps[0], "tmax": result.caps[1]},
-            "terms_evaluated": result.terms_evaluated,
-            "runtime_ms": int((time.monotonic() - started) * 1000),
-        }
+    _report(
+        args, "density-result", params, started,
+        mode=args.mode, alphas=params["alphas"], value=result.value,
+        tail_estimate=result.tail_estimate, terms_evaluated=result.terms_evaluated,
+        caps={"nmax": result.caps[0], "tmax": result.caps[1]},
     )
-    _emit(doc, args.out)
     if args.term_log and result.per_term_log is not None:
         with _open_output(args.term_log) as fh:
             w = csv.writer(fh)
@@ -243,7 +212,7 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    spec = build_condition_spec(args)
+    spec, params = build_condition_spec(args)
     x = _resolve(args, "x", None, minimum=2)
     if x is None:
         raise ConfigError("scan needs --x (flag or config file)")
@@ -254,18 +223,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
         workers=_resolve(args, "workers", 1, minimum=1),
         checkpoints=bool(args.csv),
     )
-    doc = _base_doc(args, "scan-result")
-    doc.update(
-        {
-            "params": _spec_params(args),
-            "mode": args.mode,
-            "alphas": list(args.alpha),
-            "runtime_ms": int((time.monotonic() - started) * 1000),
-        }
+    counts = result.to_dict()
+    counts.pop("checkpoints", None)
+    _report(
+        args, "scan-result", params, started, mode=args.mode, alphas=params["alphas"], **counts
     )
-    doc.update(result.to_dict())
-    doc.pop("checkpoints", None)
-    _emit(doc, args.out)
     if args.csv and result.checkpoints:
         with _open_output(args.csv) as fh:
             w = csv.writer(fh)
@@ -275,7 +237,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    spec = build_condition_spec(args)
+    spec, params = build_condition_spec(args)
     x = _resolve(args, "x", None, minimum=2)
     if x is None:
         raise ConfigError("compare needs --x (flag or config file)")
@@ -285,19 +247,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     result = dens.evaluate(spec, nmax, tmax)
     scan_result = empirical.scan(spec, x, workers=_resolve(args, "workers", 1, minimum=1))
     report = empirical.compare(result, scan_result, rank=spec.rank)
-    doc = _base_doc(args, "compare-report")
-    doc.update(
-        {
-            "params": _spec_params(args),
-            "x": x,
-            "value": result.value,
-            "tail_estimate": result.tail_estimate,
-            "scan": scan_result.to_dict(),
-            "report": report.to_dict(),
-            "runtime_ms": int((time.monotonic() - started) * 1000),
-        }
+    _report(
+        args, "compare-report", params, started,
+        x=x, value=result.value, tail_estimate=result.tail_estimate,
+        scan=scan_result.to_dict(), report=asdict(report),
     )
-    _emit(doc, args.out)
     return 0
 
 
@@ -319,19 +273,25 @@ EULER_MIN_CAP = 32  # the smallest cap with one grid point, x = 4 <= cap // 8
 
 
 def verify_euler(r: int, cap: int = 4096) -> dict:
+    """x * tail along x = 4, 8, ... <= cap/8 stays within twice its first
+    value; the first tail is also evaluated at cap/2 beside cap."""
     xs = [4 * 2**k for k in range(8) if 4 * 2**k <= cap // 8]  # 4 .. 512 at cap 4096
-    report = eulerseries.tail_report(r, xs, cap)
-    bound = 2.0 * report.scaled[0]
-    passed = all(s <= bound for s in report.scaled)
-    full, halfcap = eulerseries.cap_sensitivity(r, xs[0], cap)
+    tails = [eulerseries.phi_lcm_tail(r, x, cap) for x in xs]
+    rows = [
+        {"r": r, "x": x, "tail": t, "scaled": x * t, "cap": cap} for x, t in zip(xs, tails)
+    ]
+    bound = 2.0 * rows[0]["scaled"]
     return {
         "target": "euler",
         "r": r,
         "cap": cap,
-        "rows": report.rows(),
+        "rows": rows,
         "scaled_bound": bound,
-        "cap_sensitivity": {"cap": full, "half_cap": halfcap},
-        "passed": bool(passed),
+        "cap_sensitivity": {
+            "cap": tails[0],
+            "half_cap": eulerseries.phi_lcm_tail(r, xs[0], cap // 2),
+        },
+        "passed": all(row["scaled"] <= bound for row in rows),
     }
 
 

@@ -18,12 +18,6 @@ from typing import Optional, Sequence
 from .arith import FactoredRational, kronecker
 
 
-def _as_factored(q) -> FactoredRational:
-    if isinstance(q, FactoredRational):
-        return q
-    return FactoredRational.from_fraction(q)
-
-
 def quadratic_discriminant(d: int) -> int:
     """Field discriminant of Q(sqrt(d)) for squarefree d (1 for d = 1)."""
     if d == 0:
@@ -40,7 +34,7 @@ def signed_squarefree_part(
     q: FactoredRational,
 ) -> tuple[int, int, FactoredRational]:
     """Write q = sign * s^2 * d with d squarefree positive, s positive rational."""
-    q = _as_factored(q)
+    q = FactoredRational.of(q)
     d = 1
     s_exps: dict[int, int] = {}
     for p, e in q.factors:

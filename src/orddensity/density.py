@@ -147,10 +147,7 @@ class ConditionSpec:
 
     @staticmethod
     def make(alphas, mode: Mode, frobenius=None) -> "ConditionSpec":
-        fr = tuple(
-            a if isinstance(a, FactoredRational) else FactoredRational.from_fraction(a)
-            for a in alphas
-        )
+        fr = tuple(map(FactoredRational.of, alphas))
         if frobenius is not None:
             f = int(frobenius[0])
             if f < 1:

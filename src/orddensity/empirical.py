@@ -21,6 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .arith import (
+    FactoredRational,
     ResourceCapError,
     factor_p_minus_1,
     factorize,
@@ -28,7 +29,7 @@ from .arith import (
     residues,
     segmented_primes,
 )
-from .density import ConditionSpec, DensityResult, IndexFixed, IndexSet, OrderAP
+from .density import ConditionSpec, DensityResult, IndexFixed, OrderAP
 from .kummer import FieldSpec
 
 SCAN_X_CAP = 10**9  # the kernel's int64 modular products need p^2 < 2^63
@@ -88,22 +89,14 @@ class DiagnosticReport:
 
 @dataclass
 class CompareReport:
-    """Empirical ratio against the series value."""
+    """Empirical ratio against the series value; `rel_gap` is None when the
+    series value is 0."""
 
     empirical: float
     theory: float
     abs_gap: float
-    rel_gap: float
+    rel_gap: Optional[float]
     error_scale: float
-
-    def to_dict(self) -> dict:
-        return {
-            "empirical": self.empirical,
-            "theory": self.theory,
-            "abs_gap": self.abs_gap,
-            "rel_gap": self.rel_gap,
-            "error_scale": self.error_scale,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +354,9 @@ def _indices_upto(alpha, x: int):
     """ind_p(alpha) over the unexcluded primes p <= x, one array per block."""
     if x > SCAN_X_CAP:
         raise ResourceCapError(f"scan bound {x} exceeds cap {SCAN_X_CAP}")
-    a = alpha if hasattr(alpha, "factors") else factorize(alpha)
+    a = FactoredRational.of(alpha)
+    if not a.factors:
+        raise ValueError("alpha must not be 0 or a unit (1, -1)")
     pair = _alpha_pair(a)
     excl = np.array([p for p in a.support() if p <= x], dtype=np.int64)
     for primes in _prime_blocks(2, x + 1, DEFAULT_SEGMENT):
@@ -395,6 +390,6 @@ def compare(theory: DensityResult, scan_result: ScanResult, rank: int = 1) -> Co
     """Gaps between the empirical ratio matched/li(x) and the series value."""
     emp = scan_result.ratio_li
     gap = emp - theory.value
-    rel = abs(gap) / theory.value if theory.value else math.inf
+    rel = abs(gap) / theory.value if theory.value else None
     scale = math.log(scan_result.x) ** (-1.0 / (rank + 1))
     return CompareReport(emp, theory.value, gap, rel, scale)

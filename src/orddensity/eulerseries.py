@@ -6,8 +6,8 @@ The target quantities are truncated multiple sums of the shape
 
 whose scaled values x * tail stay bounded (the 1/x law), plus the companion
 sums with gcd(n, z) or n_1 in the numerator.  A finite cap replaces the
-infinite series; cap sensitivity is reported alongside so boundedness claims
-are not truncation artifacts.
+infinite series; `orddensity verify euler` reports the tail at cap/2 beside
+the tail at cap, so boundedness claims are not truncation artifacts.
 
 For r = 3 the box sum is evaluated exactly by aggregating the pair marginal
 over gcd profiles: phi(lcm(a, m)) = phi(m) * Ex(a, gcd(a, m)) with Ex
@@ -20,9 +20,7 @@ triple loop at small caps in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -50,23 +48,6 @@ class KahanSum:
     @property
     def value(self) -> float:
         return self._s
-
-
-@dataclass
-class TailReport:
-    """Scaled tail values of the lcm-phi series along an x grid."""
-
-    r: int
-    x_values: list[int]
-    tail_values: list[float]
-    scaled: list[float]
-    cap: int
-
-    def rows(self) -> list[dict]:
-        return [
-            {"r": self.r, "x": x, "tail": t, "scaled": s, "cap": self.cap}
-            for x, t, s in zip(self.x_values, self.tail_values, self.scaled)
-        ]
 
 
 _PHI_STATE: dict = {"limit": 0, "table": None}
@@ -237,14 +218,3 @@ def lcm_phi_sum(r: int, x: int, cap: int = 1024) -> float:
             m = (c // g) * m12
             acc.add(float(np.sum(n1 / (phi[m] * (n2 * c).astype(np.float64)))))
     return acc.value
-
-
-def tail_report(r: int, x_values: Sequence[int], cap: int) -> TailReport:
-    tails = [phi_lcm_tail(r, x, cap) for x in x_values]
-    scaled = [x * t for x, t in zip(x_values, tails)]
-    return TailReport(r, list(x_values), tails, scaled, cap)
-
-
-def cap_sensitivity(r: int, x: int, cap: int) -> tuple[float, float]:
-    """Tail at the full cap and at cap/2, for truncation-artifact checks."""
-    return phi_lcm_tail(r, x, cap), phi_lcm_tail(r, x, cap // 2)

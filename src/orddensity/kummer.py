@@ -65,10 +65,7 @@ class FieldSpec:
 
     @staticmethod
     def make(alphas: Iterable, m: Sequence[int], M: int) -> "FieldSpec":
-        fr = tuple(
-            a if isinstance(a, FactoredRational) else FactoredRational.from_fraction(a)
-            for a in alphas
-        )
+        fr = tuple(map(FactoredRational.of, alphas))
         return FieldSpec(fr, tuple(int(v) for v in m), int(M))
 
 
@@ -261,20 +258,18 @@ def observe_failure_bound(
     alpha_pool: Sequence[int],
     m_divisor: int = 12,
     M_divisor: int = 240,
-    ranks: Sequence[int] = (1, 2),
-    cache: Optional[DegreeCache] = None,
 ) -> KummerBound:
     """lcm of failure ratios over a grid of field specs.
 
-    Grid: alpha lists drawn from the pool (sizes in `ranks`), radical indices
-    over divisors of `m_divisor`, cyclotomic levels over divisors of
+    Grid: alpha lists of one and two alphas drawn from the pool, radical
+    indices over divisors of `m_divisor`, cyclotomic levels over divisors of
     `M_divisor` compatible with the indices.
     """
-    alphas = [FactoredRational.from_fraction(a) for a in alpha_pool]
+    alphas = [FactoredRational.of(a) for a in alpha_pool]
     m_choices = divisors(m_divisor)
     M_choices = divisors(M_divisor)
     bound = 1
-    for r in ranks:
+    for r in (1, 2):
         for combo in itertools.combinations(range(len(alphas)), r):
             for m in itertools.product(m_choices, repeat=r):
                 need = math.lcm(*m)
@@ -282,9 +277,9 @@ def observe_failure_bound(
                     if M % need:
                         continue
                     spec = FieldSpec(tuple(alphas[i] for i in combo), m, M)
-                    bound = math.lcm(bound, failure_ratio(spec, cache))
+                    bound = math.lcm(bound, failure_ratio(spec))
     desc = (
-        f"alphas in {list(alpha_pool)}, ranks {list(ranks)}, "
+        f"alphas in {list(alpha_pool)}, ranks [1, 2], "
         f"m | {m_divisor}, M | {M_divisor}"
     )
     return KummerBound(bound, desc)

@@ -4,10 +4,9 @@ import itertools
 import math
 from fractions import Fraction
 
-from orddensity.arith import ResourceCapError, kronecker, prime_list
+from orddensity.arith import FactoredRational, ResourceCapError, kronecker, prime_list
 from orddensity.cyclo import (
     RadicalValue,
-    _as_factored,
     quadratic_discriminant,
     radical_product,
     signed_squarefree_part,
@@ -61,7 +60,7 @@ def is_power_in_cyclotomic(q, n: int, M: int) -> bool:
     """
     if n < 1 or M < 1:
         raise ValueError("need n >= 1 and M >= 1")
-    q = _as_factored(q)
+    q = FactoredRational.of(q)
     u = n
     e = 0
     while u % 2 == 0:

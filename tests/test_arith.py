@@ -56,6 +56,23 @@ def test_factorize_rejects_zero():
         factorize(0)
 
 
+def test_factorize_rejects_non_integers():
+    for bad in (Fraction(3, 4), Fraction(4), 2.0, "12"):
+        with pytest.raises(ValueError):
+            factorize(bad)
+
+
+def test_factored_rational_of():
+    three_fifths = FactoredRational(1, ((3, 1), (5, -1)))
+    for q in (Fraction(3, 5), "3/5", " 3/5 ", three_fifths):
+        assert FactoredRational.of(q) == three_fifths
+    assert FactoredRational.of(-12) == factorize(-12)
+    assert FactoredRational.of("-1").value() == -1
+    for bad in (0, "0", "1/0", "abc", None):
+        with pytest.raises(ValueError):
+            FactoredRational.of(bad)
+
+
 def test_moebius_examples():
     assert moebius(1) == 1
     assert moebius(6) == 1
@@ -139,36 +156,34 @@ def test_kronecker_two_and_negative_conventions():
 
 
 def test_multiplicative_order_examples():
-    assert multiplicative_order(2, 7, factorize(6)) == 3
-    assert multiplicative_order(1, 13, factorize(12)) == 1
-    assert multiplicative_order(10, 7, factorize(6)) == 6
+    assert multiplicative_order(2, 7) == 3
+    assert multiplicative_order(1, 13) == 1
+    assert multiplicative_order(10, 7) == 6
 
 
 def test_multiplicative_order_brute_force():
     for p in [3, 5, 7, 11, 13, 101, 257]:
-        fpm1 = factorize(p - 1)
         for a in range(1, min(p, 40)):
             k, acc = 1, a % p
             while acc != 1:
                 acc = acc * a % p
                 k += 1
-            assert multiplicative_order(a, p, fpm1) == k
+            assert multiplicative_order(a, p) == k
 
 
 def test_order_times_index_is_p_minus_one():
     for p in trial_division_primes(3, 500):
-        fpm1 = factorize(p - 1)
         for a in (2, 3, 10):
             if a % p == 0:
                 continue
-            o = multiplicative_order(a, p, fpm1)
+            o = multiplicative_order(a, p)
             ind = (p - 1) // o
             assert o * ind == p - 1
 
 
 def test_multiplicative_order_rejects_divisible_base():
     with pytest.raises(ValueError):
-        multiplicative_order(14, 7, factorize(6))
+        multiplicative_order(14, 7)
 
 
 def test_segmented_primes_examples():

@@ -91,6 +91,8 @@ def test_missing_mode_arguments_exit_2(tmp_path):
 
 SCAN_INDEX_ONE = ["scan", "--mode", "index", "--alpha", "2", "--t", "1"]
 DENSITY_INDEX_ONE = ["density", "--mode", "index", "--alpha", "2", "--t", "1"]
+DENSITY_ORDER_EVEN = ["density", "--mode", "order", "--alpha", "2", "--a", "0", "--d", "2"]
+COMPARE_INDEX_ONE = ["compare", "--mode", "index", "--alpha", "2", "--t", "1", "--x", "100"]
 
 
 @pytest.mark.parametrize(
@@ -112,10 +114,23 @@ DENSITY_INDEX_ONE = ["density", "--mode", "index", "--alpha", "2", "--t", "1"]
         SCAN_INDEX_ONE + ["--config", "{tmp}/latin1.conf"],
         SCAN_INDEX_ONE + ["--x", "100", "--csv", "{tmp}/missing/ck.csv"],
         DENSITY_INDEX_ONE + ["--nmax", "8", "--term-log", "{tmp}/missing/terms.csv"],
+        # spec flags the mode ignores are parsed all the same
+        DENSITY_INDEX_ONE + ["--c", "abc"],
+        DENSITY_ORDER_EVEN + ["--t", "x"],
+        SCAN_INDEX_ONE + ["--x", "100", "--a", "1.5"],
+        DENSITY_INDEX_ONE + ["--s", "ap:0:0"],
+        COMPARE_INDEX_ONE + ["--d", "q"],
+        SCAN_INDEX_ONE + ["--config", "{tmp}/bad_c.conf"],
     ],
 )
-def test_malformed_scan_inputs_exit_2(tmp_path, capsys, argv):
+def test_malformed_scan_inputs_exit_2(tmp_path, capsys, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("computed before the inputs were checked")
+
+    monkeypatch.setattr(empirical, "scan", never)
+    monkeypatch.setattr(dens, "evaluate", never)
     (tmp_path / "latin1.conf").write_bytes(b"x = 100 # caf\xe9\n")
+    (tmp_path / "bad_c.conf").write_text("x = 100\nc = abc\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
     err = capsys.readouterr().err
@@ -134,7 +149,7 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys, monkeypatch):
         SCAN_INDEX_ONE + ["--x", "100", "--out", bad],
         SCAN_INDEX_ONE + ["--x", "100", "--out", str(good), "--csv", bad],
         DENSITY_INDEX_ONE + ["--out", str(good), "--term-log", bad],
-        ["compare", "--mode", "index", "--alpha", "2", "--t", "1", "--x", "100", "--out", bad],
+        COMPARE_INDEX_ONE + ["--out", bad],
         ["verify", "euler", "--out", bad],
     ]:
         assert main(argv) == 2
@@ -239,6 +254,36 @@ def test_compare_command(tmp_path):
     assert doc["schema"] == "compare-report/1"
     assert abs(doc["report"]["empirical"] - doc["report"]["theory"]) < 0.05
     assert doc["scan"]["matched"] > 0
+
+
+def test_compare_json_is_strict(tmp_path):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    # an index set above tmax makes the series value 0
+    code = main(
+        ["compare", "--mode", "indexset", "--alpha", "2", "--s", "100", "--tmax", "4",
+         "--nmax", "4", "--x", "1000", "--out", str(tmp_path / "c.json")]
+    )
+    assert code == 0
+    doc = json.loads((tmp_path / "c.json").read_text(), parse_constant=reject)
+    assert doc["value"] == 0.0
+    assert doc["report"]["rel_gap"] is None
+
+
+def test_params_echo_order_frobenius_config(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 3/5\nf = 3\nc = 1 2\n")
+    code, doc = run(
+        tmp_path, *DENSITY_ORDER_EVEN[:3], "--config", str(cfg), "--a", "1", "--d", "4",
+        "--nmax", "8", "--tmax", "8",
+    )
+    assert code == 0
+    assert doc["params"] == {
+        "mode": "order", "alphas": ["3/5"], "a": [1], "d": [4], "t": None, "s": None,
+        "f": 3, "c": [1, 2],
+    }
+    assert doc["mode"] == "order" and doc["alphas"] == ["3/5"]
 
 
 def test_config_file_merge(tmp_path):

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from orddensity.arith import ResourceCapError, prime_list
 from orddensity.density import (
     ConditionSpec,
+    DensityResult,
     IndexFixed,
     IndexSet,
     OrderAP,
@@ -229,6 +231,18 @@ def test_large_index_diagnostic_small_case():
     assert rep.count_large_index == expected
     assert rep.expected_scale == pytest.approx(x / math.log(x) ** 1.5)
     assert rep.ratio == pytest.approx(rep.count_large_index / rep.expected_scale)
+    # 1/2 has the same indices as 2, and a fraction's primes are excluded
+    assert large_index_diagnostic(Fraction(1, 2), 1000, rho).count_large_index == (
+        large_index_diagnostic(2, 1000, rho).count_large_index
+    )
+    hist, considered = index_counts(Fraction(3, 4), 1000)
+    assert considered == 168 - 2  # every prime below 1000 but 2 and 3
+    assert (hist, considered) == index_counts(Fraction(4, 3), 1000)
+    for unit in (0, 1, -1, Fraction(1)):
+        with pytest.raises(ValueError):
+            large_index_diagnostic(unit, x, rho)
+        with pytest.raises(ValueError):
+            index_counts(unit, x)
 
 
 def test_large_index_diagnostic_scaling():
@@ -255,3 +269,6 @@ def test_compare_report():
     assert rep.error_scale == pytest.approx(math.log(10**5) ** -0.5)
     rep2 = compare(theory, emp, rank=1)
     assert rep == rep2
+    # a zero series value leaves the relative gap undefined, not infinite
+    zero = DensityResult(0.0, 1, (1, 0), 0.0)
+    assert compare(zero, emp).rel_gap is None

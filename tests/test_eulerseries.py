@@ -5,14 +5,8 @@ from fractions import Fraction
 import pytest
 
 from orddensity.arith import ResourceCapError, euler_phi
-from orddensity.eulerseries import (
-    KahanSum,
-    cap_sensitivity,
-    gcd_phi_sum,
-    lcm_phi_sum,
-    phi_lcm_tail,
-    tail_report,
-)
+from orddensity.cli import verify_euler
+from orddensity.eulerseries import KahanSum, gcd_phi_sum, lcm_phi_sum, phi_lcm_tail
 
 ZETA_CONSTANT = 1.9435964368207592  # zeta(2) zeta(3) / zeta(6)
 
@@ -70,11 +64,11 @@ def test_scaled_tails_bounded_small_grid():
     # x * tail stays within 2x its first value (the 1/x law at desk scale)
     for r in (1, 2, 3):
         xs = [4 * 2**k for k in range(6)]  # 4..128
-        rep = tail_report(r, xs, 512)
-        bound = 2.0 * rep.scaled[0]
-        assert all(s <= bound for s in rep.scaled)
-        assert all(t >= 0 for t in rep.tail_values)
-        assert all(a >= b for a, b in zip(rep.tail_values, rep.tail_values[1:]))
+        tails = [phi_lcm_tail(r, x, 512) for x in xs]
+        scaled = [x * t for x, t in zip(xs, tails)]
+        assert all(s <= 2.0 * scaled[0] for s in scaled)
+        assert all(t >= 0 for t in tails)
+        assert all(a >= b for a, b in zip(tails, tails[1:]))
 
 
 def test_multi_threshold_tail_bounded_by_max():
@@ -89,16 +83,19 @@ def test_multi_threshold_tail_bounded_by_max():
 
 
 def test_tail_report_rows():
-    rep = tail_report(1, [4, 8], 64)
-    rows = rep.rows()
+    # the tail rows `verify euler` reports; cap 64 puts x = 4, 8 on its grid
+    rows = verify_euler(1, 64)["rows"]
     assert [row["x"] for row in rows] == [4, 8]
     assert all(row["cap"] == 64 and row["r"] == 1 for row in rows)
+    assert [row["tail"] for row in rows] == [phi_lcm_tail(1, x, 64) for x in (4, 8)]
     assert rows[0]["scaled"] == pytest.approx(4 * rows[0]["tail"])
 
 
 def test_cap_sensitivity():
-    full, half = cap_sensitivity(1, 4, 512)
-    assert full > half > 0
+    # `verify euler` reports the first grid tail at the cap and at half of it
+    sens = verify_euler(1, 512)["cap_sensitivity"]
+    assert sens == {"cap": phi_lcm_tail(1, 4, 512), "half_cap": phi_lcm_tail(1, 4, 256)}
+    assert sens["cap"] > sens["half_cap"] > 0
 
 
 def test_gcd_phi_sum_exact_small_case():
