@@ -87,11 +87,28 @@ def _check_writable(*paths: Optional[str]) -> None:
             os.remove(path)
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the optional key=value config file; flags win."""
+def _merge_config(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> argparse.Namespace:
+    """Fill unset flags from the optional key=value config file; flags win.
+
+    A key that is a flag of another subcommand (`x` in a `density` run)
+    passes unread, so one file can serve several commands; a key that is
+    no subcommand's flag is a ConfigError.
+    """
     if not getattr(args, "config", None):
         return args
     filed = _load_config_file(args.config)
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        a.dest
+        for p in commands.choices.values()
+        for a in p._actions
+        if a.option_strings and a.dest != "help"
+    }
+    unknown = sorted(set(filed) - flags)
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     multi = {"alpha", "a", "d", "t", "s", "c"}
     for key, val in filed.items():
         if not hasattr(args, key):
@@ -407,7 +424,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        args = _merge_config(args)
+        args = _merge_config(args, parser)
         _check_writable(args.out, getattr(args, "csv", None), getattr(args, "term_log", None))
         return args.func(args)
     except ConfigError as exc:

@@ -199,25 +199,55 @@ def tail_estimate(caps: Sequence[int], b_observed: int) -> float:
 _Block = tuple[tuple[int, ...], tuple[tuple[int, int], ...], int]
 
 
-def _series(
+def _order_blocks(a: tuple[int, ...], d: tuple[int, ...], tmax: int) -> Iterator[_Block]:
+    """(T, c = 1 + a_i t_i (mod d_i t_i), lcm(d_i t_i)) for the admissible T."""
+    for T in itertools.product(range(1, tmax + 1), repeat=len(a)):
+        if any(math.gcd(1 + ai * ti, di) != 1 for ai, di, ti in zip(a, d, T)):
+            continue
+        if crt_merge([(ai * ti, di * ti) for ai, di, ti in zip(a, d, T)]) is None:
+            continue
+        congr = tuple(
+            ((1 + ai * ti) % (di * ti), di * ti) for ai, di, ti in zip(a, d, T)
+        )
+        yield T, congr, math.lcm(*(di * ti for di, ti in zip(d, T)))
+
+
+def evaluate(
     spec: ConditionSpec,
-    blocks: Iterable[_Block],
-    caps: tuple[int, int],
-    tail_caps: Sequence[int],
-    log_terms: bool,
-    cache: Optional[DegreeCache],
+    nmax: int = DEFAULT_NMAX,
+    tmax: int = DEFAULT_TMAX,
+    *,
+    log_terms: bool = False,
+    cache: Optional[DegreeCache] = None,
 ) -> DensityResult:
-    """Sum the inclusion-exclusion terms over squarefree N <= caps[0], block
-    by block.
+    """Density of primes meeting the spec's condition, summed as
+    inclusion-exclusion terms over squarefree N <= nmax, block by block.
 
     A block (T, congruences, extra_level) fixes the index targets, the unit
-    congruences and the level joined to the field level (the progression
-    level lcm(d_i t_i) for order conditions, 1 otherwise).  The tail
-    estimate covers `tail_caps` with the lcm of the failure ratios seen.
+    congruences and the level joined to the field level.  IndexFixed has the
+    one block T; IndexSet has every T in the product of the sets up to tmax.
+    OrderAP sums over T <= tmax with the unit congruence
+    c = 1 + a_i t_i (mod d_i t_i) carrying the progression and the level
+    lcm(d_i t_i); T tuples whose congruence system is unsolvable are skipped
+    (they cover finitely many primes), and so are T with
+    gcd(1 + a_i t_i, d_i) > 1.  The tail estimate covers N and each
+    truncated T variable with the lcm of the failure ratios seen.
     """
-    order = spec.mode if isinstance(spec.mode, OrderAP) else None
+    mode, order = spec.mode, None
+    caps = (nmax, tmax)
+    tail_caps = [nmax] * spec.rank
+    if isinstance(mode, IndexFixed):
+        blocks: Iterable[_Block] = [(mode.T, (), 1)]
+        caps = (nmax, 0)
+    elif isinstance(mode, IndexSet):
+        blocks = ((T, (), 1) for T in itertools.product(*(s.upto(tmax) for s in mode.S)))
+        tail_caps += [tmax for s in mode.S if s.truncated_above(tmax)]
+    else:
+        blocks = _order_blocks(tuple(a % d for a, d in zip(mode.a, mode.d)), mode.d, tmax)
+        tail_caps += [tmax] * spec.rank
+        order = mode
     f = spec.frobenius[0] if spec.frobenius else 1
-    sf = [(n, mu) for n in range(1, caps[0] + 1) if (mu := moebius(n))]
+    sf = [(n, mu) for n in range(1, nmax + 1) if (mu := moebius(n))]
     acc = KahanSum()
     log: Optional[list] = [] if log_terms else None
     terms = 0
@@ -249,78 +279,5 @@ def _series(
     return DensityResult(acc.value, terms, caps, tail_estimate(tail_caps, b_seen), log)
 
 
-def index_density_fixed(
-    spec: ConditionSpec,
-    nmax: int = DEFAULT_NMAX,
-    *,
-    log_terms: bool = False,
-    cache: Optional[DegreeCache] = None,
-) -> DensityResult:
-    """Density of primes with ind_p(alpha_i) = t_i for every i."""
-    if not isinstance(spec.mode, IndexFixed):
-        raise ValueError("spec must carry fixed index targets")
-    blocks = [(spec.mode.T, (), 1)]
-    return _series(spec, blocks, (nmax, 0), [nmax] * spec.rank, log_terms, cache)
-
-
-def index_density_set(
-    spec: ConditionSpec,
-    nmax: int = DEFAULT_NMAX,
-    tmax: int = DEFAULT_TMAX,
-    *,
-    log_terms: bool = False,
-    cache: Optional[DegreeCache] = None,
-) -> DensityResult:
-    """Density of primes with ind_p(alpha_i) in S_i for every i."""
-    if not isinstance(spec.mode, IndexSet):
-        raise ValueError("spec must carry index sets")
-    t_lists = [s.upto(tmax) for s in spec.mode.S]
-    blocks = ((T, (), 1) for T in itertools.product(*t_lists))
-    tail_caps = [nmax] * spec.rank
-    tail_caps += [tmax for s in spec.mode.S if s.truncated_above(tmax)]
-    return _series(spec, blocks, (nmax, tmax), tail_caps, log_terms, cache)
-
-
-def _order_blocks(a: tuple[int, ...], d: tuple[int, ...], tmax: int) -> Iterator[_Block]:
-    """(T, c = 1 + a_i t_i (mod d_i t_i), lcm(d_i t_i)) for the admissible T."""
-    for T in itertools.product(range(1, tmax + 1), repeat=len(a)):
-        if any(math.gcd(1 + ai * ti, di) != 1 for ai, di, ti in zip(a, d, T)):
-            continue
-        if crt_merge([(ai * ti, di * ti) for ai, di, ti in zip(a, d, T)]) is None:
-            continue
-        congr = tuple(
-            ((1 + ai * ti) % (di * ti), di * ti) for ai, di, ti in zip(a, d, T)
-        )
-        yield T, congr, math.lcm(*(di * ti for di, ti in zip(d, T)))
-
-
-def order_density(
-    spec: ConditionSpec,
-    nmax: int = DEFAULT_NMAX,
-    tmax: int = DEFAULT_TMAX,
-    *,
-    log_terms: bool = False,
-    cache: Optional[DegreeCache] = None,
-) -> DensityResult:
-    """Density of primes with ord_p(alpha_i) = a_i (mod d_i) for every i.
-
-    Sums index-condition terms over T, with the unit congruence
-    c = 1 + a_i t_i (mod d_i t_i) carrying the progression.  T tuples whose
-    congruence system is unsolvable are skipped (they cover finitely many
-    primes); so are T with gcd(1 + a_i t_i, d_i) > 1.
-    """
-    if not isinstance(spec.mode, OrderAP):
-        raise ValueError("spec must carry order progressions")
-    a = tuple(ai % di for ai, di in zip(spec.mode.a, spec.mode.d))
-    blocks = _order_blocks(a, spec.mode.d, tmax)
-    tail_caps = [nmax] * spec.rank + [tmax] * spec.rank
-    return _series(spec, blocks, (nmax, tmax), tail_caps, log_terms, cache)
-
-
-def evaluate(spec: ConditionSpec, nmax: int, tmax: int, **kw) -> DensityResult:
-    """Dispatch on the condition mode."""
-    if isinstance(spec.mode, IndexFixed):
-        return index_density_fixed(spec, nmax, **kw)
-    if isinstance(spec.mode, IndexSet):
-        return index_density_set(spec, nmax, tmax, **kw)
-    return order_density(spec, nmax, tmax, **kw)
+# The per-mode names of the public API.  Each evaluates the spec's own mode.
+index_density_fixed = index_density_set = order_density = evaluate

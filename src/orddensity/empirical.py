@@ -2,9 +2,10 @@
 modulo every prime up to x, classification against condition specs, complete
 splitting fractions, and comparison against the series values.
 
-Scans are data-parallel over fixed-width prime segments; per-segment counters
-merge by addition in segment order, so results are identical for any worker
-count.  Every scan runs on one vectorised kernel, `block_indices`, over blocks
+Scans, splitting fractions and index histograms share one walk over the
+primes, `_walk`: data-parallel over fixed-width prime segments, with
+per-segment counts merged by addition in segment order, so results are
+identical for any worker count.  Every scan runs on one vectorised kernel, `block_indices`, over blocks
 of consecutive primes: it reduces each alpha mod p exactly, factors p-1 over
 the base primes <= sqrt(x) inside the block, and reads ind_p(alpha) off int64
 modular powers.  Memory is bounded by the block and segment sizes, not by x.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -108,15 +110,19 @@ def _alpha_pair(a) -> tuple[int, int]:
     return int(v.numerator), int(v.denominator)
 
 
+def _excluded(alphas: Sequence[FactoredRational], level: int) -> frozenset[int]:
+    """Primes dividing a numerator or denominator of some alpha, or the level:
+    the Frobenius level of a scan, the cyclotomic level M of a field."""
+    out = {p for a in alphas for p in a.support()}
+    if level > 1:
+        out.update(p for p, _ in factorize(level).factors)
+    return frozenset(out)
+
+
 def excluded_primes(spec: ConditionSpec) -> frozenset[int]:
     """Primes dividing a numerator/denominator of some alpha, or the
     Frobenius level."""
-    out: set[int] = set()
-    for a in spec.alphas:
-        out.update(a.support())
-    if spec.frobenius and spec.frobenius[0] > 1:
-        out.update(p for p, _ in factorize(spec.frobenius[0]).factors)
-    return frozenset(out)
+    return _excluded(spec.alphas, spec.frobenius[0] if spec.frobenius else 1)
 
 
 def _matches(spec: ConditionSpec, ind: np.ndarray, primes: np.ndarray) -> np.ndarray:
@@ -147,14 +153,6 @@ def _matches(spec: ConditionSpec, ind: np.ndarray, primes: np.ndarray) -> np.nda
 # Primes per block.  A block's p-1 factorisations and modular powers are held
 # at once, so this bounds the kernel's working memory whatever x and segment.
 _BLOCK = 4096
-
-
-def _prime_blocks(lo: int, hi: int, segment: int):
-    """The primes in [lo, hi), one sieve call per segment, in blocks of _BLOCK."""
-    for start in range(lo, hi, segment):
-        primes = segmented_primes(start, min(start + segment, hi))
-        for i in range(0, primes.size, _BLOCK):
-            yield primes[i : i + _BLOCK]
 
 
 def _alpha_residues(pair: tuple[int, int], primes: np.ndarray) -> np.ndarray:
@@ -195,27 +193,50 @@ def block_indices(primes: np.ndarray, alpha_pairs: Sequence[tuple[int, int]]) ->
     return ind
 
 
-# Per-process scan state, installed before forking so workers inherit it.
+# The walk's state, installed before forking so workers inherit it.
 _SCAN: dict = {}
 
 
-def _scan_segment(idx: int) -> np.ndarray:
-    """counts[spec, 0 matched | 1 considered, checkpoint bucket] for segment idx."""
+def _segment(idx: int):
+    """The walk's count summed over the blocks of segment idx."""
     st = _SCAN
     lo = 2 + idx * st["segment"]
-    hi = min(lo + st["segment"], st["x"] + 1)
-    specs = st["specs"]
-    thresholds = st["thresholds"]
-    counts = np.zeros((len(specs), 2, thresholds.size + 1), dtype=np.int64)
-    for primes in _prime_blocks(lo, hi, st["segment"]):
-        ind = block_indices(primes, st["alpha_pairs"])
-        bucket = np.searchsorted(thresholds, primes)
-        for si, spec in enumerate(specs):
-            considered = ~np.isin(primes, st["spec_excl"][si])
-            matched = considered & _matches(spec, ind[st["spec_alpha_idx"][si]], primes)
-            counts[si, 0] += np.bincount(bucket[matched], minlength=thresholds.size + 1)
-            counts[si, 1] += np.bincount(bucket[considered], minlength=thresholds.size + 1)
-    return counts
+    primes = segmented_primes(lo, min(lo + st["segment"], st["x"] + 1))
+    total = st["zero"]
+    for i in range(0, primes.size, _BLOCK):
+        total = total + st["count"](primes[i : i + _BLOCK])
+    return total
+
+
+def _walk(x: int, segment: int, count, zero, workers: int = 1):
+    """Sum count(block) over the primes p <= x, in blocks of at most _BLOCK
+    consecutive primes, one sieve call per segment of `segment` integers.
+
+    Segments are summed in order, starting from `zero`, so the result is
+    the same for any worker count; with workers > 1 the segments run in a
+    fork pool whose workers inherit `count` through _SCAN.
+    """
+    if x > SCAN_X_CAP:
+        raise ResourceCapError(f"scan bound {x} exceeds cap {SCAN_X_CAP}")
+    if x < 2:
+        raise ValueError("need x >= 2")
+    if workers < 1:
+        raise ValueError("need workers >= 1")
+    if segment < 1:
+        raise ValueError("need segment >= 1")
+    _SCAN.clear()
+    _SCAN.update({"x": x, "segment": segment, "count": count, "zero": zero})
+    n_segments = (x - 1 + segment - 1) // segment
+    ctx = None
+    if workers > 1 and n_segments > 1:
+        try:
+            ctx = multiprocessing.get_context("fork")  # workers inherit _SCAN
+        except ValueError:
+            ctx = None
+    if ctx is not None:
+        with ctx.Pool(min(workers, n_segments)) as pool:
+            return sum(pool.imap(_segment, range(n_segments)), zero)
+    return sum(map(_segment, range(n_segments)), zero)
 
 
 def scan_many(
@@ -231,44 +252,28 @@ def scan_many(
     Indices are computed once per distinct alpha per prime and shared across
     the specs.  Results are independent of the worker count.
     """
-    if x > SCAN_X_CAP:
-        raise ResourceCapError(f"scan bound {x} exceeds cap {SCAN_X_CAP}")
-    if x < 2:
-        raise ValueError("need x >= 2")
-    if workers < 1:
-        raise ValueError("need workers >= 1")
-    if segment < 1:
-        raise ValueError("need segment >= 1")
     alpha_pairs = list(dict.fromkeys(_alpha_pair(a) for s in specs for a in s.alphas))
     spec_alpha_idx = [[alpha_pairs.index(_alpha_pair(a)) for a in s.alphas] for s in specs]
     # dyadic checkpoints x // 2^k >= 4, ascending
     thresholds = sorted(x >> k for k in range(1, x.bit_length() - 2)) if checkpoints else []
+    bounds = np.array(thresholds, dtype=np.int64)
     excluded = [tuple(sorted(p for p in excluded_primes(s) if p <= x)) for s in specs]
-    _SCAN.clear()
-    _SCAN.update(
-        {
-            "x": x,
-            "segment": segment,
-            "alpha_pairs": alpha_pairs,
-            "specs": list(specs),
-            "spec_alpha_idx": spec_alpha_idx,
-            "spec_excl": [np.array(e, dtype=np.int64) for e in excluded],
-            "thresholds": np.array(thresholds, dtype=np.int64),
-        }
-    )
-    n_segments = (x - 1 + segment - 1) // segment
-    ctx = None
-    if workers > 1 and n_segments > 1:
-        try:
-            ctx = multiprocessing.get_context("fork")  # workers inherit _SCAN
-        except ValueError:
-            ctx = None
-    if ctx is not None:
-        with ctx.Pool(min(workers, n_segments)) as pool:
-            results = list(pool.imap(_scan_segment, range(n_segments)))
-    else:
-        results = [_scan_segment(i) for i in range(n_segments)]
-    totals = sum(results)
+    spec_excl = [np.array(e, dtype=np.int64) for e in excluded]
+
+    def count(primes: np.ndarray) -> np.ndarray:
+        """counts[spec, 0 matched | 1 considered, checkpoint bucket]."""
+        ind = block_indices(primes, alpha_pairs)
+        bucket = np.searchsorted(bounds, primes)
+        counts = np.zeros((len(specs), 2, bounds.size + 1), dtype=np.int64)
+        for si, spec in enumerate(specs):
+            considered = ~np.isin(primes, spec_excl[si])
+            matched = considered & _matches(spec, ind[spec_alpha_idx[si]], primes)
+            counts[si, 0] = np.bincount(bucket[matched], minlength=bounds.size + 1)
+            counts[si, 1] = np.bincount(bucket[considered], minlength=bounds.size + 1)
+        return counts
+
+    zero = np.zeros((len(specs), 2, bounds.size + 1), dtype=np.int64)
+    totals = _walk(x, segment, count, zero, workers)
     li_x = li(x)
     out = []
     for (matched, considered), excl in zip(totals, excluded):
@@ -323,67 +328,52 @@ def splitting_fraction_many(
     No factoring: after the mask p = 1 (mod M), alpha_i is an m_i-th power
     residue exactly when alpha_i^((p-1)/m_i) = 1 (mod p).
     """
-    if x > SCAN_X_CAP:
-        raise ResourceCapError(f"scan bound {x} exceeds cap {SCAN_X_CAP}")
-    if x < 2:
-        raise ValueError("need x >= 2")
-    if segment < 1:
-        raise ValueError("need segment >= 1")
-    data = []
-    for fs in fspecs:
-        excl = set(p for a in fs.alphas for p in a.support())
-        if fs.M > 1:  # ramified primes divide the cyclotomic level
-            excl.update(p for p, _ in factorize(fs.M).factors)
-        excl_arr = np.array(sorted(p for p in excl if p <= x), dtype=np.int64)
-        data.append((fs.M, fs.m, [_alpha_pair(a) for a in fs.alphas], excl_arr))
-    matched = [0] * len(fspecs)
-    considered = [0] * len(fspecs)
-    for primes in _prime_blocks(2, x + 1, segment):
+    data = [
+        (fs.M, fs.m, [_alpha_pair(a) for a in fs.alphas],
+         np.array(sorted(_excluded(fs.alphas, fs.M)), dtype=np.int64))
+        for fs in fspecs
+    ]
+
+    def count(primes: np.ndarray) -> np.ndarray:
+        """counts[field, 0 split | 1 considered]."""
+        counts = np.zeros((len(data), 2), dtype=np.int64)
         for k, (M, m, pairs, excl) in enumerate(data):
             keep = ~np.isin(primes, excl)
-            considered[k] += int(np.count_nonzero(keep))
             split = primes[keep & ((primes - 1) % M == 0)]
             for pair, mi in zip(pairs, m):
                 residue = powmod(_alpha_residues(pair, split), (split - 1) // mi, split)
                 split = split[residue == 1]
-            matched[k] += split.size
-    return [m / c if c else 0.0 for m, c in zip(matched, considered)]
+            counts[k] = split.size, np.count_nonzero(keep)
+        return counts
+
+    totals = _walk(x, segment, count, np.zeros((len(data), 2), dtype=np.int64))
+    return [m / c if c else 0.0 for m, c in totals.tolist()]
 
 
-def _indices_upto(alpha, x: int):
-    """ind_p(alpha) over the unexcluded primes p <= x, one array per block."""
-    if x > SCAN_X_CAP:
-        raise ResourceCapError(f"scan bound {x} exceeds cap {SCAN_X_CAP}")
+def index_counts(alpha, x: int) -> tuple[dict[int, int], int]:
+    """Histogram of ind_p(alpha) over unexcluded p <= x, plus the prime count."""
     a = FactoredRational.of(alpha)
     if not a.factors:
         raise ValueError("alpha must not be 0 or a unit (1, -1)")
     pair = _alpha_pair(a)
-    excl = np.array([p for p in a.support() if p <= x], dtype=np.int64)
-    for primes in _prime_blocks(2, x + 1, DEFAULT_SEGMENT):
-        yield block_indices(primes, [pair])[0][~np.isin(primes, excl)]
+    excl = np.array(sorted(_excluded([a], 1)), dtype=np.int64)
+
+    def count(primes: np.ndarray) -> Counter:
+        return Counter(block_indices(primes, [pair])[0][~np.isin(primes, excl)].tolist())
+
+    hist = _walk(x, DEFAULT_SEGMENT, count, Counter())
+    return hist, sum(hist.values())
 
 
 def large_index_diagnostic(alpha, x: int, rho: float) -> DiagnosticReport:
     """Count primes p <= x with ind_p(alpha) > (log x)^rho."""
     if not (0 < rho < 1):
         raise ValueError("need 0 < rho < 1")
-    if x < 2:
-        raise ValueError("need x >= 2")
+    hist, _ = index_counts(alpha, x)
     threshold = math.log(x) ** rho
-    count = sum(int(np.count_nonzero(ind > threshold)) for ind in _indices_upto(alpha, x))
+    count = sum(c for ind, c in hist.items() if ind > threshold)
     scale = x / math.log(x) ** (1 + rho)
     return DiagnosticReport(rho, count, scale, x, count / scale)
-
-
-def index_counts(alpha, x: int) -> tuple[dict[int, int], int]:
-    """Histogram of ind_p(alpha) over unexcluded p <= x, plus the prime count."""
-    hist: dict[int, int] = {}
-    considered = 0
-    for ind in _indices_upto(alpha, x):
-        considered += ind.size
-        for value, count in zip(*(v.tolist() for v in np.unique(ind, return_counts=True))):
-            hist[value] = hist.get(value, 0) + count
-    return hist, considered
 
 
 def compare(theory: DensityResult, scan_result: ScanResult, rank: int = 1) -> CompareReport:

@@ -121,6 +121,8 @@ COMPARE_INDEX_ONE = ["compare", "--mode", "index", "--alpha", "2", "--t", "1", "
         DENSITY_INDEX_ONE + ["--s", "ap:0:0"],
         COMPARE_INDEX_ONE + ["--d", "q"],
         SCAN_INDEX_ONE + ["--config", "{tmp}/bad_c.conf"],
+        # a config key that is no subcommand's flag
+        ["density", "--mode", "index", "--config", "{tmp}/typo.conf"],
     ],
 )
 def test_malformed_scan_inputs_exit_2(tmp_path, capsys, monkeypatch, argv):
@@ -131,6 +133,7 @@ def test_malformed_scan_inputs_exit_2(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(dens, "evaluate", never)
     (tmp_path / "latin1.conf").write_bytes(b"x = 100 # caf\xe9\n")
     (tmp_path / "bad_c.conf").write_text("x = 100\nc = abc\n")
+    (tmp_path / "typo.conf").write_text("alpha = 2\nt = 1\nnmx = 5\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
     err = capsys.readouterr().err
@@ -288,7 +291,8 @@ def test_params_echo_order_frobenius_config(tmp_path):
 
 def test_config_file_merge(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("alpha = 2\nt = 1\nnmax = 50\n")
+    # x is a flag of scan and compare only: a density run leaves it unread
+    cfg.write_text("alpha = 2\nt = 1\nnmax = 50\nx = 1000\n")
     out = tmp_path / "o.json"
     code = main(["density", "--mode", "index", "--config", str(cfg), "--out", str(out)])
     assert code == 0

@@ -212,6 +212,38 @@ def test_rank_one_series_shape():
         assert row["degree"] == expected
 
 
+# (spec, nmax, tmax, (value.hex(), terms_evaluated, caps, tail_estimate.hex())),
+# one spec per mode, recorded from the separate per-mode evaluators that
+# `evaluate` replaced
+PINNED_SERIES = [
+    (
+        ConditionSpec.make([2, 3], IndexFixed((1, 2))), 12, 12,
+        ("0x1.f9f3d09083cdbp-4", 64, (12, 0), "0x1.2e028acb255a7p-1"),
+    ),
+    (
+        ConditionSpec.make([2], IndexSet((SetDescriptor.finite([1, 3, 20]),))), 16, 12,
+        ("0x1.c164735e7bb93p-2", 22, (16, 12), "0x1.0c288a7d98c27p-2"),
+    ),
+    (
+        ConditionSpec.make([3], IndexSet((SetDescriptor.progression(1, 2),))), 16, 16,
+        ("0x1.eea8013a507d4p-2", 88, (16, 16), "0x1.d49d14601854fp-3"),
+    ),
+    (
+        ConditionSpec.make([2], OrderAP((1,), (3,)), frobenius=(5, {1, 4})), 12, 12,
+        ("0x1.368f6ae94888cp-3", 48, (12, 12), "0x1.2e028acb255a7p-1"),
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, nmax, tmax, pinned", PINNED_SERIES)
+def test_evaluate_matches_pinned_series(spec, nmax, tmax, pinned):
+    res = density.evaluate(spec, nmax, tmax)
+    assert (res.value.hex(), res.terms_evaluated, res.caps, res.tail_estimate.hex()) == pinned
+    # every per-mode name evaluates the spec's own mode
+    for name in (index_density_fixed, index_density_set, order_density):
+        assert name(spec, nmax=nmax, tmax=tmax) == res
+
+
 def test_values_lie_in_unit_interval_up_to_tail():
     for spec, kw in [
         (ConditionSpec.make([2], IndexFixed((1,))), dict(nmax=32)),

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from orddensity.arith import ResourceCapError, prime_list
+from orddensity.arith import ResourceCapError, prime_list, segmented_primes
+from orddensity.cli import CHEBOTAREV_FIELDS
 from orddensity.density import (
     ConditionSpec,
     DensityResult,
@@ -220,6 +221,14 @@ def test_splitting_fraction_times_degree_near_one():
     fracs = splitting_fraction_many(fields, 10**6)
     for fs, frac in zip(fields, fracs):
         assert frac * kummer_degree(fs) == pytest.approx(1.0, abs=0.05)
+
+
+def test_splitting_fractions_are_segment_invariant():
+    fields = [FieldSpec.make(a, m, M) for a, m, M in CHEBOTAREV_FIELDS]
+    # segment 7 leaves some segments without a prime, such as [114, 121)
+    assert segmented_primes(2 + 16 * 7, 2 + 17 * 7).size == 0
+    fractions = [splitting_fraction_many(fields, 10**5, segment=s) for s in (7, 256, 1 << 22)]
+    assert fractions[0] == fractions[1] == fractions[2]
 
 
 def test_large_index_diagnostic_small_case():
