@@ -297,12 +297,18 @@ def _prime_powers(n: int) -> Iterator[tuple[int, int]]:
         yield n, 1
 
 
+def as_int(v) -> int:
+    """v as an int: ints and numpy integers pass, anything else (2.7, "3")
+    is a ValueError rather than being truncated."""
+    try:
+        return operator.index(v)
+    except TypeError as exc:
+        raise ValueError(f"expected an integer, got {v!r}") from exc
+
+
 def factorize(n: int) -> FactoredRational:
     """Factor a nonzero integer into sign and prime exponent map."""
-    try:
-        n = operator.index(n)
-    except TypeError as exc:
-        raise ValueError(f"cannot factor the non-integer {n!r}") from exc
+    n = as_int(n)
     if n == 0:
         raise ValueError("cannot factor 0")
     return FactoredRational(1 if n > 0 else -1, tuple(_prime_powers(abs(n))))

@@ -260,6 +260,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ConfigError("compare needs --x (flag or config file)")
     nmax = _resolve(args, "nmax", dens.DEFAULT_NMAX, minimum=1)
     tmax = _resolve(args, "tmax", dens.DEFAULT_TMAX, minimum=1)
+    # the scan's cap before the series runs; evaluate checks its tail caps first
+    empirical.check_scan_bound(x)
     started = time.monotonic()
     result = dens.evaluate(spec, nmax, tmax)
     scan_result = empirical.scan(spec, x, workers=_resolve(args, "workers", 1, minimum=1))

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .arith import FactoredRational, crt_merge, moebius
+from .arith import FactoredRational, as_int, crt_merge, moebius
 from .eulerseries import KahanSum, phi_lcm_tail
 from .kummer import (
     DegreeCache,
@@ -53,13 +53,14 @@ class SetDescriptor:
 
     @staticmethod
     def finite(values: Sequence[int]) -> "SetDescriptor":
-        vals = tuple(sorted(set(int(v) for v in values)))
+        vals = tuple(sorted(set(map(as_int, values))))
         if not vals or vals[0] < 1:
             raise ValueError("finite index set needs positive integers")
         return SetDescriptor("finite", values=vals)
 
     @staticmethod
     def progression(a: int, d: int) -> "SetDescriptor":
+        a, d = as_int(a), as_int(d)
         if d < 1:
             raise ValueError("progression modulus must be >= 1")
         return SetDescriptor("ap", a=a % d, d=d)
@@ -149,10 +150,10 @@ class ConditionSpec:
     def make(alphas, mode: Mode, frobenius=None) -> "ConditionSpec":
         fr = tuple(map(FactoredRational.of, alphas))
         if frobenius is not None:
-            f = int(frobenius[0])
+            f = as_int(frobenius[0])
             if f < 1:
                 raise ValueError("Frobenius level must be >= 1")
-            frobenius = (f, frozenset(int(c) % f for c in frobenius[1]))
+            frobenius = (f, frozenset(as_int(c) % f for c in frobenius[1]))
         return ConditionSpec(fr, mode, frobenius)
 
     @property
@@ -185,9 +186,18 @@ def tail_estimate(caps: Sequence[int], b_observed: int) -> float:
     """
     if b_observed < 1:
         raise ValueError("b_observed must be >= 1")
+    return _scaled_tail(_tail_grids(caps), b_observed)
+
+
+def _tail_grids(caps: Sequence[int]) -> list[float]:
+    """The lcm-phi tail on the extended grid, per cap.  ValueError for a cap
+    below 1, ResourceCapError for one past phi_lcm_tail's rank-1 cap."""
+    return [phi_lcm_tail(1, cap, 4 * cap) for cap in caps]
+
+
+def _scaled_tail(grids: Sequence[float], b_observed: int) -> float:
     total = 0.0
-    for cap in caps:
-        grid = phi_lcm_tail(1, cap, 4 * cap)
+    for grid in grids:
         total += b_observed * (grid + grid / 3.0)
     return total
 
@@ -246,6 +256,7 @@ def evaluate(
         blocks = _order_blocks(tuple(a % d for a, d in zip(mode.a, mode.d)), mode.d, tmax)
         tail_caps += [tmax] * spec.rank
         order = mode
+    grids = _tail_grids(tail_caps)  # any cap error fires before the series runs
     f = spec.frobenius[0] if spec.frobenius else 1
     sf = [(n, mu) for n in range(1, nmax + 1) if (mu := moebius(n))]
     acc = KahanSum()
@@ -276,7 +287,7 @@ def evaluate(
                 log.append(
                     {"N": N, "T": T, "mu": mu_prod, "c": count, "degree": degree}
                 )
-    return DensityResult(acc.value, terms, caps, tail_estimate(tail_caps, b_seen), log)
+    return DensityResult(acc.value, terms, caps, _scaled_tail(grids, b_seen), log)
 
 
 # The per-mode names of the public API.  Each evaluates the spec's own mode.

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .arith import (
     FactoredRational,
@@ -38,12 +37,37 @@ SCAN_X_CAP = 10**9  # the kernel's int64 modular products need p^2 < 2^63
 DEFAULT_SEGMENT = 1 << 22
 
 
+_GAMMA = 0.57721566490153286  # Euler's constant
+
+
+def _li0(y: float) -> float:
+    """li(y) = gamma + log log y + sum_{n >= 1} u^n / (n n!) with u = log y > 0.
+
+    Every series term is positive, so math.fsum leaves only each term's own
+    rounding.  The terms decrease once n > u; the sum stops at the first such
+    term below 1e-17 of the running total.
+    """
+    u = math.log(y)
+    terms = [_GAMMA, math.log(u)]
+    power, n, total = 1.0, 0, 0.0  # power = u^n / n!
+    while True:
+        n += 1
+        power *= u / n
+        term = power / n
+        terms.append(term)
+        total += term
+        if n > u and term < 1e-17 * total:
+            return math.fsum(terms)
+
+
 def li(x: float) -> float:
-    """Logarithmic integral int_2^x dt/log t by adaptive quadrature."""
+    """Logarithmic integral Li(x) = int_2^x dt/log t = li(x) - li(2), from
+    the convergent series of li; 0.0 for x <= 2."""
     if x <= 2:
         return 0.0
-    val, _ = quad(lambda t: 1.0 / math.log(t), 2.0, x, limit=400)
-    return val
+    if not math.isfinite(x):
+        raise ValueError(f"li needs a finite x, got {x!r}")
+    return _li0(x) - _li0(2.0)
 
 
 @dataclass
@@ -193,6 +217,12 @@ def block_indices(primes: np.ndarray, alpha_pairs: Sequence[tuple[int, int]]) ->
     return ind
 
 
+def check_scan_bound(x: int) -> None:
+    """ResourceCapError when a scan to x would pass SCAN_X_CAP."""
+    if x > SCAN_X_CAP:
+        raise ResourceCapError(f"scan bound {x} exceeds cap {SCAN_X_CAP}")
+
+
 # The walk's state, installed before forking so workers inherit it.
 _SCAN: dict = {}
 
@@ -216,8 +246,7 @@ def _walk(x: int, segment: int, count, zero, workers: int = 1):
     the same for any worker count; with workers > 1 the segments run in a
     fork pool whose workers inherit `count` through _SCAN.
     """
-    if x > SCAN_X_CAP:
-        raise ResourceCapError(f"scan bound {x} exceeds cap {SCAN_X_CAP}")
+    check_scan_bound(x)
     if x < 2:
         raise ValueError("need x >= 2")
     if workers < 1:

@@ -38,7 +38,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .arith import FactoredRational, ResourceCapError, crt_merge, divisors, euler_phi
+from .arith import (
+    FactoredRational,
+    ResourceCapError,
+    as_int,
+    crt_merge,
+    divisors,
+    euler_phi,
+)
 from .cyclo import RadicalValue, fixed_by, radical_product
 
 RELATION_ENUMERATION_CAP = 10**6
@@ -66,7 +73,7 @@ class FieldSpec:
     @staticmethod
     def make(alphas: Iterable, m: Sequence[int], M: int) -> "FieldSpec":
         fr = tuple(map(FactoredRational.of, alphas))
-        return FieldSpec(fr, tuple(int(v) for v in m), int(M))
+        return FieldSpec(fr, tuple(map(as_int, m)), as_int(M))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from orddensity import density as dens
-from orddensity import empirical
+from orddensity import empirical, eulerseries
 from orddensity.cli import main
 
 
@@ -161,12 +161,51 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys, monkeypatch):
         assert not good.exists()  # a path the check creates is removed again
 
 
-def test_resource_cap_exits_3(tmp_path):
-    code, _ = run(
-        tmp_path, "scan", "--mode", "index", "--alpha", "2", "--t", "1",
-        "--x", str(10**9 + 1),
-    )
-    assert code == 3
+X_PAST_CAP = str(empirical.SCAN_X_CAP + 1)
+NMAX_PAST_CAP = "5000001"  # its tail grid 4 * nmax passes phi_lcm_tail's rank-1 cap
+
+
+@pytest.mark.parametrize(
+    "argv, patched",
+    [
+        pytest.param(
+            SCAN_INDEX_ONE + ["--x", X_PAST_CAP], [(empirical, "segmented_primes")],
+            id="scan-x",
+        ),
+        pytest.param(
+            COMPARE_INDEX_ONE[:-2] + ["--x", X_PAST_CAP], [(dens, "evaluate")],
+            id="compare-x",
+        ),
+        pytest.param(
+            DENSITY_INDEX_ONE + ["--nmax", NMAX_PAST_CAP],
+            [(dens, "moebius"), (dens, "degree_info")],
+            id="density-nmax",
+        ),
+        pytest.param(
+            COMPARE_INDEX_ONE[:-2] + ["--x", "1000", "--nmax", NMAX_PAST_CAP],
+            [(empirical, "scan"), (dens, "moebius")],
+            id="compare-nmax",
+        ),
+        pytest.param(
+            ["verify", "euler", "--r", "2", "--cap", "8192"],
+            [(eulerseries, "_phi_table")],
+            id="verify-euler-cap",
+        ),
+        pytest.param(
+            ["verify", "chebotarev", "--x", X_PAST_CAP], [(empirical, "segmented_primes")],
+            id="verify-chebotarev-x",
+        ),
+    ],
+)
+def test_resource_cap_exits_3(tmp_path, capsys, monkeypatch, argv, patched):
+    def never(*args, **kwargs):
+        raise AssertionError("computed before the caps were checked")
+
+    for module, name in patched:
+        monkeypatch.setattr(module, name, never)
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 3
+    err = capsys.readouterr().err
+    assert "resource cap" in err and "Traceback" not in err
 
 
 def test_density_deterministic_output(tmp_path):

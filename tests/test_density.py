@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from orddensity.arith import FactoredRational, prime_list
@@ -315,3 +316,38 @@ def test_set_descriptor():
     assert allk.upto(4) == [1, 2, 3, 4]
     with pytest.raises(ValueError):
         SetDescriptor.finite([0, 2])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: FieldSpec.make([2], (2.7,), 4), id="field-m"),
+        pytest.param(lambda: FieldSpec.make([2], (2,), 4.9), id="field-M"),
+        pytest.param(
+            lambda: ConditionSpec.make([2], IndexFixed((1,)), frobenius=(4.5, {3})),
+            id="frobenius-level",
+        ),
+        pytest.param(
+            lambda: ConditionSpec.make([2], IndexFixed((1,)), frobenius=(4, {3.2})),
+            id="frobenius-class",
+        ),
+        pytest.param(lambda: SetDescriptor.finite([1.5, 2]), id="finite"),
+        pytest.param(lambda: SetDescriptor.progression(1.5, 2), id="progression-a"),
+        pytest.param(lambda: SetDescriptor.progression(1, 2.0), id="progression-d"),
+        pytest.param(lambda: SetDescriptor.finite(["3"]), id="finite-str"),
+    ],
+)
+def test_spec_constructors_reject_non_integers(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_spec_constructors_accept_numpy_integers():
+    i = np.int64
+    assert FieldSpec.make([2], (i(2),), i(4)) == FieldSpec.make([2], (2,), 4)
+    assert ConditionSpec.make(
+        [2], IndexFixed((1,)), frobenius=(i(4), {i(3)})
+    ) == ConditionSpec.make([2], IndexFixed((1,)), frobenius=(4, {3}))
+    assert SetDescriptor.finite([i(2), i(1)]) == SetDescriptor.finite([1, 2])
+    assert SetDescriptor.progression(i(1), i(2)) == SetDescriptor.progression(1, 2)
+    assert type(SetDescriptor.progression(i(1), i(2)).a) is int

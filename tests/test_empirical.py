@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
+
+import orddensity
 
 from orddensity.arith import ResourceCapError, prime_list, segmented_primes
 from orddensity.cli import CHEBOTAREV_FIELDS
@@ -202,6 +209,33 @@ def test_li_values():
     assert li(10) == pytest.approx(5.12043572, abs=1e-5)
     assert li(100) == pytest.approx(29.080978, abs=1e-4)
     assert li(2) == 0.0
+
+
+def test_li_matches_mpmath():
+    with mpmath.workdps(40):
+        for x in [3, 10, 10**2, 10**3, 10**5, 10**6, 10**7, 10**8, 10**9]:
+            exact = mpmath.li(x) - mpmath.li(2)
+            assert abs((li(x) - exact) / exact) <= 4e-15, x
+    assert li(2) == li(1) == 0.0
+
+
+def test_package_runs_without_scipy():
+    # a fresh interpreter: a scan, a series value and a compare load no scipy
+    code = """
+import sys
+import orddensity, orddensity.cli
+from orddensity import density, empirical
+spec = density.ConditionSpec.make([2], density.IndexFixed((1,)))
+res = empirical.scan(spec, 1000)
+empirical.compare(density.evaluate(spec, 8), res)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    path = [str(Path(orddensity.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_splitting_fraction_examples():
