@@ -44,11 +44,9 @@ from .eulerseries import gcd_phi_sum, lcm_phi_sum, phi_lcm_tail
 from .kummer import (
     FieldSpec,
     KummerBound,
-    RelationGroup,
     count_automorphisms,
     failure_ratio,
     kummer_degree,
-    relation_group,
 )
 
 __version__ = "0.1.0"
@@ -68,9 +66,7 @@ __all__ = [
     "radical_product",
     "fixed_by",
     "FieldSpec",
-    "RelationGroup",
     "KummerBound",
-    "relation_group",
     "kummer_degree",
     "failure_ratio",
     "count_automorphisms",

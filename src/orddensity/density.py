@@ -149,6 +149,10 @@ class ConditionSpec:
     @staticmethod
     def make(alphas, mode: Mode, frobenius=None) -> "ConditionSpec":
         fr = tuple(map(FactoredRational.of, alphas))
+        if isinstance(mode, OrderAP):
+            mode = OrderAP(tuple(map(as_int, mode.a)), tuple(map(as_int, mode.d)))
+        elif isinstance(mode, IndexFixed):
+            mode = IndexFixed(tuple(map(as_int, mode.T)))
         if frobenius is not None:
             f = as_int(frobenius[0])
             if f < 1:

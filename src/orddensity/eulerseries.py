@@ -9,12 +9,24 @@ sums with gcd(n, z) or n_1 in the numerator.  A finite cap replaces the
 infinite series; `orddensity verify euler` reports the tail at cap/2 beside
 the tail at cap, so boundedness claims are not truncation artifacts.
 
-For r = 3 the box sum is evaluated exactly by aggregating the pair marginal
-over gcd profiles: phi(lcm(a, m)) = phi(m) * Ex(a, gcd(a, m)) with Ex
-depending only on a and the gcd, so grouping pairs (b, c) by divisibility of
-lcm(b, c) turns the cap^3 loop into a cap^2 pass plus divisor sums.  The
-rearrangement is deterministic and is cross-checked against the literal
-triple loop at small caps in the tests.
+For r = 2, 3 both sums read one marginal over n_2..n_r <= cap,
+
+    H[a] = sum of 1 / (n_2 ... n_r * phi(lcm(a, n_2, ..., n_r))).
+
+With m = lcm(n_2, ..., n_r) it rests on two identities:
+
+    phi(lcm(a, m)) * phi(gcd(a, m)) = phi(a) * phi(m),
+    phi(gcd(a, m)) = sum over e | a, e | m of J(e),  where J = mu * phi.
+
+Together they give H[a] = sum over e | a of J(e) * D[e] / phi(a), where D[e]
+sums over the multiples m of e the weight W[m] of all tuples with lcm m,
+W[m] = sum of 1 / (n_2 ... n_r * phi(m)).  J is multiplicative with
+J(p) = p - 2 and J(p^k) = p^(k-2) * (p - 1)^2 for k >= 2, so J >= 0 and every
+sum above has nonnegative terms: nothing cancels.  For r = 3 the first
+identity also gives phi(lcm(b, c)) from phi(b), phi(c) and phi(gcd(b, c)), so
+phi is needed only up to max(x, cap).  The pass over pairs b <= c <= cap is
+the cap^2 part; the rest are divisor sums.  The tests check H against exact
+Fraction marginals.
 """
 
 from __future__ import annotations
@@ -24,9 +36,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import ResourceCapError, divisors, factorize, phi_sieve, prime_list
+from .arith import ResourceCapError, phi_sieve, prime_list
 
-_BOX_CAP = 4096  # r >= 2 needs a phi table up to cap^2
+_BOX_CAP = 4096  # r = 3 collects its pair weights in an array of size cap^2
 _R1_CAP = 2 * 10**7
 
 
@@ -50,16 +62,7 @@ class KahanSum:
         return self._s
 
 
-_PHI_STATE: dict = {"limit": 0, "table": None}
-_MARGINAL_CACHE: dict[tuple[int, int, bool], np.ndarray] = {}
-
-
-def _phi_table(limit: int) -> np.ndarray:
-    # one shared table, grown on demand; any request <= limit is served by it
-    if _PHI_STATE["limit"] < limit:
-        _PHI_STATE["table"] = phi_sieve(limit)
-        _PHI_STATE["limit"] = limit
-    return _PHI_STATE["table"]
+_MARGINAL_CACHE: dict[tuple[int, int, bool, int], np.ndarray] = {}
 
 
 def squarefree_mask(limit: int) -> np.ndarray:
@@ -70,90 +73,45 @@ def squarefree_mask(limit: int) -> np.ndarray:
     return mask
 
 
-def _pair_lcm_row(b: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    c = np.arange(b, cap + 1, dtype=np.int64)
-    g = np.gcd(b, c)
-    return c, (c // g) * b
-
-
-def _marginal_r2(cap: int, squarefree: bool) -> np.ndarray:
-    """H2[a] = sum over admissible c <= cap of 1 / (c * phi(lcm(a, c)))."""
-    key = (2, cap, squarefree)
+def _marginal(r: int, cap: int, squarefree: bool, size: int) -> np.ndarray:
+    """H[a] for a <= size: the sum over admissible n_2..n_r <= cap of
+    1 / (n_2 ... n_r * phi(lcm(a, n_2, ..., n_r))), for r = 2, 3."""
+    key = (r, cap, squarefree, size)
     if key in _MARGINAL_CACHE:
         return _MARGINAL_CACHE[key]
-    phi = _phi_table(cap * cap)
-    h = np.zeros(cap + 1)
-    c = np.arange(1, cap + 1, dtype=np.int64)
+    phi = phi_sieve(max(size, cap))
+    n = np.arange(1, cap + 1, dtype=np.int64)
     if squarefree:
-        c = c[squarefree_mask(cap)[1:]]
-    inv_c = 1.0 / c
-    for a in range(1, cap + 1):
-        g = np.gcd(a, c)
-        m = (c // g) * a
-        h[a] = float(np.sum(inv_c / phi[m]))
+        n = n[squarefree_mask(cap)[1:]]
+    if r == 2:
+        W = np.zeros(cap + 1)
+        W[n] = 1.0 / (n * phi[n])
+    else:
+        # pairs b <= c, with phi(lcm(b, c)) = phi(b) phi(c) / phi(gcd(b, c))
+        W = np.zeros(cap * cap + 1)
+        for i, b in enumerate(n):
+            c = n[i:]
+            g = np.gcd(b, c)
+            w = 2.0 * phi[g] / (b * phi[b] * c * phi[c])
+            w[0] *= 0.5  # diagonal pair (b, b) counted once
+            np.add.at(W, c // g * b, w)
+    top = min(size, len(W) - 1)  # D[e] = 0 past the largest lcm
+    J = phi[: top + 1].copy()
+    for d in range(1, top // 2 + 1):  # Moebius inversion of phi = 1 * J
+        J[2 * d :: d] -= J[d]
+    G = np.zeros(size + 1)
+    for e in range(1, top + 1):  # G[a] = sum over e | a of J(e) * D[e]
+        G[e::e] += J[e] * W[e::e].sum()
+    h = np.zeros(size + 1)
+    h[1:] = G[1:] / phi[1 : size + 1]
     _MARGINAL_CACHE[key] = h
     return h
-
-
-def _marginal_r3(cap: int, squarefree: bool) -> np.ndarray:
-    """H3[a] = sum over admissible b, c <= cap of 1 / (b c phi(lcm(a, b, c)))."""
-    key = (3, cap, squarefree)
-    if key in _MARGINAL_CACHE:
-        return _MARGINAL_CACHE[key]
-    phi = _phi_table(cap * cap)
-    sf = squarefree_mask(cap) if squarefree else None
-    # V[m] = sum over pairs with lcm(b, c) = m of 1 / (b * c * phi(m))
-    V = np.zeros(cap * cap + 1)
-    for b in range(1, cap + 1):
-        if sf is not None and not sf[b]:
-            continue
-        c, m = _pair_lcm_row(b, cap)
-        w = 2.0 / (b * c * phi[m])
-        w[0] *= 0.5  # diagonal pair (b, b) counted once
-        if sf is not None:
-            keep = sf[b:]
-            c, m, w = c[keep], m[keep], w[keep]
-        np.add.at(V, m, w)
-    # D[e] = sum over multiples of e of V
-    D = np.zeros(cap + 1)
-    for e in range(1, cap + 1):
-        D[e] = float(V[e::e].sum())
-    h = np.zeros(cap + 1)
-    for a in range(1, cap + 1):
-        pairs = factorize(a).factors
-        total = 0.0
-        for delta in divisors(a):
-            # Ex(a, delta) = phi(lcm(a, m)) / phi(m) for any m with gcd(a, m) = delta
-            ex = 1
-            ratios = [(1, 1)]  # squarefree e/delta with delta | e | a, and mu(e/delta)
-            for p, j in pairs:
-                pj = p**j
-                pv = math.gcd(delta, pj)  # p^v_p(delta)
-                ex *= (p - 1) * pj // p if pv == 1 else pj // pv
-                if pv < pj:
-                    ratios += [(r * p, -sign) for r, sign in ratios]
-            # U = sum_{delta | e | a, e/delta squarefree} mu(e/delta) D[e]
-            u = 0.0
-            for e_ratio, sign in ratios:
-                u += sign * D[delta * e_ratio]
-            total += u / ex
-        h[a] = total
-    _MARGINAL_CACHE[key] = h
-    return h
-
-
-def _sum_over_range(h: np.ndarray, x: int, cap: int, squarefree: bool) -> float:
-    n = np.arange(x + 1, cap + 1, dtype=np.int64)
-    vals = h[x + 1 : cap + 1] / n
-    if squarefree:
-        vals = vals[squarefree_mask(cap)[x + 1 : cap + 1]]
-    return float(np.sum(vals))
 
 
 def phi_lcm_tail(r: int, x: int, cap: int, *, squarefree: bool = False) -> float:
     """sum over n_1 in (x, cap], n_2..n_r in [1, cap] of 1/(phi(lcm(n)) prod n_i).
 
-    Deterministic evaluation; r <= 3 (cost grows like cap^r).  With
+    Deterministic evaluation; r <= 3 (cost grows like cap^(r-1)).  With
     squarefree=True every n_i is restricted to squarefree values, the
     sub-series whose r = 1 limit is zeta(2)zeta(3)/zeta(6) - 1.
     """
@@ -161,19 +119,17 @@ def phi_lcm_tail(r: int, x: int, cap: int, *, squarefree: bool = False) -> float
         raise ValueError("rank must be 1, 2 or 3")
     if not (0 < x < cap):
         raise ValueError("need 0 < x < cap")
+    limit = _R1_CAP if r == 1 else _BOX_CAP
+    if cap > limit:
+        raise ResourceCapError(f"cap {cap} too large for rank {r} (max {limit})")
+    n = np.arange(x + 1, cap + 1, dtype=np.int64)
     if r == 1:
-        if cap > _R1_CAP:
-            raise ResourceCapError(f"cap {cap} too large for rank 1 (max {_R1_CAP})")
-        phi = _phi_table(cap)
-        n = np.arange(x + 1, cap + 1, dtype=np.int64)
-        vals = 1.0 / (phi[x + 1 : cap + 1] * n)
-        if squarefree:
-            vals = vals[squarefree_mask(cap)[x + 1 : cap + 1]]
-        return float(np.sum(vals))
-    if cap > _BOX_CAP:
-        raise ResourceCapError(f"cap {cap} too large for rank {r} (max {_BOX_CAP})")
-    h = _marginal_r2(cap, squarefree) if r == 2 else _marginal_r3(cap, squarefree)
-    return _sum_over_range(h, x, cap, squarefree)
+        vals = 1.0 / (phi_sieve(cap)[x + 1 :] * n)
+    else:
+        vals = _marginal(r, cap, squarefree, cap)[x + 1 :] / n
+    if squarefree:
+        vals = vals[squarefree_mask(cap)[x + 1 :]]
+    return float(np.sum(vals))
 
 
 def gcd_phi_sum(x: int, z: int) -> float:
@@ -195,26 +151,9 @@ def lcm_phi_sum(r: int, x: int, cap: int = 1024) -> float:
         raise ValueError("need x >= 1")
     if r == 1:
         return gcd_phi_sum(x, 1)
-    if r == 2:
-        if x * cap > 2**25:
-            raise ResourceCapError("x * cap too large for rank 2")
-        phi = _phi_table(x * cap)
-        c = np.arange(1, cap + 1, dtype=np.int64)
-        acc = KahanSum()
-        for n1 in range(1, x + 1):
-            g = np.gcd(n1, c)
-            m = (c // g) * n1
-            acc.add(float(np.sum(n1 / (phi[m] * c.astype(np.float64)))))
-        return acc.value
-    if x * cap * cap > 2**24:
+    if r == 2 and x * cap > 2**25:
+        raise ResourceCapError("x * cap too large for rank 2")
+    if r == 3 and x * cap * cap > 2**24:
         raise ResourceCapError("x * cap^2 too large for rank 3")
-    phi = _phi_table(x * cap * cap)
-    c = np.arange(1, cap + 1, dtype=np.int64)
-    acc = KahanSum()
-    for n1 in range(1, x + 1):
-        for n2 in range(1, cap + 1):
-            m12 = math.lcm(n1, n2)
-            g = np.gcd(m12, c)
-            m = (c // g) * m12
-            acc.add(float(np.sum(n1 / (phi[m] * (n2 * c).astype(np.float64)))))
-    return acc.value
+    n = np.arange(1, x + 1, dtype=np.int64)
+    return float(np.sum(n * _marginal(r, cap, False, x)[1:]))

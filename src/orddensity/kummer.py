@@ -77,16 +77,6 @@ class FieldSpec:
 
 
 @dataclass(frozen=True)
-class RelationGroup:
-    """Subgroup of prod Z/m_i of exponent tuples whose radical product lies in
-    the cyclotomic base.  `members` maps each tuple, in lexicographic order,
-    to its witnessing value; the zero tuple has no witness (None)."""
-
-    moduli: tuple[int, ...]
-    members: dict[tuple[int, ...], Optional[RadicalValue]]
-
-
-@dataclass(frozen=True)
 class KummerBound:
     """Observed bound for the failure of maximality on a parameter grid."""
 
@@ -134,19 +124,6 @@ def _abelian_box(alphas: tuple[FactoredRational, ...], sides: tuple[int, ...]) -
     next(box)  # the zero tuple is always a member and has no witness
     values = ((k, radical_product(alphas, sides, k)) for k in box)
     return [(k, v, v.conductor()) for k, v in values if v is not None]
-
-
-def relation_group(spec: FieldSpec) -> RelationGroup:
-    """All exponent tuples whose radical product lies in Q(zeta_M), each
-    nonzero one with that product as witness.  Every call enumerates the box
-    of the module docstring; `DegreeCache` keeps it per alpha tuple instead."""
-    two_delta = 2 * exponent_minor_gcd(spec.alphas)
-    sides = tuple(math.gcd(mi, two_delta) for mi in spec.m)
-    members: dict[tuple[int, ...], Optional[RadicalValue]] = {(0,) * len(sides): None}
-    for k, value, cond in _abelian_box(spec.alphas, sides):
-        if spec.M % cond == 0:
-            members[tuple(ki * mi // g for ki, mi, g in zip(k, spec.m, sides))] = value
-    return RelationGroup(spec.m, members)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,24 @@
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
-from orddensity.arith import FactoredRational, ResourceCapError, kronecker, prime_list
+from orddensity.arith import (
+    FactoredRational,
+    ResourceCapError,
+    euler_phi,
+    kronecker,
+    prime_list,
+)
 from orddensity.cyclo import (
     RadicalValue,
     quadratic_discriminant,
     radical_product,
     signed_squarefree_part,
 )
+from orddensity.kummer import _abelian_box, exponent_minor_gcd
 
 
 def lies_in_cyclotomic(v: RadicalValue, M: int) -> bool:
@@ -249,6 +258,49 @@ def full_box_relations(spec) -> set:
         if value is not None and lies_in_cyclotomic(value, spec.M):
             out.add(e)
     return out
+
+
+@dataclass(frozen=True)
+class RelationGroup:
+    """Subgroup of prod Z/m_i of exponent tuples whose radical product lies in
+    the cyclotomic base.  `members` maps each tuple, in lexicographic order,
+    to its witnessing value; the zero tuple has no witness (None)."""
+
+    moduli: tuple[int, ...]
+    members: dict[tuple[int, ...], Optional[RadicalValue]]
+
+
+def relation_group(spec) -> RelationGroup:
+    """All exponent tuples whose radical product lies in Q(zeta_M), each
+    nonzero one with that product as witness, read off the minor box of the
+    `kummer` docstring: every call enumerates the box that `DegreeCache`
+    keeps per alpha tuple."""
+    two_delta = 2 * exponent_minor_gcd(spec.alphas)
+    sides = tuple(math.gcd(mi, two_delta) for mi in spec.m)
+    members: dict[tuple[int, ...], Optional[RadicalValue]] = {(0,) * len(sides): None}
+    for k, value, cond in _abelian_box(spec.alphas, sides):
+        if spec.M % cond == 0:
+            members[tuple(ki * mi // g for ki, mi, g in zip(k, spec.m, sides))] = value
+    return RelationGroup(spec.m, members)
+
+
+def is_squarefree(n: int) -> bool:
+    return all(n % (p * p) for p in range(2, math.isqrt(n) + 1))
+
+
+def phi_lcm_marginal(r: int, cap: int, squarefree: bool, size: int) -> list[Fraction]:
+    """H[a] for a = 0..size as exact Fractions: the sum over n_2..n_r <= cap
+    (squarefree ones only if asked) of 1 / (n_2 ... n_r * phi(lcm(a, n_2, ...))),
+    with the tuples grouped by their lcm and phi taken of each lcm directly."""
+    ns = [n for n in range(1, cap + 1) if not squarefree or is_squarefree(n)]
+    by_lcm: dict[int, Fraction] = {}
+    for tup in itertools.product(ns, repeat=r - 1):
+        m = math.lcm(*tup)
+        by_lcm[m] = by_lcm.get(m, Fraction(0)) + Fraction(1, math.prod(tup))
+    return [Fraction(0)] + [
+        sum(w / euler_phi(math.lcm(a, m)) for m, w in by_lcm.items())
+        for a in range(1, size + 1)
+    ]
 
 
 # Deterministic Miller-Rabin witness set, valid far beyond 2^64.

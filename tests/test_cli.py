@@ -188,7 +188,7 @@ NMAX_PAST_CAP = "5000001"  # its tail grid 4 * nmax passes phi_lcm_tail's rank-1
         ),
         pytest.param(
             ["verify", "euler", "--r", "2", "--cap", "8192"],
-            [(eulerseries, "_phi_table")],
+            [(eulerseries, "phi_sieve")],
             id="verify-euler-cap",
         ),
         pytest.param(

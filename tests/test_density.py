@@ -335,6 +335,10 @@ def test_set_descriptor():
         pytest.param(lambda: SetDescriptor.progression(1.5, 2), id="progression-a"),
         pytest.param(lambda: SetDescriptor.progression(1, 2.0), id="progression-d"),
         pytest.param(lambda: SetDescriptor.finite(["3"]), id="finite-str"),
+        pytest.param(lambda: ConditionSpec.make([2], IndexFixed((1.5,))), id="index-target"),
+        pytest.param(lambda: ConditionSpec.make([2], IndexFixed(("1",))), id="index-target-str"),
+        pytest.param(lambda: ConditionSpec.make([2], OrderAP((0.5,), (2,))), id="order-a"),
+        pytest.param(lambda: ConditionSpec.make([2], OrderAP((0,), (2.5,))), id="order-d"),
     ],
 )
 def test_spec_constructors_reject_non_integers(build):
@@ -351,3 +355,11 @@ def test_spec_constructors_accept_numpy_integers():
     assert SetDescriptor.finite([i(2), i(1)]) == SetDescriptor.finite([1, 2])
     assert SetDescriptor.progression(i(1), i(2)) == SetDescriptor.progression(1, 2)
     assert type(SetDescriptor.progression(i(1), i(2)).a) is int
+    fixed = ConditionSpec.make([2], IndexFixed((i(2),)))
+    assert fixed == ConditionSpec.make([2], IndexFixed((2,)))
+    assert type(fixed.mode.T[0]) is int
+    order = ConditionSpec.make([2], OrderAP((i(1),), (i(2),)))
+    twin = ConditionSpec.make([2], OrderAP((1,), (2,)))
+    assert order == twin
+    assert type(order.mode.a[0]) is int and type(order.mode.d[0]) is int
+    assert order_density(order, nmax=16, tmax=16) == order_density(twin, nmax=16, tmax=16)

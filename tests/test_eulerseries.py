@@ -4,15 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from orddensity.arith import ResourceCapError, euler_phi
+from orddensity import eulerseries
+from orddensity.arith import ResourceCapError, euler_phi, phi_sieve
 from orddensity.cli import verify_euler
 from orddensity.eulerseries import KahanSum, gcd_phi_sum, lcm_phi_sum, phi_lcm_tail
 
+from oracles import is_squarefree, phi_lcm_marginal
+
 ZETA_CONSTANT = 1.9435964368207592  # zeta(2) zeta(3) / zeta(6)
-
-
-def is_squarefree(n):
-    return all(n % (p * p) for p in range(2, math.isqrt(n) + 1))
 
 
 def brute_tail(r, x, cap, squarefree=False):
@@ -31,6 +30,47 @@ def test_phi_lcm_tail_matches_brute_force():
         assert phi_lcm_tail(r, x, cap, squarefree=True) == pytest.approx(
             brute_tail(r, x, cap, squarefree=True), rel=1e-12
         )
+
+
+@pytest.mark.parametrize("squarefree", [False, True])
+@pytest.mark.parametrize("r, cap", [(2, 128), (3, 48)])
+def test_phi_lcm_tail_matches_exact_marginal(r, cap, squarefree):
+    # every tail x = cap - 1 .. 1 against suffix sums of the exact marginal
+    h = phi_lcm_marginal(r, cap, squarefree, cap)
+    want = Fraction(0)
+    for x in range(cap - 1, 0, -1):
+        if not squarefree or is_squarefree(x + 1):
+            want += h[x + 1] / (x + 1)
+        got = phi_lcm_tail(r, x, cap, squarefree=squarefree)
+        assert abs(Fraction(got) - want) <= want / 10**15, (x, got, float(want))
+
+
+@pytest.mark.parametrize("r, x, cap", [(2, 40, 64), (3, 12, 24)])
+def test_lcm_phi_sum_matches_exact_marginal(r, x, cap):
+    h = phi_lcm_marginal(r, cap, False, x)
+    want = sum(n * h[n] for n in range(1, x + 1))
+    assert abs(Fraction(lcm_phi_sum(r, x, cap)) - want) <= want / 10**15
+
+
+def test_phi_tabulated_only_up_to_the_cap(monkeypatch):
+    # phi(lcm) comes from phi of the arguments and their gcd, so no call
+    # tabulates phi past max(x, cap)
+    asked = []
+
+    def spy(limit):
+        asked.append(limit)
+        return phi_sieve(limit)
+
+    monkeypatch.setattr(eulerseries, "_MARGINAL_CACHE", {})
+    monkeypatch.setattr(eulerseries, "phi_sieve", spy)
+    for fn, r, x, cap in [
+        (phi_lcm_tail, 2, 4, 4096),
+        (phi_lcm_tail, 3, 4, 4096),
+        (lcm_phi_sum, 2, 16, 1024),
+    ]:
+        asked.clear()
+        fn(r, x, cap)
+        assert asked and max(asked) <= max(x, cap), (fn.__name__, r, asked)
 
 
 def test_phi_lcm_tail_single_term():

@@ -18,10 +18,9 @@ from orddensity.kummer import (
     failure_ratio,
     kummer_degree,
     observe_failure_bound,
-    relation_group,
 )
 
-from oracles import full_box_relations, lies_in_cyclotomic
+from oracles import full_box_relations, lies_in_cyclotomic, relation_group
 
 GRID_ALPHAS = (2, 3, 5, -2, 8, 12)
 GRID_M = (1, 2, 3, 4, 6, 12)
