@@ -38,7 +38,6 @@ from .empirical import (
     large_index_diagnostic,
     scan,
     scan_many,
-    splitting_fraction,
 )
 from .eulerseries import gcd_phi_sum, lcm_phi_sum, phi_lcm_tail
 from .kummer import (
@@ -87,7 +86,6 @@ __all__ = [
     "DiagnosticReport",
     "scan",
     "scan_many",
-    "splitting_fraction",
     "large_index_diagnostic",
     "compare",
 ]

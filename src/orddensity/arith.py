@@ -85,34 +85,14 @@ class FactoredRational:
                 return e
         return 0
 
-    def exponents(self) -> dict[int, int]:
-        return dict(self.factors)
-
     def support(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
-
-    def is_one(self) -> bool:
-        return self.sign == 1 and not self.factors
 
     def value(self) -> Fraction:
         v = Fraction(self.sign)
         for p, e in self.factors:
             v *= Fraction(p) ** e
         return v
-
-    def numerator(self) -> int:
-        n = 1
-        for p, e in self.factors:
-            if e > 0:
-                n *= p**e
-        return n
-
-    def denominator(self) -> int:
-        n = 1
-        for p, e in self.factors:
-            if e < 0:
-                n *= p**-e
-        return n
 
     def divisible(self, k: int) -> bool:
         """True when every exponent is a multiple of k."""
@@ -143,9 +123,6 @@ class FactoredRational:
             raise ValueError("even root of a negative rational")
         return FactoredRational(self.sign, tuple((p, e // k) for p, e in self.factors))
 
-    def __mul__(self, other):
-        return self.mul(other)
-
 
 # ---------------------------------------------------------------------------
 # sieves
@@ -167,29 +144,16 @@ def prime_list(limit: int) -> np.ndarray:
     return np.nonzero(_simple_sieve_flags(limit))[0].astype(np.int64)
 
 
-def segmented_primes(lo: int, hi: int, block: int = 1 << 22) -> np.ndarray:
-    """Primes in [lo, hi), ascending; memory bounded by the block size."""
+def segmented_primes(lo: int, hi: int) -> np.ndarray:
+    """Primes in [lo, hi), ascending, from one sieve window of hi - lo flags
+    crossed off by the base primes <= sqrt(hi - 1); memory is O(hi - lo)."""
     if not (2 <= lo < hi):
         raise ValueError("need 2 <= lo < hi")
-    base = prime_list(math.isqrt(hi - 1))
-    out = []
-    start = lo
-    while start < hi:
-        stop = min(start + block, hi)
-        flags = np.ones(stop - start, dtype=bool)
-        if start <= 1:
-            flags[: max(0, 2 - start)] = False
-        for p in base:
-            p = int(p)
-            first = max(p * p, ((start + p - 1) // p) * p)
-            if first >= stop:
-                continue
-            flags[first - start :: p] = False
-        seg = np.nonzero(flags)[0] + start
-        # base primes falling inside the window are kept by the p*p start rule
-        out.append(seg)
-        start = stop
-    return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+    flags = np.ones(hi - lo, dtype=bool)
+    for p in prime_list(math.isqrt(hi - 1)).tolist():
+        # from p*p, so base primes inside the window stay marked prime
+        flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    return np.flatnonzero(flags) + lo
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +243,17 @@ def phi_sieve(limit: int) -> np.ndarray:
 # multiplicative functions
 
 
+TRIAL_DIVISION_CAP = 10**7  # about 1.7 million divisor pairs, then ResourceCapError
+
+
 def _prime_powers(n: int) -> Iterator[tuple[int, int]]:
     """(p, e) for each prime power p^e exactly dividing n >= 1, p ascending:
-    trial division by 2, 3 and the pairs 6k - 1, 6k + 1."""
+    trial division by 2, 3 and the pairs 6k - 1, 6k + 1 below
+    TRIAL_DIVISION_CAP.  ResourceCapError when the cofactor left at the cap
+    may still be composite."""
     pair, f = (2, 3), -1
-    while pair[0] * pair[0] <= n:
+    # cap in the loop test: an isqrt(n) per factor slows euler_phi on smooth n
+    while pair[0] * pair[0] <= n and f < TRIAL_DIVISION_CAP:
         for p in pair:
             if n % p == 0:
                 e = 0
@@ -293,6 +263,8 @@ def _prime_powers(n: int) -> Iterator[tuple[int, int]]:
                 yield p, e
         f += 6
         pair = (f, f + 2)
+    if pair[0] * pair[0] <= n:
+        raise ResourceCapError(f"no prime factor of {n} below the cap {TRIAL_DIVISION_CAP}")
     if n > 1:
         yield n, 1
 

@@ -82,9 +82,6 @@ class RadicalValue:
         g = math.gcd(zexp, zorder)  # gcd(0, n) = n collapses trivial zeta
         return RadicalValue(zorder // g, zexp // g, t, d)
 
-    def is_rational(self) -> bool:
-        return self.zeta_order == 1 and self.d == 1
-
     def conductor(self) -> int:
         """The least M with the value in Q(zeta_M)."""
         n, D = self.zeta_order, conductor(self.d)

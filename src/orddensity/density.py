@@ -65,13 +65,6 @@ class SetDescriptor:
             raise ValueError("progression modulus must be >= 1")
         return SetDescriptor("ap", a=a % d, d=d)
 
-    def contains(self, k: int) -> bool:
-        if k < 1:
-            return False
-        if self.kind == "finite":
-            return k in self.values
-        return k % self.d == self.a
-
     def upto(self, tmax: int) -> list[int]:
         if self.kind == "finite":
             return [v for v in self.values if v <= tmax]
@@ -89,10 +82,17 @@ class OrderAP:
     a: tuple[int, ...]
     d: tuple[int, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "a", tuple(map(as_int, self.a)))
+        object.__setattr__(self, "d", tuple(map(as_int, self.d)))
+
 
 @dataclass(frozen=True)
 class IndexFixed:
     T: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "T", tuple(map(as_int, self.T)))
 
 
 @dataclass(frozen=True)
@@ -141,24 +141,17 @@ class ConditionSpec:
             raise ValueError("unknown mode")
         if self.frobenius is not None:
             f, C = self.frobenius
+            f = as_int(f)
             if f < 1 or not C:
                 raise ValueError("Frobenius level must be >= 1 with nonempty classes")
+            C = frozenset(as_int(c) % f for c in C)
             if any(math.gcd(c, f) != 1 for c in C):
                 raise ValueError("Frobenius classes must be units mod f")
+            object.__setattr__(self, "frobenius", (f, C))
 
     @staticmethod
     def make(alphas, mode: Mode, frobenius=None) -> "ConditionSpec":
-        fr = tuple(map(FactoredRational.of, alphas))
-        if isinstance(mode, OrderAP):
-            mode = OrderAP(tuple(map(as_int, mode.a)), tuple(map(as_int, mode.d)))
-        elif isinstance(mode, IndexFixed):
-            mode = IndexFixed(tuple(map(as_int, mode.T)))
-        if frobenius is not None:
-            f = as_int(frobenius[0])
-            if f < 1:
-                raise ValueError("Frobenius level must be >= 1")
-            frobenius = (f, frozenset(as_int(c) % f for c in frobenius[1]))
-        return ConditionSpec(fr, mode, frobenius)
+        return ConditionSpec(tuple(map(FactoredRational.of, alphas)), mode, frobenius)
 
     @property
     def rank(self) -> int:

@@ -8,7 +8,7 @@ per-segment counts merged by addition in segment order, so results are
 identical for any worker count.  Every scan runs on one vectorised kernel, `block_indices`, over blocks
 of consecutive primes: it reduces each alpha mod p exactly, factors p-1 over
 the base primes <= sqrt(x) inside the block, and reads ind_p(alpha) off int64
-modular powers.  Memory is bounded by the block and segment sizes, not by x.
+modular powers.  Memory is bounded by _BLOCK and SEGMENT, not by x.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from .density import ConditionSpec, DensityResult, IndexFixed, OrderAP
 from .kummer import FieldSpec
 
 SCAN_X_CAP = 10**9  # the kernel's int64 modular products need p^2 < 2^63
-DEFAULT_SEGMENT = 1 << 22
+# Integers per segment: one sieve call, and one task of a forked walk.
+SEGMENT = 1 << 22
 
 
 _GAMMA = 0.57721566490153286  # Euler's constant
@@ -159,7 +160,8 @@ def _matches(spec: ConditionSpec, ind: np.ndarray, primes: np.ndarray) -> np.nda
         d = np.array(mode.d)[:, None]
         ok = ((primes - 1) // ind % d == np.array(mode.a)[:, None] % d).all(axis=0)
     else:
-        # SetDescriptor.contains, elementwise (indices are always >= 1)
+        # k is in S when it is one of a finite set's values or k = a (mod d);
+        # indices are always >= 1, so a progression needs no k >= 1 test
         ok = np.all(
             [np.isin(i, s.values) if s.kind == "finite" else i % s.d == s.a
              for s, i in zip(mode.S, ind)],
@@ -175,7 +177,7 @@ def _matches(spec: ConditionSpec, ind: np.ndarray, primes: np.ndarray) -> np.nda
 # the per-prime kernel
 
 # Primes per block.  A block's p-1 factorisations and modular powers are held
-# at once, so this bounds the kernel's working memory whatever x and segment.
+# at once, so this bounds the kernel's working memory whatever x and SEGMENT.
 _BLOCK = 4096
 
 
@@ -230,17 +232,18 @@ _SCAN: dict = {}
 def _segment(idx: int):
     """The walk's count summed over the blocks of segment idx."""
     st = _SCAN
-    lo = 2 + idx * st["segment"]
-    primes = segmented_primes(lo, min(lo + st["segment"], st["x"] + 1))
+    lo = 2 + idx * SEGMENT
+    primes = segmented_primes(lo, min(lo + SEGMENT, st["x"] + 1))
     total = st["zero"]
     for i in range(0, primes.size, _BLOCK):
         total = total + st["count"](primes[i : i + _BLOCK])
     return total
 
 
-def _walk(x: int, segment: int, count, zero, workers: int = 1):
+def _walk(x: int, count, zero, workers: int = 1):
     """Sum count(block) over the primes p <= x, in blocks of at most _BLOCK
-    consecutive primes, one sieve call per segment of `segment` integers.
+    consecutive primes, one sieve call per segment [2 + k SEGMENT,
+    2 + (k + 1) SEGMENT) clipped to x + 1.
 
     Segments are summed in order, starting from `zero`, so the result is
     the same for any worker count; with workers > 1 the segments run in a
@@ -251,11 +254,9 @@ def _walk(x: int, segment: int, count, zero, workers: int = 1):
         raise ValueError("need x >= 2")
     if workers < 1:
         raise ValueError("need workers >= 1")
-    if segment < 1:
-        raise ValueError("need segment >= 1")
     _SCAN.clear()
-    _SCAN.update({"x": x, "segment": segment, "count": count, "zero": zero})
-    n_segments = (x - 1 + segment - 1) // segment
+    _SCAN.update({"x": x, "count": count, "zero": zero})
+    n_segments = (x - 1 + SEGMENT - 1) // SEGMENT
     ctx = None
     if workers > 1 and n_segments > 1:
         try:
@@ -273,7 +274,6 @@ def scan_many(
     x: int,
     *,
     workers: int = 1,
-    segment: int = DEFAULT_SEGMENT,
     checkpoints: bool = False,
 ) -> list[ScanResult]:
     """Scan all primes p <= x once, classifying against every spec.
@@ -302,7 +302,7 @@ def scan_many(
         return counts
 
     zero = np.zeros((len(specs), 2, bounds.size + 1), dtype=np.int64)
-    totals = _walk(x, segment, count, zero, workers)
+    totals = _walk(x, count, zero, workers)
     li_x = li(x)
     out = []
     for (matched, considered), excl in zip(totals, excluded):
@@ -325,37 +325,24 @@ def scan_many(
 
 
 def scan(
-    spec: ConditionSpec,
-    x: int,
-    *,
-    workers: int = 1,
-    segment: int = DEFAULT_SEGMENT,
-    checkpoints: bool = False,
+    spec: ConditionSpec, x: int, *, workers: int = 1, checkpoints: bool = False
 ) -> ScanResult:
     """Scan primes p <= x against one condition spec."""
-    return scan_many([spec], x, workers=workers, segment=segment, checkpoints=checkpoints)[0]
+    return scan_many([spec], x, workers=workers, checkpoints=checkpoints)[0]
 
 
 # ---------------------------------------------------------------------------
 # splitting fractions
 
 
-def splitting_fraction(fspec: FieldSpec, x: int, *, segment: int = DEFAULT_SEGMENT) -> float:
-    """Fraction of unexcluded primes p <= x splitting completely in the field.
+def splitting_fraction_many(fspecs: Sequence[FieldSpec], x: int) -> list[float]:
+    """Fractions of unexcluded primes p <= x splitting completely in each
+    field, in one pass over the primes.
 
     Complete splitting for a degree-1 prime means p = 1 (mod M) and every
-    alpha_i is an m_i-th power residue mod p.
-    """
-    return splitting_fraction_many([fspec], x, segment=segment)[0]
-
-
-def splitting_fraction_many(
-    fspecs: Sequence[FieldSpec], x: int, *, segment: int = DEFAULT_SEGMENT
-) -> list[float]:
-    """Splitting fractions of several fields in one pass over p <= x.
-
-    No factoring: after the mask p = 1 (mod M), alpha_i is an m_i-th power
-    residue exactly when alpha_i^((p-1)/m_i) = 1 (mod p).
+    alpha_i is an m_i-th power residue mod p.  No factoring: after the mask
+    p = 1 (mod M), alpha_i is an m_i-th power residue exactly when
+    alpha_i^((p-1)/m_i) = 1 (mod p).
     """
     data = [
         (fs.M, fs.m, [_alpha_pair(a) for a in fs.alphas],
@@ -375,7 +362,7 @@ def splitting_fraction_many(
             counts[k] = split.size, np.count_nonzero(keep)
         return counts
 
-    totals = _walk(x, segment, count, np.zeros((len(data), 2), dtype=np.int64))
+    totals = _walk(x, count, np.zeros((len(data), 2), dtype=np.int64))
     return [m / c if c else 0.0 for m, c in totals.tolist()]
 
 
@@ -390,7 +377,7 @@ def index_counts(alpha, x: int) -> tuple[dict[int, int], int]:
     def count(primes: np.ndarray) -> Counter:
         return Counter(block_indices(primes, [pair])[0][~np.isin(primes, excl)].tolist())
 
-    hist = _walk(x, DEFAULT_SEGMENT, count, Counter())
+    hist = _walk(x, count, Counter())
     return hist, sum(hist.values())
 
 

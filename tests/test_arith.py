@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from orddensity.arith import (
     FactoredRational,
+    ResourceCapError,
     crt_merge,
     crt_pair,
     divisors,
@@ -49,6 +50,15 @@ def test_factorize_reconstructs():
     for n in list(range(1, 300)) + [4096, 4999, -360]:
         fr = factorize(n)
         assert fr.value() == Fraction(n)
+
+
+def test_factorize_stops_at_the_trial_division_cap():
+    below, above = 9999991, 10000019  # the primes next to the cap 10^7
+    assert factorize(below * above).factors == ((below, 1), (above, 1))
+    assert factorize(2**200 * 3).factors == ((2, 200), (3, 1))
+    for n in (above * above, 2**61 - 1):  # either could be composite at the cap
+        with pytest.raises(ResourceCapError):
+            factorize(n)
 
 
 def test_factorize_rejects_zero():
@@ -198,7 +208,7 @@ def test_segmented_primes_past_million_against_trial_division():
 
 def test_segmented_primes_matches_naive_sieve():
     naive = prime_list(10**6)
-    seg = segmented_primes(2, 10**6 + 1, block=1 << 16)
+    seg = segmented_primes(2, 10**6 + 1)
     assert np.array_equal(naive, seg)
 
 
@@ -218,7 +228,7 @@ def test_factor_p_minus_1_matches_trial_division():
             assert qi not in got[i]
             got[i][qi] = ei
         for p, pairs in zip(primes.tolist(), got):
-            assert pairs == factorize(p - 1).exponents()
+            assert pairs == dict(factorize(p - 1).factors)
             assert all(is_prime(qi) for qi in pairs)
 
 
@@ -235,7 +245,7 @@ def test_factored_rational_arithmetic():
     b = FactoredRational.from_fraction(Fraction(5, 9))
     assert a.mul(b).value() == Fraction(4, 3)
     assert a.pow_(3).value() == Fraction(12, 5) ** 3
-    assert a.pow_(0).is_one()
+    assert a.pow_(0) == FactoredRational.one()
     assert a.pow_(-1).value() == Fraction(5, 12)
     assert factorize(-8).root(3).value() == -2
     assert factorize(16).root(4).value() == 2
@@ -244,7 +254,6 @@ def test_factored_rational_arithmetic():
     with pytest.raises(ValueError):
         factorize(8).root(2)
     assert factorize(-98).abs_().value() == 98
-    assert a.numerator() == 12 and a.denominator() == 5
 
 
 def test_crt_merge():

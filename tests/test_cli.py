@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -204,6 +205,16 @@ def test_resource_cap_exits_3(tmp_path, capsys, monkeypatch, argv, patched):
     for module, name in patched:
         monkeypatch.setattr(module, name, never)
     assert main(argv + ["--out", str(tmp_path / "out.json")]) == 3
+    err = capsys.readouterr().err
+    assert "resource cap" in err and "Traceback" not in err
+
+
+def test_alpha_with_a_prime_factor_past_the_trial_division_cap_exits_3(tmp_path, capsys):
+    # 2^61 - 1 is prime: factoring it stops at the cap, not at its square root
+    argv = ["density", "--mode", "index", "--alpha", str(2**61 - 1), "--t", "1"]
+    start = time.monotonic()
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 3
+    assert time.monotonic() - start < 2
     err = capsys.readouterr().err
     assert "resource cap" in err and "Traceback" not in err
 

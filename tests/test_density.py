@@ -20,6 +20,8 @@ from orddensity import density, kummer
 from orddensity.eulerseries import phi_lcm_tail
 from orddensity.kummer import DegreeCache, FieldSpec, kummer_degree
 
+TWO = (FactoredRational.of(2),)  # the alphas of a spec or field built directly
+
 
 def artin_euler_product(limit=10**6) -> float:
     prod = 1.0
@@ -305,11 +307,9 @@ def test_multiplicative_independence_checker():
 def test_set_descriptor():
     s = SetDescriptor.finite([3, 1, 3])
     assert s.values == (1, 3)
-    assert s.contains(3) and not s.contains(2)
     assert s.upto(2) == [1]
     assert not s.truncated_above(3)
     ap = SetDescriptor.progression(2, 5)
-    assert ap.contains(7) and not ap.contains(8)
     assert ap.upto(14) == [2, 7, 12]
     assert ap.truncated_above(100)
     allk = SetDescriptor.progression(0, 1)
@@ -339,6 +339,17 @@ def test_set_descriptor():
         pytest.param(lambda: ConditionSpec.make([2], IndexFixed(("1",))), id="index-target-str"),
         pytest.param(lambda: ConditionSpec.make([2], OrderAP((0.5,), (2,))), id="order-a"),
         pytest.param(lambda: ConditionSpec.make([2], OrderAP((0,), (2.5,))), id="order-d"),
+        # built directly, without make
+        pytest.param(lambda: ConditionSpec(TWO, IndexFixed((1.5,))), id="direct-index-target"),
+        pytest.param(lambda: ConditionSpec(TWO, OrderAP((0,), (2.5,))), id="direct-order-d"),
+        pytest.param(
+            lambda: ConditionSpec(TWO, IndexFixed((1,)), (4.0, {3})), id="direct-frobenius-level"
+        ),
+        pytest.param(
+            lambda: ConditionSpec(TWO, IndexFixed((1,)), (4, {3.0})), id="direct-frobenius-class"
+        ),
+        pytest.param(lambda: FieldSpec(TWO, (2.0,), 8), id="direct-field-m"),
+        pytest.param(lambda: FieldSpec(TWO, (2,), 8.0), id="direct-field-M"),
     ],
 )
 def test_spec_constructors_reject_non_integers(build):
@@ -363,3 +374,6 @@ def test_spec_constructors_accept_numpy_integers():
     assert order == twin
     assert type(order.mode.a[0]) is int and type(order.mode.d[0]) is int
     assert order_density(order, nmax=16, tmax=16) == order_density(twin, nmax=16, tmax=16)
+    direct = ConditionSpec(TWO, IndexFixed((i(1),)), (i(4), [i(7)]))
+    assert direct == ConditionSpec.make([2], IndexFixed((1,)), frobenius=(4, {3}))
+    assert direct.frobenius == (4, frozenset({3})) and type(direct.mode.T[0]) is int

@@ -5,12 +5,14 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import pytest
 
 import orddensity
 
+from orddensity import empirical
 from orddensity.arith import ResourceCapError, prime_list, segmented_primes
 from orddensity.cli import CHEBOTAREV_FIELDS
 from orddensity.density import (
@@ -30,7 +32,6 @@ from orddensity.empirical import (
     li,
     scan,
     scan_many,
-    splitting_fraction,
     splitting_fraction_many,
 )
 from orddensity.kummer import FieldSpec, kummer_degree
@@ -141,8 +142,9 @@ def test_index_set_scan_matches_union_of_fixed():
 
 def test_scan_worker_invariance():
     spec = ConditionSpec.make([2, 3], IndexFixed((1, 1)))
-    serial = scan(spec, 10**5, workers=1, segment=1 << 14)
-    forked = scan(spec, 10**5, workers=3, segment=1 << 14)
+    with mock.patch.object(empirical, "SEGMENT", 1 << 14):
+        serial = scan(spec, 10**5, workers=1)
+        forked = scan(spec, 10**5, workers=3)
     assert (serial.matched, serial.considered) == (forked.matched, forked.considered)
 
 
@@ -157,13 +159,14 @@ def test_scan_memory_is_bounded_by_the_segment():
         ConditionSpec.make([2, 5], both_even),
     ]
     peaks = []
-    for x in (10**6, 4 * 10**6):
-        tracemalloc.start()
-        try:
-            scan_many(specs, x, segment=1 << 16)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    with mock.patch.object(empirical, "SEGMENT", 1 << 16):
+        for x in (10**6, 4 * 10**6):
+            tracemalloc.start()
+            try:
+                scan_many(specs, x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
     assert max(peaks) < 4 * 2**20
     assert peaks[1] < 1.1 * peaks[0]
 
@@ -187,16 +190,8 @@ def test_scan_resource_guard():
         index_counts(2, 10**9 + 1)
     with pytest.raises(ResourceCapError):
         large_index_diagnostic(2, 10**9 + 1, 0.5)
-    fspec = FieldSpec.make([2], (2,), 8)
-    for bad_call in [
-        lambda: scan(spec, 100, segment=0),
-        lambda: scan_many([spec], 100, segment=-1),
-        lambda: splitting_fraction(fspec, 100, segment=0),
-        lambda: splitting_fraction_many([fspec], 100, segment=-1),
-        lambda: large_index_diagnostic(2, 1, 0.5),
-    ]:
-        with pytest.raises(ValueError):
-            bad_call()
+    with pytest.raises(ValueError):
+        large_index_diagnostic(2, 1, 0.5)
 
 
 def test_excluded_primes():
@@ -240,10 +235,10 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 def test_splitting_fraction_examples():
     fs = FieldSpec.make([2], (2,), 8)
-    frac = splitting_fraction(fs, 10**5)
+    [frac] = splitting_fraction_many([fs], 10**5)
     assert frac == pytest.approx(0.25, abs=0.02)
     trivial = FieldSpec.make([2], (1,), 1)
-    assert splitting_fraction(trivial, 10**4) == 1.0
+    assert splitting_fraction_many([trivial], 10**4) == [1.0]
 
 
 def test_splitting_fraction_times_degree_near_one():
@@ -261,8 +256,28 @@ def test_splitting_fractions_are_segment_invariant():
     fields = [FieldSpec.make(a, m, M) for a, m, M in CHEBOTAREV_FIELDS]
     # segment 7 leaves some segments without a prime, such as [114, 121)
     assert segmented_primes(2 + 16 * 7, 2 + 17 * 7).size == 0
-    fractions = [splitting_fraction_many(fields, 10**5, segment=s) for s in (7, 256, 1 << 22)]
+    fractions = []
+    for segment in (7, 256, 1 << 22):
+        with mock.patch.object(empirical, "SEGMENT", segment):
+            fractions.append(splitting_fraction_many(fields, 10**5))
     assert fractions[0] == fractions[1] == fractions[2]
+
+
+def test_walk_sieves_windows_of_segment_integers_that_tile_the_range():
+    x, windows = 10**4, []
+
+    def spy(lo, hi):
+        windows.append((lo, hi))
+        return segmented_primes(lo, hi)
+
+    with mock.patch.object(empirical, "SEGMENT", 1000), \
+            mock.patch.object(empirical, "segmented_primes", spy):
+        res = scan(ConditionSpec.make([2], IndexFixed((1,))), x)
+    assert res.considered == prime_list(x).size - 1
+    assert len(windows) == -(-(x - 1) // 1000)
+    assert all(hi - lo <= 1000 for lo, hi in windows)
+    assert [lo for lo, _ in windows] == [2] + [hi for _, hi in windows[:-1]]
+    assert windows[-1][1] == x + 1
 
 
 def test_large_index_diagnostic_small_case():

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from orddensity.density import (
     SetDescriptor,
     multiplicatively_independent,
 )
+from orddensity import empirical
 from orddensity.empirical import block_indices, scan, scan_many
 
 from oracles import brute_scan, trial_order
@@ -129,7 +131,8 @@ def test_scan_many_matches_prime_by_prime_classifier(specs, x, segment):
     for alphas, *_ in specs:
         assume(multiplicatively_independent([FactoredRational.from_fraction(q) for q in alphas]))
     built = [ConditionSpec.make(alphas, m, frob) for alphas, _, _, m, frob in specs]
-    results = scan_many(built, x, segment=segment, checkpoints=True)
+    with mock.patch.object(empirical, "SEGMENT", segment):
+        results = scan_many(built, x, checkpoints=True)
     for (alphas, mode, params, _, frob), res in zip(specs, results):
         matched, considered, checkpoints = brute_scan(alphas, mode, params, frob, x)
         assert (res.matched, res.considered) == (matched, considered)
