@@ -23,13 +23,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .arith import FactoredRational, as_int, crt_merge, moebius
+from .arith import FactoredRational, as_int, crt_merge, euler_phi, moebius
 from .eulerseries import KahanSum, phi_lcm_tail
 from .kummer import (
+    DEFAULT_CACHE,
     DegreeCache,
-    FieldSpec,
-    count_automorphisms,
-    degree_info,
+    _count_units,
+    _degree,
     exponent_minor_gcd,
 )
 
@@ -51,12 +51,25 @@ class SetDescriptor:
     a: int = 0
     d: int = 1
 
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(map(as_int, self.values)))
+        object.__setattr__(self, "a", as_int(self.a))
+        object.__setattr__(self, "d", as_int(self.d))
+        if self.kind == "finite":
+            vals = self.values
+            if not vals or vals[0] < 1 or any(x >= y for x, y in zip(vals, vals[1:])):
+                raise ValueError("finite index set needs sorted distinct positive integers")
+        elif self.kind == "ap":
+            if self.d < 1:
+                raise ValueError("progression modulus must be >= 1")
+            if not 0 <= self.a < self.d:
+                raise ValueError("progression residue must lie in [0, d)")
+        else:
+            raise ValueError(f"unknown index set kind {self.kind!r}")
+
     @staticmethod
     def finite(values: Sequence[int]) -> "SetDescriptor":
-        vals = tuple(sorted(set(map(as_int, values))))
-        if not vals or vals[0] < 1:
-            raise ValueError("finite index set needs positive integers")
-        return SetDescriptor("finite", values=vals)
+        return SetDescriptor("finite", values=tuple(sorted(set(map(as_int, values)))))
 
     @staticmethod
     def progression(a: int, d: int) -> "SetDescriptor":
@@ -256,6 +269,10 @@ def evaluate(
     grids = _tail_grids(tail_caps)  # any cap error fires before the series runs
     f = spec.frobenius[0] if spec.frobenius else 1
     sf = [(n, mu) for n in range(1, nmax + 1) if (mu := moebius(n))]
+    # the spec is validated, so each term's field Q(zeta_M, alpha_i^(1/m_i))
+    # is read off the alphas' box view without building a FieldSpec
+    boxes = (cache if cache is not None else DEFAULT_CACHE).view(spec.alphas)
+    phis: dict[int, int] = {}
     acc = KahanSum()
     log: Optional[list] = [] if log_terms else None
     terms = 0
@@ -272,9 +289,13 @@ def evaluate(
                 continue
             m = tuple(n * t for n, t in zip(N, T))
             v = math.lcm(*m)
-            field = FieldSpec(spec.alphas, m, math.lcm(v, extra_level, f))
-            degree, fail = degree_info(field, cache)
-            count = count_automorphisms(field, v, congruences, spec.frobenius, cache)
+            M = math.lcm(v, extra_level, f)
+            phi = phis.get(M)
+            if phi is None:
+                phi = phis[M] = euler_phi(M)
+            witnesses = boxes.witnesses(m, M)
+            degree, fail = _degree(phi, m, witnesses)
+            count = _count_units(M, v, congruences, spec.frobenius, witnesses)
             b_seen = math.lcm(b_seen, fail)
             terms += 1
             mu_prod = math.prod(mu for _, mu in Nmu)

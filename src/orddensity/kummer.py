@@ -23,6 +23,9 @@ With sides g_i = gcd(m_i, 2 Delta), a box tuple is e_i = k_i * m_i / g_i for k
 in prod Z/g_i, and its radical product is prod alpha_i^(k_i/g_i).  So Rel
 depends on m only through g and on M only through the test that a product's
 conductor divides M: `DegreeCache` enumerates a box once per (alphas, g).
+It hands out one `AlphaBoxes` view per alpha tuple, holding 2 Delta and that
+tuple's boxes, so a series looks its alphas up once and then pays one box
+filter per field.
 
 Each unit c mod M that fixes the witnesses of all members of Rel extends to
 exactly prod(m_i)/|Rel| automorphisms of the full field, one of which acts
@@ -138,29 +141,50 @@ def _abelian_box(alphas: tuple[FactoredRational, ...], sides: tuple[int, ...]) -
 CACHE_SIZE = 1024
 
 
+class AlphaBoxes:
+    """The boxes of one alpha tuple: 2 Delta and `_abelian_box(alphas, g)`
+    per side tuple g, each enumerated on first use."""
+
+    __slots__ = ("alphas", "two_delta", "boxes")
+
+    def __init__(self, alphas: tuple[FactoredRational, ...]):
+        self.alphas = alphas
+        self.two_delta = 2 * exponent_minor_gcd(alphas)
+        self.boxes: dict[tuple[int, ...], list] = {}
+
+    def witnesses(self, m: Sequence[int], M: int) -> list[RadicalValue]:
+        """The witnesses of the nonzero members of the relation group of
+        Q(zeta_M, alpha_i^(1/m_i)): the values of its box whose conductor
+        divides M."""
+        sides = tuple(math.gcd(mi, self.two_delta) for mi in m)
+        box = self.boxes.get(sides)
+        if box is None:
+            box = self.boxes[sides] = _abelian_box(self.alphas, sides)
+        return [value for _, value, cond in box if M % cond == 0]
+
+
 class DegreeCache:
     """Relation boxes, each enumerated once.  Keyed by the alpha tuple, an
-    entry holds 2 Delta and `_abelian_box(alphas, g)` per side tuple g.  It
-    holds at most CACHE_SIZE alpha tuples; past that the oldest goes first.
+    entry is that tuple's `AlphaBoxes` view.  It holds at most CACHE_SIZE
+    alpha tuples; past that the oldest goes first.  A caller that evaluates
+    many fields of one alpha tuple fetches the view once with `view`.
     """
 
     def __init__(self):
-        self._alphas: dict[tuple[FactoredRational, ...], tuple[int, dict]] = {}
+        self._alphas: dict[tuple[FactoredRational, ...], AlphaBoxes] = {}
 
-    def witnesses(self, spec: FieldSpec) -> list[RadicalValue]:
-        """The witnesses of the nonzero members of the field's relation group:
-        the values of its box whose conductor divides M."""
-        entry = self._alphas.get(spec.alphas)
-        if entry is None:
+    def view(self, alphas: tuple[FactoredRational, ...]) -> AlphaBoxes:
+        """The view of one alpha tuple, created on first use."""
+        view = self._alphas.get(alphas)
+        if view is None:
             if len(self._alphas) >= CACHE_SIZE:
                 del self._alphas[next(iter(self._alphas))]
-            entry = self._alphas[spec.alphas] = (2 * exponent_minor_gcd(spec.alphas), {})
-        two_delta, boxes = entry
-        sides = tuple(math.gcd(mi, two_delta) for mi in spec.m)
-        box = boxes.get(sides)
-        if box is None:
-            box = boxes[sides] = _abelian_box(spec.alphas, sides)
-        return [value for _, value, cond in box if spec.M % cond == 0]
+            view = self._alphas[alphas] = AlphaBoxes(alphas)
+        return view
+
+    def witnesses(self, spec: FieldSpec) -> list[RadicalValue]:
+        """The witnesses of the nonzero members of the field's relation group."""
+        return self.view(spec.alphas).witnesses(spec.m, spec.M)
 
     def __len__(self) -> int:
         return len(self._alphas)
@@ -169,12 +193,19 @@ class DegreeCache:
 DEFAULT_CACHE = DegreeCache()
 
 
-def degree_info(spec: FieldSpec, cache: Optional[DegreeCache] = None) -> tuple[int, int]:
-    """(field degree over Q, failure ratio |Rel|)."""
-    rel_size = 1 + len((cache if cache is not None else DEFAULT_CACHE).witnesses(spec))
-    numerator = euler_phi(spec.M) * math.prod(spec.m)
+def _degree(phi_M: int, m: Sequence[int], witnesses: list) -> tuple[int, int]:
+    """(degree, |Rel|) of Q(zeta_M, alpha_i^(1/m_i)) from phi(M) and the
+    witnesses of its nonzero relation-group members."""
+    rel_size = 1 + len(witnesses)
+    numerator = phi_M * math.prod(m)
     assert numerator % rel_size == 0
     return numerator // rel_size, rel_size
+
+
+def degree_info(spec: FieldSpec, cache: Optional[DegreeCache] = None) -> tuple[int, int]:
+    """(field degree over Q, failure ratio |Rel|)."""
+    witnesses = (cache if cache is not None else DEFAULT_CACHE).witnesses(spec)
+    return _degree(euler_phi(spec.M), spec.m, witnesses)
 
 
 def kummer_degree(spec: FieldSpec, cache: Optional[DegreeCache] = None) -> int:
@@ -209,7 +240,20 @@ def count_automorphisms(
     congruence systems count zero; they are not an error.  The witnesses
     come from `cache` (the shared default cache when None).
     """
-    W = spec.M
+    witnesses = (cache if cache is not None else DEFAULT_CACHE).witnesses(spec)
+    return _count_units(spec.M, fix_level, congruences, frobenius, witnesses)
+
+
+def _count_units(
+    W: int,
+    fix_level: int,
+    congruences: Sequence[tuple[int, int]],
+    frobenius: Optional[tuple[int, frozenset[int] | set[int]]],
+    witnesses: list[RadicalValue],
+) -> int:
+    """`count_automorphisms` for the field of level W whose relation group has
+    the given witnesses.  The unit c = 1 acts as sigma_1, the identity, so it
+    counts without a test of the witnesses."""
     levels = [fix_level, *(mod for _, mod in congruences)]
     if frobenius is not None:
         levels.append(frobenius[0])
@@ -221,7 +265,6 @@ def count_automorphisms(
     rho, mu = merged
     if math.gcd(rho, mu) != 1:
         return 0
-    witnesses = (cache if cache is not None else DEFAULT_CACHE).witnesses(spec)
     if frobenius is not None:
         f, classes = frobenius[0], {x % frobenius[0] for x in frobenius[1]}
     count = 0
@@ -234,7 +277,7 @@ def count_automorphisms(
         # fixed_by acts on Q(zeta_L), L = lcm(zeta order, conductor(d), W); a
         # witness's conductor divides W, so only 2 can divide L and not W
         lifted = c if c % 2 else c + W
-        if all(fixed_by(lifted, w, W) for w in witnesses):
+        if lifted == 1 or all(fixed_by(lifted, w, W) for w in witnesses):
             count += 1
     return count
 

@@ -18,7 +18,7 @@ from orddensity.density import (
 )
 from orddensity import density, kummer
 from orddensity.eulerseries import phi_lcm_tail
-from orddensity.kummer import DegreeCache, FieldSpec, kummer_degree
+from orddensity.kummer import DegreeCache, FieldSpec, count_automorphisms, kummer_degree
 
 TWO = (FactoredRational.of(2),)  # the alphas of a spec or field built directly
 
@@ -179,26 +179,48 @@ def test_full_frobenius_class_is_vacuous():
 
 
 def test_order_density_enumerates_each_field_once(monkeypatch):
-    enumerated, counted = [], []
+    enumerated, views, looked_up, counted, built = [], [], [], [], []
     abelian_box = kummer._abelian_box
-    count_automorphisms = density.count_automorphisms
+    view = DegreeCache.view
+    witnesses = kummer.AlphaBoxes.witnesses
+    count_units = density._count_units
+    post_init = FieldSpec.__post_init__
 
     def enumerate_(alphas, sides):
         enumerated.append(sides)
         return abelian_box(alphas, sides)
 
-    def count(field, *args, **kwargs):
-        counted.append(field)
-        return count_automorphisms(field, *args, **kwargs)
+    def fetch(cache, alphas):
+        views.append(alphas)
+        return view(cache, alphas)
+
+    def lookup(view, m, M):
+        looked_up.append((m, M))
+        return witnesses(view, m, M)
+
+    def count(W, *args):
+        counted.append(W)
+        return count_units(W, *args)
+
+    def build(field):
+        built.append(field)
+        post_init(field)
 
     monkeypatch.setattr(kummer, "_abelian_box", enumerate_)
-    monkeypatch.setattr(density, "count_automorphisms", count)
+    monkeypatch.setattr(DegreeCache, "view", fetch)
+    monkeypatch.setattr(kummer.AlphaBoxes, "witnesses", lookup)
+    monkeypatch.setattr(density, "_count_units", count)
+    monkeypatch.setattr(FieldSpec, "__post_init__", build)
     spec = ConditionSpec.make([2], OrderAP((0,), (2,)))
     res = order_density(spec, nmax=24, tmax=24, cache=DegreeCache())
-    assert len(counted) == res.terms_evaluated
+    # one alpha lookup per series, one witness lookup and one unit count per
+    # term, and no FieldSpec built
+    assert views == [spec.alphas]
+    assert len(looked_up) == len(counted) == res.terms_evaluated
+    assert not built
     # Delta = 1 for alpha = 2: the many fields share the sides (1,) and (2,),
     # and each of the two boxes is enumerated once
-    assert len(set(counted)) > 2 and enumerated == [(1,), (2,)]
+    assert len(set(looked_up)) > 2 and enumerated == [(1,), (2,)]
 
 
 def test_rank_one_series_shape():
@@ -236,6 +258,53 @@ PINNED_SERIES = [
         ("0x1.368f6ae94888cp-3", 48, (12, 12), "0x1.2e028acb255a7p-1"),
     ),
 ]
+
+
+EVEN = SetDescriptor.progression(0, 2)
+
+# (spec, nmax, tmax, (value.hex(), terms_evaluated, tail_estimate.hex())),
+# recorded before `evaluate` read each term's field off the alphas' box view:
+# Artin, ord_2 odd on p = 3 (mod 4), (2,3) index (1,1), (2,5) both indices even
+GOLDEN_SERIES = [
+    pytest.param(
+        ConditionSpec.make([2], IndexFixed((1,))), 64, 64,
+        ("0x1.7fbcdf5806c43p-2", 39, "0x1.ebe31daa031bbp-6"), id="artin",
+    ),
+    pytest.param(
+        ConditionSpec.make([2], OrderAP((1,), (2,)), frobenius=(4, {3})), 16, 16,
+        ("0x1.e2990295d450ep-3", 56, "0x1.d49d14601854fp-2"), id="ord2-odd-frobenius",
+    ),
+    pytest.param(
+        ConditionSpec.make([2, 3], IndexFixed((1, 1))), 16, 64,
+        ("0x1.2ddeb49c0313cp-3", 121, "0x1.d49d14601854fp-3"), id="index-2-3",
+    ),
+    pytest.param(
+        ConditionSpec.make([2, 5], IndexSet((EVEN, EVEN))), 8, 16,
+        ("0x1.71b3d9208eafep-3", 2304, "0x1.559540d542a9ep+1"), id="both-even-2-5",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, nmax, tmax, pinned", GOLDEN_SERIES)
+def test_evaluate_matches_golden_series(spec, nmax, tmax, pinned):
+    res = density.evaluate(spec, nmax, tmax, log_terms=True)
+    assert (res.value.hex(), res.terms_evaluated, res.tail_estimate.hex()) == pinned
+    assert len(res.per_term_log) == res.terms_evaluated
+    # every logged term against the public per-field path
+    frobenius = spec.frobenius
+    f = frobenius[0] if frobenius else 1
+    for row in res.per_term_log:
+        m = [n * t for n, t in zip(row["N"], row["T"])]
+        congruences, extra_level = (), 1
+        if isinstance(spec.mode, OrderAP):
+            mods = [d * t for d, t in zip(spec.mode.d, row["T"])]
+            congruences = tuple(
+                ((1 + a * t) % mod, mod) for a, t, mod in zip(spec.mode.a, row["T"], mods)
+            )
+            extra_level = math.lcm(*mods)
+        field = FieldSpec.make(spec.alphas, m, math.lcm(*m, extra_level, f))
+        assert row["degree"] == kummer_degree(field)
+        assert row["c"] == count_automorphisms(field, math.lcm(*m), congruences, frobenius)
 
 
 @pytest.mark.parametrize("spec, nmax, tmax, pinned", PINNED_SERIES)
@@ -316,6 +385,32 @@ def test_set_descriptor():
     assert allk.upto(4) == [1, 2, 3, 4]
     with pytest.raises(ValueError):
         SetDescriptor.finite([0, 2])
+
+
+@pytest.mark.parametrize(
+    "kind, kwargs",
+    [
+        pytest.param("ap", dict(a=1, d=0), id="ap-modulus-0"),
+        pytest.param("ap", dict(a=3, d=2), id="ap-residue-past-modulus"),
+        pytest.param("ap", dict(a=-1, d=2), id="ap-negative-residue"),
+        pytest.param("ap", dict(a=1, d=2.0), id="ap-float-modulus"),
+        pytest.param("finite", dict(values=(1.5,)), id="finite-float"),
+        pytest.param("finite", dict(values=(0, 2)), id="finite-zero"),
+        pytest.param("finite", dict(values=(3, 1)), id="finite-unsorted"),
+        pytest.param("finite", dict(values=(1, 1)), id="finite-repeat"),
+        pytest.param("finite", dict(), id="finite-empty"),
+        pytest.param("range", dict(values=(1,)), id="unknown-kind"),
+    ],
+)
+def test_set_descriptor_built_directly_is_validated(kind, kwargs):
+    with pytest.raises(ValueError):
+        SetDescriptor(kind, **kwargs)
+
+
+def test_set_descriptor_built_directly_matches_factories():
+    assert SetDescriptor("finite", (1, 3)) == SetDescriptor.finite([3, 1, 3])
+    assert SetDescriptor("ap", a=3, d=4) == SetDescriptor.progression(-1, 4)
+    assert type(SetDescriptor("finite", (np.int64(2),)).values[0]) is int
 
 
 @pytest.mark.parametrize(

@@ -286,6 +286,23 @@ def test_count_automorphisms_brute_force_small_field():
     assert count_automorphisms(spec, 1, ()) == 4
 
 
+def test_identity_unit_counts_without_a_witness_test(monkeypatch):
+    tested = []
+    fixed_by = kummer.fixed_by
+
+    def spy(c, v, M):
+        tested.append(c)
+        return fixed_by(c, v, M)
+
+    monkeypatch.setattr(kummer, "fixed_by", spy)
+    # sigma_1 is the identity: c = 1 counts, and only the other units are tested
+    assert count_automorphisms(fs([2], (2,), 8), 2, ()) == 2
+    assert sorted(set(tested)) == [3, 5, 7]
+    tested.clear()
+    assert count_automorphisms(fs([-8], (3,), 15), 1, ()) == 4
+    assert tested and 1 not in tested
+
+
 def test_count_automorphisms_caps():
     for alphas, m, M, fix, congr, frob in [
         ((2,), (2,), 8, 2, (), None),
