@@ -39,7 +39,7 @@ from .empirical import (
     scan,
     scan_many,
 )
-from .eulerseries import gcd_phi_sum, lcm_phi_sum, phi_lcm_tail
+from .eulerseries import phi_lcm_tail
 from .kummer import (
     FieldSpec,
     KummerBound,
@@ -70,8 +70,6 @@ __all__ = [
     "failure_ratio",
     "count_automorphisms",
     "phi_lcm_tail",
-    "gcd_phi_sum",
-    "lcm_phi_sum",
     "ConditionSpec",
     "SetDescriptor",
     "OrderAP",

@@ -316,7 +316,7 @@ def verify_euler(r: int, cap: int = 4096) -> dict:
 
 def verify_kummer(grid: str) -> dict:
     pool = (2, 3, 5, -2, 8, 12)
-    small = kummer.observe_failure_bound(pool, 12, 240)
+    small = kummer.observe_failure_bound(pool, 240)
     out = {
         "target": "kummer",
         "grid": grid,
@@ -325,7 +325,7 @@ def verify_kummer(grid: str) -> dict:
         "passed": True,
     }
     if grid == "double":
-        big = kummer.observe_failure_bound(pool, 12, 480)
+        big = kummer.observe_failure_bound(pool, 480)
         out["B_observed_doubled"] = big.B_observed
         out["passed"] = bool(big.B_observed == small.B_observed)
     return out

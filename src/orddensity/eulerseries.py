@@ -4,12 +4,13 @@ The target quantities are truncated multiple sums of the shape
 
     sum over n_1 > x, n_2..n_r <= cap  of  1 / (phi(lcm(n)) * n_1 * ... * n_r)
 
-whose scaled values x * tail stay bounded (the 1/x law), plus the companion
-sums with gcd(n, z) or n_1 in the numerator.  A finite cap replaces the
-infinite series; `orddensity verify euler` reports the tail at cap/2 beside
-the tail at cap, so boundedness claims are not truncation artifacts.
+whose scaled values x * tail stay bounded (the 1/x law).  `orddensity verify
+euler` checks that law for r = 1, 2, 3, and the rank-1 sum is the density
+series' heuristic tail estimate.  A finite cap replaces the infinite series;
+`verify euler` reports the tail at cap/2 beside the tail at cap, so
+boundedness claims are not truncation artifacts.
 
-For r = 2, 3 both sums read one marginal over n_2..n_r <= cap,
+For r = 2, 3 the tail reads one marginal over n_2..n_r <= cap,
 
     H[a] = sum of 1 / (n_2 ... n_r * phi(lcm(a, n_2, ..., n_r))).
 
@@ -24,19 +25,16 @@ W[m] = sum of 1 / (n_2 ... n_r * phi(m)).  J is multiplicative with
 J(p) = p - 2 and J(p^k) = p^(k-2) * (p - 1)^2 for k >= 2, so J >= 0 and every
 sum above has nonnegative terms: nothing cancels.  For r = 3 the first
 identity also gives phi(lcm(b, c)) from phi(b), phi(c) and phi(gcd(b, c)), so
-phi is needed only up to max(x, cap).  The pass over pairs b <= c <= cap is
+phi is needed only up to cap.  The pass over pairs b <= c <= cap is
 the cap^2 part; the rest are divisor sums.  The tests check H against exact
 Fraction marginals.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 import numpy as np
 
-from .arith import ResourceCapError, phi_sieve, prime_list
+from .arith import ResourceCapError, phi_sieve
 
 _BOX_CAP = 4096  # r = 3 collects its pair weights in an array of size cap^2
 _R1_CAP = 2 * 10**7
@@ -62,27 +60,17 @@ class KahanSum:
         return self._s
 
 
-_MARGINAL_CACHE: dict[tuple[int, int, bool, int], np.ndarray] = {}
+_MARGINAL_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
-def squarefree_mask(limit: int) -> np.ndarray:
-    """Boolean mask over 0..limit, True at squarefree indices (and 0)."""
-    mask = np.ones(limit + 1, dtype=bool)
-    for p in prime_list(math.isqrt(limit)):
-        mask[p * p :: p * p] = False
-    return mask
-
-
-def _marginal(r: int, cap: int, squarefree: bool, size: int) -> np.ndarray:
-    """H[a] for a <= size: the sum over admissible n_2..n_r <= cap of
+def _marginal(r: int, cap: int) -> np.ndarray:
+    """H[a] for a <= cap: the sum over n_2..n_r <= cap of
     1 / (n_2 ... n_r * phi(lcm(a, n_2, ..., n_r))), for r = 2, 3."""
-    key = (r, cap, squarefree, size)
+    key = (r, cap)
     if key in _MARGINAL_CACHE:
         return _MARGINAL_CACHE[key]
-    phi = phi_sieve(max(size, cap))
+    phi = phi_sieve(cap)
     n = np.arange(1, cap + 1, dtype=np.int64)
-    if squarefree:
-        n = n[squarefree_mask(cap)[1:]]
     if r == 2:
         W = np.zeros(cap + 1)
         W[n] = 1.0 / (n * phi[n])
@@ -95,25 +83,22 @@ def _marginal(r: int, cap: int, squarefree: bool, size: int) -> np.ndarray:
             w = 2.0 * phi[g] / (b * phi[b] * c * phi[c])
             w[0] *= 0.5  # diagonal pair (b, b) counted once
             np.add.at(W, c // g * b, w)
-    top = min(size, len(W) - 1)  # D[e] = 0 past the largest lcm
-    J = phi[: top + 1].copy()
-    for d in range(1, top // 2 + 1):  # Moebius inversion of phi = 1 * J
+    J = phi.copy()
+    for d in range(1, cap // 2 + 1):  # Moebius inversion of phi = 1 * J
         J[2 * d :: d] -= J[d]
-    G = np.zeros(size + 1)
-    for e in range(1, top + 1):  # G[a] = sum over e | a of J(e) * D[e]
+    G = np.zeros(cap + 1)
+    for e in range(1, cap + 1):  # G[a] = sum over e | a of J(e) * D[e]
         G[e::e] += J[e] * W[e::e].sum()
-    h = np.zeros(size + 1)
-    h[1:] = G[1:] / phi[1 : size + 1]
+    h = np.zeros(cap + 1)
+    h[1:] = G[1:] / phi[1:]
     _MARGINAL_CACHE[key] = h
     return h
 
 
-def phi_lcm_tail(r: int, x: int, cap: int, *, squarefree: bool = False) -> float:
+def phi_lcm_tail(r: int, x: int, cap: int) -> float:
     """sum over n_1 in (x, cap], n_2..n_r in [1, cap] of 1/(phi(lcm(n)) prod n_i).
 
-    Deterministic evaluation; r <= 3 (cost grows like cap^(r-1)).  With
-    squarefree=True every n_i is restricted to squarefree values, the
-    sub-series whose r = 1 limit is zeta(2)zeta(3)/zeta(6) - 1.
+    Deterministic evaluation; r <= 3 (cost grows like cap^(r-1)).
     """
     if not (1 <= r <= 3):
         raise ValueError("rank must be 1, 2 or 3")
@@ -124,36 +109,5 @@ def phi_lcm_tail(r: int, x: int, cap: int, *, squarefree: bool = False) -> float
         raise ResourceCapError(f"cap {cap} too large for rank {r} (max {limit})")
     n = np.arange(x + 1, cap + 1, dtype=np.int64)
     if r == 1:
-        vals = 1.0 / (phi_sieve(cap)[x + 1 :] * n)
-    else:
-        vals = _marginal(r, cap, squarefree, cap)[x + 1 :] / n
-    if squarefree:
-        vals = vals[squarefree_mask(cap)[x + 1 :]]
-    return float(np.sum(vals))
-
-
-def gcd_phi_sum(x: int, z: int) -> float:
-    """sum_{n <= x} gcd(n, z) * n / phi(n), evaluated exactly then floated."""
-    if x < 1 or z < 1:
-        raise ValueError("need x, z >= 1")
-    phi = phi_sieve(x)
-    total = Fraction(0)
-    for n in range(1, x + 1):
-        total += math.gcd(n, z) * Fraction(n, int(phi[n]))
-    return float(total)
-
-
-def lcm_phi_sum(r: int, x: int, cap: int = 1024) -> float:
-    """sum over n_1 <= x, n_2..n_r <= cap of n_1 / (phi(lcm(n)) n_2 ... n_r)."""
-    if not (1 <= r <= 3):
-        raise ValueError("rank must be 1, 2 or 3")
-    if x < 1:
-        raise ValueError("need x >= 1")
-    if r == 1:
-        return gcd_phi_sum(x, 1)
-    if r == 2 and x * cap > 2**25:
-        raise ResourceCapError("x * cap too large for rank 2")
-    if r == 3 and x * cap * cap > 2**24:
-        raise ResourceCapError("x * cap^2 too large for rank 3")
-    n = np.arange(1, x + 1, dtype=np.int64)
-    return float(np.sum(n * _marginal(r, cap, False, x)[1:]))
+        return float(np.sum(1.0 / (phi_sieve(cap)[x + 1 :] * n)))
+    return float(np.sum(_marginal(r, cap)[x + 1 :] / n))

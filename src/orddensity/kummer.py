@@ -63,16 +63,13 @@ class FieldSpec:
     M: int
 
     def __post_init__(self):
-        # validated, not coerced: coercing slows the series' per-term specs ~6%
+        object.__setattr__(self, "m", tuple(map(as_int, self.m)))
+        object.__setattr__(self, "M", as_int(self.M))
         if len(self.alphas) < 1 or len(self.alphas) != len(self.m):
             raise ValueError("need r >= 1 alphas with matching radical indices")
-        try:
-            level = math.lcm(self.M, *self.m)
-        except TypeError as exc:
-            raise ValueError("radical indices and M must be integers") from exc
         if any(mi < 1 for mi in self.m) or self.M < 1:
             raise ValueError("radical indices and M must be positive")
-        if level != self.M:
+        if math.lcm(self.M, *self.m) != self.M:
             raise ValueError("M must be a multiple of every radical index")
         for a in self.alphas:
             if not a.factors:
@@ -80,8 +77,7 @@ class FieldSpec:
 
     @staticmethod
     def make(alphas: Iterable, m: Sequence[int], M: int) -> "FieldSpec":
-        fr = tuple(map(FactoredRational.of, alphas))
-        return FieldSpec(fr, tuple(map(as_int, m)), as_int(M))
+        return FieldSpec(tuple(map(FactoredRational.of, alphas)), m, M)
 
 
 @dataclass(frozen=True)
@@ -286,19 +282,18 @@ def _count_units(
 # failure-of-maximality grid
 
 
-def observe_failure_bound(
-    alpha_pool: Sequence[int],
-    m_divisor: int = 12,
-    M_divisor: int = 240,
-) -> KummerBound:
+GRID_M_DIVISOR = 12  # the failure grid's radical indices divide this
+
+
+def observe_failure_bound(alpha_pool: Sequence[int], M_divisor: int = 240) -> KummerBound:
     """lcm of failure ratios over a grid of field specs.
 
     Grid: alpha lists of one and two alphas drawn from the pool, radical
-    indices over divisors of `m_divisor`, cyclotomic levels over divisors of
-    `M_divisor` compatible with the indices.
+    indices over divisors of `GRID_M_DIVISOR`, cyclotomic levels over
+    divisors of `M_divisor` compatible with the indices.
     """
     alphas = [FactoredRational.of(a) for a in alpha_pool]
-    m_choices = divisors(m_divisor)
+    m_choices = divisors(GRID_M_DIVISOR)
     M_choices = divisors(M_divisor)
     bound = 1
     for r in (1, 2):
@@ -312,6 +307,6 @@ def observe_failure_bound(
                     bound = math.lcm(bound, failure_ratio(spec))
     desc = (
         f"alphas in {list(alpha_pool)}, ranks [1, 2], "
-        f"m | {m_divisor}, M | {M_divisor}"
+        f"m | {GRID_M_DIVISOR}, M | {M_divisor}"
     )
     return KummerBound(bound, desc)

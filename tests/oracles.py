@@ -284,23 +284,35 @@ def relation_group(spec) -> RelationGroup:
     return RelationGroup(spec.m, members)
 
 
-def is_squarefree(n: int) -> bool:
-    return all(n % (p * p) for p in range(2, math.isqrt(n) + 1))
-
-
-def phi_lcm_marginal(r: int, cap: int, squarefree: bool, size: int) -> list[Fraction]:
-    """H[a] for a = 0..size as exact Fractions: the sum over n_2..n_r <= cap
-    (squarefree ones only if asked) of 1 / (n_2 ... n_r * phi(lcm(a, n_2, ...))),
-    with the tuples grouped by their lcm and phi taken of each lcm directly."""
-    ns = [n for n in range(1, cap + 1) if not squarefree or is_squarefree(n)]
+def phi_lcm_marginal(r: int, cap: int) -> list[Fraction]:
+    """H[a] for a = 0..cap as exact Fractions: the sum over n_2..n_r <= cap
+    of 1 / (n_2 ... n_r * phi(lcm(a, n_2, ...))), with the tuples grouped by
+    their lcm and phi taken of each lcm directly."""
     by_lcm: dict[int, Fraction] = {}
-    for tup in itertools.product(ns, repeat=r - 1):
+    for tup in itertools.product(range(1, cap + 1), repeat=r - 1):
         m = math.lcm(*tup)
         by_lcm[m] = by_lcm.get(m, Fraction(0)) + Fraction(1, math.prod(tup))
     return [Fraction(0)] + [
         sum(w / euler_phi(math.lcm(a, m)) for m, w in by_lcm.items())
-        for a in range(1, size + 1)
+        for a in range(1, cap + 1)
     ]
+
+
+def inverse_n_phi_sum() -> float:
+    """sum over n >= 1 of 1 / (n * phi(n)) as its Euler product
+    prod_p (1 + p / ((p - 1)^2 (p + 1))) over the primes p <= 10^6, sieved
+    here.  Each factor past the limit is below 1 + 2/p^2, so together they
+    change the product by less than 5/limit."""
+    limit = 10**6
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    product = 1.0
+    for p in itertools.compress(range(limit + 1), sieve):
+        product *= 1.0 + p / ((p - 1) ** 2 * (p + 1))
+    return product
 
 
 # Deterministic Miller-Rabin witness set, valid far beyond 2^64.

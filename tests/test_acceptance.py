@@ -33,7 +33,12 @@ from orddensity.kummer import (
     observe_failure_bound,
 )
 
-from oracles import TRUE_POWER_TRIPLES, is_nth_power_residue, is_power_in_cyclotomic
+from oracles import (
+    TRUE_POWER_TRIPLES,
+    inverse_n_phi_sum,
+    is_nth_power_residue,
+    is_power_in_cyclotomic,
+)
 
 SCAN_X = 10**7
 # exact (matched, considered) of the five configs at SCAN_X
@@ -44,7 +49,6 @@ SCAN_COUNTS_1E7 = [
     (166237, 664578),
     (165883, 664577),
 ]
-ZETA_CONSTANT = 1.9435964368207592  # zeta(2) zeta(3) / zeta(6)
 
 # the five empirical-agreement configurations: (label, spec factory, series
 # evaluator, rank, relative tolerance at x = 1e7)
@@ -224,8 +228,8 @@ def test_criterion_4_kummer_degrees_vs_splitting():
 
 def test_criterion_5_failure_ratio_bound():
     pool = (2, 3, 5, -2, 8, 12)
-    small = observe_failure_bound(pool, 12, 240)
-    doubled = observe_failure_bound(pool, 12, 480)
+    small = observe_failure_bound(pool, 240)
+    doubled = observe_failure_bound(pool, 480)
     # every ratio on the grid divides the observed bound
     divisors_ok = True
     for r in (1, 2):
@@ -297,13 +301,14 @@ def test_criterion_7_totient_estimates():
         bound = 2.0 * scaled[0]
         bounded = bounded and all(s <= bound for s in scaled)
         details.append(f"r={r}: max={max(scaled):.3f} bound={bound:.3f}")
-    anchor = phi_lcm_tail(1, 1, 10**6, squarefree=True)
-    target = ZETA_CONSTANT - 1.0
-    anchor_ok = abs(anchor - target) < 1e-3
+    # sum over n >= 2 of 1/(n phi(n)), from its Euler product
+    anchor = phi_lcm_tail(1, 1, 10**6)
+    target = inverse_n_phi_sum() - 1.0
+    anchor_ok = abs(anchor - target) < 1e-5
     report(
         "criterion 7 (totient series)",
         bounded and anchor_ok,
-        "; ".join(details) + f"; squarefree anchor={anchor:.6f} vs {target:.6f}",
+        "; ".join(details) + f"; anchor={anchor:.7f} vs {target:.7f}",
     )
 
 

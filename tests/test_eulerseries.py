@@ -7,19 +7,15 @@ import pytest
 from orddensity import eulerseries
 from orddensity.arith import ResourceCapError, euler_phi, phi_sieve
 from orddensity.cli import verify_euler
-from orddensity.eulerseries import KahanSum, gcd_phi_sum, lcm_phi_sum, phi_lcm_tail
+from orddensity.eulerseries import KahanSum, phi_lcm_tail
 
-from oracles import is_squarefree, phi_lcm_marginal
-
-ZETA_CONSTANT = 1.9435964368207592  # zeta(2) zeta(3) / zeta(6)
+from oracles import inverse_n_phi_sum, phi_lcm_marginal
 
 
-def brute_tail(r, x, cap, squarefree=False):
+def brute_tail(r, x, cap):
     total = Fraction(0)
     ranges = [range(x + 1, cap + 1)] + [range(1, cap + 1)] * (r - 1)
     for tup in itertools.product(*ranges):
-        if squarefree and not all(is_squarefree(v) for v in tup):
-            continue
         total += Fraction(1, euler_phi(math.lcm(*tup)) * math.prod(tup))
     return float(total)
 
@@ -27,34 +23,23 @@ def brute_tail(r, x, cap, squarefree=False):
 def test_phi_lcm_tail_matches_brute_force():
     for r, x, cap in [(1, 3, 30), (2, 2, 14), (2, 5, 20), (3, 2, 8), (3, 3, 16)]:
         assert phi_lcm_tail(r, x, cap) == pytest.approx(brute_tail(r, x, cap), rel=1e-12)
-        assert phi_lcm_tail(r, x, cap, squarefree=True) == pytest.approx(
-            brute_tail(r, x, cap, squarefree=True), rel=1e-12
-        )
 
 
-@pytest.mark.parametrize("squarefree", [False, True])
-@pytest.mark.parametrize("r, cap", [(2, 128), (3, 48)])
-def test_phi_lcm_tail_matches_exact_marginal(r, cap, squarefree):
+# the ids are those of the unrestricted cases when a squarefree variant ran too
+@pytest.mark.parametrize("r, cap", [(2, 128), (3, 48)], ids=["2-128-False", "3-48-False"])
+def test_phi_lcm_tail_matches_exact_marginal(r, cap):
     # every tail x = cap - 1 .. 1 against suffix sums of the exact marginal
-    h = phi_lcm_marginal(r, cap, squarefree, cap)
+    h = phi_lcm_marginal(r, cap)
     want = Fraction(0)
     for x in range(cap - 1, 0, -1):
-        if not squarefree or is_squarefree(x + 1):
-            want += h[x + 1] / (x + 1)
-        got = phi_lcm_tail(r, x, cap, squarefree=squarefree)
+        want += h[x + 1] / (x + 1)
+        got = phi_lcm_tail(r, x, cap)
         assert abs(Fraction(got) - want) <= want / 10**15, (x, got, float(want))
-
-
-@pytest.mark.parametrize("r, x, cap", [(2, 40, 64), (3, 12, 24)])
-def test_lcm_phi_sum_matches_exact_marginal(r, x, cap):
-    h = phi_lcm_marginal(r, cap, False, x)
-    want = sum(n * h[n] for n in range(1, x + 1))
-    assert abs(Fraction(lcm_phi_sum(r, x, cap)) - want) <= want / 10**15
 
 
 def test_phi_tabulated_only_up_to_the_cap(monkeypatch):
     # phi(lcm) comes from phi of the arguments and their gcd, so no call
-    # tabulates phi past max(x, cap)
+    # tabulates phi past the cap
     asked = []
 
     def spy(limit):
@@ -63,14 +48,10 @@ def test_phi_tabulated_only_up_to_the_cap(monkeypatch):
 
     monkeypatch.setattr(eulerseries, "_MARGINAL_CACHE", {})
     monkeypatch.setattr(eulerseries, "phi_sieve", spy)
-    for fn, r, x, cap in [
-        (phi_lcm_tail, 2, 4, 4096),
-        (phi_lcm_tail, 3, 4, 4096),
-        (lcm_phi_sum, 2, 16, 1024),
-    ]:
+    for r in (2, 3):
         asked.clear()
-        fn(r, x, cap)
-        assert asked and max(asked) <= max(x, cap), (fn.__name__, r, asked)
+        phi_lcm_tail(r, 4, 4096)
+        assert asked and max(asked) <= 4096, (r, asked)
 
 
 def test_phi_lcm_tail_single_term():
@@ -82,11 +63,11 @@ def test_phi_lcm_tail_single_term():
 
 
 def test_phi_lcm_tail_anchor_constants():
-    # squarefree sub-series converges to zeta(2)zeta(3)/zeta(6) - 1
-    val = phi_lcm_tail(1, 1, 10**5, squarefree=True)
-    assert abs(val - (ZETA_CONSTANT - 1)) < 1e-3
-    # the unrestricted series converges to a strictly larger constant
-    assert phi_lcm_tail(1, 1, 10**5) > 1.19
+    # sum over n >= 2 of 1/(n phi(n)) = prod_p (1 + p/((p-1)^2 (p+1))) - 1;
+    # the terms past the cap add about 1.9/cap
+    limit = inverse_n_phi_sum() - 1
+    assert abs(phi_lcm_tail(1, 1, 10**5) - limit) < 1e-4
+    assert abs(phi_lcm_tail(1, 1, 10**6) - limit) < 1e-5
 
 
 def test_phi_lcm_tail_validates_arguments():
@@ -138,50 +119,37 @@ def test_cap_sensitivity():
     assert sens["cap"] > sens["half_cap"] > 0
 
 
-def test_gcd_phi_sum_exact_small_case():
-    # sum_{n<=10} n/phi(n) = 1 + 2 + 3/2 + 2 + 5/4 + 3 + 7/6 + 2 + 3/2 + 5/2
-    expected = float(Fraction(215, 12))
-    assert gcd_phi_sum(10, 1) == pytest.approx(expected, abs=1e-12)
+# float.hex of `verify euler`'s output at cap 512, x = 4 .. 64: the row
+# tails, then scaled_bound, then cap_sensitivity's cap and half_cap
+EULER_GOLDEN_512 = {
+    1: (
+        ["0x1.a23389cb39f15p-2", "0x1.c292f6549fc54p-3", "0x1.cb2cc93610197p-4",
+         "0x1.c7b7f2e31398fp-5", "0x1.aedbe7b7f766dp-6"],
+        "0x1.a23389cb39f15p+1", "0x1.a23389cb39f15p-2", "0x1.9e5470b3b2a02p-2",
+    ),
+    2: (
+        ["0x1.0e061403e0eb6p+0", "0x1.2859424944276p-1", "0x1.300947757d0cfp-2",
+         "0x1.30343a307915cp-3", "0x1.20a3f7e9ee6d3p-4"],
+        "0x1.0e061403e0eb6p+3", "0x1.0e061403e0eb6p+0", "0x1.0aadd6ba6b677p+0",
+    ),
+    3: (
+        ["0x1.69b528874e4a3p+1", "0x1.94ed7189a469cp+0", "0x1.a34b71046314fp-1",
+         "0x1.a7cd8b3f488bdp-2", "0x1.94004af4bd1b0p-3"],
+        "0x1.69b528874e4a3p+4", "0x1.69b528874e4a3p+1", "0x1.63d1771800a7cp+1",
+    ),
+}
 
 
-def test_gcd_phi_sum_single_term():
-    for z in (1, 7, 360):
-        assert gcd_phi_sum(1, z) == 1.0
-
-
-def test_gcd_phi_sum_growth_bound():
-    val = gcd_phi_sum(10**4, 12)
-    assert val <= 5 * 10**4 * math.sqrt(12)
-
-
-def test_gcd_phi_sum_brute():
-    for x, z in [(20, 6), (35, 12), (50, 30)]:
-        expected = sum(
-            math.gcd(n, z) * Fraction(n, euler_phi(n)) for n in range(1, x + 1)
-        )
-        assert gcd_phi_sum(x, z) == pytest.approx(float(expected), rel=1e-12)
-
-
-def test_lcm_phi_sum_rank_one_reduction():
-    assert lcm_phi_sum(1, 10) == pytest.approx(gcd_phi_sum(10, 1))
-
-
-def test_lcm_phi_sum_brute():
-    for r, x, cap in [(2, 6, 12), (3, 3, 6)]:
-        total = Fraction(0)
-        ranges = [range(1, x + 1)] + [range(1, cap + 1)] * (r - 1)
-        for tup in itertools.product(*ranges):
-            total += Fraction(
-                tup[0], euler_phi(math.lcm(*tup)) * math.prod(tup[1:])
-            )
-        assert lcm_phi_sum(r, x, cap) == pytest.approx(float(total), rel=1e-12)
-
-
-def test_lcm_phi_sum_linear_growth():
-    cap = 256
-    r16 = lcm_phi_sum(2, 16, cap) / 16
-    r32 = lcm_phi_sum(2, 32, cap) / 32
-    assert abs(r32 - r16) <= 0.25 * r16
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_verify_euler_matches_golden(r):
+    out = verify_euler(r, 512)
+    sens = out["cap_sensitivity"]
+    got = (
+        [row["tail"].hex() for row in out["rows"]],
+        out["scaled_bound"].hex(), sens["cap"].hex(), sens["half_cap"].hex(),
+    )
+    assert got == EULER_GOLDEN_512[r]
+    assert out["passed"]
 
 
 def test_kahan_sum_recovers_small_terms():

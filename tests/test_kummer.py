@@ -247,7 +247,7 @@ def test_tower_monotonicity():
 
 
 def test_failure_ratios_divide_grid_bound():
-    bound = observe_failure_bound(GRID_ALPHAS, 12, 240)
+    bound = observe_failure_bound(GRID_ALPHAS, 240)
     assert bound.B_observed >= 1
     for alpha in GRID_ALPHAS:
         for m in GRID_M:
@@ -351,6 +351,16 @@ def test_field_spec_rejects_units_and_bad_levels():
         fs([2], (2,), 5)
     with pytest.raises(ValueError):
         fs([], (), 1)
+
+
+def test_field_spec_built_directly_coerces_integer_indices():
+    two = factorize(2)
+    spec = FieldSpec((two,), (np.int64(2),), np.int64(8))
+    assert spec == fs([2], (2,), 8)
+    assert type(spec.m[0]) is int and type(spec.M) is int
+    for m, M in [((2.0,), 8), ((2,), 8.0)]:
+        with pytest.raises(ValueError):
+            FieldSpec((two,), m, M)
 
 
 def counting_boxes(monkeypatch) -> list:
