@@ -209,7 +209,7 @@ def factor_p_minus_1(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     count = np.maximum((hi - first) // large + 1, 0)
     strided = np.repeat(large, count)
     step = np.arange(strided.size) - np.repeat(np.cumsum(count) - count, count)
-    slot = np.full(hi - lo + 1, -1, dtype=np.int64)
+    slot = np.full(hi - lo + 1, -1, dtype=np.int32)  # rows < len(primes)
     slot[pm1 - lo] = np.arange(pm1.size)
     at = slot[np.repeat(first, count) + strided * step - lo]  # row of each multiple, or -1
     row = np.concatenate(hits + [at[at >= 0]])

@@ -5,10 +5,15 @@ splitting fractions, and comparison against the series values.
 Scans, splitting fractions and index histograms share one walk over the
 primes, `_walk`: data-parallel over fixed-width prime segments, with
 per-segment counts merged by addition in segment order, so results are
-identical for any worker count.  Every scan runs on one vectorised kernel, `block_indices`, over blocks
-of consecutive primes: it reduces each alpha mod p exactly, factors p-1 over
-the base primes <= sqrt(x) inside the block, and reads ind_p(alpha) off int64
-modular powers.  Memory is bounded by _BLOCK and SEGMENT, not by x.
+identical for any worker count.  Every scan runs on one vectorised kernel,
+`block_indices`, over blocks of consecutive primes: it reduces each alpha mod
+p exactly, factors p-1 over the base primes <= sqrt(x) inside the block, and
+reads the q-parts of ind_p(alpha) off int64 modular powers.  A scan reads
+only the q-parts its specs need: each spec gives every alpha a q-part plan
+(_spec_plans), and specs sharing an alpha take the per-q maximum; index
+histograms read the whole index.  Memory is bounded by _BLOCK and SEGMENT,
+not by x, and a walk whose processes would pass WALK_BYTES_CAP stops before
+it starts.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import math
 import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,6 +42,8 @@ from .kummer import FieldSpec
 SCAN_X_CAP = 10**9  # the kernel's int64 modular products need p^2 < 2^63
 # Integers per segment: one sieve call, and one task of a forked walk.
 SEGMENT = 1 << 22
+# Largest estimated memory of a walk's processes, checked by _walk.
+WALK_BYTES_CAP = 4 << 30
 
 
 _GAMMA = 0.57721566490153286  # Euler's constant
@@ -190,32 +198,108 @@ def _alpha_residues(pair: tuple[int, int], primes: np.ndarray) -> np.ndarray:
     return a
 
 
-def block_indices(primes: np.ndarray, alpha_pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """ind_p(alpha) = (p-1)/ord_p(alpha) for a block of consecutive primes and
-    alphas given as (numerator, denominator) pairs; shape (len(alphas), n).
+# A q-part plan for one alpha, (rest, caps): the kernel reads q^min(v_q(ind),
+# cap_q) of ind_p(alpha), with cap_q = caps.get(q, rest).  _DEEP passes every
+# exponent of p - 1 < 2^30, so _FULL_PLAN reads the whole index.
+_DEEP = 32
+_FULL_PLAN = (_DEEP, {})
 
-    For each q^e exactly dividing p-1, put b = alpha^((p-1)/q^e): the q-part
-    of the order is q^k for the least k with b^(q^k) = 1, so q^(e-k) is the
-    q-part of the index.  A prime dividing a numerator or denominator gets
-    index p-1 (alpha read as 1); every caller excludes such primes.
+
+def _merge_plans(x: tuple, y: tuple) -> tuple:
+    """The per-q maximum of two plans: it reads everything either reads."""
+    (rx, cx), (ry, cy) = x, y
+    return max(rx, ry), {q: max(cx.get(q, rx), cy.get(q, ry)) for q in cx.keys() | cy.keys()}
+
+
+def _fixed_plan(t: int) -> tuple:
+    """ind = t iff v_q(ind) = v_q(t) for every q, and min(v, v_q(t) + 1) =
+    v_q(t) iff v = v_q(t): so capped ind = t iff ind = t."""
+    return 1, {q: e + 1 for q, e in factorize(t).factors}
+
+
+def _set_plan(s) -> tuple:
+    """The plan of one index set.  A finite set merges its values' fixed
+    plans: each value's q-parts sit below their caps, so capped ind lies in
+    the set iff ind does.  For k = a (mod d):
+      d = 1: every index matches, so nothing is read;
+      a = 0: d | ind iff v_q(ind) >= v_q(d) for q | d iff the capped
+        ind = prod_{q | d} q^min(v_q(ind), v_q(d)) equals d, its only
+        multiple of d;
+      d = 2, a = 1: ind is odd iff min(v_2(ind), 1) = 0;
+    any other progression reads the whole index."""
+    if s.kind == "finite":
+        return reduce(_merge_plans, map(_fixed_plan, s.values))
+    if s.d == 1:
+        return 0, {}
+    if s.a == 0:
+        return 0, dict(factorize(s.d).factors)
+    if s.d == 2:
+        return 0, {2: 1}
+    return _FULL_PLAN
+
+
+def _order_plan(a: int, d: int) -> tuple:
+    """With c the index capped at full depth for q | d and 0 elsewhere,
+    (p-1)/c = ord * (ind/c) and ind/c is prime to d: so d | ord iff
+    d | (p-1)/c, and for d = 2 the two have the same parity.  Any other
+    residue class of ord reads the whole index."""
+    if d == 2 or a % d == 0:
+        return 0, {q: _DEEP for q, _ in factorize(d).factors}
+    return _FULL_PLAN
+
+
+def _spec_plans(spec: ConditionSpec) -> list[tuple]:
+    """One q-part plan per alpha of the spec: _matches gives the same mask on
+    the capped indices as on the full ones."""
+    mode = spec.mode
+    if isinstance(mode, IndexFixed):
+        return [_fixed_plan(t) for t in mode.T]
+    if isinstance(mode, OrderAP):
+        return [_order_plan(a, d) for a, d in zip(mode.a, mode.d)]
+    return [_set_plan(s) for s in mode.S]
+
+
+def block_indices(
+    primes: np.ndarray,
+    alpha_pairs: Sequence[tuple[int, int]],
+    plans: Optional[Sequence[tuple]] = None,
+) -> np.ndarray:
+    """prod_q q^min(v_q(ind), cap_q) for ind = ind_p(alpha) = (p-1)/ord_p(alpha),
+    for a block of consecutive primes and alphas given as (numerator,
+    denominator) pairs, with one q-part plan per alpha (_FULL_PLAN, the whole
+    index, when `plans` is None); shape (len(alphas), n).
+
+    For each q^e exactly dividing p-1, put c = min(cap_q, e) and b =
+    alpha^((p-1)/q^c): the order of b is q^max(c - v_q(ind), 0), so the
+    least k with b^(q^k) = 1 is found by at most c - 1 raisings to the q-th
+    power, and q^(c-k) is the capped q-part.  Pairs with c = 0 cost nothing.
+    A prime dividing a numerator or denominator gets index p-1 (alpha read
+    as 1) under the full plan; every caller excludes such primes.
     """
     row, q, e = factor_p_minus_1(primes)
-    a = np.stack([_alpha_residues(pair, primes) for pair in alpha_pairs])
-    a[a == 0] = 1
-    p = primes[row]
-    b = powmod(a[:, row], (p - 1) // q**e, p)
-    k = (b != 1).astype(np.int64)
-    ai, pi = np.nonzero((b != 1) & (e > 1))
-    b = b[ai, pi]
-    while ai.size:
-        b = powmod(b, q[pi], p[pi])
-        more = b != 1
-        ai, pi, b = ai[more], pi[more], b[more]
-        k[ai, pi] += 1
-    ind = np.ones(a.shape, dtype=np.int64)
-    part = q ** (e - k)
-    for i in range(len(alpha_pairs)):
-        np.multiply.at(ind[i], row, part[i])
+    ind = np.ones((len(alpha_pairs), primes.size), dtype=np.int64)
+    for out, pair, (rest, caps) in zip(ind, alpha_pairs, plans or [_FULL_PLAN] * len(ind)):
+        c = np.full_like(e, rest)
+        for q0, cap in caps.items():
+            c[q == q0] = cap
+        np.minimum(c, e, out=c)
+        j = np.flatnonzero(c)
+        r, qj, c = row[j], q[j], c[j]
+        a = _alpha_residues(pair, primes)[r]
+        p = primes[r]
+        a[a == 0] = 1
+        b = powmod(a, (p - 1) // qj**c, p)
+        k = (b != 1).astype(np.int64)
+        live = np.flatnonzero((b != 1) & (c > 1))
+        b = b[live]
+        while live.size:
+            b = powmod(b, qj[live], p[live])
+            more = b != 1
+            live, b = live[more], b[more]
+            k[live] += 1
+            more = k[live] < c[live]
+            live, b = live[more], b[more]
+        np.multiply.at(out, r, qj ** (c - k))
     return ind
 
 
@@ -247,16 +331,29 @@ def _walk(x: int, count, zero, workers: int = 1):
 
     Segments are summed in order, starting from `zero`, so the result is
     the same for any worker count; with workers > 1 the segments run in a
-    fork pool whose workers inherit `count` through _SCAN.
+    fork pool whose workers inherit `count` through _SCAN.  ResourceCapError
+    before any sieving or forking when the min(workers, segments) processes
+    would pass WALK_BYTES_CAP.
     """
     check_scan_bound(x)
     if x < 2:
         raise ValueError("need x >= 2")
     if workers < 1:
         raise ValueError("need workers >= 1")
+    n_segments = (x - 1 + SEGMENT - 1) // SEGMENT
+    # Each process holds the interpreter with numpy (30 MB), one segment's
+    # sieve flags and int64 primes (under 2 bytes per integer) and one
+    # block's kernel arrays (under 1 KB per prime): 42 MB, where one segment
+    # of the five acceptance specs just below 10^9 peaks at 35 MB RSS.
+    processes = min(workers, n_segments)
+    need = processes * ((30 << 20) + 2 * SEGMENT + 1024 * _BLOCK)
+    if need > WALK_BYTES_CAP:
+        raise ResourceCapError(
+            f"{processes} scan processes need about {need >> 20} MB,"
+            f" over the cap of {WALK_BYTES_CAP >> 20} MB"
+        )
     _SCAN.clear()
     _SCAN.update({"x": x, "count": count, "zero": zero})
-    n_segments = (x - 1 + SEGMENT - 1) // SEGMENT
     ctx = None
     if workers > 1 and n_segments > 1:
         try:
@@ -283,6 +380,10 @@ def scan_many(
     """
     alpha_pairs = list(dict.fromkeys(_alpha_pair(a) for s in specs for a in s.alphas))
     spec_alpha_idx = [[alpha_pairs.index(_alpha_pair(a)) for a in s.alphas] for s in specs]
+    plans = [(0, {})] * len(alpha_pairs)
+    for spec, idx in zip(specs, spec_alpha_idx):
+        for i, plan in zip(idx, _spec_plans(spec)):
+            plans[i] = _merge_plans(plans[i], plan)
     # dyadic checkpoints x // 2^k >= 4, ascending
     thresholds = sorted(x >> k for k in range(1, x.bit_length() - 2)) if checkpoints else []
     bounds = np.array(thresholds, dtype=np.int64)
@@ -291,7 +392,7 @@ def scan_many(
 
     def count(primes: np.ndarray) -> np.ndarray:
         """counts[spec, 0 matched | 1 considered, checkpoint bucket]."""
-        ind = block_indices(primes, alpha_pairs)
+        ind = block_indices(primes, alpha_pairs, plans)
         bucket = np.searchsorted(bounds, primes)
         counts = np.zeros((len(specs), 2, bounds.size + 1), dtype=np.int64)
         for si, spec in enumerate(specs):

@@ -174,6 +174,12 @@ NMAX_PAST_CAP = "5000001"  # its tail grid 4 * nmax passes phi_lcm_tail's rank-1
             id="scan-x",
         ),
         pytest.param(
+            # 239 segments at x = 10^9, one process each, pass the walk's memory cap
+            SCAN_INDEX_ONE + ["--x", str(empirical.SCAN_X_CAP), "--workers", "1000"],
+            [(empirical, "multiprocessing"), (empirical, "segmented_primes")],
+            id="scan-workers",
+        ),
+        pytest.param(
             COMPARE_INDEX_ONE[:-2] + ["--x", X_PAST_CAP], [(dens, "evaluate")],
             id="compare-x",
         ),

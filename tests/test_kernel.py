@@ -7,7 +7,7 @@ from unittest import mock
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from orddensity.arith import FactoredRational, residues, segmented_primes
+from orddensity.arith import FactoredRational, factorize, powmod, residues, segmented_primes
 from orddensity.density import (
     ConditionSpec,
     IndexFixed,
@@ -89,6 +89,20 @@ index_set = st.one_of(
 )
 
 
+def mode_of(mode: str, params):
+    """The condition mode of `oracles.brute_scan`'s (mode, params)."""
+    if mode == "index":
+        return IndexFixed(tuple(params))
+    if mode == "order":
+        return OrderAP(tuple(a for a, _ in params), tuple(d for _, d in params))
+    return IndexSet(
+        tuple(
+            SetDescriptor.finite(s[1]) if s[0] == "finite" else SetDescriptor.progression(*s[1:])
+            for s in params
+        )
+    )
+
+
 @st.composite
 def small_specs(draw):
     alphas = draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=2, unique=True))
@@ -96,22 +110,13 @@ def small_specs(draw):
     mode = draw(st.sampled_from(["index", "order", "indexset"]))
     if mode == "index":
         params = draw(st.lists(st.integers(1, 6), min_size=r, max_size=r))
-        m = IndexFixed(tuple(params))
     elif mode == "order":
         params = draw(
             st.lists(st.tuples(st.integers(0, 5), st.integers(2, 6)), min_size=r, max_size=r)
         )
-        m = OrderAP(tuple(a for a, _ in params), tuple(d for _, d in params))
     else:
         params = draw(st.lists(index_set, min_size=r, max_size=r))
-        m = IndexSet(
-            tuple(
-                SetDescriptor.finite(s[1])
-                if s[0] == "finite"
-                else SetDescriptor.progression(s[1], s[2])
-                for s in params
-            )
-        )
+    m = mode_of(mode, params)
     frobenius = None
     if draw(st.booleans()):
         f = draw(st.integers(1, 12))
@@ -137,3 +142,83 @@ def test_scan_many_matches_prime_by_prime_classifier(specs, x, segment):
         matched, considered, checkpoints = brute_scan(alphas, mode, params, frob, x)
         assert (res.matched, res.considered) == (matched, considered)
         assert res.checkpoints == checkpoints
+
+
+# ---------------------------------------------------------------------------
+# q-part plans: the kernel reads prod q^min(v_q(ind), cap_q)
+
+
+def capped(ind: int, plan) -> int:
+    rest, caps = plan
+    return math.prod(q ** min(v, caps.get(q, rest)) for q, v in factorize(ind).factors)
+
+
+q_plan = st.tuples(
+    st.sampled_from([0, 1, 2, 40]),  # 40 passes every exponent of p - 1
+    st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(0, 4), max_size=4),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    lo=st.one_of(st.integers(2, 10**6), st.integers(10**9 - 10**5, 10**9 - 600)),
+    width=st.integers(1, 600),
+)
+def test_block_indices_read_the_capped_q_parts(data, lo, width):
+    pool = st.sampled_from(POOL + [Fraction(BIG_ALPHA)])
+    alphas = data.draw(st.lists(pool, min_size=1, max_size=3, unique=True))
+    plans = data.draw(st.lists(q_plan, min_size=len(alphas), max_size=len(alphas)))
+    primes = segmented_primes(lo, lo + width)
+    ind = block_indices(primes, [(q.numerator, q.denominator) for q in alphas], plans)
+    for q, plan, row in zip(alphas, plans, ind.tolist()):
+        for got, want in zip(row, expected_indices(q, primes)):
+            assert want is None or got == capped(want, plan)
+
+
+TWO, THREE_QUARTERS = Fraction(2), Fraction(3, 4)
+# every plan rule, on specs that share the alpha 2
+NARROW_PLANS = [
+    ([TWO], "index", (4,), None),  # prime power
+    ([TWO], "index", (6,), None),
+    ([TWO], "indexset", [("finite", (2, 8, 9))], None),  # prime powers
+    ([TWO], "indexset", [("ap", 0, 1)], None),  # d = 1
+    ([TWO], "indexset", [("ap", 0, 12)], None),  # a = 0, composite d
+    ([TWO], "indexset", [("ap", 1, 2)], None),  # odd index
+    ([TWO], "order", [(4, 2)], None),  # d = 2 with a >= d
+    ([TWO], "order", [(6, 3)], (4, frozenset({3}))),  # a = 0 (mod d), a >= d
+    ([TWO], "order", [(0, 6)], None),  # composite d
+    ([TWO, THREE_QUARTERS], "indexset", [("ap", 0, 2), ("finite", (1, 3))], None),
+]
+FULL_PLANS = [
+    ([TWO], "indexset", [("ap", 2, 3)], None),
+    ([TWO], "order", [(3, 4)], None),
+    ([THREE_QUARTERS, TWO], "order", [(1, 3), (1, 2)], None),
+]
+
+
+def test_scan_many_with_shared_alpha_plans_matches_brute_scan():
+    # alone, merged with narrow plans only, and merged with full plans
+    x = 20000
+    configs = NARROW_PLANS + FULL_PLANS
+    want = [brute_scan(*cfg, x) for cfg in configs]
+    built = [ConditionSpec.make(a, mode_of(m, params), frob) for a, m, params, frob in configs]
+    groups = [[i] for i in range(len(built))] + [range(len(NARROW_PLANS)), range(len(built))]
+    for group in groups:
+        results = scan_many([built[i] for i in group], x, checkpoints=True)
+        for i, res in zip(group, results):
+            assert (res.matched, res.considered, res.checkpoints) == want[i], configs[i]
+
+
+def test_index_even_scan_makes_one_power_per_odd_prime():
+    elements = []
+
+    def spy(base, exp, mod):
+        out = powmod(base, exp, mod)
+        elements.append(out.size)
+        return out
+
+    spec = ConditionSpec.make([5], IndexSet((SetDescriptor.progression(0, 2),)))
+    with mock.patch.object(empirical, "powmod", spy):
+        scan(spec, 10**5)
+    assert sum(elements) == segmented_primes(3, 10**5 + 1).size
