@@ -220,16 +220,18 @@ _Block = tuple[tuple[int, ...], tuple[tuple[int, int], ...], int]
 
 
 def _order_blocks(a: tuple[int, ...], d: tuple[int, ...], tmax: int) -> Iterator[_Block]:
-    """(T, c = 1 + a_i t_i (mod d_i t_i), lcm(d_i t_i)) for the admissible T."""
+    """(T, ((c, L),), L) for the admissible T, with L = lcm(d_i t_i) and c
+    the one unit class mod L meeting every c = 1 + a_i t_i (mod d_i t_i).
+    A solvable system has exactly one solution mod L, so the merged
+    congruence admits the same units as the r separate ones."""
     for T in itertools.product(range(1, tmax + 1), repeat=len(a)):
         if any(math.gcd(1 + ai * ti, di) != 1 for ai, di, ti in zip(a, d, T)):
             continue
-        if crt_merge([(ai * ti, di * ti) for ai, di, ti in zip(a, d, T)]) is None:
+        merged = crt_merge([(ai * ti, di * ti) for ai, di, ti in zip(a, d, T)])
+        if merged is None:
             continue
-        congr = tuple(
-            ((1 + ai * ti) % (di * ti), di * ti) for ai, di, ti in zip(a, d, T)
-        )
-        yield T, congr, math.lcm(*(di * ti for di, ti in zip(d, T)))
+        rho, level = merged
+        yield T, (((1 + rho) % level, level),), level
 
 
 def evaluate(
@@ -267,8 +269,18 @@ def evaluate(
         tail_caps += [tmax] * spec.rank
         order = mode
     grids = _tail_grids(tail_caps)  # any cap error fires before the series runs
-    f = spec.frobenius[0] if spec.frobenius else 1
-    sf = [(n, mu) for n in range(1, nmax + 1) if (mu := moebius(n))]
+    frobenius = spec.frobenius
+    f = frobenius[0] if frobenius else 1
+    sf = [n for n in range(1, nmax + 1) if moebius(n)]
+    if order is None:
+        ns = [sf] * spec.rank
+    else:
+        # identity on zeta_(n_i t_i) and the progression action on
+        # zeta_(d_i t_i) must agree on the overlap: a_i t_i = 0 (mod
+        # gcd(d_i, n_i) t_i), that is a_i = 0 (mod gcd(d_i, n_i)) whatever
+        # t_i is; filtering each factor keeps the other terms in order
+        ns = [[n for n in sf if a % math.gcd(d, n) == 0] for a, d in zip(order.a, order.d)]
+    mus = [[moebius(n) for n in ns_i] for ns_i in ns]
     # the spec is validated, so each term's field Q(zeta_M, alpha_i^(1/m_i))
     # is read off the alphas' box view without building a FieldSpec
     boxes = (cache if cache is not None else DEFAULT_CACHE).view(spec.alphas)
@@ -278,27 +290,32 @@ def evaluate(
     terms = 0
     b_seen = 1
     for T, congruences, extra_level in blocks:
-        for Nmu in itertools.product(sf, repeat=spec.rank):
-            N = tuple(n for n, _ in Nmu)
-            # identity on zeta_(n_i t_i) and the progression action on
-            # zeta_(d_i t_i) must agree on the overlap
-            if order is not None and any(
-                (a * t) % (math.gcd(d, n) * t)
-                for a, d, n, t in zip(order.a, order.d, N, T)
-            ):
-                continue
-            m = tuple(n * t for n, t in zip(N, T))
+        level = math.lcm(extra_level, f)
+        # With no congruence, no extra level and no Frobenius condition,
+        # M = v = lcm(m) and _count_units merges only c = 1 (mod v), so its
+        # one candidate unit in [1, v] is c = 1.  That unit acts as sigma_1
+        # and counts without a witness test: the count is 1.
+        count_is_one = not congruences and extra_level == 1 and frobenius is None
+        ms = [[n * t for n in ns_i] for ns_i, t in zip(ns, T)]
+        block_terms = zip(
+            itertools.product(*ns), itertools.product(*ms), itertools.product(*mus)
+        )
+        for N, m, N_mu in block_terms:
             v = math.lcm(*m)
-            M = math.lcm(v, extra_level, f)
+            M = math.lcm(v, level)
             phi = phis.get(M)
             if phi is None:
                 phi = phis[M] = euler_phi(M)
             witnesses = boxes.witnesses(m, M)
             degree, fail = _degree(phi, m, witnesses)
-            count = _count_units(M, v, congruences, spec.frobenius, witnesses)
-            b_seen = math.lcm(b_seen, fail)
+            if count_is_one:
+                count = 1
+            else:
+                count = _count_units(M, v, congruences, frobenius, witnesses)
+            if b_seen % fail:
+                b_seen = math.lcm(b_seen, fail)
             terms += 1
-            mu_prod = math.prod(mu for _, mu in Nmu)
+            mu_prod = math.prod(N_mu)
             if count:
                 acc.add(mu_prod * count / degree)
             if log is not None:

@@ -152,7 +152,8 @@ class AlphaBoxes:
         """The witnesses of the nonzero members of the relation group of
         Q(zeta_M, alpha_i^(1/m_i)): the values of its box whose conductor
         divides M."""
-        sides = tuple(math.gcd(mi, self.two_delta) for mi in m)
+        two_delta = self.two_delta
+        sides = tuple([math.gcd(mi, two_delta) for mi in m])
         box = self.boxes.get(sides)
         if box is None:
             box = self.boxes[sides] = _abelian_box(self.alphas, sides)
@@ -253,8 +254,9 @@ def _count_units(
     levels = [fix_level, *(mod for _, mod in congruences)]
     if frobenius is not None:
         levels.append(frobenius[0])
-    if min(levels) < 1 or any(W % level != 0 for level in levels):
-        raise ValueError("spec.M must be a common multiple of all levels, each >= 1")
+    for level in levels:
+        if level < 1 or W % level:
+            raise ValueError("spec.M must be a common multiple of all levels, each >= 1")
     merged = crt_merge([(1, fix_level), *congruences])
     if merged is None:
         return 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from orddensity.eulerseries import phi_lcm_tail
 from orddensity.kummer import DegreeCache, FieldSpec, count_automorphisms, kummer_degree
 
 TWO = (FactoredRational.of(2),)  # the alphas of a spec or field built directly
+EVEN = SetDescriptor.progression(0, 2)
 
 
 def artin_euler_product(limit=10**6) -> float:
@@ -178,8 +180,12 @@ def test_full_frobenius_class_is_vacuous():
         assert row_a["c"] * row_b["degree"] == row_b["c"] * row_a["degree"]
 
 
-def test_order_density_enumerates_each_field_once(monkeypatch):
-    enumerated, views, looked_up, counted, built = [], [], [], [], []
+def spy_on_series(monkeypatch) -> dict[str, list]:
+    """Record the box enumerations, alpha lookups, witness lookups, unit
+    counts and FieldSpec builds of the series evaluator."""
+    calls: dict[str, list] = {
+        "enumerated": [], "views": [], "looked_up": [], "counted": [], "built": []
+    }
     abelian_box = kummer._abelian_box
     view = DegreeCache.view
     witnesses = kummer.AlphaBoxes.witnesses
@@ -187,23 +193,23 @@ def test_order_density_enumerates_each_field_once(monkeypatch):
     post_init = FieldSpec.__post_init__
 
     def enumerate_(alphas, sides):
-        enumerated.append(sides)
+        calls["enumerated"].append(sides)
         return abelian_box(alphas, sides)
 
     def fetch(cache, alphas):
-        views.append(alphas)
+        calls["views"].append(alphas)
         return view(cache, alphas)
 
     def lookup(view, m, M):
-        looked_up.append((m, M))
+        calls["looked_up"].append((m, M))
         return witnesses(view, m, M)
 
     def count(W, *args):
-        counted.append(W)
+        calls["counted"].append(W)
         return count_units(W, *args)
 
     def build(field):
-        built.append(field)
+        calls["built"].append(field)
         post_init(field)
 
     monkeypatch.setattr(kummer, "_abelian_box", enumerate_)
@@ -211,16 +217,58 @@ def test_order_density_enumerates_each_field_once(monkeypatch):
     monkeypatch.setattr(kummer.AlphaBoxes, "witnesses", lookup)
     monkeypatch.setattr(density, "_count_units", count)
     monkeypatch.setattr(FieldSpec, "__post_init__", build)
+    return calls
+
+
+def test_order_density_enumerates_each_field_once(monkeypatch):
+    calls = spy_on_series(monkeypatch)
     spec = ConditionSpec.make([2], OrderAP((0,), (2,)))
     res = order_density(spec, nmax=24, tmax=24, cache=DegreeCache())
     # one alpha lookup per series, one witness lookup and one unit count per
     # term, and no FieldSpec built
-    assert views == [spec.alphas]
-    assert len(looked_up) == len(counted) == res.terms_evaluated
-    assert not built
+    assert calls["views"] == [spec.alphas]
+    assert len(calls["looked_up"]) == len(calls["counted"]) == res.terms_evaluated
+    assert not calls["built"]
     # Delta = 1 for alpha = 2: the many fields share the sides (1,) and (2,),
     # and each of the two boxes is enumerated once
-    assert len(set(looked_up)) > 2 and enumerated == [(1,), (2,)]
+    assert len(set(calls["looked_up"])) > 2 and calls["enumerated"] == [(1,), (2,)]
+
+
+@pytest.mark.parametrize(
+    "frobenius, counts_units",
+    [pytest.param(None, False, id="plain"), pytest.param((3, {2}), True, id="frobenius")],
+)
+def test_index_set_density_counts_units_only_under_a_condition(
+    monkeypatch, frobenius, counts_units
+):
+    calls = spy_on_series(monkeypatch)
+    spec = ConditionSpec.make([2, 5], IndexSet((EVEN, EVEN)), frobenius=frobenius)
+    res = index_density_set(spec, nmax=8, tmax=16, cache=DegreeCache())
+    assert res.terms_evaluated == 2304
+    assert calls["views"] == [spec.alphas]
+    assert len(calls["looked_up"]) == res.terms_evaluated
+    assert not calls["built"]
+    # without a congruence, an extra level or a Frobenius condition the one
+    # unit counted is c = 1, and no term asks _count_units; a Frobenius
+    # condition sends every term through it
+    assert len(calls["counted"]) == (res.terms_evaluated if counts_units else 0)
+
+
+def test_series_memory_does_not_hold_the_term_product():
+    # (2,3,5) index (1,1,1) at nmax 32 has 20^3 = 8,000 terms.  After a
+    # warm-up call, the traced peak of this call was 52 KB both before and
+    # after the term loop was reworked; building the terms' product as a
+    # list took it to 2.0 MB
+    spec = ConditionSpec.make([2, 3, 5], IndexFixed((1, 1, 1)))
+    density.evaluate(spec, 32, cache=DegreeCache())
+    tracemalloc.start()
+    try:
+        res = density.evaluate(spec, 32, cache=DegreeCache())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.terms_evaluated == 8000
+    assert peak < 256 * 2**10
 
 
 def test_rank_one_series_shape():
@@ -260,11 +308,14 @@ PINNED_SERIES = [
 ]
 
 
-EVEN = SetDescriptor.progression(0, 2)
 
-# (spec, nmax, tmax, (value.hex(), terms_evaluated, tail_estimate.hex())),
-# recorded before `evaluate` read each term's field off the alphas' box view:
-# Artin, ord_2 odd on p = 3 (mod 4), (2,3) index (1,1), (2,5) both indices even
+# (spec, nmax, tmax, (value.hex(), terms_evaluated, tail_estimate.hex())).
+# The first four were recorded before `evaluate` read each term's field off
+# the alphas' box view: Artin, ord_2 odd on p = 3 (mod 4), (2,3) index (1,1),
+# (2,5) both indices even.  The last three, recorded before its term loop
+# dropped the unit count where that count is 1, pin the terms that still
+# count units: a Frobenius condition on a fixed index and on an index set,
+# and a rank-2 order progression
 GOLDEN_SERIES = [
     pytest.param(
         ConditionSpec.make([2], IndexFixed((1,))), 64, 64,
@@ -281,6 +332,18 @@ GOLDEN_SERIES = [
     pytest.param(
         ConditionSpec.make([2, 5], IndexSet((EVEN, EVEN))), 8, 16,
         ("0x1.71b3d9208eafep-3", 2304, "0x1.559540d542a9ep+1"), id="both-even-2-5",
+    ),
+    pytest.param(
+        ConditionSpec.make([2, 3], IndexFixed((1, 1)), frobenius=(5, {1, 4})), 16, 64,
+        ("0x1.134be18abf612p-4", 121, "0x1.d49d14601854fp-3"), id="index-2-3-frobenius",
+    ),
+    pytest.param(
+        ConditionSpec.make([2, 5], IndexSet((EVEN, EVEN)), frobenius=(3, {2})), 8, 16,
+        ("0x1.ab861c123855ap-4", 2304, "0x1.559540d542a9ep+1"), id="both-even-2-5-frobenius",
+    ),
+    pytest.param(
+        ConditionSpec.make([2, 3], OrderAP((0, 1), (2, 3))), 8, 8,
+        ("0x1.a5457ddf8539fp-3", 816, "0x1.c0dbf77a79295p+1"), id="order-2-3",
     ),
 ]
 
