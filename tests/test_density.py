@@ -308,7 +308,6 @@ PINNED_SERIES = [
 ]
 
 
-
 # (spec, nmax, tmax, (value.hex(), terms_evaluated, tail_estimate.hex())).
 # The first four were recorded before `evaluate` read each term's field off
 # the alphas' box view: Artin, ord_2 odd on p = 3 (mod 4), (2,3) index (1,1),
