@@ -12,13 +12,7 @@ from .arith import (
     multiplicative_order,
     segmented_primes,
 )
-from .cyclo import (
-    RadicalValue,
-    fixed_by,
-    radical_product,
-    signed_squarefree_part,
-    sqrt_in_cyclotomic,
-)
+from .cyclo import RadicalValue, fixed_by, radical_product
 from .density import (
     ConditionSpec,
     DensityResult,
@@ -29,16 +23,8 @@ from .density import (
     index_density_fixed,
     index_density_set,
     order_density,
-    tail_estimate,
 )
-from .empirical import (
-    DiagnosticReport,
-    ScanResult,
-    compare,
-    large_index_diagnostic,
-    scan,
-    scan_many,
-)
+from .empirical import ScanResult, compare, scan, scan_many
 from .eulerseries import phi_lcm_tail
 from .kummer import (
     FieldSpec,
@@ -60,8 +46,6 @@ __all__ = [
     "multiplicative_order",
     "segmented_primes",
     "RadicalValue",
-    "signed_squarefree_part",
-    "sqrt_in_cyclotomic",
     "radical_product",
     "fixed_by",
     "FieldSpec",
@@ -79,11 +63,8 @@ __all__ = [
     "index_density_fixed",
     "index_density_set",
     "order_density",
-    "tail_estimate",
     "ScanResult",
-    "DiagnosticReport",
     "scan",
     "scan_many",
-    "large_index_diagnostic",
     "compare",
 ]

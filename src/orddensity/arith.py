@@ -94,10 +94,6 @@ class FactoredRational:
             v *= Fraction(p) ** e
         return v
 
-    def divisible(self, k: int) -> bool:
-        """True when every exponent is a multiple of k."""
-        return all(e % k == 0 for _, e in self.factors)
-
     # -- arithmetic ---------------------------------------------------------
 
     def mul(self, other: "FactoredRational") -> "FactoredRational":
@@ -111,17 +107,6 @@ class FactoredRational:
             return FactoredRational.one()
         sign = self.sign if k % 2 else 1
         return FactoredRational(sign, tuple((p, e * k) for p, e in self.factors))
-
-    def abs_(self) -> "FactoredRational":
-        return FactoredRational(1, self.factors)
-
-    def root(self, k: int) -> "FactoredRational":
-        """Exact k-th root; exponents must be divisible by k (sign needs odd k)."""
-        if not self.divisible(k):
-            raise ValueError("exponents not divisible, no exact root")
-        if self.sign < 0 and k % 2 == 0:
-            raise ValueError("even root of a negative rational")
-        return FactoredRational(self.sign, tuple((p, e // k) for p, e in self.factors))
 
 
 # ---------------------------------------------------------------------------

@@ -30,32 +30,6 @@ def conductor(d: int) -> int:
     return abs(quadratic_discriminant(d))
 
 
-def signed_squarefree_part(
-    q: FactoredRational,
-) -> tuple[int, int, FactoredRational]:
-    """Write q = sign * s^2 * d with d squarefree positive, s positive rational."""
-    q = FactoredRational.of(q)
-    d = 1
-    s_exps: dict[int, int] = {}
-    for p, e in q.factors:
-        if e % 2:
-            d *= p
-            e -= 1
-        if e:
-            s_exps[p] = e // 2
-    return q.sign, d, FactoredRational.from_map(1, s_exps)
-
-
-def sqrt_in_cyclotomic(d: int, M: int) -> bool:
-    """True iff sqrt(d) lies in Q(zeta_M), for squarefree d (negative allowed).
-
-    Decided by the conductor criterion: conductor(Q(sqrt(d))) | M.
-    """
-    if M < 1:
-        raise ValueError("M must be positive")
-    return M % conductor(d) == 0
-
-
 # ---------------------------------------------------------------------------
 # explicit radicals
 

@@ -186,26 +186,17 @@ class DensityResult:
 # tail bound
 
 
-def tail_estimate(caps: Sequence[int], b_observed: int) -> float:
-    """Heuristic bound for the mass outside the cap box.
-
-    Per truncated variable: the lcm-phi tail beyond its cap, evaluated on a
-    4x extended grid plus a 1/x extrapolation for the rest, scaled by the
-    observed failure bound.  Heuristic, not rigorous: the underlying
-    O-constants are not explicit.
-    """
-    if b_observed < 1:
-        raise ValueError("b_observed must be >= 1")
-    return _scaled_tail(_tail_grids(caps), b_observed)
-
-
 def _tail_grids(caps: Sequence[int]) -> list[float]:
-    """The lcm-phi tail on the extended grid, per cap.  ValueError for a cap
-    below 1, ResourceCapError for one past phi_lcm_tail's rank-1 cap."""
+    """The lcm-phi tail beyond each cap on the 4x extended grid.  ValueError
+    for a cap below 1, ResourceCapError for one past phi_lcm_tail's rank-1
+    cap."""
     return [phi_lcm_tail(1, cap, 4 * cap) for cap in caps]
 
 
 def _scaled_tail(grids: Sequence[float], b_observed: int) -> float:
+    """Heuristic bound for the mass outside the cap box: per truncated
+    variable, its grid tail plus a 1/x extrapolation for the rest, times the
+    observed failure bound.  Not rigorous: the O-constants are not explicit."""
     total = 0.0
     for grid in grids:
         total += b_observed * (grid + grid / 3.0)

@@ -2,25 +2,23 @@
 modulo every prime up to x, classification against condition specs, complete
 splitting fractions, and comparison against the series values.
 
-Scans, splitting fractions and index histograms share one walk over the
-primes, `_walk`: data-parallel over fixed-width prime segments, with
-per-segment counts merged by addition in segment order, so results are
-identical for any worker count.  Every scan runs on one vectorised kernel,
-`block_indices`, over blocks of consecutive primes: it reduces each alpha mod
-p exactly, factors p-1 over the base primes <= sqrt(x) inside the block, and
-reads the q-parts of ind_p(alpha) off int64 modular powers.  A scan reads
-only the q-parts its specs need: each spec gives every alpha a q-part plan
-(_spec_plans), and specs sharing an alpha take the per-q maximum; index
-histograms read the whole index.  Memory is bounded by _BLOCK and SEGMENT,
-not by x, and a walk whose processes would pass WALK_BYTES_CAP stops before
-it starts.
+Scans and splitting fractions share one walk over the primes, `_walk`:
+data-parallel over fixed-width prime segments, with per-segment counts
+merged by addition in segment order, so results are identical for any worker
+count.  Every scan runs on one vectorised kernel, `block_indices`, over
+blocks of consecutive primes: it reduces each alpha mod p exactly, factors
+p-1 over the base primes <= sqrt(x) inside the block, and reads the q-parts
+of ind_p(alpha) off int64 modular powers.  A scan reads only the q-parts its
+specs need: each spec gives every alpha a q-part plan (_spec_plans), and
+specs sharing an alpha take the per-q maximum.  Memory is bounded by _BLOCK
+and SEGMENT, not by x, and a walk whose processes would pass WALK_BYTES_CAP
+stops before it starts.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Sequence
@@ -112,17 +110,6 @@ class ScanResult:
 
 
 @dataclass
-class DiagnosticReport:
-    """Count of primes whose index exceeds (log x)^rho."""
-
-    rho: float
-    count_large_index: int
-    expected_scale: float
-    x: int
-    ratio: float
-
-
-@dataclass
 class CompareReport:
     """Empirical ratio against the series value; `rel_gap` is None when the
     series value is 0."""
@@ -150,12 +137,6 @@ def _excluded(alphas: Sequence[FactoredRational], level: int) -> frozenset[int]:
     if level > 1:
         out.update(p for p, _ in factorize(level).factors)
     return frozenset(out)
-
-
-def excluded_primes(spec: ConditionSpec) -> frozenset[int]:
-    """Primes dividing a numerator/denominator of some alpha, or the
-    Frobenius level."""
-    return _excluded(spec.alphas, spec.frobenius[0] if spec.frobenius else 1)
 
 
 def _matches(spec: ConditionSpec, ind: np.ndarray, primes: np.ndarray) -> np.ndarray:
@@ -262,12 +243,12 @@ def _spec_plans(spec: ConditionSpec) -> list[tuple]:
 def block_indices(
     primes: np.ndarray,
     alpha_pairs: Sequence[tuple[int, int]],
-    plans: Optional[Sequence[tuple]] = None,
+    plans: Sequence[tuple],
 ) -> np.ndarray:
     """prod_q q^min(v_q(ind), cap_q) for ind = ind_p(alpha) = (p-1)/ord_p(alpha),
     for a block of consecutive primes and alphas given as (numerator,
-    denominator) pairs, with one q-part plan per alpha (_FULL_PLAN, the whole
-    index, when `plans` is None); shape (len(alphas), n).
+    denominator) pairs, with one q-part plan per alpha (_FULL_PLAN reads the
+    whole index); shape (len(alphas), n).
 
     For each q^e exactly dividing p-1, put c = min(cap_q, e) and b =
     alpha^((p-1)/q^c): the order of b is q^max(c - v_q(ind), 0), so the
@@ -278,7 +259,7 @@ def block_indices(
     """
     row, q, e = factor_p_minus_1(primes)
     ind = np.ones((len(alpha_pairs), primes.size), dtype=np.int64)
-    for out, pair, (rest, caps) in zip(ind, alpha_pairs, plans or [_FULL_PLAN] * len(ind)):
+    for out, pair, (rest, caps) in zip(ind, alpha_pairs, plans):
         c = np.full_like(e, rest)
         for q0, cap in caps.items():
             c[q == q0] = cap
@@ -387,7 +368,10 @@ def scan_many(
     # dyadic checkpoints x // 2^k >= 4, ascending
     thresholds = sorted(x >> k for k in range(1, x.bit_length() - 2)) if checkpoints else []
     bounds = np.array(thresholds, dtype=np.int64)
-    excluded = [tuple(sorted(p for p in excluded_primes(s) if p <= x)) for s in specs]
+    excluded = []
+    for spec in specs:
+        level = spec.frobenius[0] if spec.frobenius else 1
+        excluded.append(tuple(sorted(p for p in _excluded(spec.alphas, level) if p <= x)))
     spec_excl = [np.array(e, dtype=np.int64) for e in excluded]
 
     def count(primes: np.ndarray) -> np.ndarray:
@@ -465,32 +449,6 @@ def splitting_fraction_many(fspecs: Sequence[FieldSpec], x: int) -> list[float]:
 
     totals = _walk(x, count, np.zeros((len(data), 2), dtype=np.int64))
     return [m / c if c else 0.0 for m, c in totals.tolist()]
-
-
-def index_counts(alpha, x: int) -> tuple[dict[int, int], int]:
-    """Histogram of ind_p(alpha) over unexcluded p <= x, plus the prime count."""
-    a = FactoredRational.of(alpha)
-    if not a.factors:
-        raise ValueError("alpha must not be 0 or a unit (1, -1)")
-    pair = _alpha_pair(a)
-    excl = np.array(sorted(_excluded([a], 1)), dtype=np.int64)
-
-    def count(primes: np.ndarray) -> Counter:
-        return Counter(block_indices(primes, [pair])[0][~np.isin(primes, excl)].tolist())
-
-    hist = _walk(x, count, Counter())
-    return hist, sum(hist.values())
-
-
-def large_index_diagnostic(alpha, x: int, rho: float) -> DiagnosticReport:
-    """Count primes p <= x with ind_p(alpha) > (log x)^rho."""
-    if not (0 < rho < 1):
-        raise ValueError("need 0 < rho < 1")
-    hist, _ = index_counts(alpha, x)
-    threshold = math.log(x) ** rho
-    count = sum(c for ind, c in hist.items() if ind > threshold)
-    scale = x / math.log(x) ** (1 + rho)
-    return DiagnosticReport(rho, count, scale, x, count / scale)
 
 
 def compare(theory: DensityResult, scan_result: ScanResult, rank: int = 1) -> CompareReport:

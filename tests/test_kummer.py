@@ -387,10 +387,10 @@ def test_degree_cache_enumerates_each_field_once(monkeypatch):
     assert count_automorphisms(spec, 2, (), None, cache) == 2
     assert kummer_degree(fs([2], (2,), 4), cache) == 4  # same box, other level
     assert kummer_degree(fs([2], (6,), 24), cache) == 8 * 6 // 2  # same sides
-    assert calls == [(spec.alphas, (2,))] and len(cache) == 1
+    assert calls == [(spec.alphas, (2,))] and len(cache._alphas) == 1
     assert kummer_degree(fs([2], (3,), 3), cache) == 6  # sides (1,)
     assert kummer_degree(fs([2, 3], (2, 2), 12), cache) == 8
-    assert len(calls) == 3 and len(cache) == 2
+    assert len(calls) == 3 and len(cache._alphas) == 2
 
 
 def test_degree_cache_drops_oldest_field_past_its_bound(monkeypatch):
@@ -400,7 +400,7 @@ def test_degree_cache_drops_oldest_field_past_its_bound(monkeypatch):
     cache = DegreeCache()
     specs = [fs([2], (2,), 8), fs([3], (2,), 12), fs([5], (2,), 10)]
     assert [kummer_degree(s, cache) for s in specs] == [4, 4, 4]
-    assert len(cache) == 2
+    assert len(cache._alphas) == 2
     kummer_degree(specs[2], cache)
     kummer_degree(fs([3], (2,), 24), cache)
     kummer_degree(specs[0], cache)  # dropped, so enumerated again
@@ -445,7 +445,7 @@ def test_shared_cache_matches_fresh_cache_per_field():
         want = [degree_info(spec, fresh), count_automorphisms(spec, fix, (), frob, fresh)]
         assert got == want, spec
         assert got[0][1] == len(relation_group(spec).members), spec
-    assert len(shared) == len(pool)
+    assert len(shared._alphas) == len(pool)
 
 
 def test_degree_ignores_pair_order():
