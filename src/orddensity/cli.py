@@ -165,11 +165,11 @@ def _emit(doc: dict, out: Optional[str]) -> None:
 
 
 def _report(
-    args: argparse.Namespace, kind: str, params: dict, started: float, **fields
+    args: argparse.Namespace, schema: str, params: dict, started: float, **fields
 ) -> None:
     """Emit the JSON report of a density, scan or compare run."""
     doc = {
-        "schema": f"{kind}/1",
+        "schema": schema,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "params": params,
         "runtime_ms": int((time.monotonic() - started) * 1000),
@@ -206,7 +206,7 @@ def cmd_density(args: argparse.Namespace) -> int:
     started = time.monotonic()
     result = dens.evaluate(spec, nmax, tmax, log_terms=bool(args.term_log))
     _report(
-        args, "density-result", params, started,
+        args, "density-result/1", params, started,
         mode=args.mode, alphas=params["alphas"], value=result.value,
         tail_estimate=result.tail_estimate, terms_evaluated=result.terms_evaluated,
         caps={"nmax": result.caps[0], "tmax": result.caps[1]},
@@ -243,7 +243,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     counts = result.to_dict()
     counts.pop("checkpoints", None)
     _report(
-        args, "scan-result", params, started, mode=args.mode, alphas=params["alphas"], **counts
+        args, "scan-result/1", params, started, mode=args.mode, alphas=params["alphas"], **counts
     )
     if args.csv and result.checkpoints:
         with _open_output(args.csv) as fh:
@@ -267,7 +267,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     scan_result = empirical.scan(spec, x, workers=_resolve(args, "workers", 1, minimum=1))
     report = empirical.compare(result, scan_result, rank=spec.rank)
     _report(
-        args, "compare-report", params, started,
+        args, "compare-report/2", params, started,
         x=x, value=result.value, tail_estimate=result.tail_estimate,
         scan=scan_result.to_dict(), report=asdict(report),
     )

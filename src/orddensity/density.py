@@ -275,29 +275,31 @@ def evaluate(
     # the spec is validated, so each term's field Q(zeta_M, alpha_i^(1/m_i))
     # is read off the alphas' box view without building a FieldSpec
     boxes = (cache if cache is not None else DEFAULT_CACHE).view(spec.alphas)
-    phis: dict[int, int] = {}
+    witnesses_of, phis, lcm = boxes.witnesses, boxes.phis, math.lcm
     acc = KahanSum()
+    add = acc.add
     log: Optional[list] = [] if log_terms else None
     terms = 0
     b_seen = 1
     for T, congruences, extra_level in blocks:
         level = math.lcm(extra_level, f)
         # With no congruence, no extra level and no Frobenius condition,
-        # M = v = lcm(m) and _count_units merges only c = 1 (mod v), so its
-        # one candidate unit in [1, v] is c = 1.  That unit acts as sigma_1
-        # and counts without a witness test: the count is 1.
+        # M = v = lcm(m) and _count_units starts from c = 1 (mod v) with
+        # nothing to merge, so its one candidate unit in [1, v] is c = 1.
+        # That unit acts as sigma_1 and counts without a witness test: the
+        # count is 1.
         count_is_one = not congruences and extra_level == 1 and frobenius is None
         ms = [[n * t for n in ns_i] for ns_i, t in zip(ns, T)]
         block_terms = zip(
             itertools.product(*ns), itertools.product(*ms), itertools.product(*mus)
         )
         for N, m, N_mu in block_terms:
-            v = math.lcm(*m)
-            M = math.lcm(v, level)
+            v = lcm(*m)
+            M = lcm(v, level)
             phi = phis.get(M)
             if phi is None:
                 phi = phis[M] = euler_phi(M)
-            witnesses = boxes.witnesses(m, M)
+            witnesses = witnesses_of(m, M)
             degree, fail = _degree(phi, m, witnesses)
             if count_is_one:
                 count = 1
@@ -308,7 +310,7 @@ def evaluate(
             terms += 1
             mu_prod = math.prod(N_mu)
             if count:
-                acc.add(mu_prod * count / degree)
+                add(mu_prod * count / degree)
             if log is not None:
                 log.append(
                     {"N": N, "T": T, "mu": mu_prod, "c": count, "degree": degree}

@@ -112,13 +112,19 @@ class ScanResult:
 @dataclass
 class CompareReport:
     """Empirical ratio against the series value; `rel_gap` is None when the
-    series value is 0."""
+    series value is 0.  `sigma` is the binomial standard deviation of
+    matched/considered about the series value delta, and `z` that ratio's
+    distance from delta in sigmas: heuristic, since primes are not
+    independent trials.  `z` is None when `sigma` is 0 (delta 0 or 1, or no
+    prime considered)."""
 
     empirical: float
     theory: float
     abs_gap: float
     rel_gap: Optional[float]
     error_scale: float
+    sigma: float
+    z: Optional[float]
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +458,15 @@ def splitting_fraction_many(fspecs: Sequence[FieldSpec], x: int) -> list[float]:
 
 
 def compare(theory: DensityResult, scan_result: ScanResult, rank: int = 1) -> CompareReport:
-    """Gaps between the empirical ratio matched/li(x) and the series value."""
+    """Gaps between the empirical ratio matched/li(x) and the series value,
+    and the z-score of matched/considered against it."""
+    delta, n = theory.value, scan_result.considered
     emp = scan_result.ratio_li
-    gap = emp - theory.value
-    rel = abs(gap) / theory.value if theory.value else None
+    gap = emp - delta
+    rel = abs(gap) / delta if delta else None
     scale = math.log(scan_result.x) ** (-1.0 / (rank + 1))
-    return CompareReport(emp, theory.value, gap, rel, scale)
+    # a truncated series can leave [0, 1]: at small caps it can be negative
+    p = min(max(delta, 0.0), 1.0)
+    sigma = math.sqrt(p * (1.0 - p) / n) if n else 0.0
+    z = (scan_result.ratio_considered - delta) / sigma if sigma else None
+    return CompareReport(emp, delta, gap, rel, scale, sigma, z)

@@ -23,9 +23,10 @@ With sides g_i = gcd(m_i, 2 Delta), a box tuple is e_i = k_i * m_i / g_i for k
 in prod Z/g_i, and its radical product is prod alpha_i^(k_i/g_i).  So Rel
 depends on m only through g and on M only through the test that a product's
 conductor divides M: `DegreeCache` enumerates a box once per (alphas, g).
-It hands out one `AlphaBoxes` view per alpha tuple, holding 2 Delta and that
-tuple's boxes, so a series looks its alphas up once and then pays one box
-filter per field.
+It hands out one `AlphaBoxes` view per alpha tuple, holding 2 Delta, that
+tuple's boxes and phi(M) per level, so a series looks its alphas up once and
+then pays one box filter per field, and phi(M) once per level for all the
+evaluations that share the cache.
 
 Each unit c mod M that fixes the witnesses of all members of Rel extends to
 exactly prod(m_i)/|Rel| automorphisms of the full field, one of which acts
@@ -45,7 +46,7 @@ from .arith import (
     FactoredRational,
     ResourceCapError,
     as_int,
-    crt_merge,
+    crt_pair,
     divisors,
     euler_phi,
 )
@@ -139,14 +140,16 @@ CACHE_SIZE = 1024
 
 class AlphaBoxes:
     """The boxes of one alpha tuple: 2 Delta and `_abelian_box(alphas, g)`
-    per side tuple g, each enumerated on first use."""
+    per side tuple g, each enumerated on first use, and `phis`, phi(M) per
+    level M of a field of the tuple, each computed by its first reader."""
 
-    __slots__ = ("alphas", "two_delta", "boxes")
+    __slots__ = ("alphas", "two_delta", "boxes", "phis")
 
     def __init__(self, alphas: tuple[FactoredRational, ...]):
         self.alphas = alphas
         self.two_delta = 2 * exponent_minor_gcd(alphas)
         self.boxes: dict[tuple[int, ...], list] = {}
+        self.phis: dict[int, int] = {}
 
     def witnesses(self, m: Sequence[int], M: int) -> list[RadicalValue]:
         """The witnesses of the nonzero members of the relation group of
@@ -196,7 +199,10 @@ def degree_info(spec: FieldSpec, cache: Optional[DegreeCache] = None) -> tuple[i
     """(field degree over Q, failure ratio |Rel|)."""
     boxes = (cache if cache is not None else DEFAULT_CACHE).view(spec.alphas)
     witnesses = boxes.witnesses(spec.m, spec.M)
-    return _degree(euler_phi(spec.M), spec.m, witnesses)
+    phi = boxes.phis.get(spec.M)
+    if phi is None:
+        phi = boxes.phis[spec.M] = euler_phi(spec.M)
+    return _degree(phi, spec.m, witnesses)
 
 
 def kummer_degree(spec: FieldSpec, cache: Optional[DegreeCache] = None) -> int:
@@ -231,6 +237,12 @@ def count_automorphisms(
     congruence systems count zero; they are not an error.  The witnesses
     come from `cache` (the shared default cache when None).
     """
+    levels = [fix_level, *(mod for _, mod in congruences)]
+    if frobenius is not None:
+        levels.append(frobenius[0])
+    for level in levels:
+        if level < 1 or spec.M % level:
+            raise ValueError("spec.M must be a common multiple of all levels, each >= 1")
     boxes = (cache if cache is not None else DEFAULT_CACHE).view(spec.alphas)
     witnesses = boxes.witnesses(spec.m, spec.M)
     return _count_units(spec.M, fix_level, congruences, frobenius, witnesses)
@@ -244,18 +256,15 @@ def _count_units(
     witnesses: list[RadicalValue],
 ) -> int:
     """`count_automorphisms` for the field of level W whose relation group has
-    the given witnesses.  The unit c = 1 acts as sigma_1, the identity, so it
-    counts without a test of the witnesses."""
-    levels = [fix_level, *(mod for _, mod in congruences)]
-    if frobenius is not None:
-        levels.append(frobenius[0])
-    for level in levels:
-        if level < 1 or W % level:
-            raise ValueError("spec.M must be a common multiple of all levels, each >= 1")
-    merged = crt_merge([(1, fix_level), *congruences])
-    if merged is None:
-        return 0
-    rho, mu = merged
+    the given witnesses, every level already known to divide W.  The unit
+    c = 1 acts as sigma_1, the identity, so it counts without a test of the
+    witnesses."""
+    rho, mu = 1 % fix_level, fix_level
+    for residue, mod in congruences:
+        merged = crt_pair(rho, mu, residue % mod, mod)
+        if merged is None:
+            return 0
+        rho, mu = merged
     if math.gcd(rho, mu) != 1:
         return 0
     if frobenius is not None:

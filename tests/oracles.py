@@ -13,7 +13,13 @@ from orddensity.arith import (
     kronecker,
     prime_list,
 )
-from orddensity.cyclo import RadicalValue, quadratic_discriminant, radical_product
+from orddensity.cyclo import (
+    RadicalValue,
+    conductor,
+    fixed_by,
+    quadratic_discriminant,
+    radical_product,
+)
 from orddensity.kummer import _abelian_box, exponent_minor_gcd
 
 
@@ -312,6 +318,34 @@ def relation_group(spec) -> RelationGroup:
         if spec.M % cond == 0:
             members[tuple(ki * mi // g for ki, mi, g in zip(k, spec.m, sides))] = value
     return RelationGroup(spec.m, members)
+
+
+def brute_unit_count(spec, fix_level: int, congruences, frobenius) -> int:
+    """`kummer.count_automorphisms` by walking every c in [1, M] coprime to
+    M: c = 1 (mod fix_level) and each congruence are tested on their own, with
+    no CRT, then the Frobenius class, then sigma_c on every witness of the
+    uncached `relation_group`.  sigma_c acts on Q(zeta_L) with L the lcm of M
+    and the witness's own levels; c is lifted to the first c + k M prime to
+    L, which acts like c on Q(zeta_M), where the witness lies."""
+    M = spec.M
+    witnesses = [w for w in relation_group(spec).members.values() if w is not None]
+    count = 0
+    for c in range(1, M + 1):
+        if math.gcd(c, M) != 1 or (c - 1) % fix_level:
+            continue
+        if any((c - residue) % mod for residue, mod in congruences):
+            continue
+        if frobenius is not None:
+            f, classes = frobenius
+            if all((c - x) % f for x in classes):
+                continue
+        fixed = True
+        for w in witnesses:
+            L = math.lcm(w.zeta_order, conductor(w.d), M)
+            lifted = next(c + k * M for k in range(L) if math.gcd(c + k * M, L) == 1)
+            fixed = fixed and fixed_by(lifted, w, M)
+        count += fixed
+    return count
 
 
 def phi_lcm_marginal(r: int, cap: int) -> list[Fraction]:

@@ -15,6 +15,7 @@ import pytest
 from orddensity.arith import FactoredRational, prime_list
 from orddensity.density import (
     ConditionSpec,
+    DensityResult,
     IndexFixed,
     IndexSet,
     OrderAP,
@@ -23,7 +24,7 @@ from orddensity.density import (
     index_density_set,
     order_density,
 )
-from orddensity.empirical import scan_many, splitting_fraction_many
+from orddensity.empirical import ScanResult, compare, li, scan_many, splitting_fraction_many
 from orddensity.eulerseries import phi_lcm_tail
 from orddensity.kummer import (
     FieldSpec,
@@ -200,6 +201,33 @@ def test_criterion_3_empirical_agreement(empirical_runs):
 def test_scan_counts_pinned_at_1e7(empirical_runs):
     for run in empirical_runs:
         assert run["counts"] == SCAN_COUNTS_1E7
+
+
+# closed forms of the five configs: Artin's constant, Hasse's 17/24, the
+# exact finite-sum value of (2,3) index (1,1), and 1/4 both for ord_2 odd on
+# p = 3 (mod 4) (that is p = 7 mod 8) and for (2,5) both indices even
+# (Chebotarev in Q(sqrt 2, sqrt 5))
+CLOSED_FORMS = [0.3739558136, 17 / 24, 0.14734941998, 1 / 4, 1 / 4]
+
+
+def test_compare_z_from_pinned_counts():
+    li_x = li(SCAN_X)
+
+    def z(k, delta):
+        matched, considered = SCAN_COUNTS_1E7[k]
+        scan = ScanResult(
+            SCAN_X, matched, considered, (), li_x, matched / considered, matched / li_x
+        )
+        rep = compare(DensityResult(delta, 1, (0, 0), 0.0), scan, FIVE_CONFIGS[k][3])
+        assert rep.sigma == pytest.approx(math.sqrt(delta * (1 - delta) / considered))
+        return rep.z
+
+    # (2,5) both indices even: the truncated series value is 24 sigma off
+    # the scan, which sits within 1 sigma of 1/4
+    assert z(4, 0.237065) == pytest.approx(24.0, abs=0.05)
+    assert z(4, 1 / 4) == pytest.approx(-0.74, abs=0.01)
+    for k, closed in enumerate(CLOSED_FORMS):
+        assert abs(z(k, closed)) < 1, FIVE_CONFIGS[k][0]
 
 
 def test_criterion_4_kummer_degrees_vs_splitting():

@@ -310,9 +310,14 @@ def test_compare_command(tmp_path):
         "--nmax", "64", "--x", "20000",
     )
     assert code == 0
-    assert doc["schema"] == "compare-report/1"
+    assert doc["schema"] == "compare-report/2"
     assert abs(doc["report"]["empirical"] - doc["report"]["theory"]) < 0.05
     assert doc["scan"]["matched"] > 0
+    report, scan = doc["report"], doc["scan"]
+    assert report["sigma"] > 0
+    assert report["z"] == pytest.approx(
+        (scan["ratios"]["matched_over_considered"] - report["theory"]) / report["sigma"]
+    )
 
 
 def test_compare_json_is_strict(tmp_path):
@@ -328,6 +333,8 @@ def test_compare_json_is_strict(tmp_path):
     doc = json.loads((tmp_path / "c.json").read_text(), parse_constant=reject)
     assert doc["value"] == 0.0
     assert doc["report"]["rel_gap"] is None
+    # and leaves sigma 0 and the z-score undefined
+    assert doc["report"]["sigma"] == 0.0 and doc["report"]["z"] is None
 
 
 def test_params_echo_order_frobenius_config(tmp_path):

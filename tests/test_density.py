@@ -253,6 +253,45 @@ def test_index_set_density_counts_units_only_under_a_condition(
     assert len(calls["counted"]) == (res.terms_evaluated if counts_units else 0)
 
 
+def test_evaluations_sharing_a_cache_compute_each_phi_once(monkeypatch):
+    # ord_2 even and ord_2 = 1 (mod 3): a term's level is M = lcm(n t, d t),
+    # and the two series share some of their levels
+    specs = [
+        ConditionSpec.make([2], OrderAP((0,), (2,))),
+        ConditionSpec.make([2], OrderAP((1,), (3,))),
+    ]
+    fresh = [density.evaluate(s, 16, 16, log_terms=True, cache=DegreeCache()) for s in specs]
+    levels = [
+        {math.lcm(r["N"][0], s.mode.d[0]) * r["T"][0] for r in res.per_term_log}
+        for s, res in zip(specs, fresh)
+    ]
+    assert levels[0] & levels[1]
+    euler_phi = density.euler_phi
+    calls = {"density": [], "kummer": []}
+
+    def spy(module):
+        def phi(M):
+            calls[module].append(M)
+            return euler_phi(M)
+
+        return phi
+
+    monkeypatch.setattr(density, "euler_phi", spy("density"))
+    monkeypatch.setattr(kummer, "euler_phi", spy("kummer"))
+    cache = DegreeCache()
+    shared = [density.evaluate(s, 16, 16, cache=cache) for s in specs]
+    assert sorted(calls["density"]) == sorted(levels[0] | levels[1])
+    for a, b in zip(shared, fresh):
+        assert (a.value.hex(), a.terms_evaluated, a.caps, a.tail_estimate.hex()) == (
+            b.value.hex(), b.terms_evaluated, b.caps, b.tail_estimate.hex()
+        )
+    # degree_info reads the same memo: a level the series saw costs no totient
+    M = max(levels[1])
+    assert kummer.degree_info(FieldSpec(TWO, (1,), M), cache)[0] == euler_phi(M)
+    assert kummer.degree_info(FieldSpec(TWO, (1,), 7 * M), cache)[0] == euler_phi(7 * M)
+    assert calls["kummer"] == [7 * M]
+
+
 def test_series_memory_does_not_hold_the_term_product():
     # (2,3,5) index (1,1,1) at nmax 32 has 20^3 = 8,000 terms.  After a
     # warm-up call, the traced peak of this call was 52 KB both before and

@@ -298,8 +298,16 @@ def test_compare_report():
     assert rep.abs_gap == pytest.approx(rep.empirical - theory.value)
     assert rep.rel_gap < 0.05
     assert rep.error_scale == pytest.approx(math.log(10**5) ** -0.5)
+    delta = theory.value
+    assert rep.sigma == pytest.approx(math.sqrt(delta * (1 - delta) / emp.considered))
+    assert rep.z == pytest.approx((emp.matched / emp.considered - delta) / rep.sigma)
     rep2 = compare(theory, emp, rank=1)
     assert rep == rep2
-    # a zero series value leaves the relative gap undefined, not infinite
+    # a zero series value leaves the relative gap and the z-score undefined,
+    # not infinite
     zero = DensityResult(0.0, 1, (1, 0), 0.0)
     assert compare(zero, emp).rel_gap is None
+    assert compare(zero, emp).sigma == 0.0 and compare(zero, emp).z is None
+    # so does a negative value, which a truncated series gives at small caps
+    negative = DensityResult(-0.14, 1, (3, 3), 0.0)
+    assert compare(negative, emp).sigma == 0.0 and compare(negative, emp).z is None

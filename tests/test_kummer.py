@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from orddensity import kummer
-from orddensity.arith import ResourceCapError, euler_phi, factorize
+from orddensity.arith import ResourceCapError, divisors, euler_phi, factorize
 from orddensity.cyclo import radical_product
 from orddensity.kummer import (
     DegreeCache,
@@ -20,7 +20,7 @@ from orddensity.kummer import (
     observe_failure_bound,
 )
 
-from oracles import full_box_relations, lies_in_cyclotomic, relation_group
+from oracles import brute_unit_count, full_box_relations, lies_in_cyclotomic, relation_group
 
 GRID_ALPHAS = (2, 3, 5, -2, 8, 12)
 GRID_M = (1, 2, 3, 4, 6, 12)
@@ -315,6 +315,49 @@ def test_count_automorphisms_caps():
         assert count <= euler_phi(M) // max(1, euler_phi(fix))
         if frob is not None and congr:
             assert count <= len(frob[1])
+
+
+def unit_count_grid():
+    """(spec, fix_level, congruences, frobenius) on a fixed grid: ranks 1-2,
+    odd and even levels, fix levels 1 and above, 0-2 congruences with
+    residues that are not units and pairs that are inconsistent, with and
+    without a Frobenius class."""
+    fields = [
+        (alphas, m)
+        for alphas in ([2], [-3], [-8], [12])
+        for m in ((1,), (2,), (3,), (4,), (6,))
+    ] + [([2, 3], m) for m in ((1, 1), (2, 2), (2, 4), (6, 2))]
+    for (alphas, m), M in itertools.product(fields, (1, 3, 8, 15, 24, 40, 45, 120)):
+        v = math.lcm(*m)
+        if M % v:
+            continue
+        spec = fs(alphas, m, M)
+        qs = [q for q in divisors(M) if 1 < q <= 12]
+        qs = sorted(set(qs[:2] + qs[-1:]))
+        systems = [()]
+        systems += [((r % q, q),) for q in qs for r in sorted({0, 1, 2, q - 1})]
+        systems += [
+            ((1, a), (r % b, b)) for a, b in itertools.combinations(qs, 2) for r in (-1, 2)
+        ]
+        systems += [((1, q), (-1 % q, q)) for q in qs if q > 2]
+        f = max(q for q in divisors(M) if q <= 8)
+        for fix, congruences, frobenius in itertools.product(
+            sorted({1, v, (qs or [1])[0]}), systems, (None, (f, {1, f - 1}))
+        ):
+            yield spec, fix, congruences, frobenius
+
+
+def test_count_automorphisms_matches_brute_unit_count():
+    cache = DegreeCache()
+    counts = []
+    for spec, fix, congruences, frobenius in unit_count_grid():
+        want = brute_unit_count(spec, fix, congruences, frobenius)
+        got = count_automorphisms(spec, fix, congruences, frobenius, cache)
+        assert got == want, (spec.alphas, spec.m, spec.M, fix, congruences, frobenius)
+        counts.append(got)
+    # the grid reaches zero counts, a single unit and larger counts
+    assert counts.count(0) > 100 and counts.count(1) > 100 and max(counts) >= 8
+    assert len(counts) > 2000
 
 
 def test_vanishing_conditions_small_grid():
