@@ -26,13 +26,7 @@ from .density import (
 )
 from .empirical import ScanResult, compare, scan, scan_many
 from .eulerseries import phi_lcm_tail
-from .kummer import (
-    FieldSpec,
-    KummerBound,
-    count_automorphisms,
-    failure_ratio,
-    kummer_degree,
-)
+from .kummer import FieldSpec, count_automorphisms, failure_ratio, kummer_degree
 
 __version__ = "0.1.0"
 
@@ -49,7 +43,6 @@ __all__ = [
     "radical_product",
     "fixed_by",
     "FieldSpec",
-    "KummerBound",
     "kummer_degree",
     "failure_ratio",
     "count_automorphisms",

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -19,7 +21,7 @@ from typing import Optional, Sequence
 
 from . import density as dens
 from . import empirical, eulerseries, kummer
-from .arith import ResourceCapError
+from .arith import FactoredRational, ResourceCapError, divisors
 from .density import ConditionSpec, IndexFixed, IndexSet, OrderAP, SetDescriptor
 
 
@@ -180,7 +182,7 @@ def _report(
 def _resolve(
     args: argparse.Namespace,
     key: str,
-    fallback,
+    fallback=None,
     minimum: Optional[int] = None,
     maximum: Optional[int] = None,
 ):
@@ -230,7 +232,7 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     spec, params = build_condition_spec(args)
-    x = _resolve(args, "x", None, minimum=2)
+    x = _resolve(args, "x", minimum=2)
     if x is None:
         raise ConfigError("scan needs --x (flag or config file)")
     started = time.monotonic()
@@ -255,7 +257,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     spec, params = build_condition_spec(args)
-    x = _resolve(args, "x", None, minimum=2)
+    x = _resolve(args, "x", minimum=2)
     if x is None:
         raise ConfigError("compare needs --x (flag or config file)")
     nmax = _resolve(args, "nmax", dens.DEFAULT_NMAX, minimum=1)
@@ -291,7 +293,7 @@ CHEBOTAREV_FIELDS: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [
 EULER_MIN_CAP = 32  # the smallest cap with one grid point, x = 4 <= cap // 8
 
 
-def verify_euler(r: int, cap: int = 4096) -> dict:
+def verify_euler(r: int, cap: int) -> dict:
     """x * tail along x = 4, 8, ... <= cap/8 stays within twice its first
     value; the first tail is also evaluated at cap/2 beside cap."""
     xs = [4 * 2**k for k in range(8) if 4 * 2**k <= cap // 8]  # 4 .. 512 at cap 4096
@@ -314,20 +316,44 @@ def verify_euler(r: int, cap: int = 4096) -> dict:
     }
 
 
+FAILURE_POOL = (2, 3, 5, -2, 8, 12)  # the failure grid's alphas
+FAILURE_M_DIVISOR = 12  # the failure grid's radical indices divide this
+
+
+def failure_bound(M_divisor: int) -> int:
+    """lcm of the failure ratios over a grid of fields: one and two alphas
+    from FAILURE_POOL, radical indices over the divisors of
+    FAILURE_M_DIVISOR, cyclotomic levels over the divisors of `M_divisor`
+    that the indices divide."""
+    alphas = [FactoredRational.of(a) for a in FAILURE_POOL]
+    bound = 1
+    for r in (1, 2):
+        for combo in itertools.combinations(alphas, r):
+            for m in itertools.product(divisors(FAILURE_M_DIVISOR), repeat=r):
+                need = math.lcm(*m)
+                for M in divisors(M_divisor):
+                    if M % need == 0:
+                        spec = kummer.FieldSpec(combo, m, M)
+                        bound = math.lcm(bound, kummer.failure_ratio(spec))
+    return bound
+
+
 def verify_kummer(grid: str) -> dict:
-    pool = (2, 3, 5, -2, 8, 12)
-    small = kummer.observe_failure_bound(pool, 240)
+    small = failure_bound(240)
     out = {
         "target": "kummer",
         "grid": grid,
-        "B_observed": small.B_observed,
-        "grid_description": small.grid_description,
+        "B_observed": small,
+        "grid_description": (
+            f"alphas in {list(FAILURE_POOL)}, ranks [1, 2], "
+            f"m | {FAILURE_M_DIVISOR}, M | 240"
+        ),
         "passed": True,
     }
     if grid == "double":
-        big = kummer.observe_failure_bound(pool, 480)
-        out["B_observed_doubled"] = big.B_observed
-        out["passed"] = bool(big.B_observed == small.B_observed)
+        big = failure_bound(480)
+        out["B_observed_doubled"] = big
+        out["passed"] = big == small
     return out
 
 
@@ -351,13 +377,13 @@ def verify_chebotarev(x: int) -> dict:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.target == "euler":
         doc = verify_euler(
-            _resolve(args, "r", 2, minimum=1, maximum=3),
-            _resolve(args, "cap", 4096, minimum=EULER_MIN_CAP),
+            _resolve(args, "r", minimum=1, maximum=3),
+            _resolve(args, "cap", minimum=EULER_MIN_CAP),
         )
     elif args.target == "kummer":
         doc = verify_kummer(args.grid)
     elif args.target == "chebotarev":
-        doc = verify_chebotarev(_resolve(args, "x", None, minimum=2))
+        doc = verify_chebotarev(_resolve(args, "x", minimum=2))
     else:  # argparse choices guard this
         raise ConfigError(f"unknown verify target {args.target!r}")
     doc["timestamp"] = datetime.now(timezone.utc).isoformat()

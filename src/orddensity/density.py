@@ -23,15 +23,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .arith import FactoredRational, as_int, crt_merge, euler_phi, moebius
+from .arith import FactoredRational, as_int, crt_merge, moebius
 from .eulerseries import KahanSum, phi_lcm_tail
-from .kummer import (
-    DEFAULT_CACHE,
-    DegreeCache,
-    _count_units,
-    _degree,
-    exponent_minor_gcd,
-)
+from .kummer import DEFAULT_CACHE, DegreeCache, _count_units, exponent_minor_gcd
 
 DEFAULT_NMAX = 64
 DEFAULT_TMAX = 64
@@ -274,8 +268,8 @@ def evaluate(
     mus = [[moebius(n) for n in ns_i] for ns_i in ns]
     # the spec is validated, so each term's field Q(zeta_M, alpha_i^(1/m_i))
     # is read off the alphas' box view without building a FieldSpec
-    boxes = (cache if cache is not None else DEFAULT_CACHE).view(spec.alphas)
-    witnesses_of, phis, lcm = boxes.witnesses, boxes.phis, math.lcm
+    field = (cache if cache is not None else DEFAULT_CACHE).view(spec.alphas).field
+    lcm = math.lcm
     acc = KahanSum()
     add = acc.add
     log: Optional[list] = [] if log_terms else None
@@ -296,11 +290,7 @@ def evaluate(
         for N, m, N_mu in block_terms:
             v = lcm(*m)
             M = lcm(v, level)
-            phi = phis.get(M)
-            if phi is None:
-                phi = phis[M] = euler_phi(M)
-            witnesses = witnesses_of(m, M)
-            degree, fail = _degree(phi, m, witnesses)
+            degree, fail, witnesses = field(m, M)
             if count_is_one:
                 count = 1
             else:

@@ -111,12 +111,12 @@ class ScanResult:
 
 @dataclass
 class CompareReport:
-    """Empirical ratio against the series value; `rel_gap` is None when the
-    series value is 0.  `sigma` is the binomial standard deviation of
-    matched/considered about the series value delta, and `z` that ratio's
-    distance from delta in sigmas: heuristic, since primes are not
-    independent trials.  `z` is None when `sigma` is 0 (delta 0 or 1, or no
-    prime considered)."""
+    """Empirical ratio against the series value; `rel_gap` is
+    |abs_gap| / |theory|, None when the series value is 0.  `sigma` is the
+    binomial standard deviation of matched/considered about the series value
+    delta, and `z` that ratio's distance from delta in sigmas: heuristic,
+    since primes are not independent trials.  `z` is None when `sigma` is 0
+    (delta 0 or 1, or no prime considered)."""
 
     empirical: float
     theory: float
@@ -463,7 +463,7 @@ def compare(theory: DensityResult, scan_result: ScanResult, rank: int = 1) -> Co
     delta, n = theory.value, scan_result.considered
     emp = scan_result.ratio_li
     gap = emp - delta
-    rel = abs(gap) / delta if delta else None
+    rel = abs(gap) / abs(delta) if delta else None
     scale = math.log(scan_result.x) ** (-1.0 / (rank + 1))
     # a truncated series can leave [0, 1]: at small caps it can be negative
     p = min(max(delta, 0.0), 1.0)

@@ -24,9 +24,11 @@ in prod Z/g_i, and its radical product is prod alpha_i^(k_i/g_i).  So Rel
 depends on m only through g and on M only through the test that a product's
 conductor divides M: `DegreeCache` enumerates a box once per (alphas, g).
 It hands out one `AlphaBoxes` view per alpha tuple, holding 2 Delta, that
-tuple's boxes and phi(M) per level, so a series looks its alphas up once and
-then pays one box filter per field, and phi(M) once per level for all the
-evaluations that share the cache.
+tuple's boxes and phi(M) per level.  `AlphaBoxes.field` is the one reader
+of a field: it gives the degree, |Rel| and the witnesses.  A series looks
+its alphas up once and then pays one box filter per field, and phi(M) once
+per level for all the evaluations that share the cache; the FieldSpec
+functions below read the shared `DEFAULT_CACHE` the same way.
 
 Each unit c mod M that fixes the witnesses of all members of Rel extends to
 exactly prod(m_i)/|Rel| automorphisms of the full field, one of which acts
@@ -47,7 +49,6 @@ from .arith import (
     ResourceCapError,
     as_int,
     crt_pair,
-    divisors,
     euler_phi,
 )
 from .cyclo import RadicalValue, fixed_by, radical_product
@@ -79,14 +80,6 @@ class FieldSpec:
     @staticmethod
     def make(alphas: Iterable, m: Sequence[int], M: int) -> "FieldSpec":
         return FieldSpec(tuple(map(FactoredRational.of, alphas)), m, M)
-
-
-@dataclass(frozen=True)
-class KummerBound:
-    """Observed bound for the failure of maximality on a parameter grid."""
-
-    B_observed: int
-    grid_description: str
 
 
 def exponent_minor_gcd(alphas: tuple[FactoredRational, ...]) -> int:
@@ -140,8 +133,8 @@ CACHE_SIZE = 1024
 
 class AlphaBoxes:
     """The boxes of one alpha tuple: 2 Delta and `_abelian_box(alphas, g)`
-    per side tuple g, each enumerated on first use, and `phis`, phi(M) per
-    level M of a field of the tuple, each computed by its first reader."""
+    per side tuple g, and `phis`, phi(M) per level M of a field of the
+    tuple, each filled by `field` on first use."""
 
     __slots__ = ("alphas", "two_delta", "boxes", "phis")
 
@@ -151,16 +144,24 @@ class AlphaBoxes:
         self.boxes: dict[tuple[int, ...], list] = {}
         self.phis: dict[int, int] = {}
 
-    def witnesses(self, m: Sequence[int], M: int) -> list[RadicalValue]:
-        """The witnesses of the nonzero members of the relation group of
-        Q(zeta_M, alpha_i^(1/m_i)): the values of its box whose conductor
-        divides M."""
+    def field(self, m: Sequence[int], M: int) -> tuple[int, int, list[RadicalValue]]:
+        """(degree, |Rel|, witnesses) of Q(zeta_M, alpha_i^(1/m_i)).  The
+        witnesses of the nonzero members of its relation group are the values
+        of its box whose conductor divides M, and the degree is
+        phi(M) * prod(m_i) / |Rel|."""
         two_delta = self.two_delta
         sides = tuple([math.gcd(mi, two_delta) for mi in m])
         box = self.boxes.get(sides)
         if box is None:
             box = self.boxes[sides] = _abelian_box(self.alphas, sides)
-        return [value for _, value, cond in box if M % cond == 0]
+        witnesses = [value for _, value, cond in box if M % cond == 0]
+        phi = self.phis.get(M)
+        if phi is None:
+            phi = self.phis[M] = euler_phi(M)
+        rel_size = 1 + len(witnesses)
+        numerator = phi * math.prod(m)
+        assert numerator % rel_size == 0
+        return numerator // rel_size, rel_size, witnesses
 
 
 class DegreeCache:
@@ -186,33 +187,19 @@ class DegreeCache:
 DEFAULT_CACHE = DegreeCache()
 
 
-def _degree(phi_M: int, m: Sequence[int], witnesses: list) -> tuple[int, int]:
-    """(degree, |Rel|) of Q(zeta_M, alpha_i^(1/m_i)) from phi(M) and the
-    witnesses of its nonzero relation-group members."""
-    rel_size = 1 + len(witnesses)
-    numerator = phi_M * math.prod(m)
-    assert numerator % rel_size == 0
-    return numerator // rel_size, rel_size
-
-
-def degree_info(spec: FieldSpec, cache: Optional[DegreeCache] = None) -> tuple[int, int]:
+def degree_info(spec: FieldSpec) -> tuple[int, int]:
     """(field degree over Q, failure ratio |Rel|)."""
-    boxes = (cache if cache is not None else DEFAULT_CACHE).view(spec.alphas)
-    witnesses = boxes.witnesses(spec.m, spec.M)
-    phi = boxes.phis.get(spec.M)
-    if phi is None:
-        phi = boxes.phis[spec.M] = euler_phi(spec.M)
-    return _degree(phi, spec.m, witnesses)
+    return DEFAULT_CACHE.view(spec.alphas).field(spec.m, spec.M)[:2]
 
 
-def kummer_degree(spec: FieldSpec, cache: Optional[DegreeCache] = None) -> int:
+def kummer_degree(spec: FieldSpec) -> int:
     """Exact degree [Q(zeta_M, alpha_1^(1/m_1), ...) : Q]."""
-    return degree_info(spec, cache)[0]
+    return degree_info(spec)[0]
 
 
-def failure_ratio(spec: FieldSpec, cache: Optional[DegreeCache] = None) -> int:
+def failure_ratio(spec: FieldSpec) -> int:
     """Integer ratio by which the degree falls short of phi(M) * prod(m_i)."""
-    return degree_info(spec, cache)[1]
+    return degree_info(spec)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +211,6 @@ def count_automorphisms(
     fix_level: int,
     congruences: Sequence[tuple[int, int]] = (),
     frobenius: Optional[tuple[int, frozenset[int] | set[int]]] = None,
-    cache: Optional[DegreeCache] = None,
 ) -> int:
     """Count units c of Z/M with c = 1 (mod fix_level), every congruence
     satisfied, c mod f in C when a Frobenius class set is given, and the
@@ -234,8 +220,7 @@ def count_automorphisms(
 
     Each counted c corresponds to exactly one automorphism of the field that
     restricts to the identity on Q(zeta_fix_level, radicals).  Inconsistent
-    congruence systems count zero; they are not an error.  The witnesses
-    come from `cache` (the shared default cache when None).
+    congruence systems count zero; they are not an error.
     """
     levels = [fix_level, *(mod for _, mod in congruences)]
     if frobenius is not None:
@@ -243,8 +228,7 @@ def count_automorphisms(
     for level in levels:
         if level < 1 or spec.M % level:
             raise ValueError("spec.M must be a common multiple of all levels, each >= 1")
-    boxes = (cache if cache is not None else DEFAULT_CACHE).view(spec.alphas)
-    witnesses = boxes.witnesses(spec.m, spec.M)
+    witnesses = DEFAULT_CACHE.view(spec.alphas).field(spec.m, spec.M)[2]
     return _count_units(spec.M, fix_level, congruences, frobenius, witnesses)
 
 
@@ -282,37 +266,3 @@ def _count_units(
         if lifted == 1 or all(fixed_by(lifted, w, W) for w in witnesses):
             count += 1
     return count
-
-
-# ---------------------------------------------------------------------------
-# failure-of-maximality grid
-
-
-GRID_M_DIVISOR = 12  # the failure grid's radical indices divide this
-
-
-def observe_failure_bound(alpha_pool: Sequence[int], M_divisor: int = 240) -> KummerBound:
-    """lcm of failure ratios over a grid of field specs.
-
-    Grid: alpha lists of one and two alphas drawn from the pool, radical
-    indices over divisors of `GRID_M_DIVISOR`, cyclotomic levels over
-    divisors of `M_divisor` compatible with the indices.
-    """
-    alphas = [FactoredRational.of(a) for a in alpha_pool]
-    m_choices = divisors(GRID_M_DIVISOR)
-    M_choices = divisors(M_divisor)
-    bound = 1
-    for r in (1, 2):
-        for combo in itertools.combinations(range(len(alphas)), r):
-            for m in itertools.product(m_choices, repeat=r):
-                need = math.lcm(*m)
-                for M in M_choices:
-                    if M % need:
-                        continue
-                    spec = FieldSpec(tuple(alphas[i] for i in combo), m, M)
-                    bound = math.lcm(bound, failure_ratio(spec))
-    desc = (
-        f"alphas in {list(alpha_pool)}, ranks [1, 2], "
-        f"m | {GRID_M_DIVISOR}, M | {M_divisor}"
-    )
-    return KummerBound(bound, desc)

@@ -26,13 +26,8 @@ from orddensity.density import (
 )
 from orddensity.empirical import ScanResult, compare, li, scan_many, splitting_fraction_many
 from orddensity.eulerseries import phi_lcm_tail
-from orddensity.kummer import (
-    FieldSpec,
-    count_automorphisms,
-    failure_ratio,
-    kummer_degree,
-    observe_failure_bound,
-)
+from orddensity.cli import FAILURE_POOL, failure_bound
+from orddensity.kummer import FieldSpec, count_automorphisms, failure_ratio, kummer_degree
 
 from oracles import (
     TRUE_POWER_TRIPLES,
@@ -256,8 +251,9 @@ def test_criterion_4_kummer_degrees_vs_splitting():
 
 def test_criterion_5_failure_ratio_bound():
     pool = (2, 3, 5, -2, 8, 12)
-    small = observe_failure_bound(pool, 240)
-    doubled = observe_failure_bound(pool, 480)
+    assert FAILURE_POOL == pool
+    small = failure_bound(240)
+    doubled = failure_bound(480)
     # every ratio on the grid divides the observed bound
     divisors_ok = True
     for r in (1, 2):
@@ -268,12 +264,12 @@ def test_criterion_5_failure_ratio_bound():
                     if M % need:
                         continue
                     ratio = failure_ratio(FieldSpec.make(combo, m, M))
-                    divisors_ok = divisors_ok and small.B_observed % ratio == 0
-    ok = divisors_ok and small.B_observed == doubled.B_observed
+                    divisors_ok = divisors_ok and small % ratio == 0
+    ok = divisors_ok and small == doubled
     report(
         "criterion 5 (bounded failure of maximality)",
         ok,
-        f"B_observed={small.B_observed} on M|240, stays {doubled.B_observed} on M|480",
+        f"B_observed={small} on M|240, stays {doubled} on M|480",
     )
 
 

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from orddensity import density as dens
-from orddensity import empirical, eulerseries
+from orddensity import empirical, eulerseries, kummer
 from orddensity.cli import main
 
 
@@ -185,7 +185,7 @@ NMAX_PAST_CAP = "5000001"  # its tail grid 4 * nmax passes phi_lcm_tail's rank-1
         ),
         pytest.param(
             DENSITY_INDEX_ONE + ["--nmax", NMAX_PAST_CAP],
-            [(dens, "moebius"), (dens, "_degree")],
+            [(dens, "moebius"), (kummer.AlphaBoxes, "field")],
             id="density-nmax",
         ),
         pytest.param(
@@ -388,6 +388,19 @@ def test_verify_kummer(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["passed"] is True
     assert doc["B_observed"] >= 1
+
+
+def test_verify_kummer_double_golden(tmp_path):
+    # pinned: a change to the failure-ratio grid or to a failure ratio moves them
+    out = tmp_path / "v.json"
+    code = main(["verify", "kummer", "--grid", "double", "--out", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert (doc["B_observed"], doc["B_observed_doubled"]) == (24, 24)
+    assert doc["grid_description"] == (
+        "alphas in [2, 3, 5, -2, 8, 12], ranks [1, 2], m | 12, M | 240"
+    )
+    assert doc["passed"] is True
 
 
 def test_verify_chebotarev(tmp_path):

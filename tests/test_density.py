@@ -180,14 +180,14 @@ def test_full_frobenius_class_is_vacuous():
 
 
 def spy_on_series(monkeypatch) -> dict[str, list]:
-    """Record the box enumerations, alpha lookups, witness lookups, unit
+    """Record the box enumerations, alpha lookups, field lookups, unit
     counts and FieldSpec builds of the series evaluator."""
     calls: dict[str, list] = {
         "enumerated": [], "views": [], "looked_up": [], "counted": [], "built": []
     }
     abelian_box = kummer._abelian_box
     view = DegreeCache.view
-    witnesses = kummer.AlphaBoxes.witnesses
+    field = kummer.AlphaBoxes.field
     count_units = density._count_units
     post_init = FieldSpec.__post_init__
 
@@ -201,7 +201,7 @@ def spy_on_series(monkeypatch) -> dict[str, list]:
 
     def lookup(view, m, M):
         calls["looked_up"].append((m, M))
-        return witnesses(view, m, M)
+        return field(view, m, M)
 
     def count(W, *args):
         calls["counted"].append(W)
@@ -213,7 +213,7 @@ def spy_on_series(monkeypatch) -> dict[str, list]:
 
     monkeypatch.setattr(kummer, "_abelian_box", enumerate_)
     monkeypatch.setattr(DegreeCache, "view", fetch)
-    monkeypatch.setattr(kummer.AlphaBoxes, "witnesses", lookup)
+    monkeypatch.setattr(kummer.AlphaBoxes, "field", lookup)
     monkeypatch.setattr(density, "_count_units", count)
     monkeypatch.setattr(FieldSpec, "__post_init__", build)
     return calls
@@ -223,7 +223,7 @@ def test_order_density_enumerates_each_field_once(monkeypatch):
     calls = spy_on_series(monkeypatch)
     spec = ConditionSpec.make([2], OrderAP((0,), (2,)))
     res = order_density(spec, nmax=24, tmax=24, cache=DegreeCache())
-    # one alpha lookup per series, one witness lookup and one unit count per
+    # one alpha lookup per series, one field lookup and one unit count per
     # term, and no FieldSpec built
     assert calls["views"] == [spec.alphas]
     assert len(calls["looked_up"]) == len(calls["counted"]) == res.terms_evaluated
@@ -266,30 +266,28 @@ def test_evaluations_sharing_a_cache_compute_each_phi_once(monkeypatch):
         for s, res in zip(specs, fresh)
     ]
     assert levels[0] & levels[1]
-    euler_phi = density.euler_phi
-    calls = {"density": [], "kummer": []}
+    euler_phi = kummer.euler_phi
+    calls = []
 
-    def spy(module):
-        def phi(M):
-            calls[module].append(M)
-            return euler_phi(M)
+    def phi(M):
+        calls.append(M)
+        return euler_phi(M)
 
-        return phi
-
-    monkeypatch.setattr(density, "euler_phi", spy("density"))
-    monkeypatch.setattr(kummer, "euler_phi", spy("kummer"))
+    monkeypatch.setattr(kummer, "euler_phi", phi)
     cache = DegreeCache()
     shared = [density.evaluate(s, 16, 16, cache=cache) for s in specs]
-    assert sorted(calls["density"]) == sorted(levels[0] | levels[1])
+    assert sorted(calls) == sorted(levels[0] | levels[1])
     for a, b in zip(shared, fresh):
         assert (a.value.hex(), a.terms_evaluated, a.caps, a.tail_estimate.hex()) == (
             b.value.hex(), b.terms_evaluated, b.caps, b.tail_estimate.hex()
         )
-    # degree_info reads the same memo: a level the series saw costs no totient
+    # a field lookup reads the same memo: a level the series saw costs no
+    # totient
+    calls.clear()
     M = max(levels[1])
-    assert kummer.degree_info(FieldSpec(TWO, (1,), M), cache)[0] == euler_phi(M)
-    assert kummer.degree_info(FieldSpec(TWO, (1,), 7 * M), cache)[0] == euler_phi(7 * M)
-    assert calls["kummer"] == [7 * M]
+    assert cache.view(TWO).field((1,), M)[0] == euler_phi(M)
+    assert cache.view(TWO).field((1,), 7 * M)[0] == euler_phi(7 * M)
+    assert calls == [7 * M]
 
 
 def test_series_memory_does_not_hold_the_term_product():

@@ -25,6 +25,7 @@ from orddensity.density import (
     OrderAP,
     SetDescriptor,
     index_density_fixed,
+    order_density,
 )
 from orddensity.empirical import (
     _FULL_PLAN,
@@ -311,3 +312,11 @@ def test_compare_report():
     # so does a negative value, which a truncated series gives at small caps
     negative = DensityResult(-0.14, 1, (3, 3), 0.0)
     assert compare(negative, emp).sigma == 0.0 and compare(negative, emp).z is None
+    # and its relative gap stays a magnitude: ord_p(-3) = 0 (mod 6) truncated
+    # at 3/3 sums to -0.1435
+    spec = ConditionSpec.make([-3], OrderAP((0,), (6,)))
+    theory = order_density(spec, nmax=3, tmax=3)
+    rep = compare(theory, scan(spec, 1000))
+    assert theory.value < 0
+    assert rep.rel_gap == pytest.approx(abs(rep.abs_gap) / -theory.value)
+    assert rep.rel_gap == pytest.approx(1.9076, abs=1e-4)

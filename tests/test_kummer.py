@@ -6,18 +6,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orddensity import kummer
+from orddensity import cli, kummer
 from orddensity.arith import ResourceCapError, divisors, euler_phi, factorize
 from orddensity.cyclo import radical_product
 from orddensity.kummer import (
     DegreeCache,
     FieldSpec,
+    _count_units,
     count_automorphisms,
     degree_info,
     exponent_minor_gcd,
     failure_ratio,
     kummer_degree,
-    observe_failure_bound,
 )
 
 from oracles import brute_unit_count, full_box_relations, lies_in_cyclotomic, relation_group
@@ -43,6 +43,17 @@ KNOWN_DEGREES = [
 
 def fs(alphas, m, M):
     return FieldSpec.make(alphas, m, M)
+
+
+def cached_degree(cache, spec):
+    """`degree_info(spec)` read from `cache` instead of the default cache."""
+    return cache.view(spec.alphas).field(spec.m, spec.M)[:2]
+
+
+def cached_count(cache, spec, fix, congruences=(), frobenius=None):
+    """`count_automorphisms` read from `cache` instead of the default cache."""
+    witnesses = cache.view(spec.alphas).field(spec.m, spec.M)[2]
+    return _count_units(spec.M, fix, congruences, frobenius, witnesses)
 
 
 def test_relation_group_examples():
@@ -247,14 +258,15 @@ def test_tower_monotonicity():
 
 
 def test_failure_ratios_divide_grid_bound():
-    bound = observe_failure_bound(GRID_ALPHAS, 240)
-    assert bound.B_observed >= 1
+    assert cli.FAILURE_POOL == GRID_ALPHAS
+    bound = cli.failure_bound(240)
+    assert bound >= 1
     for alpha in GRID_ALPHAS:
         for m in GRID_M:
             for M in GRID_LEVELS:
                 if M % m or 240 % M:
                     continue
-                assert bound.B_observed % failure_ratio(fs([alpha], (m,), M)) == 0
+                assert bound % failure_ratio(fs([alpha], (m,), M)) == 0
 
 
 def test_count_automorphisms_examples():
@@ -352,7 +364,7 @@ def test_count_automorphisms_matches_brute_unit_count():
     counts = []
     for spec, fix, congruences, frobenius in unit_count_grid():
         want = brute_unit_count(spec, fix, congruences, frobenius)
-        got = count_automorphisms(spec, fix, congruences, frobenius, cache)
+        got = cached_count(cache, spec, fix, congruences, frobenius)
         assert got == want, (spec.alphas, spec.m, spec.M, fix, congruences, frobenius)
         counts.append(got)
     # the grid reaches zero counts, a single unit and larger counts
@@ -421,18 +433,20 @@ def counting_boxes(monkeypatch) -> list:
 
 def test_degree_cache_enumerates_each_field_once(monkeypatch):
     # each field is read from its alphas' box, enumerated once per side tuple
+    spec = fs([2], (2,), 8)
+    assert degree_info(spec) == (4, 2)
+    assert kummer_degree(spec) == 4
+    assert failure_ratio(spec) == 2
+    assert count_automorphisms(spec, 2, ()) == 2
     calls = counting_boxes(monkeypatch)
     cache = DegreeCache()
-    spec = fs([2], (2,), 8)
-    assert degree_info(spec, cache) == (4, 2)
-    assert kummer_degree(fs([2], (2,), 8), cache) == 4
-    assert failure_ratio(spec, cache) == 2
-    assert count_automorphisms(spec, 2, (), None, cache) == 2
-    assert kummer_degree(fs([2], (2,), 4), cache) == 4  # same box, other level
-    assert kummer_degree(fs([2], (6,), 24), cache) == 8 * 6 // 2  # same sides
+    assert cached_degree(cache, spec) == (4, 2)
+    assert cached_count(cache, spec, 2) == 2
+    assert cached_degree(cache, fs([2], (2,), 4))[0] == 4  # same box, other level
+    assert cached_degree(cache, fs([2], (6,), 24))[0] == 8 * 6 // 2  # same sides
     assert calls == [(spec.alphas, (2,))] and len(cache._alphas) == 1
-    assert kummer_degree(fs([2], (3,), 3), cache) == 6  # sides (1,)
-    assert kummer_degree(fs([2, 3], (2, 2), 12), cache) == 8
+    assert cached_degree(cache, fs([2], (3,), 3))[0] == 6  # sides (1,)
+    assert cached_degree(cache, fs([2, 3], (2, 2), 12))[0] == 8
     assert len(calls) == 3 and len(cache._alphas) == 2
 
 
@@ -442,11 +456,11 @@ def test_degree_cache_drops_oldest_field_past_its_bound(monkeypatch):
     calls = counting_boxes(monkeypatch)
     cache = DegreeCache()
     specs = [fs([2], (2,), 8), fs([3], (2,), 12), fs([5], (2,), 10)]
-    assert [kummer_degree(s, cache) for s in specs] == [4, 4, 4]
+    assert [cached_degree(cache, s)[0] for s in specs] == [4, 4, 4]
     assert len(cache._alphas) == 2
-    kummer_degree(specs[2], cache)
-    kummer_degree(fs([3], (2,), 24), cache)
-    kummer_degree(specs[0], cache)  # dropped, so enumerated again
+    cached_degree(cache, specs[2])
+    cached_degree(cache, fs([3], (2,), 24))
+    cached_degree(cache, specs[0])  # dropped, so enumerated again
     assert calls == [(s.alphas, (2,)) for s in specs + [specs[0]]]
 
 
@@ -463,8 +477,8 @@ def test_fields_sharing_alphas_and_sides_enumerate_one_box(monkeypatch):
     for m in [(2, 2), (6, 4), (12, 12)]:
         for M in (12, 24):
             spec = fs([2, 3], m, M)
-            degree_info(spec, cache)
-            count_automorphisms(spec, 1, (), None, cache)
+            cached_degree(cache, spec)
+            cached_count(cache, spec, 1)
     assert calls == [(0, 1), (1, 0), (1, 1)]
 
 
@@ -483,9 +497,9 @@ def test_shared_cache_matches_fresh_cache_per_field():
     for spec in grid:
         fix = math.lcm(*spec.m)
         frob = (spec.M, {1, spec.M - 1})
-        got = [degree_info(spec, shared), count_automorphisms(spec, fix, (), frob, shared)]
+        got = [cached_degree(shared, spec), cached_count(shared, spec, fix, (), frob)]
         fresh = DegreeCache()
-        want = [degree_info(spec, fresh), count_automorphisms(spec, fix, (), frob, fresh)]
+        want = [cached_degree(fresh, spec), cached_count(fresh, spec, fix, (), frob)]
         assert got == want, spec
         assert got[0][1] == len(relation_group(spec).members), spec
     assert len(shared._alphas) == len(pool)
