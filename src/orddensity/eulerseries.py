@@ -49,11 +49,15 @@ class KahanSum:
         self._s = 0.0
         self._c = 0.0
 
-    def add(self, x: float) -> None:
-        y = x - self._c
-        t = self._s + y
-        self._c = (t - self._s) - y
-        self._s = t
+    def extend(self, xs) -> None:
+        """Add each float of xs in turn."""
+        s, c = self._s, self._c
+        for x in xs:
+            y = x - c
+            t = s + y
+            c = (t - s) - y
+            s = t
+        self._s, self._c = s, c
 
     @property
     def value(self) -> float:

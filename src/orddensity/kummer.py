@@ -25,10 +25,11 @@ depends on m only through g and on M only through the test that a product's
 conductor divides M: `DegreeCache` enumerates a box once per (alphas, g).
 It hands out one `AlphaBoxes` view per alpha tuple, holding 2 Delta, that
 tuple's boxes and phi(M) per level.  `AlphaBoxes.field` is the one reader
-of a field: it gives the degree, |Rel| and the witnesses.  A series looks
-its alphas up once and then pays one box filter per field, and phi(M) once
-per level for all the evaluations that share the cache; the FieldSpec
-functions below read the shared `DEFAULT_CACHE` the same way.
+of fields: given arrays of radical indices and levels, it gives their
+degrees, |Rel| and witnesses.  A series looks its alphas up once and then
+pays, per chunk of terms, one array test per box entry, and phi(M) once per
+level for all the evaluations that share the cache; the FieldSpec functions
+below read the shared `DEFAULT_CACHE` the same way, one field at a time.
 
 Each unit c mod M that fixes the witnesses of all members of Rel extends to
 exactly prod(m_i)/|Rel| automorphisms of the full field, one of which acts
@@ -144,24 +145,67 @@ class AlphaBoxes:
         self.boxes: dict[tuple[int, ...], list] = {}
         self.phis: dict[int, int] = {}
 
-    def field(self, m: Sequence[int], M: int) -> tuple[int, int, list[RadicalValue]]:
-        """(degree, |Rel|, witnesses) of Q(zeta_M, alpha_i^(1/m_i)).  The
-        witnesses of the nonzero members of its relation group are the values
-        of its box whose conductor divides M, and the degree is
-        phi(M) * prod(m_i) / |Rel|."""
-        two_delta = self.two_delta
-        sides = tuple([math.gcd(mi, two_delta) for mi in m])
-        box = self.boxes.get(sides)
-        if box is None:
-            box = self.boxes[sides] = _abelian_box(self.alphas, sides)
-        witnesses = [value for _, value, cond in box if M % cond == 0]
-        phi = self.phis.get(M)
-        if phi is None:
-            phi = self.phis[M] = euler_phi(M)
-        rel_size = 1 + len(witnesses)
-        numerator = phi * math.prod(m)
-        assert numerator % rel_size == 0
-        return numerator // rel_size, rel_size, witnesses
+    def field(self, m: Sequence, M) -> tuple:
+        """(degree, |Rel|, witnesses) of the fields Q(zeta_M, alpha_i^(1/m_i)),
+        one field per entry of the arrays: `m` holds one array of radical
+        indices per alpha and `M` one level per field.  The degree is
+        phi(M) * prod(m_i) / |Rel|, and the nonzero members of a field's
+        relation group are the entries of its box whose conductor divides
+        its M: `witnesses(j)` lists their values for field j.
+
+        The arrays hold int64 or Python ints (dtype=object), and the degrees
+        take M's dtype.  An int64 caller keeps phi(M) * prod(m_i) below 2^63;
+        `density.evaluate` keeps it below 2^53, so that each degree converts
+        to float64 exactly, and otherwise passes Python ints.  Each side
+        tuple g = gcd(m_i, 2 Delta) met has its box enumerated once per view,
+        each box entry's conductor is tested against the levels of all the
+        fields with those sides in one array operation, and the divisibility
+        of phi(M) * prod(m_i) by |Rel| is asserted over the whole array."""
+        import numpy as np
+
+        numerator = self._totients(M) * math.prod(m)
+        boxes = self.boxes
+        sides = [np.gcd(mi, self.two_delta) for mi in m]
+        # each side tuple as one integer: its digits in base 1 + max side
+        base = 1 + max(int(s.max()) for s in sides)
+        if base ** len(sides) >= 2**63:
+            sides = [s.astype(object) for s in sides]
+        key = sides[0]
+        for s in sides[1:]:
+            key = key * base + s
+        keys = key.tolist()
+        rel = np.ones(len(keys), dtype=np.int64)
+        top = int(M.max())  # a larger conductor divides no level
+        by_key = {}
+        for k in dict.fromkeys(keys):
+            at = np.flatnonzero(key == k)
+            g = tuple([int(s[at[0]]) for s in sides])
+            box = boxes.get(g)
+            if box is None:
+                box = boxes[g] = _abelian_box(self.alphas, g)
+            by_key[k] = box
+            if box:
+                levels = M[at]
+                for _, _, cond in box:
+                    if cond <= top:
+                        rel[at] += levels % cond == 0
+        assert not (numerator % rel).any()
+
+        def witnesses(j: int) -> list[RadicalValue]:
+            level = int(M[j])
+            return [value for _, value, cond in by_key[keys[j]] if level % cond == 0]
+
+        return numerator // rel, rel, witnesses
+
+    def _totients(self, M):
+        """phi(M) per entry of the array M, each level's from the memo."""
+        import numpy as np
+
+        levels = M.tolist()
+        phis = self.phis
+        for level in set(levels).difference(phis):
+            phis[level] = euler_phi(level)
+        return np.fromiter(map(phis.__getitem__, levels), dtype=M.dtype, count=len(levels))
 
 
 class DegreeCache:
@@ -187,9 +231,20 @@ class DegreeCache:
 DEFAULT_CACHE = DegreeCache()
 
 
+def _one_field(view: AlphaBoxes, m: Sequence[int], M: int) -> tuple[int, int, list[RadicalValue]]:
+    """`view.field` of the one field Q(zeta_M, alpha_i^(1/m_i)), read through
+    one-element arrays of Python ints: (degree, |Rel|, witnesses)."""
+    import numpy as np
+
+    degree, rel, witnesses = view.field(
+        [np.array([mi], dtype=object) for mi in m], np.array([M], dtype=object)
+    )
+    return int(degree[0]), int(rel[0]), witnesses(0)
+
+
 def degree_info(spec: FieldSpec) -> tuple[int, int]:
     """(field degree over Q, failure ratio |Rel|)."""
-    return DEFAULT_CACHE.view(spec.alphas).field(spec.m, spec.M)[:2]
+    return _one_field(DEFAULT_CACHE.view(spec.alphas), spec.m, spec.M)[:2]
 
 
 def kummer_degree(spec: FieldSpec) -> int:
@@ -228,7 +283,7 @@ def count_automorphisms(
     for level in levels:
         if level < 1 or spec.M % level:
             raise ValueError("spec.M must be a common multiple of all levels, each >= 1")
-    witnesses = DEFAULT_CACHE.view(spec.alphas).field(spec.m, spec.M)[2]
+    witnesses = _one_field(DEFAULT_CACHE.view(spec.alphas), spec.m, spec.M)[2]
     return _count_units(spec.M, fix_level, congruences, frobenius, witnesses)
 
 

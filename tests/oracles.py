@@ -11,6 +11,7 @@ from orddensity.arith import (
     ResourceCapError,
     euler_phi,
     kronecker,
+    moebius,
     prime_list,
 )
 from orddensity.cyclo import (
@@ -20,7 +21,15 @@ from orddensity.cyclo import (
     quadratic_discriminant,
     radical_product,
 )
-from orddensity.kummer import _abelian_box, exponent_minor_gcd
+from orddensity.density import (
+    DensityResult,
+    IndexFixed,
+    IndexSet,
+    _order_blocks,
+    _scaled_tail,
+    _tail_grids,
+)
+from orddensity.kummer import _abelian_box, _count_units, exponent_minor_gcd
 
 
 def lies_in_cyclotomic(v: RadicalValue, M: int) -> bool:
@@ -346,6 +355,62 @@ def brute_unit_count(spec, fix_level: int, congruences, frobenius) -> int:
             fixed = fixed and fixed_by(lifted, w, M)
         count += fixed
     return count
+
+
+def scalar_series(spec, nmax: int, tmax: int) -> DensityResult:
+    """`density.evaluate` one term at a time, with its term log: the same
+    blocks and term order, each degree phi(M) * prod(m_i) / |Rel| straight
+    from `_abelian_box` and `euler_phi`, every count from `_count_units`
+    (count-one blocks included), and the nonzero quotients of Python's
+    int / int Kahan-summed in term order."""
+    mode, order = spec.mode, None
+    caps = (nmax, tmax)
+    tail_caps = [nmax] * spec.rank
+    if isinstance(mode, IndexFixed):
+        blocks = [(mode.T, (), 1)]
+        caps = (nmax, 0)
+    elif isinstance(mode, IndexSet):
+        blocks = ((T, (), 1) for T in itertools.product(*(s.upto(tmax) for s in mode.S)))
+        tail_caps += [tmax for s in mode.S if s.truncated_above(tmax)]
+    else:
+        blocks = _order_blocks(tuple(a % d for a, d in zip(mode.a, mode.d)), mode.d, tmax)
+        tail_caps += [tmax] * spec.rank
+        order = mode
+    grids = _tail_grids(tail_caps)
+    frobenius = spec.frobenius
+    f = frobenius[0] if frobenius else 1
+    sf = [n for n in range(1, nmax + 1) if moebius(n)]
+    if order is None:
+        ns = [sf] * spec.rank
+    else:
+        ns = [[n for n in sf if a % math.gcd(d, n) == 0] for a, d in zip(order.a, order.d)]
+    two_delta = 2 * exponent_minor_gcd(spec.alphas)
+    boxes: dict = {}
+    total = compensation = 0.0
+    log: list = []
+    b_seen = 1
+    for T, congruences, extra_level in blocks:
+        level = math.lcm(extra_level, f)
+        for N in itertools.product(*ns):
+            m = [n * t for n, t in zip(N, T)]
+            v = math.lcm(*m)
+            M = math.lcm(v, level)
+            sides = tuple(math.gcd(mi, two_delta) for mi in m)
+            if sides not in boxes:
+                boxes[sides] = _abelian_box(spec.alphas, sides)
+            witnesses = [value for _, value, cond in boxes[sides] if M % cond == 0]
+            fail = 1 + len(witnesses)
+            degree = euler_phi(M) * math.prod(m) // fail
+            count = _count_units(M, v, congruences, frobenius, witnesses)
+            b_seen = math.lcm(b_seen, fail)
+            mu = math.prod(map(moebius, N))
+            if count:
+                y = mu * count / degree - compensation
+                t = total + y
+                compensation = (t - total) - y
+                total = t
+            log.append({"N": N, "T": T, "mu": mu, "c": count, "degree": degree})
+    return DensityResult(total, len(log), caps, _scaled_tail(grids, b_seen), log)
 
 
 def phi_lcm_marginal(r: int, cap: int) -> list[Fraction]:

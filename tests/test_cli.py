@@ -185,7 +185,7 @@ NMAX_PAST_CAP = "5000001"  # its tail grid 4 * nmax passes phi_lcm_tail's rank-1
         ),
         pytest.param(
             DENSITY_INDEX_ONE + ["--nmax", NMAX_PAST_CAP],
-            [(dens, "moebius"), (kummer.AlphaBoxes, "field")],
+            [(dens, "moebius"), (dens, "_chunks"), (kummer.AlphaBoxes, "field")],
             id="density-nmax",
         ),
         pytest.param(

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from orddensity.density import (
 from orddensity import density, kummer
 from orddensity.eulerseries import phi_lcm_tail
 from orddensity.kummer import DegreeCache, FieldSpec, count_automorphisms, kummer_degree
+
+from oracles import scalar_series
 
 TWO = (FactoredRational.of(2),)  # the alphas of a spec or field built directly
 EVEN = SetDescriptor.progression(0, 2)
@@ -180,10 +183,12 @@ def test_full_frobenius_class_is_vacuous():
 
 
 def spy_on_series(monkeypatch) -> dict[str, list]:
-    """Record the box enumerations, alpha lookups, field lookups, unit
-    counts and FieldSpec builds of the series evaluator."""
+    """Record the box enumerations, alpha lookups, chunk widths, field
+    lookups (each term's (m, M)), unit counts and FieldSpec builds of the
+    series evaluator."""
     calls: dict[str, list] = {
-        "enumerated": [], "views": [], "looked_up": [], "counted": [], "built": []
+        "enumerated": [], "views": [], "chunks": [], "looked_up": [], "counted": [],
+        "built": [],
     }
     abelian_box = kummer._abelian_box
     view = DegreeCache.view
@@ -200,7 +205,8 @@ def spy_on_series(monkeypatch) -> dict[str, list]:
         return view(cache, alphas)
 
     def lookup(view, m, M):
-        calls["looked_up"].append((m, M))
+        calls["chunks"].append(len(M))
+        calls["looked_up"].extend(zip(zip(*(mi.tolist() for mi in m)), M.tolist()))
         return field(view, m, M)
 
     def count(W, *args):
@@ -219,14 +225,21 @@ def spy_on_series(monkeypatch) -> dict[str, list]:
     return calls
 
 
+def chunk_widths(terms: int) -> list[int]:
+    """The widths of the chunks of a series of `terms` terms."""
+    return [min(density._CHUNK, terms - i) for i in range(0, terms, density._CHUNK)]
+
+
 def test_order_density_enumerates_each_field_once(monkeypatch):
     calls = spy_on_series(monkeypatch)
     spec = ConditionSpec.make([2], OrderAP((0,), (2,)))
     res = order_density(spec, nmax=24, tmax=24, cache=DegreeCache())
-    # one alpha lookup per series, one field lookup and one unit count per
-    # term, and no FieldSpec built
+    # one alpha lookup per series, one field lookup per chunk, one unit
+    # count per term, and no FieldSpec built
     assert calls["views"] == [spec.alphas]
+    assert calls["chunks"] == chunk_widths(res.terms_evaluated)
     assert len(calls["looked_up"]) == len(calls["counted"]) == res.terms_evaluated
+    assert calls["counted"] == [M for _, M in calls["looked_up"]]
     assert not calls["built"]
     # Delta = 1 for alpha = 2: the many fields share the sides (1,) and (2,),
     # and each of the two boxes is enumerated once
@@ -245,12 +258,38 @@ def test_index_set_density_counts_units_only_under_a_condition(
     res = index_density_set(spec, nmax=8, tmax=16, cache=DegreeCache())
     assert res.terms_evaluated == 2304
     assert calls["views"] == [spec.alphas]
+    assert calls["chunks"] == chunk_widths(res.terms_evaluated)
     assert len(calls["looked_up"]) == res.terms_evaluated
     assert not calls["built"]
     # without a congruence, an extra level or a Frobenius condition the one
     # unit counted is c = 1, and no term asks _count_units; a Frobenius
     # condition sends every term through it
     assert len(calls["counted"]) == (res.terms_evaluated if counts_units else 0)
+    if counts_units:
+        assert calls["counted"] == [M for _, M in calls["looked_up"]]
+
+
+@pytest.mark.parametrize(
+    "spec, counts_units",
+    [
+        pytest.param(ConditionSpec.make([2, 3], OrderAP((0, 1), (2, 3))), True, id="order"),
+        pytest.param(
+            ConditionSpec.make([2, 3], IndexFixed((1, 1)), frobenius=(4, {3})), True,
+            id="frobenius",
+        ),
+        pytest.param(ConditionSpec.make([2, 3], IndexFixed((1, 1))), False, id="plain"),
+    ],
+)
+def test_chunks_ending_inside_blocks_count_the_same_terms(monkeypatch, spec, counts_units):
+    # chunks of 7 terms end inside blocks; an order progression or a
+    # Frobenius condition counts the units of every term, a fixed index
+    # without one of none
+    monkeypatch.setattr(density, "_CHUNK", 7)
+    calls = spy_on_series(monkeypatch)
+    res = density.evaluate(spec, 6, 4, cache=DegreeCache())
+    assert calls["chunks"] == chunk_widths(res.terms_evaluated)
+    assert calls["counted"] == ([M for _, M in calls["looked_up"]] if counts_units else [])
+    assert len(calls["enumerated"]) == len(set(calls["enumerated"]))
 
 
 def test_evaluations_sharing_a_cache_compute_each_phi_once(monkeypatch):
@@ -285,8 +324,8 @@ def test_evaluations_sharing_a_cache_compute_each_phi_once(monkeypatch):
     # totient
     calls.clear()
     M = max(levels[1])
-    assert cache.view(TWO).field((1,), M)[0] == euler_phi(M)
-    assert cache.view(TWO).field((1,), 7 * M)[0] == euler_phi(7 * M)
+    assert kummer._one_field(cache.view(TWO), (1,), M)[0] == euler_phi(M)
+    assert kummer._one_field(cache.view(TWO), (1,), 7 * M)[0] == euler_phi(7 * M)
     assert calls == [7 * M]
 
 
@@ -403,6 +442,87 @@ def test_evaluate_matches_golden_series(spec, nmax, tmax, pinned):
         field = FieldSpec.make(spec.alphas, m, math.lcm(*m, extra_level, f))
         assert row["degree"] == kummer_degree(field)
         assert row["c"] == count_automorphisms(field, math.lcm(*m), congruences, frobenius)
+
+
+# (spec, nmax, (value.hex(), terms_evaluated, caps, tail_estimate.hex()),
+# terms of degree >= 2^53), recorded before the series ran in array chunks.
+# The first runs on Python ints, the one block of the second spans many
+# chunks
+LARGE_SERIES = [
+    pytest.param(
+        ConditionSpec.make([2, 3], IndexFixed((10**5, 10**5))), 64,
+        ("0x1.4cd4a745c920ep-50", 1521, (64, 0), "0x1.ebe31daa031bbp-3"), 1502,
+        id="index-2-3-past-2^53",
+    ),
+    pytest.param(
+        ConditionSpec.make([2, 3, 5], IndexFixed((1, 1, 1))), 64,
+        ("0x1.1c8d287207af2p-4", 59319, (64, 0), "0x1.70ea563f8254cp-3"), 0,
+        id="index-2-3-5",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, nmax, pinned, past_exact", LARGE_SERIES)
+def test_evaluate_matches_large_series(spec, nmax, pinned, past_exact):
+    res = density.evaluate(spec, nmax, log_terms=True)
+    assert (res.value.hex(), res.terms_evaluated, res.caps, res.tail_estimate.hex()) == pinned
+    assert sum(row["degree"] >= 2**53 for row in res.per_term_log) == past_exact
+
+
+# (spec, nmax, tmax): the three modes, ranks 1-3, Frobenius levels 4, 5 and
+# 8, the alphas -3, 3/5, 12 and -27, two specs whose chunks run on Python
+# ints, an index set with no index up to tmax, so no block at all, and an
+# alpha whose box holds a conductor past int64
+ORACLE_GRID = [
+    pytest.param(ConditionSpec.make([Fraction(3, 5)], IndexFixed((1,))), 64, 64, id="3/5"),
+    pytest.param(
+        ConditionSpec.make([-27], IndexFixed((3,)), frobenius=(4, {1})), 48, 48,
+        id="-27-frobenius-4",
+    ),
+    pytest.param(
+        ConditionSpec.make(
+            [12, -3], IndexSet((EVEN, SetDescriptor.finite([1, 3]))), frobenius=(5, {1, 4})
+        ),
+        12, 12, id="12-3-set-frobenius-5",
+    ),
+    pytest.param(
+        ConditionSpec.make([-3], OrderAP((1,), (3,)), frobenius=(8, {1, 5})), 24, 24,
+        id="-3-order-frobenius-8",
+    ),
+    pytest.param(ConditionSpec.make([2, 3, 5], IndexFixed((1, 1, 1))), 12, 12, id="2-3-5"),
+    pytest.param(
+        ConditionSpec.make([-3, 12, Fraction(3, 5)], OrderAP((0, 1, 0), (2, 3, 2))), 6, 3,
+        id="rank-3-order",
+    ),
+    pytest.param(
+        ConditionSpec.make([2, 3], IndexFixed((10**5, 10**5))), 16, 16, id="2-3-python-ints"
+    ),
+    pytest.param(
+        ConditionSpec.make([-27], IndexFixed((10**9,)), frobenius=(5, {2})), 8, 8,
+        id="-27-python-ints-frobenius-5",
+    ),
+    pytest.param(ConditionSpec.make([2], IndexSet((EVEN,))), 12, 1, id="no-block"),
+    pytest.param(
+        # three primes near 3 * 10^6: the conductor of the square root, 4 times
+        # their product, is past 2^63
+        ConditionSpec.make([3000017 * 3000029 * 3000047], IndexFixed((2,))), 16, 16,
+        id="conductor-past-int64",
+    ),
+]
+
+
+@pytest.mark.parametrize("chunk", [None, 7], ids=["chunk-default", "chunk-7"])
+@pytest.mark.parametrize("spec, nmax, tmax", ORACLE_GRID)
+def test_evaluate_matches_scalar_series(monkeypatch, spec, nmax, tmax, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(density, "_CHUNK", chunk)
+    got = density.evaluate(spec, nmax, tmax, log_terms=True, cache=DegreeCache())
+    want = scalar_series(spec, nmax, tmax)
+    assert (got.value.hex(), got.terms_evaluated, got.caps, got.tail_estimate.hex()) == (
+        want.value.hex(), want.terms_evaluated, want.caps, want.tail_estimate.hex()
+    )
+    assert got.per_term_log == want.per_term_log
+    assert density.evaluate(spec, nmax, tmax).value.hex() == got.value.hex()
 
 
 @pytest.mark.parametrize("spec, nmax, tmax, pinned", PINNED_SERIES)

@@ -154,7 +154,5 @@ def test_verify_euler_matches_golden(r):
 
 def test_kahan_sum_recovers_small_terms():
     acc = KahanSum()
-    acc.add(1.0)
-    for _ in range(10**4):
-        acc.add(1e-16)
+    acc.extend([1.0] + [1e-16] * 10**4)
     assert acc.value == pytest.approx(1.0 + 1e-12, rel=1e-10)

@@ -13,6 +13,7 @@ from orddensity.kummer import (
     DegreeCache,
     FieldSpec,
     _count_units,
+    _one_field,
     count_automorphisms,
     degree_info,
     exponent_minor_gcd,
@@ -47,12 +48,12 @@ def fs(alphas, m, M):
 
 def cached_degree(cache, spec):
     """`degree_info(spec)` read from `cache` instead of the default cache."""
-    return cache.view(spec.alphas).field(spec.m, spec.M)[:2]
+    return _one_field(cache.view(spec.alphas), spec.m, spec.M)[:2]
 
 
 def cached_count(cache, spec, fix, congruences=(), frobenius=None):
     """`count_automorphisms` read from `cache` instead of the default cache."""
-    witnesses = cache.view(spec.alphas).field(spec.m, spec.M)[2]
+    witnesses = _one_field(cache.view(spec.alphas), spec.m, spec.M)[2]
     return _count_units(spec.M, fix, congruences, frobenius, witnesses)
 
 
