@@ -164,7 +164,10 @@ def _matches(spec: ConditionSpec, ind: np.ndarray, primes: np.ndarray) -> np.nda
         )
     if spec.frobenius is not None:
         f, C = spec.frobenius
-        ok &= np.isin(primes % f, sorted(C))
+        # a scanned prime p is at most SCAN_X_CAP: past the cap p mod f = p,
+        # with no int64 reduction, and a class past the cap holds no prime
+        residues = primes % f if f <= SCAN_X_CAP else primes
+        ok &= np.isin(residues, sorted(c for c in C if c <= SCAN_X_CAP))
     return ok
 
 
@@ -437,7 +440,7 @@ def splitting_fraction_many(fspecs: Sequence[FieldSpec], x: int) -> list[float]:
     """
     data = [
         (fs.M, fs.m, [_alpha_pair(a) for a in fs.alphas],
-         np.array(sorted(_excluded(fs.alphas, fs.M)), dtype=np.int64))
+         np.array(sorted(p for p in _excluded(fs.alphas, fs.M) if p <= x), dtype=np.int64))
         for fs in fspecs
     ]
 
@@ -446,6 +449,9 @@ def splitting_fraction_many(fspecs: Sequence[FieldSpec], x: int) -> list[float]:
         counts = np.zeros((len(data), 2), dtype=np.int64)
         for k, (M, m, pairs, excl) in enumerate(data):
             keep = ~np.isin(primes, excl)
+            if M > SCAN_X_CAP:  # 0 < p - 1 < M for every scanned prime p
+                counts[k] = 0, np.count_nonzero(keep)
+                continue
             split = primes[keep & ((primes - 1) % M == 0)]
             for pair, mi in zip(pairs, m):
                 residue = powmod(_alpha_residues(pair, split), (split - 1) // mi, split)

@@ -24,12 +24,12 @@ in prod Z/g_i, and its radical product is prod alpha_i^(k_i/g_i).  So Rel
 depends on m only through g and on M only through the test that a product's
 conductor divides M: `DegreeCache` enumerates a box once per (alphas, g).
 It hands out one `AlphaBoxes` view per alpha tuple, holding 2 Delta, that
-tuple's boxes and phi(M) per level.  `AlphaBoxes.field` is the one reader
-of fields: given arrays of radical indices and levels, it gives their
-degrees, |Rel| and witnesses.  A series looks its alphas up once and then
-pays, per chunk of terms, one array test per box entry, and phi(M) once per
-level for all the evaluations that share the cache; the FieldSpec functions
-below read the shared `DEFAULT_CACHE` the same way, one field at a time.
+tuple's boxes, each looked up by `AlphaBoxes.box`, and phi(M) per level.
+`AlphaBoxes.field` reads arrays of fields: their degrees, |Rel| and
+witnesses.  A series looks its alphas up once and then pays, per chunk of
+terms, one array test per box entry, and phi(M) once per level for all the
+evaluations that share the cache; the FieldSpec functions below read one
+field of the shared `DEFAULT_CACHE` on Python ints, from the same memos.
 
 Each unit c mod M that fixes the witnesses of all members of Rel extends to
 exactly prod(m_i)/|Rel| automorphisms of the full field, one of which acts
@@ -135,7 +135,7 @@ CACHE_SIZE = 1024
 class AlphaBoxes:
     """The boxes of one alpha tuple: 2 Delta and `_abelian_box(alphas, g)`
     per side tuple g, and `phis`, phi(M) per level M of a field of the
-    tuple, each filled by `field` on first use."""
+    tuple, each filled on first use."""
 
     __slots__ = ("alphas", "two_delta", "boxes", "phis")
 
@@ -144,6 +144,13 @@ class AlphaBoxes:
         self.two_delta = 2 * exponent_minor_gcd(alphas)
         self.boxes: dict[tuple[int, ...], list] = {}
         self.phis: dict[int, int] = {}
+
+    def box(self, g: tuple[int, ...]) -> list:
+        """`_abelian_box(alphas, g)`, enumerated on first use."""
+        box = self.boxes.get(g)
+        if box is None:
+            box = self.boxes[g] = _abelian_box(self.alphas, g)
+        return box
 
     def field(self, m: Sequence, M) -> tuple:
         """(degree, |Rel|, witnesses) of the fields Q(zeta_M, alpha_i^(1/m_i)),
@@ -164,7 +171,6 @@ class AlphaBoxes:
         import numpy as np
 
         numerator = self._totients(M) * math.prod(m)
-        boxes = self.boxes
         sides = [np.gcd(mi, self.two_delta) for mi in m]
         # each side tuple as one integer: its digits in base 1 + max side
         base = 1 + max(int(s.max()) for s in sides)
@@ -179,11 +185,7 @@ class AlphaBoxes:
         by_key = {}
         for k in dict.fromkeys(keys):
             at = np.flatnonzero(key == k)
-            g = tuple([int(s[at[0]]) for s in sides])
-            box = boxes.get(g)
-            if box is None:
-                box = boxes[g] = _abelian_box(self.alphas, g)
-            by_key[k] = box
+            box = by_key[k] = self.box(tuple([int(s[at[0]]) for s in sides]))
             if box:
                 levels = M[at]
                 for _, _, cond in box:
@@ -231,15 +233,22 @@ class DegreeCache:
 DEFAULT_CACHE = DegreeCache()
 
 
-def _one_field(view: AlphaBoxes, m: Sequence[int], M: int) -> tuple[int, int, list[RadicalValue]]:
-    """`view.field` of the one field Q(zeta_M, alpha_i^(1/m_i)), read through
-    one-element arrays of Python ints: (degree, |Rel|, witnesses)."""
-    import numpy as np
+def _witnesses(view: AlphaBoxes, m: Sequence[int], M: int) -> list[RadicalValue]:
+    """The witnesses of the one field (m, M): its box entries whose conductor divides M."""
+    box = view.box(tuple([math.gcd(mi, view.two_delta) for mi in m]))
+    return [value for _, value, cond in box if M % cond == 0]
 
-    degree, rel, witnesses = view.field(
-        [np.array([mi], dtype=object) for mi in m], np.array([M], dtype=object)
-    )
-    return int(degree[0]), int(rel[0]), witnesses(0)
+
+def _one_field(view: AlphaBoxes, m: Sequence[int], M: int) -> tuple[int, int, list[RadicalValue]]:
+    """`view.field` of one field, read on Python ints: (degree, |Rel|, witnesses)."""
+    witnesses = _witnesses(view, m, M)
+    rel = 1 + len(witnesses)
+    phi = view.phis.get(M)
+    if phi is None:
+        phi = view.phis[M] = euler_phi(M)
+    numerator = phi * math.prod(m)
+    assert numerator % rel == 0
+    return numerator // rel, rel, witnesses
 
 
 def degree_info(spec: FieldSpec) -> tuple[int, int]:
@@ -283,7 +292,7 @@ def count_automorphisms(
     for level in levels:
         if level < 1 or spec.M % level:
             raise ValueError("spec.M must be a common multiple of all levels, each >= 1")
-    witnesses = _one_field(DEFAULT_CACHE.view(spec.alphas), spec.m, spec.M)[2]
+    witnesses = _witnesses(DEFAULT_CACHE.view(spec.alphas), spec.m, spec.M)
     return _count_units(spec.M, fix_level, congruences, frobenius, witnesses)
 
 

@@ -66,6 +66,17 @@ def test_scan_tiny_bound(tmp_path):
     assert doc["considered"] == 0
 
 
+def test_scan_frobenius_level_past_int64(tmp_path):
+    # the primes 3 and 5 are the scanned primes in the classes 3, 5 and
+    # 2^64 - 1 mod 2^64, and 2 is a primitive root mod both
+    code, doc = run(
+        tmp_path, *SCAN_INDEX_ONE, "--x", "1000", "--f", str(2**64),
+        "--c", "3", "--c", "5", "--c", str(2**64 - 1),
+    )
+    assert code == 0
+    assert (doc["matched"], doc["considered"], doc["excluded"]) == (2, 167, [2])
+
+
 def test_invalid_alpha_exits_2(tmp_path):
     code, _ = run(tmp_path, "density", "--mode", "index", "--alpha", "0", "--t", "1")
     assert code == 2

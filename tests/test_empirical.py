@@ -119,6 +119,15 @@ def test_scan_frobenius_refinement_partitions():
     assert sum(p.matched for p in parts) == full.matched
 
 
+def test_frobenius_level_past_int64():
+    # every scanned prime p is below f = 2^64, so p mod f = p: the classes
+    # 3, 5 and 2^64 - 1 hold the primes 3 and 5, both with index 1 for 2
+    f = 2**64
+    res = scan(ConditionSpec.make([2], IndexFixed((1,)), frobenius=(f, {3, 5, f - 1})), 1000)
+    assert [p for p in brute_scan_index_one(2, 1000) if p in (3, 5, f - 1)] == [3, 5]
+    assert (res.matched, res.considered, res.excluded) == (2, len(prime_list(1000)) - 1, (2,))
+
+
 def test_index_partition_histogram():
     # scans on the q-part plans of fixed indices count what the full index
     # gives; a fraction's primes are excluded
@@ -249,6 +258,15 @@ def test_splitting_fraction_examples():
     assert frac == pytest.approx(0.25, abs=0.02)
     trivial = FieldSpec.make([2], (1,), 1)
     assert splitting_fraction_many([trivial], 10**4) == [1.0]
+
+
+def test_splitting_fraction_level_past_int64():
+    # p - 1 < 2^64 for every scanned prime p, so none is 1 (mod 2^64); the
+    # field of level 8 beside them keeps its fraction
+    beside = FieldSpec.make([2], (2,), 8)
+    past = [FieldSpec.make([2], (2,), 2**64), FieldSpec.make([3], (2**64,), 2**64)]
+    [frac] = splitting_fraction_many([beside], 1000)
+    assert splitting_fraction_many([*past, beside], 1000) == [0.0, 0.0, frac]
 
 
 def test_splitting_fraction_times_degree_near_one():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from orddensity import cli, kummer
-from orddensity.arith import ResourceCapError, divisors, euler_phi, factorize
+from orddensity.arith import FactoredRational, ResourceCapError, divisors, euler_phi, factorize
 from orddensity.cyclo import radical_product
 from orddensity.kummer import (
     DegreeCache,
@@ -532,3 +532,52 @@ def test_degrees_against_minimal_polynomials():
     for spec, element in cases:
         expected = sympy.degree(minimal_polynomial(element, x))
         assert kummer_degree(spec) == expected, spec
+
+
+# 8 and -27 have Delta = 3, (-3, 12) Delta = 2 and the dependent (2, 8)
+# Delta = 0; the big alpha is three primes near 3 * 10^6, whose square root
+# has a conductor past 2^63
+BIG_ALPHA = 3000017 * 3000029 * 3000047
+ONE_FIELD_POOL = [(8,), (-27,), (12,), (-2,), (2, 8), (-3, 12), (BIG_ALPHA,)]
+
+
+def one_field_grid():
+    """(alphas, m, M) over the pool: each m with levels lcm(m) times 1, 2, 3,
+    2^64 and each box entry's conductor, so that some fields hold a witness
+    and some levels pass 2^63."""
+    for alphas in ONE_FIELD_POOL:
+        alphas = tuple(map(FactoredRational.of, alphas))
+        view = DegreeCache().view(alphas)
+        for m in itertools.product((1, 2, 3, 4, 6), repeat=len(alphas)):
+            box = view.box(tuple(math.gcd(mi, view.two_delta) for mi in m))
+            for mult in {1, 2, 3, 2**64, *(cond for _, _, cond in box)}:
+                yield alphas, m, math.lcm(*m, mult)
+
+
+def test_one_field_matches_field_on_one_element_arrays():
+    scalar, arrays = DegreeCache(), DegreeCache()
+    seen = {"level past 2^63": 0, "witness": 0, "conductor past 2^63": 0}
+    for alphas, m, M in one_field_grid():
+        got = _one_field(scalar.view(alphas), m, M)
+        degree, rel, witnesses = arrays.view(alphas).field(
+            [np.array([mi], dtype=object) for mi in m], np.array([M], dtype=object)
+        )
+        assert got == (degree[0], rel[0], witnesses(0)), (alphas, m, M)
+        seen["level past 2^63"] += M >= 2**63
+        seen["witness"] += bool(got[2])
+        seen["conductor past 2^63"] += any(w.conductor() >= 2**63 for w in got[2])
+    assert all(seen.values()), seen
+
+
+def test_field_spec_functions_read_no_arrays(monkeypatch):
+    def no_arrays(*args):
+        raise AssertionError("a FieldSpec function read a field through arrays")
+
+    monkeypatch.setattr(kummer.AlphaBoxes, "field", no_arrays)
+    for (alphas, m, M), expected in KNOWN_DEGREES:
+        spec = fs(alphas, m, M)
+        assert kummer_degree(spec) == expected
+        assert degree_info(spec) == (expected, euler_phi(M) * math.prod(m) // expected)
+    assert failure_ratio(fs([2, 3], (2, 2), 24)) == 4
+    assert count_automorphisms(fs([2], (2,), 8), 2, ()) == 2
+    assert count_automorphisms(fs([-8], (3,), 15), 1, ()) == 4
