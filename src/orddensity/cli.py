@@ -74,11 +74,16 @@ def _open_output(path: str):
 
 
 def _check_writable(*paths: Optional[str]) -> None:
-    """Fail before any computation when an output path cannot be written.
+    """Fail before any computation when an output path cannot be written or
+    two outputs name one file, where the later write would replace the
+    earlier one.
 
     An existing file is left as it is; a file this check creates is removed.
     """
-    for path in filter(None, paths):
+    paths = [path for path in paths if path]
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise ConfigError(f"two outputs name the same file: {', '.join(paths)}")
+    for path in paths:
         existed = os.path.exists(path)
         try:
             with open(path, "a", encoding="utf-8"):

@@ -223,29 +223,16 @@ _CHUNK = 1024  # terms per array chunk; a rank-3 chunk peaks at about 130 KB of 
 _EXACT = 2**53  # float64 holds every integer below this exactly
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """A block as the chunks read it: its index targets and congruences, its
-    level lcm(extra_level, f), whether each of its terms counts 1 unit, and
-    whether its bound on phi(M) * prod(m_i) lies below _EXACT."""
-
-    T: tuple[int, ...]
-    congruences: tuple[tuple[int, int], ...]
-    level: int
-    count_is_one: bool
-    exact: bool
-
-
-def _chunks(plans: Iterable[_Plan], size: int) -> Iterator[tuple[list[_Plan], int, int]]:
+def _chunks(blocks: Iterable[_Block], size: int) -> Iterator[tuple[list[_Block], int, int]]:
     """The terms of the blocks, each block's product indices [0, size) in
-    order, as runs (plans, start, width) of at most _CHUNK terms: a run
-    starts at index `start` of its first plan's block and goes on through
-    the blocks of the plans after it.  A run may hold many blocks, and a
-    block may span many runs."""
-    held: list[_Plan] = []
+    order, as runs (blocks, start, width) of at most _CHUNK terms: a run
+    starts at index `start` of its first block and goes on through the
+    blocks after it.  A run may hold many blocks, and a block may span many
+    runs."""
+    held: list[_Block] = []
     start = width = 0
-    for plan in plans:
-        held.append(plan)
+    for block in blocks:
+        held.append(block)
         at = 0
         while at < size:
             take = min(size - at, _CHUNK - width)
@@ -253,7 +240,7 @@ def _chunks(plans: Iterable[_Plan], size: int) -> Iterator[tuple[list[_Plan], in
             width += take
             if width == _CHUNK:
                 yield held, start, width
-                held, start, width = ([plan], at, 0) if at < size else ([], 0, 0)
+                held, start, width = ([block], at, 0) if at < size else ([], 0, 0)
     if width:
         yield held, start, width
 
@@ -282,13 +269,14 @@ def evaluate(
     The terms run in chunks of at most _CHUNK, in block order and each
     block's N in itertools.product order, as arrays of m_i = n_i t_i,
     M = lcm(m, level) and the Moebius products; `AlphaBoxes.field` gives the
-    chunk's degrees and failure ratios.  A block with no congruence, no
-    extra level and no Frobenius condition counts 1 unit per term without
-    a call; every other term counts its units with `_count_units`.  A chunk
-    runs on int64 and divides mu * count / degree in float64 only when each
-    of its blocks bounds phi(M) * prod(m_i) below 2^53: there every integer
-    converts exactly and the quotient rounds as Python's int / int does.
-    Otherwise the chunk runs on arrays of Python ints.  The quotients of
+    chunk's degrees and failure ratios.  An index mode without a Frobenius
+    condition counts 1 unit per term without a call; under an order
+    progression or a Frobenius condition every term counts its units with
+    `_count_units`.  A chunk runs on int64 and divides mu * count / degree
+    in float64 only when the largest of its blocks' bounds on
+    phi(M) * prod(m_i) lies below 2^53: there every integer converts
+    exactly and the quotient rounds as Python's int / int does.  Otherwise
+    the chunk runs on arrays of Python ints.  The quotients of
     nonzero counts are Kahan-summed in term order.
     """
     import numpy as np
@@ -320,35 +308,23 @@ def evaluate(
         ns = [[n for n in sf if a % math.gcd(d, n) == 0] for a, d in zip(order.a, order.d)]
     sizes = [len(ns_i) for ns_i in ns]
     size = math.prod(sizes)
-    strides = [math.prod(sizes[i + 1 :]) for i in range(spec.rank)]
     n_top = math.prod(map(max, ns))
     mus = [np.array([moebius(n) for n in ns_i], dtype=np.int64) for ns_i in ns]
     ns = [np.array(ns_i, dtype=np.int64) for ns_i in ns]
+    # The blocks of an index mode have no congruence and no extra level.
+    # Without a Frobenius condition, M = v = lcm(m) and _count_units starts
+    # from c = 1 (mod v) with nothing to merge, so its one candidate unit in
+    # [1, v] is c = 1.  That unit acts as sigma_1 and counts without a
+    # witness test: the count is 1.
+    counts_units = order is not None or frobenius is not None
 
-    def plan(T: tuple[int, ...], congruences, extra_level: int) -> _Plan:
-        level = math.lcm(extra_level, f)
-        # With no congruence, no extra level and no Frobenius condition,
-        # M = v = lcm(m) and _count_units starts from c = 1 (mod v) with
-        # nothing to merge, so its one candidate unit in [1, v] is c = 1.
-        # That unit acts as sigma_1 and counts without a witness test: the
-        # count is 1.
-        count_is_one = not congruences and extra_level == 1 and frobenius is None
-        # phi(M) * prod(m_i) <= M * prod(m_i) <= prod(m_i)^2 * level
-        m_top = n_top * math.prod(T)
-        return _Plan(T, congruences, level, count_is_one, m_top * m_top * level < _EXACT)
-
-    def digits(start: int, width: int) -> list:
-        """Each factor's index of the terms start, start + 1, ... of a run."""
-        at = np.arange(start, start + width)
-        return [at // stride % n for stride, n in zip(strides, sizes)]
-
-    def columns(held: list[_Plan], start: int, width: int, dtype) -> tuple:
-        """(block, m, mu) of a run: each term's plan in `held`, its radical
+    def columns(held: list[_Block], start: int, width: int, dtype) -> tuple:
+        """(block, m, mu) of a run: each term's block in `held`, its radical
         indices m_i = n_i t_i, one array per alpha, and its Moebius product.
         The index arrays die on return, before the field lookup."""
-        block = np.arange(start, start + width) // size
-        idx = digits(start, width)
-        Ts = np.array([p.T for p in held], dtype=dtype)
+        at = np.arange(start, start + width)
+        block, idx = at // size, np.unravel_index(at % size, sizes)
+        Ts = np.array([T for T, _, _ in held], dtype=dtype)
         m = [ns_i[k].astype(dtype) * Ts[block, i] for i, (ns_i, k) in enumerate(zip(ns, idx))]
         return block, m, math.prod(mus_i[k] for mus_i, k in zip(mus, idx))
 
@@ -357,39 +333,39 @@ def evaluate(
     field = (cache if cache is not None else DEFAULT_CACHE).view(spec.alphas).field
     log: Optional[list] = [] if log_terms else None
 
-    def run(held: list[_Plan], start: int, width: int) -> tuple:
+    def run(held: list[_Block], start: int, width: int) -> tuple:
         """(mu * count / degree for the nonzero counts, as float64, and the
         distinct failure ratios) of a run, whose terms it logs.  Its arrays
         die on return, so one run's arrays are alive at a time."""
-        dtype = np.int64 if all(p.exact for p in held) else object
+        levels = [math.lcm(extra_level, f) for _, _, extra_level in held]
+        # phi(M) * prod(m_i) <= M * prod(m_i) <= prod(m_i)^2 * level
+        top = max((n_top * math.prod(T)) ** 2 * level for (T, _, _), level in zip(held, levels))
+        dtype = np.int64 if top < _EXACT else object
         block, m, mu = columns(held, start, width, dtype)
         v = np.lcm.reduce(m)
-        M = np.lcm(v, np.array([p.level for p in held], dtype=dtype)[block])
+        M = np.lcm(v, np.array(levels, dtype=dtype)[block])
         degree, fail, witnesses = field(m, M)
         count = np.ones(width, dtype=dtype)
-        counted = np.flatnonzero(~np.array([p.count_is_one for p in held])[block])
-        if counted.size:
-            count[counted] = [
-                _count_units(W, fix, held[b].congruences, frobenius, witnesses(j))
-                for j, b, W, fix in zip(
-                    counted.tolist(),
-                    block[counted].tolist(),
-                    M[counted].tolist(),
-                    v[counted].tolist(),
-                )
+        if counts_units:
+            fields = enumerate(zip(block.tolist(), M.tolist(), v.tolist()))
+            count[:] = [
+                _count_units(W, fix, held[b][1], frobenius, witnesses(j))
+                for j, (b, W, fix) in fields
             ]
         if log is not None:
-            Ns = zip(*(ns_i[k].tolist() for ns_i, k in zip(ns, digits(start, width))))
-            rows = zip(Ns, block.tolist(), mu.tolist(), count.tolist(), degree.tolist())
-            for N, b, mu_j, c, deg in rows:
-                log.append({"N": N, "T": held[b].T, "mu": mu_j, "c": c, "degree": deg})
+            ms = zip(*(mi.tolist() for mi in m))
+            rows = zip(ms, block.tolist(), mu.tolist(), count.tolist(), degree.tolist())
+            for m_j, b, mu_j, c, deg in rows:
+                T = held[b][0]
+                N = tuple(x // t for x, t in zip(m_j, T))
+                log.append({"N": N, "T": T, "mu": mu_j, "c": c, "degree": deg})
         quotients = (mu * count / degree)[count != 0]
         return quotients.astype(float, copy=False), set(fail.tolist())
 
     acc = KahanSum()
     terms = 0
     b_seen = 1
-    for held, start, width in _chunks(itertools.starmap(plan, blocks), size):
+    for held, start, width in _chunks(blocks, size):
         quotients, fails = run(held, start, width)
         acc.extend(memoryview(quotients))
         b_seen = math.lcm(b_seen, *fails)

@@ -25,11 +25,12 @@ depends on m only through g and on M only through the test that a product's
 conductor divides M: `DegreeCache` enumerates a box once per (alphas, g).
 It hands out one `AlphaBoxes` view per alpha tuple, holding 2 Delta, that
 tuple's boxes, each looked up by `AlphaBoxes.box`, and phi(M) per level.
-`AlphaBoxes.field` reads arrays of fields: their degrees, |Rel| and
-witnesses.  A series looks its alphas up once and then pays, per chunk of
-terms, one array test per box entry, and phi(M) once per level for all the
-evaluations that share the cache; the FieldSpec functions below read one
-field of the shared `DEFAULT_CACHE` on Python ints, from the same memos.
+`AlphaBoxes.field` reads arrays of fields, their degrees, |Rel| and
+witnesses, off one box with sides lcm_j g_ij.  A series looks its alphas up
+once and then pays, per chunk of terms, one array test per box entry, and
+phi(M) once per level for all the evaluations that share the cache; the
+FieldSpec functions below read one field of the shared `DEFAULT_CACHE` on
+Python ints, from the same memos.
 
 Each unit c mod M that fixes the witnesses of all members of Rel extends to
 exactly prod(m_i)/|Rel| automorphisms of the full field, one of which acts
@@ -156,46 +157,55 @@ class AlphaBoxes:
         """(degree, |Rel|, witnesses) of the fields Q(zeta_M, alpha_i^(1/m_i)),
         one field per entry of the arrays: `m` holds one array of radical
         indices per alpha and `M` one level per field.  The degree is
-        phi(M) * prod(m_i) / |Rel|, and the nonzero members of a field's
-        relation group are the entries of its box whose conductor divides
-        its M: `witnesses(j)` lists their values for field j.
+        phi(M) * prod(m_i) / |Rel|, and `witnesses(j)` lists the values of
+        the nonzero members of field j's relation group.
+
+        All the fields read one box, with sides G_i = lcm_j g_ij, where
+        g_ij = gcd(m_ij, 2 Delta) are the sides of field j's own box.  As G_i
+        divides 2 Delta, gcd(m_ij, G_i) = g_ij, so m_ij / g_ij is prime to
+        G_i / g_ij and k -> k * G / g maps field j's box one to one onto the
+        entries k of the shared box with G_i | k_i * m_ij for every i.  The
+        map keeps the radical product, as (k_i G_i / g_ij) / G_i = k_i / g_ij,
+        and the lexicographic order.  Field j's relation group is thus made
+        of those entries whose conductor divides M_j; one array test per
+        entry gives its membership in every field, and `witnesses(j)` reads
+        field j's column.  The shared box may pass RELATION_ENUMERATION_CAP
+        when no field's own box does; then each field is read alone, by
+        `_one_field`, so that the cap fires only as it does for one field.
 
         The arrays hold int64 or Python ints (dtype=object), and the degrees
         take M's dtype.  An int64 caller keeps phi(M) * prod(m_i) below 2^63;
         `density.evaluate` keeps it below 2^53, so that each degree converts
-        to float64 exactly, and otherwise passes Python ints.  Each side
-        tuple g = gcd(m_i, 2 Delta) met has its box enumerated once per view,
-        each box entry's conductor is tested against the levels of all the
-        fields with those sides in one array operation, and the divisibility
-        of phi(M) * prod(m_i) by |Rel| is asserted over the whole array."""
+        to float64 exactly, and otherwise passes Python ints.  The
+        divisibility of phi(M) * prod(m_i) by |Rel| is asserted over the
+        whole array."""
         import numpy as np
 
+        sides = tuple(math.lcm(*set(np.gcd(mi, self.two_delta).tolist())) for mi in m)
+        if math.prod(sides) > RELATION_ENUMERATION_CAP:
+            fields = zip(zip(*(mi.tolist() for mi in m)), M.tolist())
+            degree, rel, found = zip(*(_one_field(self, mj, Mj) for mj, Mj in fields))
+            return np.array(degree, dtype=M.dtype), np.array(rel), found.__getitem__
         numerator = self._totients(M) * math.prod(m)
-        sides = [np.gcd(mi, self.two_delta) for mi in m]
-        # each side tuple as one integer: its digits in base 1 + max side
-        base = 1 + max(int(s.max()) for s in sides)
-        if base ** len(sides) >= 2**63:
-            sides = [s.astype(object) for s in sides]
-        key = sides[0]
-        for s in sides[1:]:
-            key = key * base + s
-        keys = key.tolist()
-        rel = np.ones(len(keys), dtype=np.int64)
-        top = int(M.max())  # a larger conductor divides no level
-        by_key = {}
-        for k in dict.fromkeys(keys):
-            at = np.flatnonzero(key == k)
-            box = by_key[k] = self.box(tuple([int(s[at[0]]) for s in sides]))
-            if box:
-                levels = M[at]
-                for _, _, cond in box:
-                    if cond <= top:
-                        rel[at] += levels % cond == 0
+        rel = np.ones(len(M), dtype=np.int64)
+        top = int(M.max())
+        members = []
+        for k, value, cond in self.box(sides):
+            # G_i | k_i * m_ij exactly when q_i = G_i / gcd(k_i, G_i) divides
+            # m_ij, a divisor of M_j: an entry whose conductor or some q_i
+            # passes the largest level lies in no field
+            qs = [G // math.gcd(ki, G) for ki, G in zip(k, sides)]
+            if max(cond, *qs) <= top:
+                inside = M % cond == 0
+                for mi, q in zip(m, qs):
+                    if q > 1:
+                        inside &= mi % q == 0
+                rel += inside
+                members.append((value, inside))
         assert not (numerator % rel).any()
 
         def witnesses(j: int) -> list[RadicalValue]:
-            level = int(M[j])
-            return [value for _, value, cond in by_key[keys[j]] if level % cond == 0]
+            return [value for value, inside in members if inside[j]]
 
         return numerator // rel, rel, witnesses
 

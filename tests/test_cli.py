@@ -135,6 +135,9 @@ COMPARE_INDEX_ONE = ["compare", "--mode", "index", "--alpha", "2", "--t", "1", "
         SCAN_INDEX_ONE + ["--config", "{tmp}/bad_c.conf"],
         # a config key that is no subcommand's flag
         ["density", "--mode", "index", "--config", "{tmp}/typo.conf"],
+        # two outputs on the file of --out
+        DENSITY_INDEX_ONE + ["--term-log", "{tmp}/out.json"],
+        SCAN_INDEX_ONE + ["--x", "100", "--csv", "{tmp}/out.json"],
     ],
 )
 def test_malformed_scan_inputs_exit_2(tmp_path, capsys, monkeypatch, argv):

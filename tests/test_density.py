@@ -241,9 +241,9 @@ def test_order_density_enumerates_each_field_once(monkeypatch):
     assert len(calls["looked_up"]) == len(calls["counted"]) == res.terms_evaluated
     assert calls["counted"] == [M for _, M in calls["looked_up"]]
     assert not calls["built"]
-    # Delta = 1 for alpha = 2: the many fields share the sides (1,) and (2,),
-    # and each of the two boxes is enumerated once
-    assert len(set(calls["looked_up"])) > 2 and calls["enumerated"] == [(1,), (2,)]
+    # Delta = 1 for alpha = 2: every chunk holds an even m, so each chunk
+    # reads the box with sides lcm(1, 2) = 2, enumerated once
+    assert len(set(calls["looked_up"])) > 2 and calls["enumerated"] == [(2,)]
 
 
 @pytest.mark.parametrize(
@@ -471,8 +471,10 @@ def test_evaluate_matches_large_series(spec, nmax, pinned, past_exact):
 
 # (spec, nmax, tmax): the three modes, ranks 1-3, Frobenius levels 4, 5 and
 # 8, the alphas -3, 3/5, 12 and -27, two specs whose chunks run on Python
-# ints, an index set with no index up to tmax, so no block at all, and an
-# alpha whose box holds a conductor past int64
+# ints, an index set whose fifth chunk holds an int64 block, T = (3000, 1),
+# and a Python-int block, T = (3000, 3000), an index set with no index up
+# to tmax, so no block at all, and an alpha whose box holds a conductor
+# past int64
 ORACLE_GRID = [
     pytest.param(ConditionSpec.make([Fraction(3, 5)], IndexFixed((1,))), 64, 64, id="3/5"),
     pytest.param(
@@ -500,6 +502,10 @@ ORACLE_GRID = [
     pytest.param(
         ConditionSpec.make([-27], IndexFixed((10**9,)), frobenius=(5, {2})), 8, 8,
         id="-27-python-ints-frobenius-5",
+    ),
+    pytest.param(
+        ConditionSpec.make([2, 3], IndexSet((SetDescriptor.finite([1, 3000]),) * 2)), 64, 3000,
+        id="2-3-set-mixed-dtypes",
     ),
     pytest.param(ConditionSpec.make([2], IndexSet((EVEN,))), 12, 1, id="no-block"),
     pytest.param(

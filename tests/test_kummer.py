@@ -555,18 +555,49 @@ def one_field_grid():
 
 
 def test_one_field_matches_field_on_one_element_arrays():
-    scalar, arrays = DegreeCache(), DegreeCache()
+    scalar, arrays, shared = DegreeCache(), DegreeCache(), DegreeCache()
     seen = {"level past 2^63": 0, "witness": 0, "conductor past 2^63": 0}
+    fields: dict = {}
     for alphas, m, M in one_field_grid():
         got = _one_field(scalar.view(alphas), m, M)
         degree, rel, witnesses = arrays.view(alphas).field(
             [np.array([mi], dtype=object) for mi in m], np.array([M], dtype=object)
         )
         assert got == (degree[0], rel[0], witnesses(0)), (alphas, m, M)
+        fields.setdefault(alphas, []).append((m, M, got))
         seen["level past 2^63"] += M >= 2**63
         seen["witness"] += bool(got[2])
         seen["conductor past 2^63"] += any(w.conductor() >= 2**63 for w in got[2])
     assert all(seen.values()), seen
+    # one call per alpha tuple over all of its fields, whose side tuples
+    # differ, reads one box for all of them and gives each the same field
+    for alphas, rows in fields.items():
+        ms, Ms, want = zip(*rows)
+        degree, rel, witnesses = shared.view(alphas).field(
+            [np.array(mi, dtype=object) for mi in zip(*ms)], np.array(Ms, dtype=object)
+        )
+        sides = {tuple(math.gcd(mi, shared.view(alphas).two_delta) for mi in m) for m in ms}
+        assert len(sides) > 1 and len(shared.view(alphas).boxes) == 1
+        for j, (m, M, got) in enumerate(rows):
+            assert got == (degree[j], rel[j], witnesses(j)), (alphas, m, M)
+
+
+def test_field_reads_each_field_alone_past_the_box_cap():
+    # 2 Delta = 2 * 1599 = 2 * 3 * 13 * 41 for (2^40 * 3, 3^40 * 2): each
+    # field's own box has at most 41 * 26 tuples, but the box with sides
+    # lcm(26, 41, 6, 39) = 3198 per alpha passes the cap
+    alphas = tuple(map(FactoredRational.of, (2**40 * 3, 3**40 * 2)))
+    ms = [(26, 41), (41, 26), (6, 39), (39, 6), (1, 1)]
+    Ms = [math.lcm(*m, mult) for m, mult in zip(ms, (1, 4, 2**64, 12, 1))]
+    view = DegreeCache().view(alphas)
+    assert view.two_delta == 3198 and 3198**2 > kummer.RELATION_ENUMERATION_CAP
+    degree, rel, witnesses = view.field(
+        [np.array(mi, dtype=object) for mi in zip(*ms)], np.array(Ms, dtype=object)
+    )
+    scalar = DegreeCache().view(alphas)
+    for j, (m, M) in enumerate(zip(ms, Ms)):
+        assert _one_field(scalar, m, M) == (degree[j], rel[j], witnesses(j))
+    assert max(map(math.prod, view.boxes)) <= kummer.RELATION_ENUMERATION_CAP
 
 
 def test_field_spec_functions_read_no_arrays(monkeypatch):
