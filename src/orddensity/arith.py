@@ -113,20 +113,11 @@ class FactoredRational:
 # sieves
 
 
-def _simple_sieve_flags(limit: int) -> np.ndarray:
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return flags
-
-
 def prime_list(limit: int) -> np.ndarray:
-    """All primes <= limit via a plain sieve (int64 array)."""
+    """All primes <= limit (int64 array), from one window of segmented_primes."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
-    return np.nonzero(_simple_sieve_flags(limit))[0].astype(np.int64)
+    return segmented_primes(2, limit + 1)
 
 
 def segmented_primes(lo: int, hi: int) -> np.ndarray:

@@ -40,11 +40,28 @@ def _parse_set(text: str) -> SetDescriptor:
         raise ValueError(f"bad index set {text!r}: {exc}") from exc
 
 
-def _ints(values, flag: str) -> list[int]:
-    try:
-        return [int(v) for v in values or []]
-    except ValueError as exc:
-        raise ValueError(f"--{flag} needs integers, got {values!r}") from exc
+def _int_in(minimum: int, maximum: Optional[int] = None):
+    """A flag converter to an int in [minimum, maximum], named `int` so that
+    argparse reports text that is no integer as an `invalid int value`."""
+
+    def convert(text: str) -> int:
+        val = int(text)
+        if val < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {val}")
+        if maximum is not None and val > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {val}")
+        return val
+
+    convert.__name__ = "int"
+    return convert
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors print the usage line, then exit 2 as a ConfigError."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -94,15 +111,14 @@ def _check_writable(*paths: Optional[str]) -> None:
             os.remove(path)
 
 
-def _merge_config(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> argparse.Namespace:
-    """Fill unset flags from the optional key=value config file; flags win.
-
-    A key that is a flag of another subcommand (`x` in a `density` run)
-    passes unread, so one file can serve several commands; a key that is
-    no subcommand's flag is a ConfigError.
-    """
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv; with --config, parse it again with the file's values as
+    `--flag=value` ahead of argv's flags, which win: a flag's later value
+    replaces the earlier, and an appended flag in argv drops the file's
+    values, which split on whitespace.  A key that is another subcommand's
+    flag (`x` in a `density` run) passes unread; one that is no subcommand's
+    flag is a ConfigError."""
+    args = parser.parse_args(argv)
     if not getattr(args, "config", None):
         return args
     filed = _load_config_file(args.config)
@@ -116,50 +132,36 @@ def _merge_config(
     unknown = sorted(set(filed) - flags)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    multi = {"alpha", "a", "d", "t", "s", "c"}
-    for key, val in filed.items():
-        if not hasattr(args, key):
+    spliced = []
+    for action in commands.choices[args.command]._actions:
+        if action.dest not in filed:
             continue
-        current = getattr(args, key)
-        if current is None or current == []:
-            if key in multi:
-                setattr(args, key, val.split())
-            else:
-                setattr(args, key, val)
-    return args
+        values = [filed[action.dest]]
+        if isinstance(action, argparse._AppendAction):
+            values = [] if getattr(args, action.dest) is not None else values[0].split()
+        spliced += [f"{action.option_strings[0]}={v}" for v in values]
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + spliced + argv[at:])
 
 
-def build_condition_spec(args: argparse.Namespace) -> tuple[ConditionSpec, dict]:
-    """The run's condition spec and the `params` echo of its JSON report.
+def build_condition_spec(args: argparse.Namespace) -> ConditionSpec:
+    """The run's condition spec.
 
-    Every spec flag given, on the command line or in the config file, is
-    parsed here whatever the mode, so a malformed one fails before any
+    argparse has converted the integer flags; the index sets are parsed
+    here whatever the mode, so a malformed one fails before any
     computation.  The semantic checks are ConditionSpec.make's; any
     ValueError becomes a ConfigError.
     """
     try:
-        a, d, t, c = (_ints(getattr(args, key), key) for key in "adtc")
-        f = None if args.f is None else _ints([args.f], "f")[0]
         modes = {
-            "order": OrderAP(tuple(a), tuple(d)),
-            "index": IndexFixed(tuple(t)),
+            "order": OrderAP(tuple(args.a or ()), tuple(args.d or ())),
+            "index": IndexFixed(tuple(args.t or ())),
             "indexset": IndexSet(tuple(_parse_set(s) for s in args.s or [])),
         }
-        frobenius = None if f is None else (f, c)
-        spec = ConditionSpec.make(args.alpha or [], modes[args.mode], frobenius)
+        frobenius = None if args.f is None else (args.f, args.c)
+        return ConditionSpec.make(args.alpha or [], modes[args.mode], frobenius)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    params = {
-        "mode": args.mode,
-        "alphas": list(args.alpha or []),
-        "a": a or None,
-        "d": d or None,
-        "t": t or None,
-        "s": list(args.s) if args.s else None,
-        "f": f,
-        "c": c or None,
-    }
-    return spec, params
 
 
 def _emit(doc: dict, out: Optional[str]) -> None:
@@ -171,50 +173,26 @@ def _emit(doc: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _report(
-    args: argparse.Namespace, schema: str, params: dict, started: float, **fields
-) -> None:
-    """Emit the JSON report of a density, scan or compare run."""
+def _report(args: argparse.Namespace, schema: str, started: float, **fields) -> None:
+    """Emit the JSON report of a density, scan or compare run, whose
+    `params` echo the parsed spec flags."""
+    params = {key: getattr(args, key) for key in ("mode", "a", "d", "t", "s", "f", "c")}
     doc = {
         "schema": schema,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "params": params,
+        "params": {**params, "alphas": args.alpha},
         "runtime_ms": int((time.monotonic() - started) * 1000),
     }
     _emit({**doc, **fields}, args.out)
 
 
-def _resolve(
-    args: argparse.Namespace,
-    key: str,
-    fallback=None,
-    minimum: Optional[int] = None,
-    maximum: Optional[int] = None,
-):
-    """An integer flag (or config value), checked against its bounds."""
-    val = getattr(args, key, None)
-    if val is None:
-        return fallback
-    try:
-        val = int(val)
-    except ValueError as exc:
-        raise ConfigError(f"--{key} needs an integer, got {val!r}") from exc
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"--{key} must be >= {minimum}, got {val}")
-    if maximum is not None and val > maximum:
-        raise ConfigError(f"--{key} must be <= {maximum}, got {val}")
-    return val
-
-
 def cmd_density(args: argparse.Namespace) -> int:
-    spec, params = build_condition_spec(args)
-    nmax = _resolve(args, "nmax", dens.DEFAULT_NMAX, minimum=1)
-    tmax = _resolve(args, "tmax", dens.DEFAULT_TMAX, minimum=1)
+    spec = build_condition_spec(args)
     started = time.monotonic()
-    result = dens.evaluate(spec, nmax, tmax, log_terms=bool(args.term_log))
+    result = dens.evaluate(spec, args.nmax, args.tmax, log_terms=bool(args.term_log))
     _report(
-        args, "density-result/1", params, started,
-        mode=args.mode, alphas=params["alphas"], value=result.value,
+        args, "density-result/1", started,
+        mode=args.mode, alphas=args.alpha, value=result.value,
         tail_estimate=result.tail_estimate, terms_evaluated=result.terms_evaluated,
         caps={"nmax": result.caps[0], "tmax": result.caps[1]},
     )
@@ -236,22 +214,14 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    spec, params = build_condition_spec(args)
-    x = _resolve(args, "x", minimum=2)
-    if x is None:
+    spec = build_condition_spec(args)
+    if args.x is None:
         raise ConfigError("scan needs --x (flag or config file)")
     started = time.monotonic()
-    result = empirical.scan(
-        spec,
-        x,
-        workers=_resolve(args, "workers", 1, minimum=1),
-        checkpoints=bool(args.csv),
-    )
+    result = empirical.scan(spec, args.x, workers=args.workers, checkpoints=bool(args.csv))
     counts = result.to_dict()
     counts.pop("checkpoints", None)
-    _report(
-        args, "scan-result/1", params, started, mode=args.mode, alphas=params["alphas"], **counts
-    )
+    _report(args, "scan-result/1", started, mode=args.mode, alphas=args.alpha, **counts)
     if args.csv and result.checkpoints:
         with _open_output(args.csv) as fh:
             w = csv.writer(fh)
@@ -261,21 +231,18 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    spec, params = build_condition_spec(args)
-    x = _resolve(args, "x", minimum=2)
-    if x is None:
+    spec = build_condition_spec(args)
+    if args.x is None:
         raise ConfigError("compare needs --x (flag or config file)")
-    nmax = _resolve(args, "nmax", dens.DEFAULT_NMAX, minimum=1)
-    tmax = _resolve(args, "tmax", dens.DEFAULT_TMAX, minimum=1)
-    # the scan's cap before the series runs; evaluate checks its tail caps first
-    empirical.check_scan_bound(x)
+    # the scan's caps before the series runs; evaluate checks its tail caps first
+    empirical.check_scan_bound(args.x, args.workers)
     started = time.monotonic()
-    result = dens.evaluate(spec, nmax, tmax)
-    scan_result = empirical.scan(spec, x, workers=_resolve(args, "workers", 1, minimum=1))
+    result = dens.evaluate(spec, args.nmax, args.tmax)
+    scan_result = empirical.scan(spec, args.x, workers=args.workers)
     report = empirical.compare(result, scan_result, rank=spec.rank)
     _report(
-        args, "compare-report/2", params, started,
-        x=x, value=result.value, tail_estimate=result.tail_estimate,
+        args, "compare-report/2", started,
+        x=args.x, value=result.value, tail_estimate=result.tail_estimate,
         scan=scan_result.to_dict(), report=asdict(report),
     )
     return 0
@@ -381,14 +348,11 @@ def verify_chebotarev(x: int) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.target == "euler":
-        doc = verify_euler(
-            _resolve(args, "r", minimum=1, maximum=3),
-            _resolve(args, "cap", minimum=EULER_MIN_CAP),
-        )
+        doc = verify_euler(args.r, args.cap)
     elif args.target == "kummer":
         doc = verify_kummer(args.grid)
     elif args.target == "chebotarev":
-        doc = verify_chebotarev(_resolve(args, "x", minimum=2))
+        doc = verify_chebotarev(args.x)
     else:  # argparse choices guard this
         raise ConfigError(f"unknown verify target {args.target!r}")
     doc["timestamp"] = datetime.now(timezone.utc).isoformat()
@@ -397,7 +361,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orddensity",
         description="Densities of primes with prescribed multiplicative "
         "order/index conditions: series evaluation and prime scans.",
@@ -407,43 +371,49 @@ def build_parser() -> argparse.ArgumentParser:
     def add_spec_flags(p):
         p.add_argument("--alpha", action="append", help="rational, e.g. 2 or 3/5 (repeatable)")
         p.add_argument("--mode", choices=["order", "index", "indexset"], required=True)
-        p.add_argument("--a", action="append", help="order residue a_i (order mode)")
-        p.add_argument("--d", action="append", help="order modulus d_i >= 2 (order mode)")
-        p.add_argument("--t", action="append", help="index target t_i (index mode)")
+        p.add_argument("--a", type=int, action="append", help="order residue a_i (order mode)")
+        p.add_argument("--d", type=int, action="append", help="modulus d_i >= 2 (order mode)")
+        p.add_argument("--t", type=int, action="append", help="index target t_i (index mode)")
         p.add_argument("--s", action="append", help="index set: '1,2,5' or 'ap:a:d'")
         p.add_argument("--f", type=int, default=None, help="Frobenius level (cyclotomic)")
-        p.add_argument("--c", action="append", help="allowed residues mod f (repeatable)")
+        p.add_argument("--c", type=int, action="append", help="allowed residues mod f, repeatable")
         p.add_argument("--config", default=None, help="key=value config file; flags win")
         p.add_argument("--out", default=None, help="output JSON path (default stdout)")
 
+    def add_series_flags(p):
+        p.add_argument("--nmax", type=_int_in(1), default=dens.DEFAULT_NMAX)
+        p.add_argument("--tmax", type=_int_in(1), default=dens.DEFAULT_TMAX)
+
+    def add_scan_flags(p):
+        p.add_argument("--x", type=_int_in(2), default=None)
+        p.add_argument("--workers", type=_int_in(1), default=1)
+
     p = sub.add_parser("density", help="evaluate the truncated density series")
     add_spec_flags(p)
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--tmax", type=int, default=None)
+    add_series_flags(p)
     p.add_argument("--term-log", default=None, help="optional per-term CSV path")
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("scan", help="scan primes p <= x against the condition")
     add_spec_flags(p)
-    p.add_argument("--x", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    add_scan_flags(p)
     p.add_argument("--csv", default=None, help="dyadic checkpoint CSV path")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("compare", help="series value vs prime scan")
     add_spec_flags(p)
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--tmax", type=int, default=None)
-    p.add_argument("--x", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    add_series_flags(p)
+    add_scan_flags(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("verify", help="run a property grid")
     p.add_argument("target", choices=["euler", "kummer", "chebotarev"])
-    p.add_argument("--r", type=int, default=2, help="rank for the euler grid")
-    p.add_argument("--cap", type=int, default=4096, help="series cap for the euler grid")
+    p.add_argument("--r", type=_int_in(1, 3), default=2, help="rank for the euler grid")
+    p.add_argument(
+        "--cap", type=_int_in(EULER_MIN_CAP), default=4096, help="series cap for the euler grid"
+    )
     p.add_argument("--grid", choices=["small", "double"], default="small")
-    p.add_argument("--x", type=int, default=10**6, help="scan bound for chebotarev")
+    p.add_argument("--x", type=_int_in(2), default=10**6, help="scan bound for chebotarev")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
@@ -451,13 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
-        args = _merge_config(args, parser)
+        args = _parse_args(build_parser(), sys.argv[1:] if argv is None else list(argv))
         _check_writable(args.out, getattr(args, "csv", None), getattr(args, "term_log", None))
         return args.func(args)
     except ConfigError as exc:
@@ -466,6 +431,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
+    except SystemExit as exc:  # --help
+        return exc.code or 0
 
 
 if __name__ == "__main__":

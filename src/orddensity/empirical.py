@@ -293,10 +293,25 @@ def block_indices(
     return ind
 
 
-def check_scan_bound(x: int) -> None:
-    """ResourceCapError when a scan to x would pass SCAN_X_CAP."""
+def check_scan_bound(x: int, workers: int = 1) -> int:
+    """The number of segments of a walk to x, after ResourceCapError when x
+    passes SCAN_X_CAP or the walk's min(workers, segments) processes would
+    pass WALK_BYTES_CAP."""
     if x > SCAN_X_CAP:
         raise ResourceCapError(f"scan bound {x} exceeds cap {SCAN_X_CAP}")
+    n_segments = (x - 1 + SEGMENT - 1) // SEGMENT
+    # Each process holds the interpreter with numpy (30 MB), one segment's
+    # sieve flags and int64 primes (under 2 bytes per integer) and one
+    # block's kernel arrays (under 1 KB per prime): 42 MB, where one segment
+    # of the five acceptance specs just below 10^9 peaks at 35 MB RSS.
+    processes = min(workers, n_segments)
+    need = processes * ((30 << 20) + 2 * SEGMENT + 1024 * _BLOCK)
+    if need > WALK_BYTES_CAP:
+        raise ResourceCapError(
+            f"{processes} scan processes need about {need >> 20} MB,"
+            f" over the cap of {WALK_BYTES_CAP >> 20} MB"
+        )
+    return n_segments
 
 
 # The walk's state, installed before forking so workers inherit it.
@@ -325,23 +340,11 @@ def _walk(x: int, count, zero, workers: int = 1):
     before any sieving or forking when the min(workers, segments) processes
     would pass WALK_BYTES_CAP.
     """
-    check_scan_bound(x)
+    n_segments = check_scan_bound(x, workers)
     if x < 2:
         raise ValueError("need x >= 2")
     if workers < 1:
         raise ValueError("need workers >= 1")
-    n_segments = (x - 1 + SEGMENT - 1) // SEGMENT
-    # Each process holds the interpreter with numpy (30 MB), one segment's
-    # sieve flags and int64 primes (under 2 bytes per integer) and one
-    # block's kernel arrays (under 1 KB per prime): 42 MB, where one segment
-    # of the five acceptance specs just below 10^9 peaks at 35 MB RSS.
-    processes = min(workers, n_segments)
-    need = processes * ((30 << 20) + 2 * SEGMENT + 1024 * _BLOCK)
-    if need > WALK_BYTES_CAP:
-        raise ResourceCapError(
-            f"{processes} scan processes need about {need >> 20} MB,"
-            f" over the cap of {WALK_BYTES_CAP >> 20} MB"
-        )
     _SCAN.clear()
     _SCAN.update({"x": x, "count": count, "zero": zero})
     ctx = None

@@ -212,6 +212,23 @@ def test_segmented_primes_matches_naive_sieve():
     assert np.array_equal(naive, seg)
 
 
+def plain_sieve(limit):
+    flags = np.ones(limit + 2, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags[: limit + 1]).astype(np.int64)
+
+
+def test_prime_list_matches_plain_sieve():
+    # prime_list is one window of segmented_primes; this sieve shares no code
+    for limit in [*range(200), 10**6]:
+        got = prime_list(limit)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, plain_sieve(limit)), limit
+
+
 def test_segmented_primes_rejects_bad_range():
     with pytest.raises(ValueError):
         segmented_primes(10, 10)

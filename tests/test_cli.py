@@ -138,6 +138,12 @@ COMPARE_INDEX_ONE = ["compare", "--mode", "index", "--alpha", "2", "--t", "1", "
         # two outputs on the file of --out
         DENSITY_INDEX_ONE + ["--term-log", "{tmp}/out.json"],
         SCAN_INDEX_ONE + ["--x", "100", "--csv", "{tmp}/out.json"],
+        # argparse's own conversions and bounds, from the command line and a file
+        DENSITY_INDEX_ONE + ["--nmax", "abc"],
+        SCAN_INDEX_ONE + ["--x", "100", "--workers", "x"],
+        DENSITY_INDEX_ONE + ["--config", "{tmp}/nmax0.conf"],
+        SCAN_INDEX_ONE + ["--config", "{tmp}/x1.conf"],
+        SCAN_INDEX_ONE + ["--x", "100", "--config", "{tmp}/workers_abc.conf"],
     ],
 )
 def test_malformed_scan_inputs_exit_2(tmp_path, capsys, monkeypatch, argv):
@@ -149,6 +155,9 @@ def test_malformed_scan_inputs_exit_2(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "latin1.conf").write_bytes(b"x = 100 # caf\xe9\n")
     (tmp_path / "bad_c.conf").write_text("x = 100\nc = abc\n")
     (tmp_path / "typo.conf").write_text("alpha = 2\nt = 1\nnmx = 5\n")
+    (tmp_path / "nmax0.conf").write_text("nmax = 0\n")
+    (tmp_path / "x1.conf").write_text("x = 1\n")
+    (tmp_path / "workers_abc.conf").write_text("workers = abc\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
     err = capsys.readouterr().err
@@ -196,6 +205,12 @@ NMAX_PAST_CAP = "5000001"  # its tail grid 4 * nmax passes phi_lcm_tail's rank-1
         pytest.param(
             COMPARE_INDEX_ONE[:-2] + ["--x", X_PAST_CAP], [(dens, "evaluate")],
             id="compare-x",
+        ),
+        pytest.param(
+            # the scan's memory cap, before the series runs
+            COMPARE_INDEX_ONE[:-2] + ["--x", str(empirical.SCAN_X_CAP), "--workers", "1000"],
+            [(dens, "evaluate"), (empirical, "segmented_primes")],
+            id="compare-workers",
         ),
         pytest.param(
             DENSITY_INDEX_ONE + ["--nmax", NMAX_PAST_CAP],

@@ -331,9 +331,9 @@ def test_evaluations_sharing_a_cache_compute_each_phi_once(monkeypatch):
 
 def test_series_memory_does_not_hold_the_term_product():
     # (2,3,5) index (1,1,1) at nmax 32 has 20^3 = 8,000 terms.  After a
-    # warm-up call, the traced peak of this call was 52 KB both before and
-    # after the term loop was reworked; building the terms' product as a
-    # list took it to 2.0 MB
+    # warm-up call, the traced peak of this call, with a fresh DegreeCache,
+    # is about 177 KB, so a chunk-layout change has about 80 KB to spare
+    # under the bound; building the terms' product as a list took it to 2.0 MB
     spec = ConditionSpec.make([2, 3, 5], IndexFixed((1, 1, 1)))
     density.evaluate(spec, 32, cache=DegreeCache())
     tracemalloc.start()
