@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .arith import FactoredRational, as_int, crt_merge, moebius
+from .arith import FactoredRational, as_int, crt_merge, factorize, moebius, phi_sieve
 from .eulerseries import KahanSum, phi_lcm_tail
-from .kummer import DEFAULT_CACHE, DegreeCache, _count_units, exponent_minor_gcd
+from .kummer import DEFAULT_CACHE, AlphaBoxes, DegreeCache, _count_units, exponent_minor_gcd
 
 DEFAULT_NMAX = 64
 DEFAULT_TMAX = 64
@@ -245,6 +245,48 @@ def _chunks(blocks: Iterable[_Block], size: int) -> Iterator[tuple[list[_Block],
         yield held, start, width
 
 
+def _inverse(x, n):
+    """x^-1 mod n per entry of the arrays x and n, each x prime to its n: the
+    extended Euclidean algorithm on (n, x), stepped on every pair whose
+    remainder is not yet zero.  It keeps a = s * x and b = t * x (mod n), so
+    s * x = gcd = 1 when b reaches 0."""
+    import numpy as np
+
+    a, b = n, x % n
+    s, t = np.zeros_like(n), np.ones_like(n)
+    while (b != 0).any():
+        step = b != 0
+        q = a // np.where(step, b, 1)
+        a, b = np.where(step, b, a), np.where(step, a - q * b, b)
+        s, t = np.where(step, t, s), np.where(step, s - q * t, t)
+    return s % n
+
+
+def _one_candidate(view: AlphaBoxes, members: list, v, M, residue, L):
+    """The unit count, as a bool, of each term of an order block without a
+    Frobenius condition: `_count_units(M, v, ((residue, L),), None, w)`,
+    with w the values of the `members` that the term's field holds.  That
+    loop walks the c in [1, M] with c = 1 (mod v) and c = residue (mod L),
+    and M = lcm(v, L) is the modulus of that system, so it meets one such c
+    or none.  With g = gcd(v, L) and n = L / g, the system is solvable when
+    g | residue - 1, and then c = 1 + v * k with
+    k = (residue - 1) / g * (v / g)^-1 (mod n), so 1 <= c <= M.  The c
+    counts when it is prime to M and, lifted to odd as the loop lifts it,
+    fixes every witness: one `view.fixes` gather per member, over the terms
+    that hold it.  The loop counts c = 1 without a test, and every table
+    passes it too, as sigma_1 is the identity."""
+    import numpy as np
+
+    g = np.gcd(v, L)
+    n = L // g
+    c = 1 + v * ((residue - 1) // g % n * _inverse(v // g, n) % n)
+    count = ((residue - 1) % g == 0) & (np.gcd(c, M) == 1)
+    c = np.where(c % 2 == 1, c, c + M)
+    for value, inside in members:
+        count[inside] &= view.fixes(value, c[inside])
+    return count
+
+
 def evaluate(
     spec: ConditionSpec,
     nmax: int = DEFAULT_NMAX,
@@ -268,16 +310,19 @@ def evaluate(
 
     The terms run in chunks of at most _CHUNK, in block order and each
     block's N in itertools.product order, as arrays of m_i = n_i t_i,
-    M = lcm(m, level) and the Moebius products; `AlphaBoxes.field` gives the
-    chunk's degrees and failure ratios.  An index mode without a Frobenius
-    condition counts 1 unit per term without a call; under an order
-    progression or a Frobenius condition every term counts its units with
+    M = lcm(m, level), phi(M) and the Moebius products; `AlphaBoxes.field`
+    gives the chunk's degrees, failure ratios and relation-group members.
+    An index mode without a Frobenius condition counts 1 unit per term
+    without a test.  An order progression without one has at most one
+    candidate unit per term: `_one_candidate` finds it over the chunk and
+    tests it with one `AlphaBoxes.fixes` gather per relation-group member.
+    Under a Frobenius condition every term counts its units with
     `_count_units`.  A chunk runs on int64 and divides mu * count / degree
     in float64 only when the largest of its blocks' bounds on
     phi(M) * prod(m_i) lies below 2^53: there every integer converts
     exactly and the quotient rounds as Python's int / int does.  Otherwise
-    the chunk runs on arrays of Python ints.  The quotients of
-    nonzero counts are Kahan-summed in term order.
+    the chunk runs on arrays of Python ints.  The quotients of nonzero
+    counts are Kahan-summed in term order.
     """
     import numpy as np
 
@@ -311,26 +356,49 @@ def evaluate(
     n_top = math.prod(map(max, ns))
     mus = [np.array([moebius(n) for n in ns_i], dtype=np.int64) for ns_i in ns]
     ns = [np.array(ns_i, dtype=np.int64) for ns_i in ns]
-    # The blocks of an index mode have no congruence and no extra level.
-    # Without a Frobenius condition, M = v = lcm(m) and _count_units starts
-    # from c = 1 (mod v) with nothing to merge, so its one candidate unit in
-    # [1, v] is c = 1.  That unit acts as sigma_1 and counts without a
-    # witness test: the count is 1.
-    counts_units = order is not None or frobenius is not None
+    totient = phi_sieve(nmax)
+    # A block's extra level is 1 or lcm(d_i t_i), so the primes of T * level
+    # are those of T, of the d_i and of f
+    fixed = {p for x in (f, *(order.d if order else ())) for p, _ in factorize(x).factors}
+    primes: dict[int, set[int]] = {}
 
-    def columns(held: list[_Block], start: int, width: int, dtype) -> tuple:
-        """(block, m, mu) of a run: each term's block in `held`, its radical
-        indices m_i = n_i t_i, one array per alpha, and its Moebius product.
-        The index arrays die on return, before the field lookup."""
+    def radical(T: tuple[int, ...]) -> tuple[int, int]:
+        """(rad(T * level), its phi) of a block."""
+        ps = set(fixed)
+        for t in T:
+            if t not in primes:
+                primes[t] = {p for p, _ in factorize(t).factors}
+            ps |= primes[t]
+        return math.prod(ps), math.prod(p - 1 for p in ps)
+
+    def columns(held: list[_Block], levels: list[int], start: int, width: int, dtype) -> tuple:
+        """(block, m, mu, v, M, phi) of a run: each term's block in `held`,
+        its radical indices m_i = n_i t_i, one array per alpha, its Moebius
+        product, v = lcm(m), its level M = lcm(v, level) and phi(M).  The
+        index arrays die on return, before the field lookup."""
         at = np.arange(start, start + width)
         block, idx = at // size, np.unravel_index(at % size, sizes)
-        Ts = np.array([T for T, _, _ in held], dtype=dtype)
-        m = [ns_i[k].astype(dtype) * Ts[block, i] for i, (ns_i, k) in enumerate(zip(ns, idx))]
-        return block, m, math.prod(mus_i[k] for mus_i, k in zip(mus, idx))
+        Ts = [T for T, _, _ in held]
+        T_of = np.array(Ts, dtype=dtype)[block]
+        n = [ns_i[k].astype(dtype) for ns_i, k in zip(ns, idx)]
+        m = [n_i * T_of[:, i] for i, n_i in enumerate(n)]
+        v = np.lcm.reduce(m)
+        M = np.lcm(v, np.array(levels, dtype=dtype)[block])
+        # phi(M) = M / R * phi(R) with R = rad(M) = lcm(n_1, ..., n_r,
+        # rad(T * level)), as the n_i are squarefree; each step takes
+        # phi(lcm(R, n)) = phi(R) phi(n) / phi(gcd(R, n)), gcd(R, n) <= nmax
+        R, phi = (np.array(col, dtype=dtype)[block] for col in zip(*map(radical, Ts)))
+        for n_i in n:
+            g = np.gcd(R, n_i)
+            g_int, n_int = (x.astype(np.int64, copy=False) for x in (g, n_i))
+            phi = phi // totient[g_int] * totient[n_int]
+            R = R // g * n_i
+        mu = math.prod(mus_i[k] for mus_i, k in zip(mus, idx))
+        return block, m, mu, v, M, M // R * phi
 
     # the spec is validated, so each term's field Q(zeta_M, alpha_i^(1/m_i))
     # is read off the alphas' box view without building a FieldSpec
-    field = (cache if cache is not None else DEFAULT_CACHE).view(spec.alphas).field
+    view = (cache if cache is not None else DEFAULT_CACHE).view(spec.alphas)
     log: Optional[list] = [] if log_terms else None
 
     def run(held: list[_Block], start: int, width: int) -> tuple:
@@ -338,27 +406,44 @@ def evaluate(
         distinct failure ratios) of a run, whose terms it logs.  Its arrays
         die on return, so one run's arrays are alive at a time."""
         levels = [math.lcm(extra_level, f) for _, _, extra_level in held]
-        # phi(M) * prod(m_i) <= M * prod(m_i) <= prod(m_i)^2 * level
-        top = max((n_top * math.prod(T)) ** 2 * level for (T, _, _), level in zip(held, levels))
+        # phi(M) * prod(m_i) <= M * prod(m_i) <= prod(m_i)^2 * level, and
+        # _one_candidate multiplies two residues mod level
+        top = max(
+            max((n_top * math.prod(T)) ** 2, level) * level
+            for (T, _, _), level in zip(held, levels)
+        )
         dtype = np.int64 if top < _EXACT else object
-        block, m, mu = columns(held, start, width, dtype)
-        v = np.lcm.reduce(m)
-        M = np.lcm(v, np.array(levels, dtype=dtype)[block])
-        degree, fail, witnesses = field(m, M)
+        block, m, mu, v, M, phi = columns(held, levels, start, width, dtype)
+        degree, fail, members = view.field(m, M, phi)
+        # The blocks of an index mode have no congruence and no extra level.
+        # Without a Frobenius condition, M = v = lcm(m) and _count_units
+        # starts from c = 1 (mod v) with nothing to merge, so its one
+        # candidate unit in [1, v] is c = 1.  That unit acts as sigma_1 and
+        # counts without a witness test: the count is 1.
         count = np.ones(width, dtype=dtype)
-        if counts_units:
-            fields = enumerate(zip(block.tolist(), M.tolist(), v.tolist()))
+        if frobenius is None and order is not None:
+            residue, level = (
+                np.array(col, dtype=dtype)[block]
+                for col in zip(*(congruences[0] for _, congruences, _ in held))
+            )
+            count = _one_candidate(view, members, v, M, residue, level)
+            count = count.astype(np.int64).astype(dtype)
+        elif frobenius is not None:
+            witnesses: list[list] = [[] for _ in range(width)]
+            for value, inside in members:
+                for j in inside.tolist():
+                    witnesses[j].append(value)
+            fields = zip(block.tolist(), M.tolist(), v.tolist(), witnesses)
             count[:] = [
-                _count_units(W, fix, held[b][1], frobenius, witnesses(j))
-                for j, (b, W, fix) in fields
+                _count_units(W, fix, held[b][1], frobenius, w) for b, W, fix, w in fields
             ]
         if log is not None:
             ms = zip(*(mi.tolist() for mi in m))
             rows = zip(ms, block.tolist(), mu.tolist(), count.tolist(), degree.tolist())
-            for m_j, b, mu_j, c, deg in rows:
+            for m_j, b, mu_j, c_j, deg in rows:
                 T = held[b][0]
                 N = tuple(x // t for x, t in zip(m_j, T))
-                log.append({"N": N, "T": T, "mu": mu_j, "c": c, "degree": deg})
+                log.append({"N": N, "T": T, "mu": mu_j, "c": c_j, "degree": deg})
         quotients = (mu * count / degree)[count != 0]
         return quotients.astype(float, copy=False), set(fail.tolist())
 

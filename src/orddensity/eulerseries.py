@@ -65,6 +65,7 @@ class KahanSum:
 
 
 _MARGINAL_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_R1_TAIL_CACHE: dict[tuple[int, int], float] = {}  # the rank-1 tail by (x, cap)
 
 
 def _marginal(r: int, cap: int) -> np.ndarray:
@@ -102,7 +103,8 @@ def _marginal(r: int, cap: int) -> np.ndarray:
 def phi_lcm_tail(r: int, x: int, cap: int) -> float:
     """sum over n_1 in (x, cap], n_2..n_r in [1, cap] of 1/(phi(lcm(n)) prod n_i).
 
-    Deterministic evaluation; r <= 3 (cost grows like cap^(r-1)).
+    Deterministic evaluation; r <= 3 (cost grows like cap^(r-1)).  Each
+    rank-1 value, and each marginal of r = 2, 3, is computed once.
     """
     if not (1 <= r <= 3):
         raise ValueError("rank must be 1, 2 or 3")
@@ -111,7 +113,10 @@ def phi_lcm_tail(r: int, x: int, cap: int) -> float:
     limit = _R1_CAP if r == 1 else _BOX_CAP
     if cap > limit:
         raise ResourceCapError(f"cap {cap} too large for rank {r} (max {limit})")
-    n = np.arange(x + 1, cap + 1, dtype=np.int64)
     if r == 1:
-        return float(np.sum(1.0 / (phi_sieve(cap)[x + 1 :] * n)))
-    return float(np.sum(_marginal(r, cap)[x + 1 :] / n))
+        key = (x, cap)
+        if key not in _R1_TAIL_CACHE:
+            n = np.arange(x + 1, cap + 1, dtype=np.int64)
+            _R1_TAIL_CACHE[key] = float(np.sum(1.0 / (phi_sieve(cap)[x + 1 :] * n)))
+        return _R1_TAIL_CACHE[key]
+    return float(np.sum(_marginal(r, cap)[x + 1 :] / np.arange(x + 1, cap + 1, dtype=np.int64)))

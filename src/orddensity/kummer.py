@@ -24,19 +24,23 @@ in prod Z/g_i, and its radical product is prod alpha_i^(k_i/g_i).  So Rel
 depends on m only through g and on M only through the test that a product's
 conductor divides M: `DegreeCache` enumerates a box once per (alphas, g).
 It hands out one `AlphaBoxes` view per alpha tuple, holding 2 Delta, that
-tuple's boxes, each looked up by `AlphaBoxes.box`, and phi(M) per level.
-`AlphaBoxes.field` reads arrays of fields, their degrees, |Rel| and
-witnesses, off one box with sides lcm_j g_ij.  A series looks its alphas up
-once and then pays, per chunk of terms, one array test per box entry, and
-phi(M) once per level for all the evaluations that share the cache; the
-FieldSpec functions below read one field of the shared `DEFAULT_CACHE` on
-Python ints, from the same memos.
+tuple's boxes, each looked up by `AlphaBoxes.box`, the witness tables of
+`AlphaBoxes.fixes` and phi(M) per level for the FieldSpec functions.
+`AlphaBoxes.field` reads arrays of fields, given their phi(M), and returns
+their degrees, |Rel| and the members of their relation groups off one box
+with sides lcm_j g_ij.  A series looks its alphas up once and then pays, per
+chunk of terms, one array test per box entry; the FieldSpec functions below
+read one field of the shared `DEFAULT_CACHE` on Python ints, from the same
+boxes.
 
 Each unit c mod M that fixes the witnesses of all members of Rel extends to
 exactly prod(m_i)/|Rel| automorphisms of the full field, one of which acts
 trivially on all radicals; that turns Galois counting into unit counting.
-The duality step is guarded by the empirical splitting consistency checks in
-the tests.
+`_count_units` walks the candidate units of one field.  A series term with
+one candidate unit instead tests it over arrays: whether sigma_c fixes a
+witness depends only on c modulo a small period, so `AlphaBoxes.fixes`
+reads it off a table built once per witness.  The duality step is guarded
+by the empirical splitting consistency checks in the tests.
 """
 
 from __future__ import annotations
@@ -53,9 +57,10 @@ from .arith import (
     crt_pair,
     euler_phi,
 )
-from .cyclo import RadicalValue, fixed_by, radical_product
+from .cyclo import RadicalValue, conductor, fixed_by, radical_product
 
 RELATION_ENUMERATION_CAP = 10**6
+TABLE_CAP = 2**16  # residues in one witness table; a longer period asks fixed_by per unit
 
 
 @dataclass(frozen=True)
@@ -135,15 +140,17 @@ CACHE_SIZE = 1024
 
 class AlphaBoxes:
     """The boxes of one alpha tuple: 2 Delta and `_abelian_box(alphas, g)`
-    per side tuple g, and `phis`, phi(M) per level M of a field of the
-    tuple, each filled on first use."""
+    per side tuple g, `tables`, the witness table of `fixes` per value, and
+    `phis`, phi(M) per level M of a field the FieldSpec functions read, each
+    filled on first use."""
 
-    __slots__ = ("alphas", "two_delta", "boxes", "phis")
+    __slots__ = ("alphas", "two_delta", "boxes", "tables", "phis")
 
     def __init__(self, alphas: tuple[FactoredRational, ...]):
         self.alphas = alphas
         self.two_delta = 2 * exponent_minor_gcd(alphas)
         self.boxes: dict[tuple[int, ...], list] = {}
+        self.tables: dict[RadicalValue, object] = {}
         self.phis: dict[int, int] = {}
 
     def box(self, g: tuple[int, ...]) -> list:
@@ -153,12 +160,15 @@ class AlphaBoxes:
             box = self.boxes[g] = _abelian_box(self.alphas, g)
         return box
 
-    def field(self, m: Sequence, M) -> tuple:
-        """(degree, |Rel|, witnesses) of the fields Q(zeta_M, alpha_i^(1/m_i)),
+    def field(self, m: Sequence, M, phi) -> tuple:
+        """(degree, |Rel|, members) of the fields Q(zeta_M, alpha_i^(1/m_i)),
         one field per entry of the arrays: `m` holds one array of radical
-        indices per alpha and `M` one level per field.  The degree is
-        phi(M) * prod(m_i) / |Rel|, and `witnesses(j)` lists the values of
-        the nonzero members of field j's relation group.
+        indices per alpha, `M` one level per field and `phi` its phi(M).  The
+        degree is phi(M) * prod(m_i) / |Rel|.  `members` lists the nonzero
+        members of the fields' relation groups as pairs (value, inside): the
+        member's radical value and the int64 array of the fields whose group
+        holds it, in the lexicographic order of the box below, so that field
+        j's witnesses are the values whose `inside` holds j.
 
         All the fields read one box, with sides G_i = lcm_j g_ij, where
         g_ij = gcd(m_ij, 2 Delta) are the sides of field j's own box.  As G_i
@@ -167,57 +177,73 @@ class AlphaBoxes:
         entries k of the shared box with G_i | k_i * m_ij for every i.  The
         map keeps the radical product, as (k_i G_i / g_ij) / G_i = k_i / g_ij,
         and the lexicographic order.  Field j's relation group is thus made
-        of those entries whose conductor divides M_j; one array test per
-        entry gives its membership in every field, and `witnesses(j)` reads
-        field j's column.  The shared box may pass RELATION_ENUMERATION_CAP
-        when no field's own box does; then each field is read alone, by
-        `_one_field`, so that the cap fires only as it does for one field.
+        of those entries whose conductor divides M_j, and one array test per
+        entry gives its membership in every field.  The shared box may pass
+        RELATION_ENUMERATION_CAP when no field's own box does; then each
+        field reads its own box, so that the cap fires only as it does for
+        one field, and each of its entries joins the member at its image
+        k * G / g.
 
         The arrays hold int64 or Python ints (dtype=object), and the degrees
-        take M's dtype.  An int64 caller keeps phi(M) * prod(m_i) below 2^63;
-        `density.evaluate` keeps it below 2^53, so that each degree converts
-        to float64 exactly, and otherwise passes Python ints.  The
+        take phi's dtype.  An int64 caller keeps phi(M) * prod(m_i) below
+        2^63; `density.evaluate` keeps it below 2^53, so that each degree
+        converts to float64 exactly, and otherwise passes Python ints.  The
         divisibility of phi(M) * prod(m_i) by |Rel| is asserted over the
         whole array."""
         import numpy as np
 
         sides = tuple(math.lcm(*set(np.gcd(mi, self.two_delta).tolist())) for mi in m)
-        if math.prod(sides) > RELATION_ENUMERATION_CAP:
-            fields = zip(zip(*(mi.tolist() for mi in m)), M.tolist())
-            degree, rel, found = zip(*(_one_field(self, mj, Mj) for mj, Mj in fields))
-            return np.array(degree, dtype=M.dtype), np.array(rel), found.__getitem__
-        numerator = self._totients(M) * math.prod(m)
         rel = np.ones(len(M), dtype=np.int64)
-        top = int(M.max())
         members = []
-        for k, value, cond in self.box(sides):
-            # G_i | k_i * m_ij exactly when q_i = G_i / gcd(k_i, G_i) divides
-            # m_ij, a divisor of M_j: an entry whose conductor or some q_i
-            # passes the largest level lies in no field
-            qs = [G // math.gcd(ki, G) for ki, G in zip(k, sides)]
-            if max(cond, *qs) <= top:
-                inside = M % cond == 0
-                for mi, q in zip(m, qs):
-                    if q > 1:
-                        inside &= mi % q == 0
-                rel += inside
-                members.append((value, inside))
+        if math.prod(sides) > RELATION_ENUMERATION_CAP:
+            found: dict[tuple[int, ...], tuple] = {}
+            for j, (mj, Mj) in enumerate(zip(zip(*(mi.tolist() for mi in m)), M.tolist())):
+                g = [math.gcd(x, self.two_delta) for x in mj]
+                for k, value, cond in self.box(tuple(g)):
+                    if Mj % cond == 0:
+                        image = tuple(ki * G // gi for ki, G, gi in zip(k, sides, g))
+                        found.setdefault(image, (value, []))[1].append(j)
+                        rel[j] += 1
+            members = [(value, np.array(js)) for _, (value, js) in sorted(found.items())]
+        else:
+            top = int(M.max())
+            for k, value, cond in self.box(sides):
+                # G_i | k_i * m_ij exactly when q_i = G_i / gcd(k_i, G_i)
+                # divides m_ij, a divisor of M_j: an entry whose conductor or
+                # some q_i passes the largest level lies in no field
+                qs = [G // math.gcd(ki, G) for ki, G in zip(k, sides)]
+                if max(cond, *qs) <= top:
+                    inside = M % cond == 0
+                    for mi, q in zip(m, qs):
+                        if q > 1:
+                            inside &= mi % q == 0
+                    rel += inside
+                    members.append((value, np.flatnonzero(inside)))
+        numerator = phi * math.prod(m)
         assert not (numerator % rel).any()
+        return numerator // rel, rel, members
 
-        def witnesses(j: int) -> list[RadicalValue]:
-            return [value for value, inside in members if inside[j]]
-
-        return numerator // rel, rel, witnesses
-
-    def _totients(self, M):
-        """phi(M) per entry of the array M, each level's from the memo."""
+    def fixes(self, value: RadicalValue, c):
+        """Whether sigma_c fixes the value, per entry of the array c of odd
+        positive units prime to the value's conductor.  By `fixed_by` that
+        is zeta^(s (c - 1)) * chi_D(c) = 1, where s/n is the value's zeta
+        exponent and D the discriminant of sqrt(d); for odd c > 0 it depends
+        only on c modulo P = lcm(n, |D|, 2).  So the answer is a gather from
+        a table over the residues mod P, built with fixed_by on first use
+        (the residues that share a prime with P, which no such c meets, are
+        False).  A P past TABLE_CAP asks fixed_by for each c."""
         import numpy as np
 
-        levels = M.tolist()
-        phis = self.phis
-        for level in set(levels).difference(phis):
-            phis[level] = euler_phi(level)
-        return np.fromiter(map(phis.__getitem__, levels), dtype=M.dtype, count=len(levels))
+        period = math.lcm(value.zeta_order, conductor(value.d), 2)
+        if period > TABLE_CAP:
+            return np.array([fixed_by(x, value, period) for x in c.tolist()], dtype=bool)
+        table = self.tables.get(value)
+        if table is None:
+            fixed = (
+                math.gcd(r, period) == 1 and fixed_by(r, value, period) for r in range(period)
+            )
+            table = self.tables[value] = np.fromiter(fixed, dtype=bool, count=period)
+        return table[(c % period).astype(np.int64)]
 
 
 class DegreeCache:
@@ -250,7 +276,9 @@ def _witnesses(view: AlphaBoxes, m: Sequence[int], M: int) -> list[RadicalValue]
 
 
 def _one_field(view: AlphaBoxes, m: Sequence[int], M: int) -> tuple[int, int, list[RadicalValue]]:
-    """`view.field` of one field, read on Python ints: (degree, |Rel|, witnesses)."""
+    """(degree, |Rel|, witnesses) of the one field (m, M), read on Python
+    ints with phi(M) from the view's memo: `view.field` of that field, its
+    members' values listed."""
     witnesses = _witnesses(view, m, M)
     rel = 1 + len(witnesses)
     phi = view.phis.get(M)

@@ -206,12 +206,6 @@ def test_segmented_primes_past_million_against_trial_division():
     assert got == trial_division_primes(10**6, 10**6 + 100)
 
 
-def test_segmented_primes_matches_naive_sieve():
-    naive = prime_list(10**6)
-    seg = segmented_primes(2, 10**6 + 1)
-    assert np.array_equal(naive, seg)
-
-
 def plain_sieve(limit):
     flags = np.ones(limit + 2, dtype=bool)
     flags[:2] = False

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orddensity.arith import FactoredRational, prime_list
+from orddensity.arith import FactoredRational, euler_phi, prime_list
 from orddensity.density import (
     ConditionSpec,
     IndexFixed,
@@ -19,7 +20,13 @@ from orddensity.density import (
 )
 from orddensity import density, kummer
 from orddensity.eulerseries import phi_lcm_tail
-from orddensity.kummer import DegreeCache, FieldSpec, count_automorphisms, kummer_degree
+from orddensity.kummer import (
+    DegreeCache,
+    FieldSpec,
+    _count_units,
+    count_automorphisms,
+    kummer_degree,
+)
 
 from oracles import scalar_series
 
@@ -204,10 +211,10 @@ def spy_on_series(monkeypatch) -> dict[str, list]:
         calls["views"].append(alphas)
         return view(cache, alphas)
 
-    def lookup(view, m, M):
+    def lookup(view, m, M, phi):
         calls["chunks"].append(len(M))
         calls["looked_up"].extend(zip(zip(*(mi.tolist() for mi in m)), M.tolist()))
-        return field(view, m, M)
+        return field(view, m, M, phi)
 
     def count(W, *args):
         calls["counted"].append(W)
@@ -234,12 +241,13 @@ def test_order_density_enumerates_each_field_once(monkeypatch):
     calls = spy_on_series(monkeypatch)
     spec = ConditionSpec.make([2], OrderAP((0,), (2,)))
     res = order_density(spec, nmax=24, tmax=24, cache=DegreeCache())
-    # one alpha lookup per series, one field lookup per chunk, one unit
-    # count per term, and no FieldSpec built
+    # one alpha lookup per series, one field lookup per chunk, no FieldSpec
+    # built, and no term asks _count_units: without a Frobenius condition
+    # each term has one candidate unit, tested over the chunk's arrays
     assert calls["views"] == [spec.alphas]
     assert calls["chunks"] == chunk_widths(res.terms_evaluated)
-    assert len(calls["looked_up"]) == len(calls["counted"]) == res.terms_evaluated
-    assert calls["counted"] == [M for _, M in calls["looked_up"]]
+    assert len(calls["looked_up"]) == res.terms_evaluated
+    assert not calls["counted"]
     assert not calls["built"]
     # Delta = 1 for alpha = 2: every chunk holds an even m, so each chunk
     # reads the box with sides lcm(1, 2) = 2, enumerated once
@@ -272,7 +280,11 @@ def test_index_set_density_counts_units_only_under_a_condition(
 @pytest.mark.parametrize(
     "spec, counts_units",
     [
-        pytest.param(ConditionSpec.make([2, 3], OrderAP((0, 1), (2, 3))), True, id="order"),
+        pytest.param(ConditionSpec.make([2, 3], OrderAP((0, 1), (2, 3))), False, id="order"),
+        pytest.param(
+            ConditionSpec.make([2, 3], OrderAP((0, 1), (2, 3)), frobenius=(5, {1, 4})), True,
+            id="order-frobenius",
+        ),
         pytest.param(
             ConditionSpec.make([2, 3], IndexFixed((1, 1)), frobenius=(4, {3})), True,
             id="frobenius",
@@ -281,9 +293,10 @@ def test_index_set_density_counts_units_only_under_a_condition(
     ],
 )
 def test_chunks_ending_inside_blocks_count_the_same_terms(monkeypatch, spec, counts_units):
-    # chunks of 7 terms end inside blocks; an order progression or a
-    # Frobenius condition counts the units of every term, a fixed index
-    # without one of none
+    # chunks of 7 terms end inside blocks; a Frobenius condition counts the
+    # units of every term with _count_units, an order progression without
+    # one tests its one candidate unit over arrays, and a fixed index without
+    # one counts none
     monkeypatch.setattr(density, "_CHUNK", 7)
     calls = spy_on_series(monkeypatch)
     res = density.evaluate(spec, 6, 4, cache=DegreeCache())
@@ -292,7 +305,62 @@ def test_chunks_ending_inside_blocks_count_the_same_terms(monkeypatch, spec, cou
     assert len(calls["enumerated"]) == len(set(calls["enumerated"]))
 
 
-def test_evaluations_sharing_a_cache_compute_each_phi_once(monkeypatch):
+# (alphas, radical index tuples, levels L of the congruence c = r (mod L)):
+# 8 and -27 have Delta = 3, -3 and -4 are negative, 12 has a square factor,
+# -4 = -(2^2) has the witness (-4)^(1/4) = zeta_8 * sqrt(2) = 1 + i, whose
+# conductor 4 is below those of zeta_8 and sqrt(2); (2, 3) and (-3, 12) are
+# rank 2; BIG_ALPHA's sqrt has a conductor past 2^63 and so a witness period
+# past kummer.TABLE_CAP, and (2^40 * 3, 3^40 * 2) a shared box past the
+# enumeration cap, so its fields are read one at a time
+BIG_ALPHA = 3000017 * 3000029 * 3000047
+SMALL_M = (1, 2, 3, 4, 6)
+CANDIDATE_GRID = [
+    *(((a,), [(x,) for x in SMALL_M], (2, 3, 4, 6, 8, 12, 24)) for a in (2, 8, -27, 12, -3, -4)),
+    ((2, 3), list(itertools.product(SMALL_M, repeat=2)), (2, 4, 6, 12)),
+    ((-3, 12), list(itertools.product(SMALL_M, repeat=2)), (2, 3, 4, 12)),
+    ((BIG_ALPHA,), [(1,), (2,)], (2, 12 * BIG_ALPHA)),
+    ((2**40 * 3, 3**40 * 2), [(26, 41), (41, 26), (6, 39), (39, 6), (1, 1)], (2, 12)),
+]
+
+
+@pytest.mark.parametrize(
+    "alphas, ms, levels",
+    CANDIDATE_GRID,
+    ids=[*"2 8 -27 12 -3 -4 2-3 -3-12".split(), "big-alpha", "cap-fallback"],
+)
+def test_one_candidate_matches_count_units_term_by_term(alphas, ms, levels):
+    # every residue r mod L, units or not, solvable or not; the grid runs on
+    # Python ints, and again on int64 where its levels allow
+    view = DegreeCache().view(tuple(map(FactoredRational.of, alphas)))
+    rows = [
+        (m, math.lcm(*m), math.lcm(*m, L), r, L)
+        for L in levels
+        for r in (range(L) if L <= 24 else (1, 5, 7, L // 2 + 1, L - 1))
+        for m in ms
+    ]
+    m, v, M, residue, L = zip(*rows)
+    phis = {x: euler_phi(x) for x in set(M)}
+    for dtype in (object, np.int64)[: 1 + (max(M) < 2**26)]:
+        v_, M_, residue_, L_ = (np.array(xs, dtype=dtype) for xs in (v, M, residue, L))
+        phi = np.array([phis[x] for x in M], dtype=dtype)
+        _, _, members = view.field([np.array(mi, dtype=dtype) for mi in zip(*m)], M_, phi)
+        got = density._one_candidate(view, members, v_, M_, residue_, L_)
+        witnesses = [[] for _ in rows]
+        for value, inside in members:
+            for j in inside.tolist():
+                witnesses[j].append(value)
+        want = [
+            _count_units(M_j, v_j, ((r, L_j),), None, w)
+            for (_, v_j, M_j, r, L_j), w in zip(rows, witnesses)
+        ]
+        assert got.tolist() == [bool(x) for x in want], dtype
+        # a witness passes some units and rejects others
+        unwitnessed = density._one_candidate(view, [], v_, M_, residue_, L_)
+        held = np.array([bool(w) for w in witnesses])
+        assert (got & held).any() and (unwitnessed & ~got).any()
+
+
+def test_series_read_totients_without_factoring_levels(monkeypatch):
     # ord_2 even and ord_2 = 1 (mod 3): a term's level is M = lcm(n t, d t),
     # and the two series share some of their levels
     specs = [
@@ -305,28 +373,38 @@ def test_evaluations_sharing_a_cache_compute_each_phi_once(monkeypatch):
         for s, res in zip(specs, fresh)
     ]
     assert levels[0] & levels[1]
-    euler_phi = kummer.euler_phi
-    calls = []
+    euler_phi, factorize = kummer.euler_phi, density.factorize
+    calls, factored = [], []
 
     def phi(M):
         calls.append(M)
         return euler_phi(M)
 
+    def factor(n):
+        factored.append(n)
+        return factorize(n)
+
     monkeypatch.setattr(kummer, "euler_phi", phi)
+    monkeypatch.setattr(density, "factorize", factor)
     cache = DegreeCache()
-    shared = [density.evaluate(s, 16, 16, cache=cache) for s in specs]
-    assert sorted(calls) == sorted(levels[0] | levels[1])
+    shared = []
+    for spec in specs:
+        factored.clear()
+        shared.append(density.evaluate(spec, 16, 16, cache=cache))
+        # phi(M) comes from a sieve up to nmax and the primes of f, the d_i
+        # and each t, factored once per series: no level is factored
+        assert not calls
+        assert len(factored) <= 2 + 16
+        assert max(factored) <= 16 < max(levels[0] | levels[1])
     for a, b in zip(shared, fresh):
         assert (a.value.hex(), a.terms_evaluated, a.caps, a.tail_estimate.hex()) == (
             b.value.hex(), b.terms_evaluated, b.caps, b.tail_estimate.hex()
         )
-    # a field lookup reads the same memo: a level the series saw costs no
-    # totient
-    calls.clear()
+    # a field lookup of the FieldSpec functions computes phi once per level
     M = max(levels[1])
-    assert kummer._one_field(cache.view(TWO), (1,), M)[0] == euler_phi(M)
-    assert kummer._one_field(cache.view(TWO), (1,), 7 * M)[0] == euler_phi(7 * M)
-    assert calls == [7 * M]
+    for _ in range(2):
+        assert kummer._one_field(cache.view(TWO), (1,), M)[0] == euler_phi(M)
+    assert calls == [M]
 
 
 def test_series_memory_does_not_hold_the_term_product():

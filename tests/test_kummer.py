@@ -554,15 +554,27 @@ def one_field_grid():
                 yield alphas, m, math.lcm(*m, mult)
 
 
+def read_fields(view, ms, Ms) -> tuple:
+    """`view.field` of the fields (ms[j], Ms[j]) on arrays of Python ints,
+    with phi(M) from euler_phi: (degree, |Rel|, witnesses), where
+    witnesses(j) lists the values of the members that field j holds."""
+    M = np.array(Ms, dtype=object)
+    phi = np.array([euler_phi(x) for x in Ms], dtype=object)
+    degree, rel, members = view.field([np.array(mi, dtype=object) for mi in zip(*ms)], M, phi)
+
+    def witnesses(j):
+        return [value for value, inside in members if j in inside.tolist()]
+
+    return degree, rel, witnesses
+
+
 def test_one_field_matches_field_on_one_element_arrays():
     scalar, arrays, shared = DegreeCache(), DegreeCache(), DegreeCache()
     seen = {"level past 2^63": 0, "witness": 0, "conductor past 2^63": 0}
     fields: dict = {}
     for alphas, m, M in one_field_grid():
         got = _one_field(scalar.view(alphas), m, M)
-        degree, rel, witnesses = arrays.view(alphas).field(
-            [np.array([mi], dtype=object) for mi in m], np.array([M], dtype=object)
-        )
+        degree, rel, witnesses = read_fields(arrays.view(alphas), [m], [M])
         assert got == (degree[0], rel[0], witnesses(0)), (alphas, m, M)
         fields.setdefault(alphas, []).append((m, M, got))
         seen["level past 2^63"] += M >= 2**63
@@ -573,9 +585,7 @@ def test_one_field_matches_field_on_one_element_arrays():
     # differ, reads one box for all of them and gives each the same field
     for alphas, rows in fields.items():
         ms, Ms, want = zip(*rows)
-        degree, rel, witnesses = shared.view(alphas).field(
-            [np.array(mi, dtype=object) for mi in zip(*ms)], np.array(Ms, dtype=object)
-        )
+        degree, rel, witnesses = read_fields(shared.view(alphas), ms, Ms)
         sides = {tuple(math.gcd(mi, shared.view(alphas).two_delta) for mi in m) for m in ms}
         assert len(sides) > 1 and len(shared.view(alphas).boxes) == 1
         for j, (m, M, got) in enumerate(rows):
@@ -591,9 +601,7 @@ def test_field_reads_each_field_alone_past_the_box_cap():
     Ms = [math.lcm(*m, mult) for m, mult in zip(ms, (1, 4, 2**64, 12, 1))]
     view = DegreeCache().view(alphas)
     assert view.two_delta == 3198 and 3198**2 > kummer.RELATION_ENUMERATION_CAP
-    degree, rel, witnesses = view.field(
-        [np.array(mi, dtype=object) for mi in zip(*ms)], np.array(Ms, dtype=object)
-    )
+    degree, rel, witnesses = read_fields(view, ms, Ms)
     scalar = DegreeCache().view(alphas)
     for j, (m, M) in enumerate(zip(ms, Ms)):
         assert _one_field(scalar, m, M) == (degree[j], rel[j], witnesses(j))
