@@ -359,7 +359,8 @@ def evaluate(
     totient = phi_sieve(nmax)
     # A block's extra level is 1 or lcm(d_i t_i), so the primes of T * level
     # are those of T, of the d_i and of f
-    fixed = {p for x in (f, *(order.d if order else ())) for p, _ in factorize(x).factors}
+    moduli = (f, *order.d) if order is not None else (f,)
+    fixed = {p for x in moduli for p, _ in factorize(x).factors}
     primes: dict[int, set[int]] = {}
 
     def radical(T: tuple[int, ...]) -> tuple[int, int]:
