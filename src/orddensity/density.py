@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .arith import FactoredRational, as_int, crt_merge, factorize, moebius, phi_sieve
 from .eulerseries import KahanSum, phi_lcm_tail
-from .kummer import DEFAULT_CACHE, AlphaBoxes, DegreeCache, _count_units, exponent_minor_gcd
+from .kummer import DEFAULT_CACHE, AlphaBoxes, DegreeCache, exponent_minor_gcd
 
 DEFAULT_NMAX = 64
 DEFAULT_TMAX = 64
@@ -262,28 +262,45 @@ def _inverse(x, n):
     return s % n
 
 
-def _one_candidate(view: AlphaBoxes, members: list, v, M, residue, L):
-    """The unit count, as a bool, of each term of an order block without a
-    Frobenius condition: `_count_units(M, v, ((residue, L),), None, w)`,
-    with w the values of the `members` that the term's field holds.  That
-    loop walks the c in [1, M] with c = 1 (mod v) and c = residue (mod L),
-    and M = lcm(v, L) is the modulus of that system, so it meets one such c
-    or none.  With g = gcd(v, L) and n = L / g, the system is solvable when
-    g | residue - 1, and then c = 1 + v * k with
-    k = (residue - 1) / g * (v / g)^-1 (mod n), so 1 <= c <= M.  The c
-    counts when it is prime to M and, lifted to odd as the loop lifts it,
-    fixes every witness: one `view.fixes` gather per member, over the terms
-    that hold it.  The loop counts c = 1 without a test, and every table
-    passes it too, as sigma_1 is the identity."""
+def _one_candidate(view: AlphaBoxes, members: list, v, M, congruences: list):
+    """The unit count of each term of a chunk, as int64: `_count_units` of
+    the term's field, of level M and fix level v, with the values of the
+    `members` it holds as witnesses, under `congruences`: pairs (classes, L),
+    L an array of one modulus per term or an int, such as a block's
+    progression ([residue], L) and a Frobenius condition (C, f).
+    M = lcm(v, every L) is the loop's CRT modulus, so each choice of classes
+    meets one c in [1, M] or none.  From c = 1 (mod v), each pair folds into
+    c (mod mod): with g = gcd(mod, L) and n = L / g, c meets the class x when
+    g | x - c, at c + mod * ((x - c) / g * (mod / g)^-1 % n), one inverse per
+    pair.  Each candidate, made and tested one at a time, counts when it is
+    prime to M and, lifted to odd as the loop lifts it, fixes every witness:
+    one `view.fixes` gather per member, over the terms that hold it.  With no
+    congruence the one candidate, c = 1, acts as sigma_1 and counts untested."""
     import numpy as np
 
-    g = np.gcd(v, L)
-    n = L // g
-    c = 1 + v * ((residue - 1) // g % n * _inverse(v // g, n) % n)
-    count = ((residue - 1) % g == 0) & (np.gcd(c, M) == 1)
-    c = np.where(c % 2 == 1, c, c + M)
-    for value, inside in members:
-        count[inside] &= view.fixes(value, c[inside])
+    if not congruences:
+        return np.ones(len(M), dtype=np.int64)
+
+    def candidates(c, meets, mod, pairs):
+        """(candidate, whether its classes meet) per choice of classes."""
+        if not pairs:
+            yield c, meets
+            return
+        (classes, L), *rest = pairs
+        g = np.gcd(mod, L)
+        n = L // g
+        inverse = _inverse(mod // g, n)
+        for x in classes:
+            fold = c + mod * ((x - c) // g % n * inverse % n)
+            yield from candidates(fold, meets & ((x - c) % g == 0), mod * n, rest)
+
+    count = np.zeros(len(M), dtype=np.int64)
+    for c, meets in candidates(1, True, v, congruences):
+        meets &= np.gcd(c, M) == 1
+        c = np.where(c % 2 == 1, c, c + M)
+        for value, inside in members:
+            meets[inside] &= view.fixes(value, c[inside])
+        count += meets
     return count
 
 
@@ -312,17 +329,14 @@ def evaluate(
     block's N in itertools.product order, as arrays of m_i = n_i t_i,
     M = lcm(m, level), phi(M) and the Moebius products; `AlphaBoxes.field`
     gives the chunk's degrees, failure ratios and relation-group members.
-    An index mode without a Frobenius condition counts 1 unit per term
-    without a test.  An order progression without one has at most one
-    candidate unit per term: `_one_candidate` finds it over the chunk and
-    tests it with one `AlphaBoxes.fixes` gather per relation-group member.
-    Under a Frobenius condition every term counts its units with
-    `_count_units`.  A chunk runs on int64 and divides mu * count / degree
-    in float64 only when the largest of its blocks' bounds on
-    phi(M) * prod(m_i) lies below 2^53: there every integer converts
-    exactly and the quotient rounds as Python's int / int does.  Otherwise
-    the chunk runs on arrays of Python ints.  The quotients of nonzero
-    counts are Kahan-summed in term order.
+    `_one_candidate` counts every term's units: M is the CRT modulus of the
+    term's unit congruences, so each Frobenius class has at most one
+    candidate unit, found and tested over the chunk's arrays.  A chunk runs
+    on int64 and divides mu * count / degree in float64 only when the
+    largest of its blocks' bounds on phi(M) * prod(m_i) lies below 2^53:
+    there every integer converts exactly and the quotient rounds as
+    Python's int / int does.  Otherwise the chunk runs on arrays of Python
+    ints.  The quotients of nonzero counts are Kahan-summed in term order.
     """
     import numpy as np
 
@@ -342,7 +356,8 @@ def evaluate(
     grids = _tail_grids(tail_caps)  # any cap error fires before the series runs
     frobenius = spec.frobenius
     f = frobenius[0] if frobenius else 1
-    sf = [n for n in range(1, nmax + 1) if moebius(n)]
+    moebius_of = np.array([0, *map(moebius, range(1, nmax + 1))], dtype=np.int64)
+    sf = np.flatnonzero(moebius_of).tolist()
     if order is None:
         ns = [sf] * spec.rank
     else:
@@ -354,8 +369,8 @@ def evaluate(
     sizes = [len(ns_i) for ns_i in ns]
     size = math.prod(sizes)
     n_top = math.prod(map(max, ns))
-    mus = [np.array([moebius(n) for n in ns_i], dtype=np.int64) for ns_i in ns]
     ns = [np.array(ns_i, dtype=np.int64) for ns_i in ns]
+    mus = [moebius_of[ns_i] for ns_i in ns]
     totient = phi_sieve(nmax)
     # A block's extra level is 1 or lcm(d_i t_i), so the primes of T * level
     # are those of T, of the d_i and of f
@@ -416,28 +431,12 @@ def evaluate(
         dtype = np.int64 if top < _EXACT else object
         block, m, mu, v, M, phi = columns(held, levels, start, width, dtype)
         degree, fail, members = view.field(m, M, phi)
-        # The blocks of an index mode have no congruence and no extra level.
-        # Without a Frobenius condition, M = v = lcm(m) and _count_units
-        # starts from c = 1 (mod v) with nothing to merge, so its one
-        # candidate unit in [1, v] is c = 1.  That unit acts as sigma_1 and
-        # counts without a witness test: the count is 1.
-        count = np.ones(width, dtype=dtype)
-        if frobenius is None and order is not None:
-            residue, level = (
-                np.array(col, dtype=dtype)[block]
-                for col in zip(*(congruences[0] for _, congruences, _ in held))
-            )
-            count = _one_candidate(view, members, v, M, residue, level)
-            count = count.astype(np.int64).astype(dtype)
-        elif frobenius is not None:
-            witnesses: list[list] = [[] for _ in range(width)]
-            for value, inside in members:
-                for j in inside.tolist():
-                    witnesses[j].append(value)
-            fields = zip(block.tolist(), M.tolist(), v.tolist(), witnesses)
-            count[:] = [
-                _count_units(W, fix, held[b][1], frobenius, w) for b, W, fix, w in fields
-            ]
+        pairs = [(frobenius[1], f)] if frobenius else []
+        if order is not None:
+            cols = zip(*(congruences[0] for _, congruences, _ in held))
+            residue, level = (np.array(col, dtype=dtype)[block] for col in cols)
+            pairs.insert(0, ([residue], level))
+        count = _one_candidate(view, members, v, M, pairs).astype(dtype)
         if log is not None:
             ms = zip(*(mi.tolist() for mi in m))
             rows = zip(ms, block.tolist(), mu.tolist(), count.tolist(), degree.tolist())

@@ -36,11 +36,11 @@ boxes.
 Each unit c mod M that fixes the witnesses of all members of Rel extends to
 exactly prod(m_i)/|Rel| automorphisms of the full field, one of which acts
 trivially on all radicals; that turns Galois counting into unit counting.
-`_count_units` walks the candidate units of one field.  A series term with
-one candidate unit instead tests it over arrays: whether sigma_c fixes a
-witness depends only on c modulo a small period, so `AlphaBoxes.fixes`
-reads it off a table built once per witness.  The duality step is guarded
-by the empirical splitting consistency checks in the tests.
+`count_automorphisms` walks the candidate units of one field.  A series
+term has at most one per Frobenius class and tests each over arrays: whether
+sigma_c fixes a witness depends only on c modulo a small period, so
+`AlphaBoxes.fixes` reads it off a table built once per witness.  The tests'
+empirical splitting consistency checks guard the duality step.
 """
 
 from __future__ import annotations

@@ -189,6 +189,29 @@ def test_full_frobenius_class_is_vacuous():
         assert row_a["c"] * row_b["degree"] == row_b["c"] * row_a["degree"]
 
 
+@pytest.mark.parametrize(
+    "alphas, mode, classes, small, tmax",
+    [
+        pytest.param([2], IndexFixed((1,)), {3}, 8, 16, id="index"),
+        pytest.param([2], OrderAP((1,), (3,)), {3}, 16, 8, id="order"),
+        pytest.param([2], OrderAP((0,), (2,)), {3, 5}, 16, 8, id="order-two-classes"),
+    ],
+)
+def test_large_frobenius_level_scales_the_small_level_value(alphas, mode, classes, small, tmax):
+    # every level M of these series has 2-part exactly `small`, as the n are
+    # squarefree, t <= 8 and d <= 3 (t = 1 in index mode); so the condition
+    # p mod 2^64 in C meets the same one candidate per class as p mod small
+    # in C, and each degree grows by phi(2^64) / phi(small); the level-2^64
+    # series runs on Python ints and the other on int64
+    low, high = (
+        density.evaluate(ConditionSpec.make(alphas, mode, frobenius=(f, classes)), 16, tmax)
+        for f in (small, 2**64)
+    )
+    assert low.value > 0
+    assert high.value == low.value / (2**64 // small)
+    assert high.terms_evaluated == low.terms_evaluated
+
+
 def spy_on_series(monkeypatch) -> dict[str, list]:
     """Record the box enumerations, alpha lookups, chunk widths, field
     lookups (each term's (m, M)), unit counts and FieldSpec builds of the
@@ -200,7 +223,7 @@ def spy_on_series(monkeypatch) -> dict[str, list]:
     abelian_box = kummer._abelian_box
     view = DegreeCache.view
     field = kummer.AlphaBoxes.field
-    count_units = density._count_units
+    count_units = kummer._count_units
     post_init = FieldSpec.__post_init__
 
     def enumerate_(alphas, sides):
@@ -227,7 +250,8 @@ def spy_on_series(monkeypatch) -> dict[str, list]:
     monkeypatch.setattr(kummer, "_abelian_box", enumerate_)
     monkeypatch.setattr(DegreeCache, "view", fetch)
     monkeypatch.setattr(kummer.AlphaBoxes, "field", lookup)
-    monkeypatch.setattr(density, "_count_units", count)
+    monkeypatch.setattr(kummer, "_count_units", count)
+    assert not hasattr(density, "_count_units")  # so the spy sees every call
     monkeypatch.setattr(FieldSpec, "__post_init__", build)
     return calls
 
@@ -242,8 +266,8 @@ def test_order_density_enumerates_each_field_once(monkeypatch):
     spec = ConditionSpec.make([2], OrderAP((0,), (2,)))
     res = order_density(spec, nmax=24, tmax=24, cache=DegreeCache())
     # one alpha lookup per series, one field lookup per chunk, no FieldSpec
-    # built, and no term asks _count_units: without a Frobenius condition
-    # each term has one candidate unit, tested over the chunk's arrays
+    # built, and no term asks _count_units: each term has one candidate
+    # unit, tested over the chunk's arrays
     assert calls["views"] == [spec.alphas]
     assert calls["chunks"] == chunk_widths(res.terms_evaluated)
     assert len(calls["looked_up"]) == res.terms_evaluated
@@ -255,12 +279,9 @@ def test_order_density_enumerates_each_field_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "frobenius, counts_units",
-    [pytest.param(None, False, id="plain"), pytest.param((3, {2}), True, id="frobenius")],
+    "frobenius", [pytest.param(None, id="plain"), pytest.param((3, {2}), id="frobenius")]
 )
-def test_index_set_density_counts_units_only_under_a_condition(
-    monkeypatch, frobenius, counts_units
-):
+def test_index_set_density_counts_units_only_under_a_condition(monkeypatch, frobenius):
     calls = spy_on_series(monkeypatch)
     spec = ConditionSpec.make([2, 5], IndexSet((EVEN, EVEN)), frobenius=frobenius)
     res = index_density_set(spec, nmax=8, tmax=16, cache=DegreeCache())
@@ -269,39 +290,35 @@ def test_index_set_density_counts_units_only_under_a_condition(
     assert calls["chunks"] == chunk_widths(res.terms_evaluated)
     assert len(calls["looked_up"]) == res.terms_evaluated
     assert not calls["built"]
-    # without a congruence, an extra level or a Frobenius condition the one
-    # unit counted is c = 1, and no term asks _count_units; a Frobenius
-    # condition sends every term through it
-    assert len(calls["counted"]) == (res.terms_evaluated if counts_units else 0)
-    if counts_units:
-        assert calls["counted"] == [M for _, M in calls["looked_up"]]
+    # no term asks _count_units: without a Frobenius condition the one unit
+    # counted is c = 1, and under one each class has one candidate unit,
+    # tested over the chunk's arrays
+    assert not calls["counted"]
 
 
 @pytest.mark.parametrize(
-    "spec, counts_units",
+    "spec",
     [
-        pytest.param(ConditionSpec.make([2, 3], OrderAP((0, 1), (2, 3))), False, id="order"),
+        pytest.param(ConditionSpec.make([2, 3], OrderAP((0, 1), (2, 3))), id="order"),
         pytest.param(
-            ConditionSpec.make([2, 3], OrderAP((0, 1), (2, 3)), frobenius=(5, {1, 4})), True,
+            ConditionSpec.make([2, 3], OrderAP((0, 1), (2, 3)), frobenius=(5, {1, 4})),
             id="order-frobenius",
         ),
         pytest.param(
-            ConditionSpec.make([2, 3], IndexFixed((1, 1)), frobenius=(4, {3})), True,
-            id="frobenius",
+            ConditionSpec.make([2, 3], IndexFixed((1, 1)), frobenius=(4, {3})), id="frobenius"
         ),
-        pytest.param(ConditionSpec.make([2, 3], IndexFixed((1, 1))), False, id="plain"),
+        pytest.param(ConditionSpec.make([2, 3], IndexFixed((1, 1))), id="plain"),
     ],
 )
-def test_chunks_ending_inside_blocks_count_the_same_terms(monkeypatch, spec, counts_units):
-    # chunks of 7 terms end inside blocks; a Frobenius condition counts the
-    # units of every term with _count_units, an order progression without
-    # one tests its one candidate unit over arrays, and a fixed index without
-    # one counts none
+def test_chunks_ending_inside_blocks_count_the_same_terms(monkeypatch, spec):
+    # chunks of 7 terms end inside blocks; every term tests its candidate
+    # units, one per Frobenius class, over the chunk's arrays, and no term
+    # asks _count_units in any mode
     monkeypatch.setattr(density, "_CHUNK", 7)
     calls = spy_on_series(monkeypatch)
     res = density.evaluate(spec, 6, 4, cache=DegreeCache())
     assert calls["chunks"] == chunk_widths(res.terms_evaluated)
-    assert calls["counted"] == ([M for _, M in calls["looked_up"]] if counts_units else [])
+    assert not calls["counted"]
     assert len(calls["enumerated"]) == len(set(calls["enumerated"]))
 
 
@@ -323,41 +340,72 @@ CANDIDATE_GRID = [
 ]
 
 
+# Frobenius class sets (f, C): f = 1 is vacuous, and 3, 4, 8 and 12 share
+# primes with the radical indices and the levels above, so that some classes
+# meet no candidate of a progression; f = 12 with four classes gives counts
+# up to 4
+FROBENIUS_SETS = [
+    (1, (0,)), (3, (2,)), (4, (1, 3)), (5, (1, 4)), (8, (3, 5, 7)), (12, (1, 5, 7, 11))
+]
+
+
 @pytest.mark.parametrize(
     "alphas, ms, levels",
     CANDIDATE_GRID,
     ids=[*"2 8 -27 12 -3 -4 2-3 -3-12".split(), "big-alpha", "cap-fallback"],
 )
 def test_one_candidate_matches_count_units_term_by_term(alphas, ms, levels):
-    # every residue r mod L, units or not, solvable or not; the grid runs on
-    # Python ints, and again on int64 where its levels allow
+    # index blocks, with no progression, and every residue r mod L, units or
+    # not, solvable or not, each with no Frobenius condition and under every
+    # class set; the grid runs on Python ints, and again on int64 where its
+    # levels allow
     view = DegreeCache().view(tuple(map(FactoredRational.of, alphas)))
-    rows = [
-        (m, math.lcm(*m), math.lcm(*m, L), r, L)
+    progressions = [
+        ((r, L),)
         for L in levels
         for r in (range(L) if L <= 24 else (1, 5, 7, L // 2 + 1, L - 1))
-        for m in ms
     ]
-    m, v, M, residue, L = zip(*rows)
-    phis = {x: euler_phi(x) for x in set(M)}
-    for dtype in (object, np.int64)[: 1 + (max(M) < 2**26)]:
-        v_, M_, residue_, L_ = (np.array(xs, dtype=dtype) for xs in (v, M, residue, L))
-        phi = np.array([phis[x] for x in M], dtype=dtype)
-        _, _, members = view.field([np.array(mi, dtype=dtype) for mi in zip(*m)], M_, phi)
-        got = density._one_candidate(view, members, v_, M_, residue_, L_)
-        witnesses = [[] for _ in rows]
-        for value, inside in members:
-            for j in inside.tolist():
-                witnesses[j].append(value)
-        want = [
-            _count_units(M_j, v_j, ((r, L_j),), None, w)
-            for (_, v_j, M_j, r, L_j), w in zip(rows, witnesses)
-        ]
-        assert got.tolist() == [bool(x) for x in want], dtype
-        # a witness passes some units and rejects others
-        unwitnessed = density._one_candidate(view, [], v_, M_, residue_, L_)
-        held = np.array([bool(w) for w in witnesses])
-        assert (got & held).any() and (unwitnessed & ~got).any()
+    exercised = set()
+    for frobenius in (None, *FROBENIUS_SETS):
+        f, C = frobenius or (1, ())
+        for blocks in ([()], progressions):
+            rows = [
+                (m, math.lcm(*m), math.lcm(*m, f, *(L for _, L in block)), block)
+                for block in blocks
+                for m in ms
+            ]
+            m, v, M, congruences = zip(*rows)
+            phis = {x: euler_phi(x) for x in set(M)}
+            for dtype in (object, np.int64)[: 1 + (max(M) < 2**26)]:
+                v_, M_ = (np.array(xs, dtype=dtype) for xs in (v, M))
+                phi = np.array([phis[x] for x in M], dtype=dtype)
+                mi = [np.array(column, dtype=dtype) for column in zip(*m)]
+                _, _, members = view.field(mi, M_, phi)
+                pairs = [(C, f)] if frobenius else []
+                if blocks is progressions:
+                    residue, L = (
+                        np.array(xs, dtype=dtype) for xs in zip(*(c for c, in congruences))
+                    )
+                    pairs.insert(0, ([residue], L))
+                got = density._one_candidate(view, members, v_, M_, pairs)
+                witnesses = [[] for _ in rows]
+                for value, inside in members:
+                    for j in inside.tolist():
+                        witnesses[j].append(value)
+                want = [
+                    _count_units(M_j, v_j, block, frobenius, w)
+                    for (_, v_j, M_j, block), w in zip(rows, witnesses)
+                ]
+                assert got.tolist() == want, (frobenius, dtype)
+                unwitnessed = density._one_candidate(view, [], v_, M_, pairs)
+                held = np.array([bool(w) for w in witnesses])
+                if (got[held] > 0).any():
+                    exercised.add(("passes", frobenius is None))
+                if (unwitnessed > got).any():
+                    exercised.add(("rejects", frobenius is None))
+    # with and without a Frobenius condition, a witness passes some units
+    # and rejects others
+    assert exercised == {(x, plain) for x in ("passes", "rejects") for plain in (True, False)}
 
 
 def test_series_read_totients_without_factoring_levels(monkeypatch):
