@@ -1,12 +1,14 @@
 """Exact integer arithmetic primitives: sieves, factorization, multiplicative
 functions, Kronecker symbol, multiplicative order, and the elementwise int64
-kernels the prime scans run on (residues, modular powers, factoring p - 1).
+kernels the prime scans run on (residues, modular powers, quadratic
+characters, factoring p - 1).
 
 Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -133,11 +135,15 @@ def segmented_primes(lo: int, hi: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# elementwise kernels over int64 arrays of primes; p <= 10^9 keeps p^2 < 2^63
+# elementwise kernels over int64 arrays of primes
 
+SCAN_X_CAP = 10**9  # the kernels' int64 modular products need p^2 < 2^63
 # Base primes below this divide-test every p - 1; larger ones visit only
 # their own multiples, which is cheaper once q exceeds the prime gap ~ log p.
 _STRIDE_FROM = 64
+# Odd primes l up to this bound enter a Legendre symbol through a table of
+# the squares mod l; the larger ones through one modular power.
+LEGENDRE_TABLE_BOUND = 1 << 16
 
 
 def residues(n: int, mods: np.ndarray) -> np.ndarray:
@@ -164,32 +170,99 @@ def powmod(base: np.ndarray, exp, mod: np.ndarray) -> np.ndarray:
         base = base * base % mod
 
 
+@functools.cache
+def _squares_mod(l: int) -> np.ndarray:
+    """Flags of the squares mod l, read-only; built on first use."""
+    flags = np.zeros(l, dtype=bool)
+    flags[np.arange(l, dtype=np.int64) ** 2 % l] = True
+    flags.setflags(write=False)
+    return flags
+
+
+def square_mask(alpha: FactoredRational, primes: np.ndarray) -> np.ndarray:
+    """Mask of the odd primes p (<= SCAN_X_CAP) at which alpha is a square
+    mod p, True where p divides alpha (alpha read as 1 there).
+
+    For p not dividing alpha, the Legendre symbol (alpha/p) is multiplicative
+    with (l/p)^2 = 1, so it sees only the primes l of odd exponent, in the
+    numerator and denominator alike: it is the product of (-1/p) for a
+    negative sign and of (l/p) for each such l:
+      (-1/p) = (-1)^((p-1)/2), -1 exactly when p = 3 (mod 4);
+      (2/p) = (-1)^((p^2-1)/8), -1 exactly when p = 3, 5 (mod 8);
+      for odd l <= LEGENDRE_TABLE_BOUND, quadratic reciprocity gives
+        (l/p) = (p/l) (-1)^((l-1)/2 (p-1)/2), that is (p/l) negated exactly
+        when l = p = 3 (mod 4), and (p/l) is read off the squares mod l;
+      the odd l past the bound enter together as their product R, through
+        Euler's criterion (R/p) = R^((p-1)/2) mod p: at most one modular
+        power, as Euler's criterion on alpha itself costs.
+    """
+    nonsquare = np.zeros(primes.size, dtype=bool)  # (alpha/p) = -1
+    flip_3_mod_4 = alpha.sign < 0
+    big = 1
+    for l, e in alpha.factors:
+        if e % 2 == 0:
+            continue
+        if l == 2:
+            nonsquare ^= (primes % 8 == 3) | (primes % 8 == 5)
+        elif l <= LEGENDRE_TABLE_BOUND:
+            nonsquare ^= ~_squares_mod(l)[primes % l]
+            flip_3_mod_4 ^= l % 4 == 3
+        else:
+            big *= l
+    if flip_3_mod_4:
+        nonsquare ^= primes % 4 == 3
+    if big > 1:
+        nonsquare ^= powmod(residues(big, primes), (primes - 1) // 2, primes) != 1
+    for l in alpha.support():
+        nonsquare[primes == l] = False
+    return ~nonsquare
+
+
+@functools.cache
+def _base_primes() -> np.ndarray:
+    """The primes <= sqrt(SCAN_X_CAP), read-only; sieved on first use."""
+    base = prime_list(math.isqrt(SCAN_X_CAP))
+    base.setflags(write=False)
+    return base
+
+
 def factor_p_minus_1(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Factorisations of p - 1 for an ascending int64 array of consecutive
-    primes, as flat arrays (row, q, e) with q^e exactly dividing primes[row] - 1.
+    primes p <= SCAN_X_CAP, as flat arrays (row, q, e) with q^e exactly
+    dividing primes[row] - 1.
 
-    Base primes q <= sqrt(max p) below _STRIDE_FROM are tested against every
-    p; larger ones are strided, all at once, over their multiples in the
-    window [min p - 1, max p - 1], so the cost is the window width times
-    sum 1/q instead of #primes * pi(sqrt(max p)).  The cofactor left after
-    the base primes is 1 or a single prime.
+    Base primes q <= sqrt(max p), a slice of the primes <= sqrt(SCAN_X_CAP)
+    sieved once, below _STRIDE_FROM are tested against every p; larger ones
+    are strided, all at once, over their multiples in the window
+    [min p - 1, max p - 1], so the cost is the window width times sum 1/q
+    instead of #primes * pi(sqrt(max p)).  The cofactor left after the base
+    primes is 1 or a single prime.
     """
     pm1 = primes - 1
     if not pm1.size:
         return pm1, pm1, pm1
-    base = prime_list(math.isqrt(int(pm1[-1])))
+    if pm1[-1] >= SCAN_X_CAP:
+        raise ValueError(f"factor_p_minus_1 needs p <= {SCAN_X_CAP}")
+    base = _base_primes()
+    base = base[: np.searchsorted(base, math.isqrt(int(pm1[-1])), side="right")]
     small, large = base[base < _STRIDE_FROM], base[base >= _STRIDE_FROM]
     hits = [np.flatnonzero(pm1 % q == 0) for q in small.tolist()]
     lo, hi = int(pm1[0]), int(pm1[-1])
     first = -(-lo // large) * large
     count = np.maximum((hi - first) // large + 1, 0)
     strided = np.repeat(large, count)
-    step = np.arange(strided.size) - np.repeat(np.cumsum(count) - count, count)
+    # the i-th multiple overall, the k-th of its q, sits at first_q + q k - lo
+    # with k = i - (the index of q's first multiple); in place, to keep the
+    # block's peak memory at a few arrays of multiples
+    at = np.arange(strided.size)
+    at *= strided
+    at += np.repeat(first - lo - large * (np.cumsum(count) - count), count)
     slot = np.full(hi - lo + 1, -1, dtype=np.int32)  # rows < len(primes)
     slot[pm1 - lo] = np.arange(pm1.size)
-    at = slot[np.repeat(first, count) + strided * step - lo]  # row of each multiple, or -1
-    row = np.concatenate(hits + [at[at >= 0]])
-    q = np.concatenate([np.repeat(small, [h.size for h in hits]), strided[at >= 0]])
+    at = slot[at]  # row of each multiple, or -1
+    found = at >= 0
+    row = np.concatenate(hits + [at[found]])
+    q = np.concatenate([np.repeat(small, [h.size for h in hits]), strided[found]])
     v = pm1[row] // q
     e = np.ones_like(v)
     while (more := v % q == 0).any():

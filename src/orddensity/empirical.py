@@ -8,7 +8,8 @@ merged by addition in segment order, so results are identical for any worker
 count.  Every scan runs on one vectorised kernel, `block_indices`, over
 blocks of consecutive primes: it reduces each alpha mod p exactly, factors
 p-1 over the base primes <= sqrt(x) inside the block, and reads the q-parts
-of ind_p(alpha) off int64 modular powers.  A scan reads only the q-parts its
+of ind_p(alpha) off int64 modular powers, and its 2-parts first off the
+quadratic character (arith.square_mask).  A scan reads only the q-parts its
 specs need: each spec gives every alpha a q-part plan (_spec_plans), and
 specs sharing an alpha take the per-q maximum.  Memory is bounded by _BLOCK
 and SEGMENT, not by x, and a walk whose processes would pass WALK_BYTES_CAP
@@ -26,6 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arith import (
+    SCAN_X_CAP,
     FactoredRational,
     ResourceCapError,
     factor_p_minus_1,
@@ -33,11 +35,11 @@ from .arith import (
     powmod,
     residues,
     segmented_primes,
+    square_mask,
 )
 from .density import ConditionSpec, DensityResult, IndexFixed, OrderAP
 from .kummer import FieldSpec
 
-SCAN_X_CAP = 10**9  # the kernel's int64 modular products need p^2 < 2^63
 # Integers per segment: one sieve call, and one task of a forked walk.
 SEGMENT = 1 << 22
 # Largest estimated memory of a walk's processes, checked by _walk.
@@ -134,6 +136,15 @@ class CompareReport:
 def _alpha_pair(a) -> tuple[int, int]:
     v = a.value()
     return int(v.numerator), int(v.denominator)
+
+
+def _kept(primes: np.ndarray, excluded: np.ndarray) -> np.ndarray:
+    """Mask of a nonempty ascending array of primes, False at the excluded
+    ones: one binary search per excluded prime."""
+    keep = np.ones(primes.size, dtype=bool)
+    at = np.minimum(np.searchsorted(primes, excluded), primes.size - 1)
+    keep[at[primes[at] == excluded]] = False
+    return keep
 
 
 def _excluded(alphas: Sequence[FactoredRational], level: int) -> frozenset[int]:
@@ -251,31 +262,41 @@ def _spec_plans(spec: ConditionSpec) -> list[tuple]:
 
 def block_indices(
     primes: np.ndarray,
-    alpha_pairs: Sequence[tuple[int, int]],
+    alphas: Sequence[FactoredRational],
     plans: Sequence[tuple],
 ) -> np.ndarray:
     """prod_q q^min(v_q(ind), cap_q) for ind = ind_p(alpha) = (p-1)/ord_p(alpha),
-    for a block of consecutive primes and alphas given as (numerator,
-    denominator) pairs, with one q-part plan per alpha (_FULL_PLAN reads the
-    whole index); shape (len(alphas), n).
+    for a block of consecutive primes, with one q-part plan per alpha
+    (_FULL_PLAN reads the whole index); shape (len(alphas), n).
 
     For each q^e exactly dividing p-1, put c = min(cap_q, e) and b =
     alpha^((p-1)/q^c): the order of b is q^max(c - v_q(ind), 0), so the
     least k with b^(q^k) = 1 is found by at most c - 1 raisings to the q-th
     power, and q^(c-k) is the capped q-part.  Pairs with c = 0 cost nothing.
+    On q = 2 the quadratic character comes first: 2 | ind iff alpha is a
+    square mod p, so a non-square has 2-part 1 and a square with c = 1 has
+    2-part 2, with no power; only squares with c >= 2 are raised.
     A prime dividing a numerator or denominator gets index p-1 (alpha read
     as 1) under the full plan; every caller excludes such primes.
     """
     row, q, e = factor_p_minus_1(primes)
-    ind = np.ones((len(alpha_pairs), primes.size), dtype=np.int64)
-    for out, pair, (rest, caps) in zip(ind, alpha_pairs, plans):
+    ind = np.ones((len(alphas), primes.size), dtype=np.int64)
+    for out, alpha, (rest, caps) in zip(ind, alphas, plans):
         c = np.full_like(e, rest)
         for q0, cap in caps.items():
             c[q == q0] = cap
         np.minimum(c, e, out=c)
         j = np.flatnonzero(c)
         r, qj, c = row[j], q[j], c[j]
-        a = _alpha_residues(pair, primes)[r]
+        two = qj == 2
+        square = np.ones_like(two)
+        square[two] = square_mask(alpha, primes[r[two]])
+        out[r[two & square & (c == 1)]] *= 2  # one q = 2 pair per prime at most
+        raised = ~two | (square & (c > 1))
+        r, qj, c = r[raised], qj[raised], c[raised]
+        if not r.size:
+            continue
+        a = _alpha_residues(_alpha_pair(alpha), primes)[r]
         p = primes[r]
         a[a == 0] = 1
         b = powmod(a, (p - 1) // qj**c, p)
@@ -371,9 +392,9 @@ def scan_many(
     Indices are computed once per distinct alpha per prime and shared across
     the specs.  Results are independent of the worker count.
     """
-    alpha_pairs = list(dict.fromkeys(_alpha_pair(a) for s in specs for a in s.alphas))
-    spec_alpha_idx = [[alpha_pairs.index(_alpha_pair(a)) for a in s.alphas] for s in specs]
-    plans = [(0, {})] * len(alpha_pairs)
+    alphas = list(dict.fromkeys(a for s in specs for a in s.alphas))
+    spec_alpha_idx = [[alphas.index(a) for a in s.alphas] for s in specs]
+    plans = [(0, {})] * len(alphas)
     for spec, idx in zip(specs, spec_alpha_idx):
         for i, plan in zip(idx, _spec_plans(spec)):
             plans[i] = _merge_plans(plans[i], plan)
@@ -388,11 +409,11 @@ def scan_many(
 
     def count(primes: np.ndarray) -> np.ndarray:
         """counts[spec, 0 matched | 1 considered, checkpoint bucket]."""
-        ind = block_indices(primes, alpha_pairs, plans)
+        ind = block_indices(primes, alphas, plans)
         bucket = np.searchsorted(bounds, primes)
         counts = np.zeros((len(specs), 2, bounds.size + 1), dtype=np.int64)
         for si, spec in enumerate(specs):
-            considered = ~np.isin(primes, spec_excl[si])
+            considered = _kept(primes, spec_excl[si])
             matched = considered & _matches(spec, ind[spec_alpha_idx[si]], primes)
             counts[si, 0] = np.bincount(bucket[matched], minlength=bounds.size + 1)
             counts[si, 1] = np.bincount(bucket[considered], minlength=bounds.size + 1)
@@ -439,10 +460,13 @@ def splitting_fraction_many(fspecs: Sequence[FieldSpec], x: int) -> list[float]:
     Complete splitting for a degree-1 prime means p = 1 (mod M) and every
     alpha_i is an m_i-th power residue mod p.  No factoring: after the mask
     p = 1 (mod M), alpha_i is an m_i-th power residue exactly when
-    alpha_i^((p-1)/m_i) = 1 (mod p).
+    alpha_i^((p-1)/m_i) = 1 (mod p).  For even m_i the quadratic character
+    (arith.square_mask) filters first, since an m_i-th power is a square:
+    at m_i = 2 that is the whole test, and at m_i >= 4 only the squares are
+    raised.
     """
     data = [
-        (fs.M, fs.m, [_alpha_pair(a) for a in fs.alphas],
+        (fs.M, fs.m, fs.alphas, [_alpha_pair(a) for a in fs.alphas],
          np.array(sorted(p for p in _excluded(fs.alphas, fs.M) if p <= x), dtype=np.int64))
         for fs in fspecs
     ]
@@ -450,13 +474,17 @@ def splitting_fraction_many(fspecs: Sequence[FieldSpec], x: int) -> list[float]:
     def count(primes: np.ndarray) -> np.ndarray:
         """counts[field, 0 split | 1 considered]."""
         counts = np.zeros((len(data), 2), dtype=np.int64)
-        for k, (M, m, pairs, excl) in enumerate(data):
-            keep = ~np.isin(primes, excl)
+        for k, (M, m, alphas, pairs, excl) in enumerate(data):
+            keep = _kept(primes, excl)
             if M > SCAN_X_CAP:  # 0 < p - 1 < M for every scanned prime p
                 counts[k] = 0, np.count_nonzero(keep)
                 continue
             split = primes[keep & ((primes - 1) % M == 0)]
-            for pair, mi in zip(pairs, m):
+            for alpha, pair, mi in zip(alphas, pairs, m):
+                if mi % 2 == 0:
+                    split = split[square_mask(alpha, split)]
+                    if mi == 2:
+                        continue
                 residue = powmod(_alpha_residues(pair, split), (split - 1) // mi, split)
                 split = split[residue == 1]
             counts[k] = split.size, np.count_nonzero(keep)

@@ -4,7 +4,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from orddensity.arith import (
     FactoredRational,
@@ -225,15 +225,18 @@ def is_nth_power_residue(q: Fraction, n: int, p: int) -> bool:
     return pow(val, (p - 1) // g, p) == 1
 
 
-def residue_check_fraction(q: Fraction, n: int, M: int, x: int) -> tuple[int, int]:
-    """(#p <= x with p = 1 mod M where q is an n-th power residue, #such p)."""
+def residue_check_fraction(
+    qs: Sequence[Fraction], ns: Sequence[int], M: int, x: int
+) -> tuple[int, int]:
+    """(#p <= x with p = 1 mod M where every qs[i] is an ns[i]-th power
+    residue, #such p), over the p dividing no numerator or denominator."""
     hit = total = 0
     for p in prime_list(x):
         p = int(p)
-        if (p - 1) % M or q.numerator % p == 0 or q.denominator % p == 0:
+        if (p - 1) % M or any(q.numerator * q.denominator % p == 0 for q in qs):
             continue
         total += 1
-        if is_nth_power_residue(q, n, p):
+        if all(is_nth_power_residue(q, n, p) for q, n in zip(qs, ns)):
             hit += 1
     return hit, total
 

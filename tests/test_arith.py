@@ -21,6 +21,7 @@ from orddensity.arith import (
     phi_sieve,
     prime_list,
     segmented_primes,
+    square_mask,
 )
 
 from oracles import abs_, is_prime, root
@@ -241,6 +242,26 @@ def test_factor_p_minus_1_matches_trial_division():
         for p, pairs in zip(primes.tolist(), got):
             assert pairs == dict(factorize(p - 1).factors)
             assert all(is_prime(qi) for qi in pairs)
+
+
+# one alpha per rule of square_mask: sign, (2/p), the reciprocity flip,
+# the largest tabled prime, the first prime past the table (Euler's
+# criterion), alphas past int64 and odd powers in the denominator
+SQUARE_MASK_ALPHAS = [FactoredRational.of(v) for v in (
+    2, 3, 5, -2, -3, 8, 12, -27, "3/5", "-7/12", 65521, 65537, 1000003, 3**41 * 5
+)] + [FactoredRational(-1, ((3, -1), (65537, -3), (2**61 - 1, 1)))]
+
+
+def test_square_mask_matches_kronecker():
+    # kronecker(num * den, p) = (alpha/p), and 0 where p divides alpha,
+    # at which the mask reads alpha as 1
+    primes = np.concatenate(
+        [segmented_primes(3, 2 * 10**4 + 1), segmented_primes(10**9 - 2000, 10**9 + 1)]
+    )
+    for alpha in SQUARE_MASK_ALPHAS:
+        v = alpha.value()
+        want = [kronecker(v.numerator * v.denominator, p) >= 0 for p in primes.tolist()]
+        assert square_mask(alpha, primes).tolist() == want, alpha
 
 
 def test_is_prime_matches_trial_division():

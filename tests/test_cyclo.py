@@ -96,7 +96,7 @@ def test_power_oracle_completeness_sampling():
     # bounded away from 1
     for q, n, M in FALSE_POWER_TRIPLES:
         assert not is_power_in_cyclotomic(FactoredRational.from_fraction(q), n, M), (q, n, M)
-        hit, total = residue_check_fraction(q, n, M, 10**6)
+        hit, total = residue_check_fraction([q], [n], M, 10**6)
         assert total > 0
         assert hit / total <= 0.9, (q, n, M, hit / total)
 

@@ -15,7 +15,7 @@ import pytest
 import orddensity
 
 from orddensity import empirical
-from orddensity.arith import ResourceCapError, prime_list, segmented_primes
+from orddensity.arith import FactoredRational, ResourceCapError, prime_list, segmented_primes
 from orddensity.cli import CHEBOTAREV_FIELDS
 from orddensity.density import (
     ConditionSpec,
@@ -38,6 +38,8 @@ from orddensity.empirical import (
     splitting_fraction_many,
 )
 from orddensity.kummer import FieldSpec, kummer_degree
+
+from oracles import residue_check_fraction
 
 
 def brute_order(a, p):
@@ -135,7 +137,8 @@ def test_index_partition_histogram():
     below_x = segmented_primes(2, x + 1)
     for pair, excluded in (((2, 1), [2]), ((3, 4), [2, 3])):
         primes = below_x[~np.isin(below_x, excluded)]
-        hist = Counter(block_indices(primes, [pair], [_FULL_PLAN])[0].tolist())
+        alpha = FactoredRational.from_fraction(Fraction(*pair))
+        hist = Counter(block_indices(primes, [alpha], [_FULL_PLAN])[0].tolist())
         for t in (1, 2, 3, 4, 6, 8):
             res = scan(ConditionSpec.make([Fraction(*pair)], IndexFixed((t,))), x)
             assert res.matched == hist.get(t, 0)
@@ -278,6 +281,41 @@ def test_splitting_fraction_times_degree_near_one():
     fracs = splitting_fraction_many(fields, 10**6)
     for fs, frac in zip(fields, fracs):
         assert frac * kummer_degree(fs) == pytest.approx(1.0, abs=0.05)
+
+
+# (alphas, m, M): every m in {2, 4, 6} with negative, fractional, square-
+# factor and Delta > 1 alphas, a prime past the Legendre table, and fields
+# of two alphas
+SPLIT_GRID = [
+    ((-2,), (2,), 2),
+    ((-2,), (4,), 8),
+    (("3/5",), (2,), 4),
+    (("3/5",), (6,), 6),
+    ((12,), (2,), 2),
+    ((12,), (4,), 4),
+    ((-27,), (2,), 2),
+    ((-27,), (6,), 6),
+    ((65537,), (2,), 2),
+    ((65537,), (4,), 4),
+    ((2, 3), (2, 2), 2),
+    ((2, 3), (4, 6), 12),
+    ((-2, "3/5"), (6, 2), 6),
+    ((12, -27), (2, 4), 4),
+]
+
+
+def test_splitting_counts_match_residue_oracle_exactly():
+    x = 2 * 10**4
+    fields = [FieldSpec.make(a, m, M) for a, m, M in SPLIT_GRID]
+    for (alphas, m, M), fs, frac in zip(SPLIT_GRID, fields, splitting_fraction_many(fields, x)):
+        qs = [Fraction(a) for a in alphas]
+        hit, _ = residue_check_fraction(qs, m, M, x)
+        # the fraction's denominator: every p <= x prime to M and the alphas
+        total = sum(
+            1 for p in prime_list(x).tolist()
+            if M % p and all(q.numerator * q.denominator % p for q in qs)
+        )
+        assert frac == hit / total, (alphas, m, M, frac * total, hit)
 
 
 def test_splitting_fractions_are_segment_invariant():
