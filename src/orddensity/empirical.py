@@ -133,11 +133,6 @@ class CompareReport:
 # condition plumbing
 
 
-def _alpha_pair(a) -> tuple[int, int]:
-    v = a.value()
-    return int(v.numerator), int(v.denominator)
-
-
 def _kept(primes: np.ndarray, excluded: np.ndarray) -> np.ndarray:
     """Mask of a nonempty ascending array of primes, False at the excluded
     ones: one binary search per excluded prime."""
@@ -190,12 +185,13 @@ def _matches(spec: ConditionSpec, ind: np.ndarray, primes: np.ndarray) -> np.nda
 _BLOCK = 4096
 
 
-def _alpha_residues(pair: tuple[int, int], primes: np.ndarray) -> np.ndarray:
-    """num/den mod p for each prime; 0 where p divides num * den."""
-    num, den = pair
-    a = residues(num, primes)
-    if den != 1:
-        a = a * powmod(residues(den, primes), primes - 2, primes) % primes
+def _alpha_residues(alpha: FactoredRational, primes: np.ndarray) -> np.ndarray:
+    """num/den mod p for each prime, for alpha = num/den; 0 where p divides
+    num * den."""
+    v = alpha.value()
+    a = residues(v.numerator, primes)
+    if v.denominator != 1:
+        a = a * powmod(residues(v.denominator, primes), primes - 2, primes) % primes
     return a
 
 
@@ -296,7 +292,7 @@ def block_indices(
         r, qj, c = r[raised], qj[raised], c[raised]
         if not r.size:
             continue
-        a = _alpha_residues(_alpha_pair(alpha), primes)[r]
+        a = _alpha_residues(alpha, primes)[r]
         p = primes[r]
         a[a == 0] = 1
         b = powmod(a, (p - 1) // qj**c, p)
@@ -466,7 +462,7 @@ def splitting_fraction_many(fspecs: Sequence[FieldSpec], x: int) -> list[float]:
     raised.
     """
     data = [
-        (fs.M, fs.m, fs.alphas, [_alpha_pair(a) for a in fs.alphas],
+        (fs.M, fs.m, fs.alphas,
          np.array(sorted(p for p in _excluded(fs.alphas, fs.M) if p <= x), dtype=np.int64))
         for fs in fspecs
     ]
@@ -474,18 +470,18 @@ def splitting_fraction_many(fspecs: Sequence[FieldSpec], x: int) -> list[float]:
     def count(primes: np.ndarray) -> np.ndarray:
         """counts[field, 0 split | 1 considered]."""
         counts = np.zeros((len(data), 2), dtype=np.int64)
-        for k, (M, m, alphas, pairs, excl) in enumerate(data):
+        for k, (M, m, alphas, excl) in enumerate(data):
             keep = _kept(primes, excl)
             if M > SCAN_X_CAP:  # 0 < p - 1 < M for every scanned prime p
                 counts[k] = 0, np.count_nonzero(keep)
                 continue
             split = primes[keep & ((primes - 1) % M == 0)]
-            for alpha, pair, mi in zip(alphas, pairs, m):
+            for alpha, mi in zip(alphas, m):
                 if mi % 2 == 0:
                     split = split[square_mask(alpha, split)]
                     if mi == 2:
                         continue
-                residue = powmod(_alpha_residues(pair, split), (split - 1) // mi, split)
+                residue = powmod(_alpha_residues(alpha, split), (split - 1) // mi, split)
                 split = split[residue == 1]
             counts[k] = split.size, np.count_nonzero(keep)
         return counts
