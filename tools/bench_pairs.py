@@ -1,14 +1,16 @@
 """Paired benchmark runs of two commits, written to BENCH_<label>.json.
 
     python3 tools/bench_pairs.py --parent 3206583 --change HEAD --label pr26 \
-        --workload chebotarev:10 --workload scan-acceptance --pairs 4
+        --workload chebotarev --workload scan-acceptance:6
 
 Run from the root of a git checkout.  Each commit is exported with
 `git archive` into its own directory, and `perfbench/run.py` runs from each
 export in turn: pair i runs both sides one after the other, the parent first
 in even pairs and the change first in odd ones, so a drift in machine speed
-falls on both sides alike.  A workload given as NAME:N runs N pairs, a bare
-NAME runs --pairs; with no --workload every workload of BENCHMARK.json runs.
+falls on both sides alike.  Every run lasts BENCHMARK.json's `run_seconds`.
+A workload given as NAME:N runs N pairs and a bare NAME runs PAIRS = 10, the
+fewest that can back a claimed gain; with no --workload every workload of
+BENCHMARK.json runs.
 
 The file holds the command, a note, one stamp per side (the commit's sha,
 the sha256 of its src/ and the machine, from perfbench's stamp line), each
@@ -31,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 METRICS = ("wall_norm_s", "setup_s", "peak_rss_mb", "max_rel_err")
+PAIRS = 10
 
 
 def export(rev: str, into: Path) -> str:
@@ -93,22 +96,22 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, help="the commit measured")
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json at the root")
     ap.add_argument("--workload", action="append", default=[], metavar="NAME[:PAIRS]")
-    ap.add_argument("--pairs", type=int, default=4)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--note", default="", help="appended to the file's note")
     args = ap.parse_args(argv)
 
-    declared = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    declared = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     plan = {}
     for spec in args.workload or declared:
         name, _, n = spec.partition(":")
         if name not in declared:
             ap.error(f"unknown workload {name!r}; BENCHMARK.json declares {declared}")
-        plan[name] = int(n) if n else args.pairs
+        plan[name] = int(n) if n else PAIRS
 
     command = (f"python3 perfbench/run.py --workload W --seed {args.seed}"
-               f" --seconds {args.seconds:g}")
+               f" --seconds {seconds:g}")
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         stamps = {side: {"git_sha": export(rev, trees[side])}
@@ -119,7 +122,7 @@ def main(argv=None) -> int:
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair: dict = {"first": order[0]}
                 for side in order:
-                    stamp, result = run_once(trees[side], name, args.seed, args.seconds)
+                    stamp, result = run_once(trees[side], name, args.seed, seconds)
                     pair[side] = row(result)
                     st = stamps[side]
                     st.setdefault("src_sha256", stamp["src_sha256"])
