@@ -26,7 +26,7 @@ from .density import (
 )
 from .empirical import ScanResult, compare, scan, scan_many
 from .eulerseries import phi_lcm_tail
-from .kummer import FieldSpec, count_automorphisms, failure_ratio, kummer_degree
+from .kummer import FieldSpec, failure_ratio, kummer_degree
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,6 @@ __all__ = [
     "FieldSpec",
     "kummer_degree",
     "failure_ratio",
-    "count_automorphisms",
     "phi_lcm_tail",
     "ConditionSpec",
     "SetDescriptor",

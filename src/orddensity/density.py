@@ -263,19 +263,20 @@ def _inverse(x, n):
 
 
 def _one_candidate(view: AlphaBoxes, members: list, v, M, congruences: list):
-    """The unit count of each term of a chunk, as int64: `_count_units` of
-    the term's field, of level M and fix level v, with the values of the
-    `members` it holds as witnesses, under `congruences`: pairs (classes, L),
+    """The unit count of each term of a chunk, as int64: the units c of
+    Z/M with c = 1 (mod v) that fix the values of the `members` the term
+    holds, its witnesses, and meet `congruences`: pairs (classes, L),
     L an array of one modulus per term or an int, such as a block's
-    progression ([residue], L) and a Frobenius condition (C, f).
-    M = lcm(v, every L) is the loop's CRT modulus, so each choice of classes
-    meets one c in [1, M] or none.  From c = 1 (mod v), each pair folds into
-    c (mod mod): with g = gcd(mod, L) and n = L / g, c meets the class x when
-    g | x - c, at c + mod * ((x - c) / g * (mod / g)^-1 % n), one inverse per
-    pair.  Each candidate, made and tested one at a time, counts when it is
-    prime to M and, lifted to odd as the loop lifts it, fixes every witness:
-    one `view.fixes` gather per member, over the terms that hold it.  With no
-    congruence the one candidate, c = 1, acts as sigma_1 and counts untested."""
+    progression ([residue], L) and a Frobenius condition (C, f).  A term's
+    M = lcm(v, every L) is the CRT modulus of its congruences, so each
+    choice of classes meets one c in [1, M] or none.  From c = 1 (mod v),
+    each pair folds into c (mod mod): with g = gcd(mod, L) and n = L / g, c
+    meets the class x when g | x - c, at
+    c + mod * ((x - c) / g * (mod / g)^-1 % n), one inverse per pair.  Each
+    candidate, made and tested one at a time, counts when it is prime to M
+    and, lifted to the odd c or c + M, fixes every witness: one `view.fixes`
+    gather per member, over the terms that hold it.  With no congruence the
+    one candidate, c = 1, acts as sigma_1 and counts untested."""
     import numpy as np
 
     if not congruences:

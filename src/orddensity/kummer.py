@@ -1,6 +1,5 @@
 """Exact degrees of Q(zeta_M, alpha_1^(1/m_1), ..., alpha_r^(1/m_r)) over Q,
-relation groups of radicals and automorphism counts under congruence and
-Frobenius conditions.
+relation groups of radicals and the witness tests behind automorphism counts.
 
 Degrees come from Kummer duality over F = Q(zeta_M): with Rel the subgroup of
 exponent tuples e in prod Z/m_i whose radical product prod alpha_i^(e_i/m_i)
@@ -36,11 +35,11 @@ boxes.
 Each unit c mod M that fixes the witnesses of all members of Rel extends to
 exactly prod(m_i)/|Rel| automorphisms of the full field, one of which acts
 trivially on all radicals; that turns Galois counting into unit counting.
-`count_automorphisms` walks the candidate units of one field.  A series
-term has at most one per Frobenius class and tests each over arrays: whether
-sigma_c fixes a witness depends only on c modulo a small period, so
-`AlphaBoxes.fixes` reads it off a table built once per witness.  The tests'
-empirical splitting consistency checks guard the duality step.
+`density._one_candidate` counts the units of a chunk of series terms.  A
+term has at most one candidate unit per Frobenius class, each tested over
+arrays: whether sigma_c fixes a witness depends only on c modulo a small
+period, so `AlphaBoxes.fixes` reads it off a table built once per witness.
+The tests' empirical splitting consistency checks guard the duality step.
 """
 
 from __future__ import annotations
@@ -48,15 +47,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .arith import (
-    FactoredRational,
-    ResourceCapError,
-    as_int,
-    crt_pair,
-    euler_phi,
-)
+from .arith import FactoredRational, ResourceCapError, as_int, euler_phi
 from .cyclo import RadicalValue, conductor, fixed_by, radical_product
 
 RELATION_ENUMERATION_CAP = 10**6
@@ -269,17 +262,12 @@ class DegreeCache:
 DEFAULT_CACHE = DegreeCache()
 
 
-def _witnesses(view: AlphaBoxes, m: Sequence[int], M: int) -> list[RadicalValue]:
-    """The witnesses of the one field (m, M): its box entries whose conductor divides M."""
-    box = view.box(tuple([math.gcd(mi, view.two_delta) for mi in m]))
-    return [value for _, value, cond in box if M % cond == 0]
-
-
 def _one_field(view: AlphaBoxes, m: Sequence[int], M: int) -> tuple[int, int, list[RadicalValue]]:
     """(degree, |Rel|, witnesses) of the one field (m, M), read on Python
     ints with phi(M) from the view's memo: `view.field` of that field, its
-    members' values listed."""
-    witnesses = _witnesses(view, m, M)
+    members' values listed, that is its box entries whose conductor divides M."""
+    box = view.box(tuple([math.gcd(mi, view.two_delta) for mi in m]))
+    witnesses = [value for _, value, cond in box if M % cond == 0]
     rel = 1 + len(witnesses)
     phi = view.phis.get(M)
     if phi is None:
@@ -302,69 +290,3 @@ def kummer_degree(spec: FieldSpec) -> int:
 def failure_ratio(spec: FieldSpec) -> int:
     """Integer ratio by which the degree falls short of phi(M) * prod(m_i)."""
     return degree_info(spec)[1]
-
-
-# ---------------------------------------------------------------------------
-# automorphism counting
-
-
-def count_automorphisms(
-    spec: FieldSpec,
-    fix_level: int,
-    congruences: Sequence[tuple[int, int]] = (),
-    frobenius: Optional[tuple[int, frozenset[int] | set[int]]] = None,
-) -> int:
-    """Count units c of Z/M with c = 1 (mod fix_level), every congruence
-    satisfied, c mod f in C when a Frobenius class set is given, and the
-    witness of every nonzero member of the relation group fixed by sigma_c.
-    No generating set is needed: sigma_c is multiplicative and fixes Q^x,
-    so it fixes every member exactly when it fixes a set of generators.
-
-    Each counted c corresponds to exactly one automorphism of the field that
-    restricts to the identity on Q(zeta_fix_level, radicals).  Inconsistent
-    congruence systems count zero; they are not an error.
-    """
-    levels = [fix_level, *(mod for _, mod in congruences)]
-    if frobenius is not None:
-        levels.append(frobenius[0])
-    for level in levels:
-        if level < 1 or spec.M % level:
-            raise ValueError("spec.M must be a common multiple of all levels, each >= 1")
-    witnesses = _witnesses(DEFAULT_CACHE.view(spec.alphas), spec.m, spec.M)
-    return _count_units(spec.M, fix_level, congruences, frobenius, witnesses)
-
-
-def _count_units(
-    W: int,
-    fix_level: int,
-    congruences: Sequence[tuple[int, int]],
-    frobenius: Optional[tuple[int, frozenset[int] | set[int]]],
-    witnesses: list[RadicalValue],
-) -> int:
-    """`count_automorphisms` for the field of level W whose relation group has
-    the given witnesses, every level already known to divide W.  The unit
-    c = 1 acts as sigma_1, the identity, so it counts without a test of the
-    witnesses."""
-    rho, mu = 1 % fix_level, fix_level
-    for residue, mod in congruences:
-        merged = crt_pair(rho, mu, residue % mod, mod)
-        if merged is None:
-            return 0
-        rho, mu = merged
-    if math.gcd(rho, mu) != 1:
-        return 0
-    if frobenius is not None:
-        f, classes = frobenius[0], {x % frobenius[0] for x in frobenius[1]}
-    count = 0
-    start = rho if rho >= 1 else mu
-    for c in range(start, W + 1, mu):
-        if math.gcd(c, W) != 1:
-            continue
-        if frobenius is not None and c % f not in classes:
-            continue
-        # fixed_by acts on Q(zeta_L), L = lcm(zeta order, conductor(d), W); a
-        # witness's conductor divides W, so only 2 can divide L and not W
-        lifted = c if c % 2 else c + W
-        if lifted == 1 or all(fixed_by(lifted, w, W) for w in witnesses):
-            count += 1
-    return count

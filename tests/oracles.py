@@ -9,6 +9,7 @@ from typing import Optional, Sequence
 from orddensity.arith import (
     FactoredRational,
     ResourceCapError,
+    crt_pair,
     euler_phi,
     kronecker,
     moebius,
@@ -29,7 +30,13 @@ from orddensity.density import (
     _scaled_tail,
     _tail_grids,
 )
-from orddensity.kummer import _abelian_box, _count_units, exponent_minor_gcd
+from orddensity.kummer import (
+    DEFAULT_CACHE,
+    FieldSpec,
+    _abelian_box,
+    _one_field,
+    exponent_minor_gcd,
+)
 
 
 def lies_in_cyclotomic(v: RadicalValue, M: int) -> bool:
@@ -332,8 +339,75 @@ def relation_group(spec) -> RelationGroup:
     return RelationGroup(spec.m, members)
 
 
+# Per-unit automorphism counter, the reference for the series' array counter
+# `density._one_candidate`: it walks the candidate units of one field and
+# tests each on the field's witnesses.
+
+
+def count_automorphisms(
+    spec: FieldSpec,
+    fix_level: int,
+    congruences: Sequence[tuple[int, int]] = (),
+    frobenius: Optional[tuple[int, frozenset[int] | set[int]]] = None,
+) -> int:
+    """Count units c of Z/M with c = 1 (mod fix_level), every congruence
+    satisfied, c mod f in C when a Frobenius class set is given, and the
+    witness of every nonzero member of the relation group fixed by sigma_c.
+    No generating set is needed: sigma_c is multiplicative and fixes Q^x,
+    so it fixes every member exactly when it fixes a set of generators.
+
+    Each counted c corresponds to exactly one automorphism of the field that
+    restricts to the identity on Q(zeta_fix_level, radicals).  Inconsistent
+    congruence systems count zero; they are not an error.
+    """
+    levels = [fix_level, *(mod for _, mod in congruences)]
+    if frobenius is not None:
+        levels.append(frobenius[0])
+    for level in levels:
+        if level < 1 or spec.M % level:
+            raise ValueError("spec.M must be a common multiple of all levels, each >= 1")
+    witnesses = _one_field(DEFAULT_CACHE.view(spec.alphas), spec.m, spec.M)[2]
+    return _count_units(spec.M, fix_level, congruences, frobenius, witnesses)
+
+
+def _count_units(
+    W: int,
+    fix_level: int,
+    congruences: Sequence[tuple[int, int]],
+    frobenius: Optional[tuple[int, frozenset[int] | set[int]]],
+    witnesses: list[RadicalValue],
+) -> int:
+    """`count_automorphisms` for the field of level W whose relation group has
+    the given witnesses, every level already known to divide W.  The unit
+    c = 1 acts as sigma_1, the identity, so it counts without a test of the
+    witnesses."""
+    rho, mu = 1 % fix_level, fix_level
+    for residue, mod in congruences:
+        merged = crt_pair(rho, mu, residue % mod, mod)
+        if merged is None:
+            return 0
+        rho, mu = merged
+    if math.gcd(rho, mu) != 1:
+        return 0
+    if frobenius is not None:
+        f, classes = frobenius[0], {x % frobenius[0] for x in frobenius[1]}
+    count = 0
+    start = rho if rho >= 1 else mu
+    for c in range(start, W + 1, mu):
+        if math.gcd(c, W) != 1:
+            continue
+        if frobenius is not None and c % f not in classes:
+            continue
+        # fixed_by acts on Q(zeta_L), L = lcm(zeta order, conductor(d), W); a
+        # witness's conductor divides W, so only 2 can divide L and not W
+        lifted = c if c % 2 else c + W
+        if lifted == 1 or all(fixed_by(lifted, w, W) for w in witnesses):
+            count += 1
+    return count
+
+
 def brute_unit_count(spec, fix_level: int, congruences, frobenius) -> int:
-    """`kummer.count_automorphisms` by walking every c in [1, M] coprime to
+    """`count_automorphisms` by walking every c in [1, M] coprime to
     M: c = 1 (mod fix_level) and each congruence are tested on their own, with
     no CRT, then the Frobenius class, then sigma_c on every witness of the
     uncached `relation_group`.  sigma_c acts on Q(zeta_L) with L the lcm of M

@@ -10,9 +10,10 @@ import itertools
 import math
 import time
 
+import numpy as np
 import pytest
 
-from orddensity.arith import FactoredRational, prime_list
+from orddensity.arith import FactoredRational, euler_phi, prime_list
 from orddensity.density import (
     ConditionSpec,
     DensityResult,
@@ -20,6 +21,7 @@ from orddensity.density import (
     IndexSet,
     OrderAP,
     SetDescriptor,
+    _one_candidate,
     index_density_fixed,
     index_density_set,
     order_density,
@@ -27,10 +29,11 @@ from orddensity.density import (
 from orddensity.empirical import ScanResult, compare, li, scan_many, splitting_fraction_many
 from orddensity.eulerseries import phi_lcm_tail
 from orddensity.cli import FAILURE_POOL, failure_bound
-from orddensity.kummer import FieldSpec, count_automorphisms, failure_ratio, kummer_degree
+from orddensity.kummer import DegreeCache, FieldSpec, failure_ratio, kummer_degree
 
 from oracles import (
     TRUE_POWER_TRIPLES,
+    count_automorphisms,
     inverse_n_phi_sum,
     is_nth_power_residue,
     is_power_in_cyclotomic,
@@ -274,45 +277,51 @@ def test_criterion_5_failure_ratio_bound():
 
 
 def test_criterion_6_vanishing_conditions():
-    a2 = FactoredRational.from_fraction(2)
-    a3 = FactoredRational.from_fraction(3)
+    # one row per (a, d, n, t): the radical index m = n t and the progression
+    # c = 1 + a t (mod d t) of ord_p = a (mod d) at index t, which violates a
+    # vanishing condition when 1 + a t shares a prime with d or gcd(d, n)
+    # does not divide a
+    grid = np.meshgrid(range(7), range(2, 7), range(1, 7), range(1, 7), indexing="ij")
+    a, d, n, t = (x.ravel() for x in grid)
+    params = np.stack((a, d, n, t), axis=1)
+    m, L = n * t, d * t
+    residue = (1 + a * t) % L
+    violating = (np.gcd(1 + a * t, d) > 1) | (a % np.gcd(d, n) != 0)
 
-    def violating(a, d, n, t):
-        return math.gcd(1 + a * t, d) > 1 or a % math.gcd(d, n) != 0
+    def counts(view, rows):
+        """The series' unit counts of the fields with radical indices m[i],
+        one index array i per alpha, of level M = lcm(v, d_i t_i), with
+        fix level v = lcm(m[i]) and every row's progression."""
+        ms = [m[i] for i in rows]
+        v = np.lcm.reduce(ms)
+        M = np.lcm.reduce([v, *(L[i] for i in rows)])
+        levels, at = np.unique(M, return_inverse=True)
+        phi = np.array([euler_phi(x) for x in levels.tolist()], dtype=np.int64)[at]
+        _, _, members = view.field(ms, M, phi)
+        return _one_candidate(view, members, v, M, [([residue[i]], L[i]) for i in rows])
 
-    params = list(itertools.product(range(7), range(2, 7), range(1, 7), range(1, 7)))
-    checked = 0
-    for a, d, n, t in params:
-        if not violating(a, d, n, t):
-            continue
-        W = math.lcm(d * t, n * t)
-        count = count_automorphisms(
-            FieldSpec((a2,), (n * t,), W), n * t, (((1 + a * t) % (d * t), d * t),)
-        )
-        assert count == 0, (a, d, n, t)
-        checked += 1
-    checked_pairs = 0
-    for p1 in params:
-        v1 = violating(*p1)
-        for p2 in params:
-            if not (v1 or violating(*p2)):
-                continue
-            (a1, d1, n1, t1), (a2_, d2, n2, t2) = p1, p2
-            W = math.lcm(d1 * t1, n1 * t1, d2 * t2, n2 * t2)
-            count = count_automorphisms(
-                FieldSpec((a2, a3), (n1 * t1, n2 * t2), W),
-                math.lcm(n1 * t1, n2 * t2),
-                (
-                    ((1 + a1 * t1) % (d1 * t1), d1 * t1),
-                    ((1 + a2_ * t2) % (d2 * t2), d2 * t2),
-                ),
-            )
-            assert count == 0, (p1, p2)
-            checked_pairs += 1
+    rank1 = np.flatnonzero(violating)
+    count = counts(DegreeCache().view((FactoredRational.of(2),)), [rank1])
+    assert not count.any(), params[rank1[count != 0]].tolist()
+    # the oracle's per-unit walk over the same fields
+    for k in rank1.tolist():
+        mk, Lk = int(m[k]), int(L[k])
+        field = FieldSpec.make([2], (mk,), math.lcm(mk, Lk))
+        assert count_automorphisms(field, mk, ((int(residue[k]), Lk),)) == 0, params[k].tolist()
+    # every pair of rows of which one violates, for the alphas (2, 3), in
+    # slices that keep the arrays small
+    first, second = np.nonzero(violating[:, None] | violating[None, :])
+    view = DegreeCache().view(tuple(map(FactoredRational.of, (2, 3))))
+    step = 2**16
+    for start in range(0, len(first), step):
+        rows = [first[start : start + step], second[start : start + step]]
+        count = counts(view, rows)
+        assert not count.any(), [params[r[count != 0]].tolist() for r in rows]
+    assert (len(rank1), len(first)) == (445, 923375)
     report(
         "criterion 6 (vanishing automorphism counts)",
         True,
-        f"zero on {checked} rank-1 and {checked_pairs} rank-2 violating configs",
+        f"zero on {len(rank1)} rank-1 and {len(first)} rank-2 violating configs",
     )
 
 

@@ -20,15 +20,9 @@ from orddensity.density import (
 )
 from orddensity import density, kummer
 from orddensity.eulerseries import phi_lcm_tail
-from orddensity.kummer import (
-    DegreeCache,
-    FieldSpec,
-    _count_units,
-    count_automorphisms,
-    kummer_degree,
-)
+from orddensity.kummer import DegreeCache, FieldSpec, kummer_degree
 
-from oracles import scalar_series
+from oracles import _count_units, count_automorphisms, scalar_series
 
 TWO = (FactoredRational.of(2),)  # the alphas of a spec or field built directly
 EVEN = SetDescriptor.progression(0, 2)
@@ -214,16 +208,14 @@ def test_large_frobenius_level_scales_the_small_level_value(alphas, mode, classe
 
 def spy_on_series(monkeypatch) -> dict[str, list]:
     """Record the box enumerations, alpha lookups, chunk widths, field
-    lookups (each term's (m, M)), unit counts and FieldSpec builds of the
-    series evaluator."""
+    lookups (each term's (m, M)) and FieldSpec builds of the series
+    evaluator."""
     calls: dict[str, list] = {
-        "enumerated": [], "views": [], "chunks": [], "looked_up": [], "counted": [],
-        "built": [],
+        "enumerated": [], "views": [], "chunks": [], "looked_up": [], "built": [],
     }
     abelian_box = kummer._abelian_box
     view = DegreeCache.view
     field = kummer.AlphaBoxes.field
-    count_units = kummer._count_units
     post_init = FieldSpec.__post_init__
 
     def enumerate_(alphas, sides):
@@ -239,10 +231,6 @@ def spy_on_series(monkeypatch) -> dict[str, list]:
         calls["looked_up"].extend(zip(zip(*(mi.tolist() for mi in m)), M.tolist()))
         return field(view, m, M, phi)
 
-    def count(W, *args):
-        calls["counted"].append(W)
-        return count_units(W, *args)
-
     def build(field):
         calls["built"].append(field)
         post_init(field)
@@ -250,8 +238,6 @@ def spy_on_series(monkeypatch) -> dict[str, list]:
     monkeypatch.setattr(kummer, "_abelian_box", enumerate_)
     monkeypatch.setattr(DegreeCache, "view", fetch)
     monkeypatch.setattr(kummer.AlphaBoxes, "field", lookup)
-    monkeypatch.setattr(kummer, "_count_units", count)
-    assert not hasattr(density, "_count_units")  # so the spy sees every call
     monkeypatch.setattr(FieldSpec, "__post_init__", build)
     return calls
 
@@ -265,13 +251,11 @@ def test_order_density_enumerates_each_field_once(monkeypatch):
     calls = spy_on_series(monkeypatch)
     spec = ConditionSpec.make([2], OrderAP((0,), (2,)))
     res = order_density(spec, nmax=24, tmax=24, cache=DegreeCache())
-    # one alpha lookup per series, one field lookup per chunk, no FieldSpec
-    # built, and no term asks _count_units: each term has one candidate
-    # unit, tested over the chunk's arrays
+    # one alpha lookup per series, one field lookup per chunk and no
+    # FieldSpec built
     assert calls["views"] == [spec.alphas]
     assert calls["chunks"] == chunk_widths(res.terms_evaluated)
     assert len(calls["looked_up"]) == res.terms_evaluated
-    assert not calls["counted"]
     assert not calls["built"]
     # Delta = 1 for alpha = 2: every chunk holds an even m, so each chunk
     # reads the box with sides lcm(1, 2) = 2, enumerated once
@@ -290,10 +274,6 @@ def test_index_set_density_counts_units_only_under_a_condition(monkeypatch, frob
     assert calls["chunks"] == chunk_widths(res.terms_evaluated)
     assert len(calls["looked_up"]) == res.terms_evaluated
     assert not calls["built"]
-    # no term asks _count_units: without a Frobenius condition the one unit
-    # counted is c = 1, and under one each class has one candidate unit,
-    # tested over the chunk's arrays
-    assert not calls["counted"]
 
 
 @pytest.mark.parametrize(
@@ -312,13 +292,11 @@ def test_index_set_density_counts_units_only_under_a_condition(monkeypatch, frob
 )
 def test_chunks_ending_inside_blocks_count_the_same_terms(monkeypatch, spec):
     # chunks of 7 terms end inside blocks; every term tests its candidate
-    # units, one per Frobenius class, over the chunk's arrays, and no term
-    # asks _count_units in any mode
+    # units, one per Frobenius class, over the chunk's arrays
     monkeypatch.setattr(density, "_CHUNK", 7)
     calls = spy_on_series(monkeypatch)
     res = density.evaluate(spec, 6, 4, cache=DegreeCache())
     assert calls["chunks"] == chunk_widths(res.terms_evaluated)
-    assert not calls["counted"]
     assert len(calls["enumerated"]) == len(set(calls["enumerated"]))
 
 

@@ -12,16 +12,22 @@ from orddensity.cyclo import radical_product
 from orddensity.kummer import (
     DegreeCache,
     FieldSpec,
-    _count_units,
     _one_field,
-    count_automorphisms,
     degree_info,
     exponent_minor_gcd,
     failure_ratio,
     kummer_degree,
 )
 
-from oracles import brute_unit_count, full_box_relations, lies_in_cyclotomic, relation_group
+import oracles
+from oracles import (
+    _count_units,
+    brute_unit_count,
+    count_automorphisms,
+    full_box_relations,
+    lies_in_cyclotomic,
+    relation_group,
+)
 
 GRID_ALPHAS = (2, 3, 5, -2, 8, 12)
 GRID_M = (1, 2, 3, 4, 6, 12)
@@ -301,13 +307,13 @@ def test_count_automorphisms_brute_force_small_field():
 
 def test_identity_unit_counts_without_a_witness_test(monkeypatch):
     tested = []
-    fixed_by = kummer.fixed_by
+    fixed_by = oracles.fixed_by
 
     def spy(c, v, M):
         tested.append(c)
         return fixed_by(c, v, M)
 
-    monkeypatch.setattr(kummer, "fixed_by", spy)
+    monkeypatch.setattr(oracles, "fixed_by", spy)
     # sigma_1 is the identity: c = 1 counts, and only the other units are tested
     assert count_automorphisms(fs([2], (2,), 8), 2, ()) == 2
     assert sorted(set(tested)) == [3, 5, 7]

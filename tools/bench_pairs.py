@@ -8,7 +8,7 @@ Run from the root of a git checkout.  Each commit is exported with
 export in turn: pair i runs both sides one after the other, the parent first
 in even pairs and the change first in odd ones, so a drift in machine speed
 falls on both sides alike.  Every run lasts BENCHMARK.json's `run_seconds`.
-A workload given as NAME:N runs N pairs and a bare NAME runs PAIRS = 10, the
+A workload given as NAME:N runs N >= 1 pairs and a bare NAME runs PAIRS = 10, the
 fewest that can back a claimed gain; with no --workload every workload of
 BENCHMARK.json runs.
 
@@ -108,6 +108,8 @@ def main(argv=None) -> int:
         name, _, n = spec.partition(":")
         if name not in declared:
             ap.error(f"unknown workload {name!r}; BENCHMARK.json declares {declared}")
+        if n and not (n.isdecimal() and int(n) >= 1):
+            ap.error(f"pair count {n!r} of {name!r} is not a positive integer")
         plan[name] = int(n) if n else PAIRS
 
     command = (f"python3 perfbench/run.py --workload W --seed {args.seed}"
