@@ -1,12 +1,17 @@
 import math
 from fractions import Fraction
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orddensity import arith
 from orddensity.arith import (
+    POWMOD_FLOAT_BOUND,
+    SCAN_X_CAP,
     FactoredRational,
     ResourceCapError,
     crt_merge,
@@ -19,6 +24,7 @@ from orddensity.arith import (
     moebius,
     multiplicative_order,
     phi_sieve,
+    powmod,
     prime_list,
     segmented_primes,
     square_mask,
@@ -230,9 +236,14 @@ def test_segmented_primes_rejects_bad_range():
 
 
 def test_factor_p_minus_1_matches_trial_division():
-    # consecutive primes from 2 up, and a window below the 10^9 scan cap where
-    # base primes above the direct-test bound and large cofactors occur
-    for lo, hi in [(2, 5000), (10**9 - 3000, 10**9)]:
+    # consecutive primes from 2 up; a window below the 10^9 scan cap where
+    # base primes above the direct-test bound and large cofactors occur; one
+    # across 2^25; and windows around primes p with p - 1 = 2^16, 5 * 2^25
+    # and 2 * 3^17, rows on which the exponent loop runs longest
+    deep = [2**16 + 1, 5 * 2**25 + 1, 2 * 3**17 + 1]
+    assert all(map(is_prime, deep))
+    windows = [(2, 5000), (10**9 - 3000, 10**9), (2**25 - 2000, 2**25 + 2000)]
+    for lo, hi in windows + [(p - 1000, p + 1000) for p in deep]:
         primes = segmented_primes(lo, hi)
         row, q, e = factor_p_minus_1(primes)
         got = [dict() for _ in primes]
@@ -242,6 +253,56 @@ def test_factor_p_minus_1_matches_trial_division():
         for p, pairs in zip(primes.tolist(), got):
             assert pairs == dict(factorize(p - 1).factors)
             assert all(is_prime(qi) for qi in pairs)
+
+
+# powmod's moduli: every m below 2^11, composite ones included (only there
+# can the float path's r = m case, which its final % repairs, arise), the
+# primes just below and just past POWMOD_FLOAT_BOUND and those below the
+# scan cap
+POWMOD_MODULI = [
+    np.arange(2, 1 << 11),
+    segmented_primes(POWMOD_FLOAT_BOUND - 10000, POWMOD_FLOAT_BOUND),
+    segmented_primes(POWMOD_FLOAT_BOUND, POWMOD_FLOAT_BOUND + 10000),
+    segmented_primes(SCAN_X_CAP - 10000, SCAN_X_CAP),
+]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    exp_kind=st.sampled_from(["zero", "scalar", "array"]),
+    float_from=st.sampled_from([arith.POWMOD_FLOAT_FROM, 10**9]),
+)
+def test_powmod_matches_pow(seed, exp_kind, float_from):
+    # bases 0, 1, m - 1, m - 2 and a random one (negative too) per modulus;
+    # at the module's size threshold the arrays below the bound run in
+    # float64, and at 10^9 every array runs the int64 loop
+    rng = np.random.default_rng(seed)
+    for mods in POWMOD_MODULI:
+        m = np.repeat(mods, 5)
+        base = np.stack([0 * mods, 0 * mods + 1, mods - 1, mods - 2,
+                         rng.integers(-(2**62), 2**62, mods.size)], axis=1).ravel()
+        exp = {
+            "zero": np.int64(0),
+            "scalar": rng.integers(1, 2**62),
+            "array": np.concatenate([[0, 1, 2, 3], rng.integers(0, 2**62, m.size - 4)]),
+        }[exp_kind]
+        with mock.patch.object(arith, "POWMOD_FLOAT_FROM", float_from):
+            for part in (slice(None), slice(7)):  # 7 elements are below any threshold
+                b, e, n = base[part], exp if exp.ndim == 0 else exp[part], m[part]
+                args = zip(b.tolist(), np.broadcast_to(e, b.shape).tolist(), n.tolist())
+                want = [pow(*t) for t in args]
+                got = powmod(b, e, n)
+                assert got.dtype == np.int64 and got.tolist() == want
+
+
+@pytest.mark.parametrize("float_from", [0, 10**9])
+def test_powmod_of_empty_arrays(float_from):
+    empty = np.empty(0, dtype=np.int64)
+    with mock.patch.object(arith, "POWMOD_FLOAT_FROM", float_from):
+        for exp in (0, 5, empty):
+            out = powmod(empty, exp, empty)
+            assert out.dtype == np.int64 and out.shape == (0,)
 
 
 # one alpha per rule of square_mask: sign, (2/p), the reciprocity flip,

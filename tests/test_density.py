@@ -267,6 +267,15 @@ def test_order_density_enumerates_each_field_once(monkeypatch):
 )
 def test_index_set_density_counts_units_only_under_a_condition(monkeypatch, frobenius):
     calls = spy_on_series(monkeypatch)
+    counted = []
+    one_candidate = density._one_candidate
+
+    def count(view, members, v, M, congruences):
+        out = one_candidate(view, members, v, M, congruences)
+        counted.append((congruences, out))
+        return out
+
+    monkeypatch.setattr(density, "_one_candidate", count)
     spec = ConditionSpec.make([2, 5], IndexSet((EVEN, EVEN)), frobenius=frobenius)
     res = index_density_set(spec, nmax=8, tmax=16, cache=DegreeCache())
     assert res.terms_evaluated == 2304
@@ -274,6 +283,16 @@ def test_index_set_density_counts_units_only_under_a_condition(monkeypatch, frob
     assert calls["chunks"] == chunk_widths(res.terms_evaluated)
     assert len(calls["looked_up"]) == res.terms_evaluated
     assert not calls["built"]
+    # one count per chunk; an index set adds no congruence of its own, so
+    # only the Frobenius condition (C, f) makes a unit to test, and without
+    # it every term counts the one unit c = 1
+    assert len(counted) == len(calls["chunks"])
+    if frobenius is None:
+        assert all(congruences == [] and (units == 1).all() for congruences, units in counted)
+    else:
+        f, C = spec.frobenius
+        assert all(congruences == [(C, f)] for congruences, _ in counted)
+        assert any((units == 0).any() for _, units in counted)
 
 
 @pytest.mark.parametrize(

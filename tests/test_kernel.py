@@ -8,7 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orddensity import arith
-from orddensity.arith import FactoredRational, factorize, powmod, residues, segmented_primes
+from orddensity.arith import (
+    POWMOD_FLOAT_BOUND,
+    FactoredRational,
+    factorize,
+    powmod,
+    residues,
+    segmented_primes,
+)
 from orddensity.density import (
     ConditionSpec,
     IndexFixed,
@@ -162,13 +169,26 @@ q_plan = st.tuples(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    data=st.data(),
-    lo=st.one_of(st.integers(2, 10**6), st.integers(10**9 - 10**5, 10**9 - 600)),
-    width=st.integers(1, 600),
+# blocks (lo, width): narrow ones from 2 up and below the scan cap; wide
+# ones below POWMOD_FLOAT_BOUND, whose powers mostly hold more than
+# POWMOD_FLOAT_FROM elements and so run in float64; and ones across 2^25
+# (the first prime past it is 2^25 + 35), whose powers all run in int64
+BLOCKS = st.one_of(
+    st.tuples(st.integers(2, 10**6), st.integers(1, 600)),
+    st.tuples(st.integers(10**9 - 10**5, 10**9 - 600), st.integers(1, 600)),
+    st.tuples(st.integers(1 << 22, POWMOD_FLOAT_BOUND - 4000), st.just(4000)),
+    st.builds(
+        lambda below, above: (POWMOD_FLOAT_BOUND - below, below + above),
+        st.integers(1, 600),
+        st.integers(36, 600),
+    ),
 )
-def test_block_indices_read_the_capped_q_parts(data, lo, width):
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), block=BLOCKS)
+def test_block_indices_read_the_capped_q_parts(data, block):
+    lo, width = block
     pool = st.sampled_from(POOL + [Fraction(BIG_ALPHA)])
     alphas = data.draw(st.lists(pool, min_size=1, max_size=3, unique=True))
     plans = data.draw(st.lists(q_plan, min_size=len(alphas), max_size=len(alphas)))
