@@ -1,7 +1,7 @@
 """Exact integer arithmetic primitives: sieves, factorization, multiplicative
-functions, Kronecker symbol, multiplicative order, and the elementwise int64
-kernels the prime scans run on (residues, modular powers, quadratic
-characters, factoring p - 1).
+functions, Kronecker symbol, multiplicative order, and the elementwise
+kernels over int64 arrays the prime scans run on (residues, modular powers,
+quadratic characters, factoring p - 1).
 
 Everything here is pure and reentrant.
 """

@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-
 from unittest import mock
 
 import numpy as np
@@ -280,8 +279,8 @@ def test_powmod_matches_pow(seed, exp_kind, float_from):
     rng = np.random.default_rng(seed)
     for mods in POWMOD_MODULI:
         m = np.repeat(mods, 5)
-        base = np.stack([0 * mods, 0 * mods + 1, mods - 1, mods - 2,
-                         rng.integers(-(2**62), 2**62, mods.size)], axis=1).ravel()
+        random = rng.integers(-(2**62), 2**62, mods.size)
+        base = np.stack([mods * 0, mods * 0 + 1, mods - 1, mods - 2, random], axis=1).ravel()
         exp = {
             "zero": np.int64(0),
             "scalar": rng.integers(1, 2**62),
