@@ -5,15 +5,17 @@ splitting fractions, and comparison against the series values.
 Scans and splitting fractions share one walk over the primes, `_walk`:
 data-parallel over fixed-width prime segments, with per-segment counts
 merged by addition in segment order, so results are identical for any worker
-count.  Every scan runs on one vectorised kernel, `block_indices`, over
-blocks of consecutive primes: it reduces each alpha mod p exactly, factors
-p-1 over the base primes <= sqrt(x) inside the block, and reads the q-parts
-of ind_p(alpha) off int64 modular powers, and its 2-parts first off the
-quadratic character (arith.square_mask).  A scan reads only the q-parts its
-specs need: each spec gives every alpha a q-part plan (_spec_plans), and
-specs sharing an alpha take the per-q maximum.  Memory is bounded by _BLOCK
-and SEGMENT, not by x, and a walk whose processes would pass WALK_BYTES_CAP
-stops before it starts.
+count.  Every scan runs on one vectorised kernel over blocks of consecutive
+primes: it reduces each alpha mod p exactly, factors p-1 over the base
+primes <= sqrt(x) inside the block, and reads the q-parts of ind_p(alpha)
+off float64 or int64 modular powers (arith.powmod), its 2-parts first off
+the quadratic character (arith.square_mask).  A scan reads only the q-parts
+its specs need: each spec gives every alpha a q-part plan (_spec_plans),
+specs sharing an alpha take the per-q maximum, and each alpha raises its
+2-part, then its odd q-parts, only on the primes where some spec can still
+match (scan_many); `block_indices` raises them on every prime.  Memory is
+bounded by _BLOCK and SEGMENT, not by x, and a walk whose processes would
+pass WALK_BYTES_CAP stops before it starts.
 """
 
 from __future__ import annotations
@@ -151,30 +153,29 @@ def _excluded(alphas: Sequence[FactoredRational], level: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _matches(spec: ConditionSpec, ind: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """Mask of the primes meeting the spec's mode and Frobenius condition,
-    given one row of indices per alpha of the spec."""
-    mode = spec.mode
+def _alpha_ok(mode, k: int, ind: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Mask of the primes at which the index `ind` of the mode's k-th alpha
+    meets the mode's condition on it."""
     if isinstance(mode, IndexFixed):
-        ok = (ind == np.array(mode.T)[:, None]).all(axis=0)
-    elif isinstance(mode, OrderAP):
-        d = np.array(mode.d)[:, None]
-        ok = ((primes - 1) // ind % d == np.array(mode.a)[:, None] % d).all(axis=0)
-    else:
-        # k is in S when it is one of a finite set's values or k = a (mod d);
-        # indices are always >= 1, so a progression needs no k >= 1 test
-        ok = np.all(
-            [np.isin(i, s.values) if s.kind == "finite" else i % s.d == s.a
-             for s, i in zip(mode.S, ind)],
-            axis=0,
-        )
-    if spec.frobenius is not None:
-        f, C = spec.frobenius
-        # a scanned prime p is at most SCAN_X_CAP: past the cap p mod f = p,
-        # with no int64 reduction, and a class past the cap holds no prime
-        residues = primes % f if f <= SCAN_X_CAP else primes
-        ok &= np.isin(residues, sorted(c for c in C if c <= SCAN_X_CAP))
-    return ok
+        return ind == mode.T[k]
+    if isinstance(mode, OrderAP):
+        d = mode.d[k]
+        return (primes - 1) // ind % d == mode.a[k] % d
+    # k is in S when it is one of a finite set's values or k = a (mod d);
+    # indices are always >= 1, so a progression needs no k >= 1 test
+    s = mode.S[k]
+    return np.isin(ind, s.values) if s.kind == "finite" else ind % s.d == s.a
+
+
+def _frobenius_ok(spec: ConditionSpec, primes: np.ndarray) -> np.ndarray:
+    """Mask of the primes meeting the spec's Frobenius condition."""
+    if spec.frobenius is None:
+        return np.ones(primes.size, dtype=bool)
+    f, C = spec.frobenius
+    # a scanned prime p is at most SCAN_X_CAP: past the cap p mod f = p,
+    # with no int64 reduction, and a class past the cap holds no prime
+    residues = primes % f if f <= SCAN_X_CAP else primes
+    return np.isin(residues, sorted(c for c in C if c <= SCAN_X_CAP))
 
 
 # ---------------------------------------------------------------------------
@@ -256,57 +257,71 @@ def _spec_plans(spec: ConditionSpec) -> list[tuple]:
     return [_set_plan(s) for s in mode.S]
 
 
-def block_indices(
-    primes: np.ndarray,
-    alphas: Sequence[FactoredRational],
-    plans: Sequence[tuple],
-) -> np.ndarray:
-    """prod_q q^min(v_q(ind), cap_q) for ind = ind_p(alpha) = (p-1)/ord_p(alpha),
-    for a block of consecutive primes, with one q-part plan per alpha
-    (_FULL_PLAN reads the whole index); shape (len(alphas), n).
+def _q_parts(out, primes, pairs, alpha: FactoredRational, plan: tuple, want) -> None:
+    """Multiply `out` by q^min(v_q(ind), cap_q), ind = ind_p(alpha) =
+    (p-1)/ord_p(alpha), for each pair (row, q, e) of factor_p_minus_1(primes)
+    flagged in `want`, under the q-part plan (rest, caps).
 
-    For each q^e exactly dividing p-1, put c = min(cap_q, e) and b =
+    For q^e exactly dividing p-1, put c = min(cap_q, e) and b =
     alpha^((p-1)/q^c): the order of b is q^max(c - v_q(ind), 0), so the
     least k with b^(q^k) = 1 is found by at most c - 1 raisings to the q-th
     power, and q^(c-k) is the capped q-part.  Pairs with c = 0 cost nothing.
     On q = 2 the quadratic character comes first: 2 | ind iff alpha is a
     square mod p, so a non-square has 2-part 1 and a square with c = 1 has
-    2-part 2, with no power; only squares with c >= 2 are raised.
-    A prime dividing a numerator or denominator gets index p-1 (alpha read
-    as 1) under the full plan; every caller excludes such primes.
+    2-part 2, with no power; only squares with c >= 2 are raised.  The
+    powers run in float64 or int64 (arith.powmod).  A prime dividing a
+    numerator or denominator gets its q-parts of p-1 (alpha read as 1).
     """
-    row, q, e = factor_p_minus_1(primes)
+    row, q, e = pairs
+    rest, caps = plan
+    c = np.full_like(e, rest)
+    for q0, cap in caps.items():
+        c[q == q0] = cap
+    np.minimum(c, e, out=c)
+    j = np.flatnonzero(want & (c > 0))
+    r, qj, c = row[j], q[j], c[j]
+    two = qj == 2
+    square = np.ones_like(two)
+    square[two] = square_mask(alpha, primes[r[two]])
+    out[r[two & square & (c == 1)]] *= 2  # one q = 2 pair per prime at most
+    raised = ~two | (square & (c > 1))
+    r, qj, c = r[raised], qj[raised], c[raised]
+    if not r.size:
+        return
+    p = primes[r]
+    a = np.zeros_like(primes)
+    a[r] = 1
+    at = np.flatnonzero(a)  # alpha mod p once per prime, not per pair
+    a[at] = _alpha_residues(alpha, primes[at])
+    a = a[r]
+    a[a == 0] = 1
+    b = powmod(a, (p - 1) // qj**c, p)
+    k = (b != 1).astype(np.int64)
+    live = np.flatnonzero((b != 1) & (c > 1))
+    b = b[live]
+    while live.size:
+        b = powmod(b, qj[live], p[live])
+        more = b != 1
+        live, b = live[more], b[more]
+        k[live] += 1
+        more = k[live] < c[live]
+        live, b = live[more], b[more]
+    np.multiply.at(out, r, qj ** (c - k))
+
+
+def block_indices(
+    primes: np.ndarray, alphas: Sequence[FactoredRational], plans: Sequence[tuple]
+) -> np.ndarray:
+    """prod_q q^min(v_q(ind), cap_q) for ind = ind_p(alpha), for a block of
+    consecutive primes, with one q-part plan per alpha (_FULL_PLAN reads the
+    whole index); shape (len(alphas), n): _q_parts on every pair of p-1.
+    The scan raises the same body on the primes some spec still needs
+    (scan_many); every caller excludes the primes dividing an alpha.
+    """
+    pairs = factor_p_minus_1(primes)
     ind = np.ones((len(alphas), primes.size), dtype=np.int64)
-    for out, alpha, (rest, caps) in zip(ind, alphas, plans):
-        c = np.full_like(e, rest)
-        for q0, cap in caps.items():
-            c[q == q0] = cap
-        np.minimum(c, e, out=c)
-        j = np.flatnonzero(c)
-        r, qj, c = row[j], q[j], c[j]
-        two = qj == 2
-        square = np.ones_like(two)
-        square[two] = square_mask(alpha, primes[r[two]])
-        out[r[two & square & (c == 1)]] *= 2  # one q = 2 pair per prime at most
-        raised = ~two | (square & (c > 1))
-        r, qj, c = r[raised], qj[raised], c[raised]
-        if not r.size:
-            continue
-        a = _alpha_residues(alpha, primes)[r]
-        p = primes[r]
-        a[a == 0] = 1
-        b = powmod(a, (p - 1) // qj**c, p)
-        k = (b != 1).astype(np.int64)
-        live = np.flatnonzero((b != 1) & (c > 1))
-        b = b[live]
-        while live.size:
-            b = powmod(b, qj[live], p[live])
-            more = b != 1
-            live, b = live[more], b[more]
-            k[live] += 1
-            more = k[live] < c[live]
-            live, b = live[more], b[more]
-        np.multiply.at(out, r, qj ** (c - k))
+    for out, alpha, plan in zip(ind, alphas, plans):
+        _q_parts(out, primes, pairs, alpha, plan, np.ones(pairs[0].size, dtype=bool))
     return ind
 
 
@@ -385,15 +400,24 @@ def scan_many(
 ) -> list[ScanResult]:
     """Scan all primes p <= x once, classifying against every spec.
 
-    Indices are computed once per distinct alpha per prime and shared across
-    the specs.  Results are independent of the worker count.
+    Each distinct alpha's q-parts are raised once per prime and shared by
+    the specs, on demand: live[spec] starts as the considered primes meeting
+    the Frobenius condition, and each alpha in turn reads its 2-part, then
+    its odd q-parts, each only where some spec whose own plan reads that
+    stage is live.  After the 2-part a fixed index t keeps the primes whose
+    2-part is 2^v_2(t), exact since the merged cap on 2 passes v_2(t); after
+    the odd q-parts every spec keeps the primes meeting _alpha_ok, so live
+    ends as the matched primes.  Results are independent of the worker count.
     """
     alphas = list(dict.fromkeys(a for s in specs for a in s.alphas))
-    spec_alpha_idx = [[alphas.index(a) for a in s.alphas] for s in specs]
     plans = [(0, {})] * len(alphas)
-    for spec, idx in zip(specs, spec_alpha_idx):
-        for i, plan in zip(idx, _spec_plans(spec)):
-            plans[i] = _merge_plans(plans[i], plan)
+    users = [[] for _ in alphas]  # (spec, alpha's place in it, (reads 2, reads odd q))
+    for si, spec in enumerate(specs):
+        for k, (alpha, (rest, caps)) in enumerate(zip(spec.alphas, _spec_plans(spec))):
+            i = alphas.index(alpha)
+            plans[i] = _merge_plans(plans[i], (rest, caps))
+            odd = rest > 0 or any(c for q, c in caps.items() if q != 2)
+            users[i].append((si, k, (caps.get(2, rest) > 0, odd)))
     # dyadic checkpoints x // 2^k >= 4, ascending
     thresholds = sorted(x >> k for k in range(1, x.bit_length() - 2)) if checkpoints else []
     bounds = np.array(thresholds, dtype=np.int64)
@@ -405,14 +429,29 @@ def scan_many(
 
     def count(primes: np.ndarray) -> np.ndarray:
         """counts[spec, 0 matched | 1 considered, checkpoint bucket]."""
-        ind = block_indices(primes, alphas, plans)
+        pairs = factor_p_minus_1(primes)
+        odd = pairs[1] != 2
+        considered = [_kept(primes, excl) for excl in spec_excl]
+        live = [c & _frobenius_ok(spec, primes) for c, spec in zip(considered, specs)]
+        for alpha, plan, used in zip(alphas, plans, users):
+            ind = np.ones(primes.size, dtype=np.int64)
+            for stage, in_stage in enumerate((~odd, odd)):
+                demand = np.zeros(primes.size, dtype=bool)
+                for si, _, reads in used:
+                    if reads[stage]:
+                        demand |= live[si]
+                _q_parts(ind, primes, pairs, alpha, plan, in_stage & demand[pairs[0]])
+                for si, k, _ in used:
+                    mode = specs[si].mode
+                    if stage:
+                        live[si] &= _alpha_ok(mode, k, ind, primes)
+                    elif isinstance(mode, IndexFixed):
+                        live[si] &= ind == (mode.T[k] & -mode.T[k])
         bucket = np.searchsorted(bounds, primes)
         counts = np.zeros((len(specs), 2, bounds.size + 1), dtype=np.int64)
-        for si, spec in enumerate(specs):
-            considered = _kept(primes, spec_excl[si])
-            matched = considered & _matches(spec, ind[spec_alpha_idx[si]], primes)
-            counts[si, 0] = np.bincount(bucket[matched], minlength=bounds.size + 1)
-            counts[si, 1] = np.bincount(bucket[considered], minlength=bounds.size + 1)
+        for si in range(len(specs)):
+            counts[si, 0] = np.bincount(bucket[live[si]], minlength=bounds.size + 1)
+            counts[si, 1] = np.bincount(bucket[considered[si]], minlength=bounds.size + 1)
         return counts
 
     zero = np.zeros((len(specs), 2, bounds.size + 1), dtype=np.int64)

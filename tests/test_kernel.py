@@ -1,6 +1,7 @@
 """The vectorised per-prime index kernel against prime-by-prime references."""
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 from orddensity import arith
 from orddensity.arith import (
     POWMOD_FLOAT_BOUND,
+    POWMOD_FLOAT_FROM,
     FactoredRational,
     factorize,
     powmod,
+    prime_list,
     residues,
     segmented_primes,
 )
@@ -233,16 +236,79 @@ def test_scan_many_with_shared_alpha_plans_matches_brute_scan():
             assert (res.matched, res.considered, res.checkpoints) == want[i], configs[i]
 
 
-def test_index_even_scan_makes_no_power():
-    # 2 | ind_p(5) iff 5 is a square mod p, which reciprocity reads off p mod 5
-    elements = []
+@contextmanager
+def powmod_sizes():
+    """The element count of every powmod call the scan makes inside the block."""
+    sizes = []
 
     def spy(base, exp, mod):
         out = powmod(base, exp, mod)
-        elements.append(out.size)
+        sizes.append(out.size)
         return out
 
-    spec = ConditionSpec.make([5], IndexSet((SetDescriptor.progression(0, 2),)))
     with mock.patch.object(empirical, "powmod", spy), mock.patch.object(arith, "powmod", spy):
+        yield sizes
+
+
+def test_index_even_scan_makes_no_power():
+    # 2 | ind_p(5) iff 5 is a square mod p, which reciprocity reads off p mod 5
+    spec = ConditionSpec.make([5], IndexSet((SetDescriptor.progression(0, 2),)))
+    with powmod_sizes() as sizes:
         scan(spec, 10**5)
-    assert sum(elements) == 0
+    assert sum(sizes) == 0
+
+
+# Specs sharing the alphas 3/4, -3 and 12 across every kind of spec: fixed
+# indices with 2-parts 1, 2 and 4, finite index sets with mixed 2-parts,
+# order progressions and Frobenius conditions, in ranks 1 and 2 and with
+# either alpha of a pair first, so the demand of one spec's stage depends
+# on what the alphas before it left live.
+MINUS_THREE, TWELVE = Fraction(-3), Fraction(12)
+STAGED = [
+    ([THREE_QUARTERS], "index", (1,), None),
+    ([THREE_QUARTERS], "index", (2,), None),
+    ([MINUS_THREE], "index", (4,), None),
+    ([TWELVE], "index", (6,), (5, frozenset({1, 4}))),
+    ([THREE_QUARTERS], "index", (12,), None),
+    ([MINUS_THREE, TWELVE], "index", (1, 2), None),
+    ([TWELVE, THREE_QUARTERS], "index", (1, 1), (3, frozenset({2}))),
+    ([THREE_QUARTERS], "indexset", [("finite", (1, 2, 3, 8))], None),
+    ([MINUS_THREE, THREE_QUARTERS], "indexset", [("finite", (2, 6)), ("finite", (1, 4, 12))], None),
+    ([TWELVE], "indexset", [("ap", 0, 4)], (7, frozenset({1, 2, 4}))),
+    ([MINUS_THREE], "order", [(1, 2)], (8, frozenset({3, 7}))),
+    ([TWELVE], "order", [(0, 3)], None),
+    ([THREE_QUARTERS, MINUS_THREE], "order", [(1, 4), (0, 2)], None),
+]
+
+
+def test_staged_scan_past_one_block_matches_brute_scan():
+    # two blocks of primes, whose larger powers run in float64
+    x = 60000
+    assert prime_list(x).size > empirical._BLOCK
+    want = [brute_scan(*cfg, x) for cfg in STAGED]
+    built = [ConditionSpec.make(a, mode_of(m, params), frob) for a, m, params, frob in STAGED]
+    with powmod_sizes() as sizes:
+        results = scan_many(built, x, checkpoints=True)
+    assert max(sizes) >= POWMOD_FLOAT_FROM
+    for cfg, res, w in zip(STAGED, results, want):
+        assert (res.matched, res.considered, res.checkpoints) == w, cfg
+    for cfg, spec, w in zip(STAGED, built, want):
+        res = scan(spec, x, checkpoints=True)
+        assert (res.matched, res.considered, res.checkpoints) == w, cfg
+
+
+def test_acceptance_scan_powmod_elements_pinned():
+    # the five acceptance specs at 10^6 raise only where some spec can still
+    # match: 457,182 elements when every read q-part was raised on every prime
+    both_even = IndexSet((SetDescriptor.progression(0, 2),) * 2)
+    specs = [
+        ConditionSpec.make([2], IndexFixed((1,))),
+        ConditionSpec.make([2], OrderAP((0,), (2,))),
+        ConditionSpec.make([2, 3], IndexFixed((1, 1))),
+        ConditionSpec.make([2], OrderAP((1,), (2,)), frobenius=(4, {3})),
+        ConditionSpec.make([2, 5], both_even),
+    ]
+    with powmod_sizes() as sizes:
+        results = scan_many(specs, 10**6)
+    assert [r.matched for r in results] == [29341, 55550, 11578, 19669, 19579]
+    assert sum(sizes) == 196966
