@@ -247,8 +247,8 @@ def _order_plan(a: int, d: int) -> tuple:
 
 
 def _spec_plans(spec: ConditionSpec) -> list[tuple]:
-    """One q-part plan per alpha of the spec: _matches gives the same mask on
-    the capped indices as on the full ones."""
+    """One q-part plan per alpha of the spec: _alpha_ok gives the same mask on
+    indices capped by it, or by any larger caps, as on the full ones."""
     mode = spec.mode
     if isinstance(mode, IndexFixed):
         return [_fixed_plan(t) for t in mode.T]

@@ -1,5 +1,6 @@
 """Shared independent oracles and fixed test matrices."""
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -248,6 +249,7 @@ def residue_check_fraction(
     return hit, total
 
 
+@functools.lru_cache(maxsize=1 << 15)  # brute_scans of specs sharing an alpha
 def trial_order(a: int, p: int) -> int:
     """Least divisor d of p - 1 with a^d = 1 (mod p); divisors by trial division."""
     n = p - 1
@@ -265,9 +267,11 @@ def brute_scan(alphas, mode: str, params, frobenius, x: int):
     alphas are Fractions; mode is "index" (params = targets t_i), "order"
     (params = (a_i, d_i) pairs) or "indexset" (params = ("finite", values) or
     ("ap", a, d) per alpha); frobenius is None or (f, residues)."""
-    bad = {p for q in alphas for p in range(2, x + 1) if (q.numerator * q.denominator) % p == 0}
+    # a divisor of a nonzero n is at most |n|
+    nd = [abs(q.numerator * q.denominator) for q in alphas]
+    bad = {p for n in nd for p in range(2, min(x, n) + 1) if n % p == 0}
     if frobenius is not None:
-        bad |= {p for p in range(2, x + 1) if frobenius[0] % p == 0}
+        bad |= {p for p in range(2, min(x, frobenius[0]) + 1) if frobenius[0] % p == 0}
     thresholds = []
     t = x // 2
     while t >= 4:
