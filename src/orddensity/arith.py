@@ -145,10 +145,8 @@ _STRIDE_FROM = 64
 # the squares mod l; the larger ones through one modular power.
 LEGENDRE_TABLE_BOUND = 1 << 16
 # powmod multiplies in float64 when every modulus is below this bound
-# (products < 2^50, exact) and the arrays hold at least POWMOD_FLOAT_FROM
-# elements, where its cheaper reduction outweighs its extra numpy calls.
+# (products < 2^50, exact).
 POWMOD_FLOAT_BOUND = 1 << 25
-POWMOD_FLOAT_FROM = 512
 
 
 def residues(n: int, mods: np.ndarray) -> np.ndarray:
@@ -165,12 +163,12 @@ def powmod(base: np.ndarray, exp, mod: np.ndarray) -> np.ndarray:
     """Elementwise base^exp mod `mod` (exp >= 0, 1 < mod <= 3*10^9 so every
     int64 product stays below 2^63); arguments broadcast against each other.
 
-    Arrays of at least POWMOD_FLOAT_FROM elements whose moduli are all below
-    POWMOD_FLOAT_BOUND = 2^25 run in float64, over the exponent bits from the
-    top: square, then multiply by base where the bit is set, reducing each
-    product t as r = t - floor(t * (1/m)) * m, and one int64 % at the end.
-    Anything else runs the int64 square-and-multiply, one int64 % per
-    product, which is the only path exact for moduli up to SCAN_X_CAP.
+    Arrays whose moduli are all below POWMOD_FLOAT_BOUND = 2^25 run in
+    float64, over the exponent bits from the top: square, then multiply by
+    base where the bit is set, reducing each product t as
+    r = t - floor(t * (1/m)) * m, and one int64 % at the end.  Anything else
+    runs the int64 square-and-multiply, one int64 % per product, which is the
+    only path exact for moduli up to SCAN_X_CAP.
 
     The float path is exact.  Its values stay in [0, m], so every product
     t <= m^2 < 2^50 is an exact float64, as are floor(...) * m <= t and
@@ -179,19 +177,10 @@ def powmod(base: np.ndarray, exp, mod: np.ndarray) -> np.ndarray:
     t/m lies at least 1/m inside (floor(t/m), floor(t/m) + 1), so the floor
     is exact and r = t mod m; when m divides t the floor may fall one
     short, giving r = m in place of 0, which the final % maps to 0.
-
-    The float reduction costs about half an int64 % per element, but each
-    bit takes more numpy calls and the path converts its inputs first, so
-    small arrays keep the int loop.  Timed on one core of a shared VM with
-    21- to 25-bit moduli: with 23-bit exponents the two paths cost the same
-    at 200 to 300 elements, and the float path takes 323 us against 438 at
-    1,000 and 1.7 ms against 2.8 at 10,000; with the 2- to 4-bit exponents
-    of the order search's q-th powers it costs 5 to 25% more up to 1,000
-    elements and the same at 4,096.  POWMOD_FLOAT_FROM = 512 lies between.
     """
     base = base % mod
     exp = np.array(exp, dtype=np.int64)
-    if base.size >= POWMOD_FLOAT_FROM and np.max(mod, initial=0) < POWMOD_FLOAT_BOUND:
+    if np.max(mod, initial=0) < POWMOD_FLOAT_BOUND:
         m = np.asarray(mod, dtype=np.float64)
         inv = 1.0 / m
         base_minus_1 = base - 1.0

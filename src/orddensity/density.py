@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
+import numpy as np
+
 from .arith import FactoredRational, as_int, crt_merge, factorize, moebius, phi_sieve
 from .eulerseries import KahanSum, phi_lcm_tail
 from .kummer import DEFAULT_CACHE, AlphaBoxes, DegreeCache, exponent_minor_gcd
@@ -250,8 +252,6 @@ def _inverse(x, n):
     extended Euclidean algorithm on (n, x), stepped on every pair whose
     remainder is not yet zero.  It keeps a = s * x and b = t * x (mod n), so
     s * x = gcd = 1 when b reaches 0."""
-    import numpy as np
-
     a, b = n, x % n
     s, t = np.zeros_like(n), np.ones_like(n)
     while (b != 0).any():
@@ -277,8 +277,6 @@ def _one_candidate(view: AlphaBoxes, members: list, v, M, congruences: list):
     and, lifted to the odd c or c + M, fixes every witness: one `view.fixes`
     gather per member, over the terms that hold it.  With no congruence the
     one candidate, c = 1, acts as sigma_1 and counts untested."""
-    import numpy as np
-
     if not congruences:
         return np.ones(len(M), dtype=np.int64)
 
@@ -339,8 +337,6 @@ def evaluate(
     Python's int / int does.  Otherwise the chunk runs on arrays of Python
     ints.  The quotients of nonzero counts are Kahan-summed in term order.
     """
-    import numpy as np
-
     mode, order = spec.mode, None
     caps = (nmax, tmax)
     tail_caps = [nmax] * spec.rank

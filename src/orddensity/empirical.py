@@ -8,14 +8,14 @@ merged by addition in segment order, so results are identical for any worker
 count.  Every scan runs on one vectorised kernel over blocks of consecutive
 primes: it reduces each alpha mod p exactly, factors p-1 over the base
 primes <= sqrt(x) inside the block, and reads the q-parts of ind_p(alpha)
-off float64 or int64 modular powers (arith.powmod), its 2-parts first off
-the quadratic character (arith.square_mask).  A scan reads only the q-parts
-its specs need: each spec gives every alpha a q-part plan (_spec_plans),
-specs sharing an alpha take the per-q maximum, and each alpha raises its
-2-part, then its odd q-parts, only on the primes where some spec can still
-match (scan_many); `block_indices` raises them on every prime.  Memory is
-bounded by _BLOCK and SEGMENT, not by x, and a walk whose processes would
-pass WALK_BYTES_CAP stops before it starts.
+off the quadratic character (arith.square_mask) and one modular power per
+stage (arith.powmod), whose rows test q^j | ind for each j up to the cap.
+A scan reads only the q-parts its specs need: each spec gives every alpha a
+q-part plan (_spec_plans), specs sharing an alpha take the per-q maximum,
+and each alpha raises its 2-part, then its odd q-parts, only on the primes
+where some spec can still match (scan_many).  Memory is bounded by _BLOCK
+and SEGMENT, not by x, and a walk whose processes would pass WALK_BYTES_CAP
+stops before it starts.
 """
 
 from __future__ import annotations
@@ -159,12 +159,20 @@ def _alpha_ok(mode, k: int, ind: np.ndarray, primes: np.ndarray) -> np.ndarray:
     if isinstance(mode, IndexFixed):
         return ind == mode.T[k]
     if isinstance(mode, OrderAP):
-        d = mode.d[k]
-        return (primes - 1) // ind % d == mode.a[k] % d
-    # k is in S when it is one of a finite set's values or k = a (mod d);
-    # indices are always >= 1, so a progression needs no k >= 1 test
-    s = mode.S[k]
-    return np.isin(ind, s.values) if s.kind == "finite" else ind % s.d == s.a
+        v, a, d = (primes - 1) // ind, mode.a[k], mode.d[k]
+    else:
+        # k is in S when it is one of a finite set's values or k = a (mod d);
+        # indices are always >= 1, so a progression needs no k >= 1 test
+        s = mode.S[k]
+        if s.kind == "finite":
+            return np.isin(ind, s.values)
+        v, a, d = ind, s.a, s.d
+    # ord and ind are below a scanned prime p <= SCAN_X_CAP: past the cap
+    # v mod d = v, with no int64 reduction, and a residue past the cap
+    # matches no prime
+    if d > SCAN_X_CAP:
+        return v == a % d if a % d <= SCAN_X_CAP else np.zeros(v.size, dtype=bool)
+    return v % d == a % d
 
 
 def _frobenius_ok(spec: ConditionSpec, primes: np.ndarray) -> np.ndarray:
@@ -262,15 +270,16 @@ def _q_parts(out, primes, pairs, alpha: FactoredRational, plan: tuple, want) -> 
     (p-1)/ord_p(alpha), for each pair (row, q, e) of factor_p_minus_1(primes)
     flagged in `want`, under the q-part plan (rest, caps).
 
-    For q^e exactly dividing p-1, put c = min(cap_q, e) and b =
-    alpha^((p-1)/q^c): the order of b is q^max(c - v_q(ind), 0), so the
-    least k with b^(q^k) = 1 is found by at most c - 1 raisings to the q-th
-    power, and q^(c-k) is the capped q-part.  Pairs with c = 0 cost nothing.
-    On q = 2 the quadratic character comes first: 2 | ind iff alpha is a
-    square mod p, so a non-square has 2-part 1 and a square with c = 1 has
-    2-part 2, with no power; only squares with c >= 2 are raised.  The
-    powers run in float64 or int64 (arith.powmod).  A prime dividing a
-    numerator or denominator gets its q-parts of p-1 (alpha read as 1).
+    For q^e exactly dividing p-1 and j <= e, q^j | ind iff
+    alpha^((p-1)/q^j) = 1 (mod p), and the j at which it holds form an
+    initial segment: so with c = min(cap_q, e), min(v_q(ind), c) is the
+    number of j in [1, c] at which that power is 1.  Each pair expands into
+    its rows (pair, j), and one modular power (arith.powmod) over the rows of
+    every pair counts them.  On q = 2 the row j = 1 is the quadratic
+    character (arith.square_mask): a non-square has no rows and 2-part 1, and
+    a square's rows start at j = 2.  Pairs with c = 0 cost nothing.  A prime
+    dividing a numerator or denominator reads alpha as 1, so every row is 1
+    and it gets its q-parts of p-1.
     """
     row, q, e = pairs
     rest, caps = plan
@@ -278,51 +287,27 @@ def _q_parts(out, primes, pairs, alpha: FactoredRational, plan: tuple, want) -> 
     for q0, cap in caps.items():
         c[q == q0] = cap
     np.minimum(c, e, out=c)
-    j = np.flatnonzero(want & (c > 0))
-    r, qj, c = row[j], q[j], c[j]
-    two = qj == 2
-    square = np.ones_like(two)
-    square[two] = square_mask(alpha, primes[r[two]])
-    out[r[two & square & (c == 1)]] *= 2  # one q = 2 pair per prime at most
-    raised = ~two | (square & (c > 1))
-    r, qj, c = r[raised], qj[raised], c[raised]
-    if not r.size:
-        return
-    p = primes[r]
-    a = np.zeros_like(primes)
-    a[r] = 1
-    at = np.flatnonzero(a)  # alpha mod p once per prime, not per pair
-    a[at] = _alpha_residues(alpha, primes[at])
-    a = a[r]
-    a[a == 0] = 1
-    b = powmod(a, (p - 1) // qj**c, p)
-    k = (b != 1).astype(np.int64)
-    live = np.flatnonzero((b != 1) & (c > 1))
-    b = b[live]
-    while live.size:
-        b = powmod(b, qj[live], p[live])
-        more = b != 1
-        live, b = live[more], b[more]
-        k[live] += 1
-        more = k[live] < c[live]
-        live, b = live[more], b[more]
-    np.multiply.at(out, r, qj ** (c - k))
-
-
-def block_indices(
-    primes: np.ndarray, alphas: Sequence[FactoredRational], plans: Sequence[tuple]
-) -> np.ndarray:
-    """prod_q q^min(v_q(ind), cap_q) for ind = ind_p(alpha), for a block of
-    consecutive primes, with one q-part plan per alpha (_FULL_PLAN reads the
-    whole index); shape (len(alphas), n): _q_parts on every pair of p-1.
-    The scan raises the same body on the primes some spec still needs
-    (scan_many); every caller excludes the primes dividing an alpha.
-    """
-    pairs = factor_p_minus_1(primes)
-    ind = np.ones((len(alphas), primes.size), dtype=np.int64)
-    for out, alpha, plan in zip(ind, alphas, plans):
-        _q_parts(out, primes, pairs, alpha, plan, np.ones(pairs[0].size, dtype=bool))
-    return ind
+    keep = np.flatnonzero(want & (c > 0))
+    r, q, c = row[keep], q[keep], c[keep]
+    two = q == 2
+    ones = np.zeros_like(c)  # the j counted so far: row j = 1 of a square
+    ones[two] = square_mask(alpha, primes[r[two]])
+    n = c - ones  # rows j = ones + 1, ..., c
+    n[two & (ones == 0)] = 0
+    pair = np.repeat(np.arange(c.size), n)
+    if pair.size:
+        j = np.arange(pair.size) - np.repeat(np.cumsum(n) - n, n) + ones[pair] + 1
+        rp = r[pair]
+        a = np.zeros_like(primes)
+        a[rp] = 1
+        at = np.flatnonzero(a)  # alpha mod p once per prime, not per row
+        a[at] = _alpha_residues(alpha, primes[at])
+        a = a[rp]
+        a[a == 0] = 1
+        p = primes[rp]
+        one = powmod(a, (p - 1) // q[pair] ** j, p) == 1
+        ones += np.bincount(pair[one], minlength=c.size)
+    np.multiply.at(out, r, q**ones)
 
 
 def check_scan_bound(x: int, workers: int = 1) -> int:

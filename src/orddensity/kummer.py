@@ -49,6 +49,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .arith import FactoredRational, ResourceCapError, as_int, euler_phi
 from .cyclo import RadicalValue, conductor, fixed_by, radical_product
 
@@ -183,8 +185,6 @@ class AlphaBoxes:
         converts to float64 exactly, and otherwise passes Python ints.  The
         divisibility of phi(M) * prod(m_i) by |Rel| is asserted over the
         whole array."""
-        import numpy as np
-
         sides = tuple(math.lcm(*set(np.gcd(mi, self.two_delta).tolist())) for mi in m)
         rel = np.ones(len(M), dtype=np.int64)
         members = []
@@ -225,8 +225,6 @@ class AlphaBoxes:
         a table over the residues mod P, built with fixed_by on first use
         (the residues that share a prime with P, which no such c meets, are
         False).  A P past TABLE_CAP asks fixed_by for each c."""
-        import numpy as np
-
         period = math.lcm(value.zeta_order, conductor(value.d), 2)
         if period > TABLE_CAP:
             return np.array([fixed_by(x, value, period) for x in c.tolist()], dtype=bool)

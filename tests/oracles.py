@@ -1,4 +1,5 @@
-"""Shared independent oracles and fixed test matrices."""
+"""Shared independent oracles and fixed test matrices, and `block_indices`,
+the scan kernel's full read of a block for the kernel tests."""
 
 import functools
 import itertools
@@ -7,11 +8,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from orddensity.arith import (
     FactoredRational,
     ResourceCapError,
     crt_pair,
     euler_phi,
+    factor_p_minus_1,
     kronecker,
     moebius,
     prime_list,
@@ -31,6 +35,7 @@ from orddensity.density import (
     _scaled_tail,
     _tail_grids,
 )
+from orddensity.empirical import _q_parts
 from orddensity.kummer import (
     DEFAULT_CACHE,
     FieldSpec,
@@ -258,6 +263,28 @@ def trial_order(a: int, p: int) -> int:
         if pow(a, d, p) == 1:
             return d
     raise ValueError(f"{a} is not a unit mod {p}")
+
+
+def artin_euler_product(limit=10**6) -> float:
+    """prod_{p <= limit} (1 - 1/(p(p - 1))), Artin's constant truncated."""
+    prod = 1.0
+    for p in prime_list(limit):
+        p = float(p)
+        prod *= 1.0 - 1.0 / (p * (p - 1.0))
+    return prod
+
+
+def block_indices(primes: np.ndarray, alphas: Sequence[FactoredRational], plans) -> np.ndarray:
+    """prod_q q^min(v_q(ind), cap_q) for ind = ind_p(alpha), shape
+    (len(alphas), n): the scan kernel's _q_parts on every pair of p - 1 of a
+    block of consecutive primes, one q-part plan per alpha (_FULL_PLAN reads
+    the whole index).  Not an oracle: the kernel tests check it against
+    trial-division orders."""
+    pairs = factor_p_minus_1(primes)
+    ind = np.ones((len(alphas), primes.size), dtype=np.int64)
+    for out, alpha, plan in zip(ind, alphas, plans):
+        _q_parts(out, primes, pairs, alpha, plan, np.ones(pairs[0].size, dtype=bool))
+    return ind
 
 
 def brute_scan(alphas, mode: str, params, frobenius, x: int):

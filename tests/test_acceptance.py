@@ -33,6 +33,7 @@ from orddensity.kummer import DegreeCache, FieldSpec, failure_ratio, kummer_degr
 
 from oracles import (
     TRUE_POWER_TRIPLES,
+    artin_euler_product,
     count_automorphisms,
     inverse_n_phi_sum,
     is_nth_power_residue,
@@ -96,14 +97,6 @@ FIVE_CONFIGS = [
 def report(name, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
-
-
-def artin_euler_product(limit=10**6) -> float:
-    prod = 1.0
-    for p in prime_list(limit):
-        p = float(p)
-        prod *= 1.0 - 1.0 / (p * (p - 1.0))
-    return prod
 
 
 @pytest.fixture(scope="session")

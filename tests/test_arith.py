@@ -1,13 +1,11 @@
 import math
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orddensity import arith
 from orddensity.arith import (
     POWMOD_FLOAT_BOUND,
     SCAN_X_CAP,
@@ -270,12 +268,11 @@ POWMOD_MODULI = [
 @given(
     seed=st.integers(0, 2**32 - 1),
     exp_kind=st.sampled_from(["zero", "scalar", "array"]),
-    float_from=st.sampled_from([arith.POWMOD_FLOAT_FROM, 10**9]),
 )
-def test_powmod_matches_pow(seed, exp_kind, float_from):
+def test_powmod_matches_pow(seed, exp_kind):
     # bases 0, 1, m - 1, m - 2 and a random one (negative too) per modulus;
-    # at the module's size threshold the arrays below the bound run in
-    # float64, and at 10^9 every array runs the int64 loop
+    # the moduli below the bound run in float64 and the others in int64, on
+    # whole arrays and on 7-element slices
     rng = np.random.default_rng(seed)
     for mods in POWMOD_MODULI:
         m = np.repeat(mods, 5)
@@ -286,22 +283,23 @@ def test_powmod_matches_pow(seed, exp_kind, float_from):
             "scalar": rng.integers(1, 2**62),
             "array": np.concatenate([[0, 1, 2, 3], rng.integers(0, 2**62, m.size - 4)]),
         }[exp_kind]
-        with mock.patch.object(arith, "POWMOD_FLOAT_FROM", float_from):
-            for part in (slice(None), slice(7)):  # 7 elements are below any threshold
-                b, e, n = base[part], exp if exp.ndim == 0 else exp[part], m[part]
-                args = zip(b.tolist(), np.broadcast_to(e, b.shape).tolist(), n.tolist())
-                want = [pow(*t) for t in args]
-                got = powmod(b, e, n)
-                assert got.dtype == np.int64 and got.tolist() == want
+        for part in (slice(None), slice(7)):
+            b, e, n = base[part], exp if exp.ndim == 0 else exp[part], m[part]
+            args = zip(b.tolist(), np.broadcast_to(e, b.shape).tolist(), n.tolist())
+            want = [pow(*t) for t in args]
+            got = powmod(b, e, n)
+            assert got.dtype == np.int64 and got.tolist() == want
 
 
-@pytest.mark.parametrize("float_from", [0, 10**9])
-def test_powmod_of_empty_arrays(float_from):
+# empty moduli run in float64; one modulus past the bound runs the int64 loop
+@pytest.mark.parametrize(
+    "mod", [np.empty(0, dtype=np.int64), np.int64(SCAN_X_CAP - 63)], ids=["float64", "int64"]
+)
+def test_powmod_of_empty_arrays(mod):
     empty = np.empty(0, dtype=np.int64)
-    with mock.patch.object(arith, "POWMOD_FLOAT_FROM", float_from):
-        for exp in (0, 5, empty):
-            out = powmod(empty, exp, empty)
-            assert out.dtype == np.int64 and out.shape == (0,)
+    for exp in (0, 5, empty):
+        out = powmod(empty, exp, mod)
+        assert out.dtype == np.int64 and out.shape == (0,)
 
 
 # one alpha per rule of square_mask: sign, (2/p), the reciprocity flip,

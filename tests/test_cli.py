@@ -185,6 +185,23 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys, monkeypatch):
         assert not good.exists()  # a path the check creates is removed again
 
 
+# an order or progression modulus past int64 reduces nothing: ord_p(2) = 1
+# at no prime, and ind_p(2) = 1 at the primes with 2 as a primitive root
+@pytest.mark.parametrize("command", ["scan", "compare"])
+@pytest.mark.parametrize(
+    "spec, matched",
+    [
+        (["--mode", "order", "--a", "1", "--d", str(2**63)], 0),
+        (["--mode", "indexset", "--s", f"ap:1:{2**63}"], 67),
+    ],
+    ids=["order", "indexset"],
+)
+def test_moduli_past_int64_exit_0(tmp_path, capsys, command, spec, matched):
+    code, doc = run(tmp_path, command, "--alpha", "2", *spec, "--x", "1000")
+    assert code == 0 and "Traceback" not in capsys.readouterr().err
+    assert (doc if command == "scan" else doc["scan"])["matched"] == matched
+
+
 X_PAST_CAP = str(empirical.SCAN_X_CAP + 1)
 NMAX_PAST_CAP = "5000001"  # its tail grid 4 * nmax passes phi_lcm_tail's rank-1 cap
 

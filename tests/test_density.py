@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orddensity.arith import FactoredRational, euler_phi, prime_list
+from orddensity.arith import FactoredRational, euler_phi
 from orddensity.density import (
     ConditionSpec,
     IndexFixed,
@@ -22,18 +22,10 @@ from orddensity import density, kummer
 from orddensity.eulerseries import phi_lcm_tail
 from orddensity.kummer import DegreeCache, FieldSpec, kummer_degree
 
-from oracles import _count_units, count_automorphisms, scalar_series
+from oracles import _count_units, artin_euler_product, count_automorphisms, scalar_series
 
 TWO = (FactoredRational.of(2),)  # the alphas of a spec or field built directly
 EVEN = SetDescriptor.progression(0, 2)
-
-
-def artin_euler_product(limit=10**6) -> float:
-    prod = 1.0
-    for p in prime_list(limit):
-        p = float(p)
-        prod *= 1.0 - 1.0 / (p * (p - 1.0))
-    return prod
 
 
 def test_artin_constant_from_series():

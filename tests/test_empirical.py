@@ -30,7 +30,6 @@ from orddensity.density import (
 from orddensity.empirical import (
     _FULL_PLAN,
     _excluded,
-    block_indices,
     compare,
     li,
     scan,
@@ -39,7 +38,7 @@ from orddensity.empirical import (
 )
 from orddensity.kummer import FieldSpec, kummer_degree
 
-from oracles import residue_check_fraction
+from oracles import block_indices, residue_check_fraction
 
 
 def brute_order(a, p):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from orddensity import arith
 from orddensity.arith import (
     POWMOD_FLOAT_BOUND,
-    POWMOD_FLOAT_FROM,
     FactoredRational,
     factorize,
     powmod,
@@ -28,9 +27,9 @@ from orddensity.density import (
     multiplicatively_independent,
 )
 from orddensity import empirical
-from orddensity.empirical import _FULL_PLAN, block_indices, scan, scan_many
+from orddensity.empirical import _FULL_PLAN, scan, scan_many
 
-from oracles import brute_scan, trial_order
+from oracles import block_indices, brute_scan, trial_order
 
 BIG_ALPHA = 3**41 * 5  # does not fit in int64
 
@@ -172,9 +171,9 @@ q_plan = st.tuples(
 )
 
 
-# blocks (lo, width): narrow ones from 2 up and below the scan cap; wide
-# ones below POWMOD_FLOAT_BOUND, whose powers mostly hold more than
-# POWMOD_FLOAT_FROM elements and so run in float64; and ones across 2^25
+# blocks (lo, width): narrow ones from 2 up, whose powers run in float64,
+# and below the scan cap, in int64; 4,000-wide ones below POWMOD_FLOAT_BOUND,
+# whose one power per alpha holds thousands of rows; and ones across 2^25
 # (the first prime past it is 2^25 + 35), whose powers all run in int64
 BLOCKS = st.one_of(
     st.tuples(st.integers(2, 10**6), st.integers(1, 600)),
@@ -236,6 +235,28 @@ def test_scan_many_with_shared_alpha_plans_matches_brute_scan():
             assert (res.matched, res.considered, res.checkpoints) == want[i], configs[i]
 
 
+# moduli past int64: every scanned ord and ind is below d, so v = a (mod d)
+# holds only at v = a, and a residue past the scan cap holds at no prime
+HUGE = 2**64
+HUGE_MODULI = [
+    ([TWO], "order", [(HUGE + 11, HUGE)], None),  # ord_p(2) = 11: p = 23, 89
+    ([TWO], "order", [(HUGE - 1, HUGE)], None),
+    ([TWO], "indexset", [("ap", 1, HUGE)], None),
+    ([TWO], "indexset", [("ap", HUGE + 2, HUGE)], (4, frozenset({1}))),
+    ([TWO], "indexset", [("ap", 2**63, HUGE)], None),
+    ([THREE_QUARTERS, TWO], "order", [(1, 2), (HUGE + 11, HUGE)], None),
+]
+
+
+def test_scan_with_moduli_past_int64_matches_brute_scan():
+    x = 5000
+    want = [brute_scan(*cfg, x) for cfg in HUGE_MODULI]
+    assert [w[0] for w in want] == [2, 0, 255, 65, 0, 1]
+    built = [ConditionSpec.make(a, mode_of(m, params), frob) for a, m, params, frob in HUGE_MODULI]
+    for cfg, res, w in zip(HUGE_MODULI, scan_many(built, x, checkpoints=True), want):
+        assert (res.matched, res.considered, res.checkpoints) == w, cfg
+
+
 @contextmanager
 def powmod_sizes():
     """The element count of every powmod call the scan makes inside the block."""
@@ -282,14 +303,17 @@ STAGED = [
 
 
 def test_staged_scan_past_one_block_matches_brute_scan():
-    # two blocks of primes, whose larger powers run in float64
+    # two blocks of primes; every power runs in float64, whatever its size,
+    # so what needs checking is that the stages raise at all: each alpha
+    # raises at most one q-part power per stage and block, and 3/4 one
+    # denominator inverse with each
     x = 60000
     assert prime_list(x).size > empirical._BLOCK
     want = [brute_scan(*cfg, x) for cfg in STAGED]
     built = [ConditionSpec.make(a, mode_of(m, params), frob) for a, m, params, frob in STAGED]
     with powmod_sizes() as sizes:
         results = scan_many(built, x, checkpoints=True)
-    assert max(sizes) >= POWMOD_FLOAT_FROM
+    assert 0 < len(sizes) <= 2 * 2 * (3 + 1)
     for cfg, res, w in zip(STAGED, results, want):
         assert (res.matched, res.considered, res.checkpoints) == w, cfg
     for cfg, spec, w in zip(STAGED, built, want):
@@ -299,7 +323,10 @@ def test_staged_scan_past_one_block_matches_brute_scan():
 
 def test_acceptance_scan_powmod_elements_pinned():
     # the five acceptance specs at 10^6 raise only where some spec can still
-    # match: 457,182 elements when every read q-part was raised on every prime
+    # match: 457,182 elements when every read q-part was raised on every prime.
+    # One power per stage that has rows: 20 blocks times the 2-part and odd
+    # stages of 2 and the odd stage of 3 (5's 2-part and 3's are the
+    # quadratic character alone), where an order search made 296 calls
     both_even = IndexSet((SetDescriptor.progression(0, 2),) * 2)
     specs = [
         ConditionSpec.make([2], IndexFixed((1,))),
@@ -311,4 +338,5 @@ def test_acceptance_scan_powmod_elements_pinned():
     with powmod_sizes() as sizes:
         results = scan_many(specs, 10**6)
     assert [r.matched for r in results] == [29341, 55550, 11578, 19669, 19579]
-    assert sum(sizes) == 196966
+    assert len(sizes) == 60
+    assert sum(sizes) == 193752
