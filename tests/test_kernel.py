@@ -51,9 +51,10 @@ def check_block(alphas, lo, width):
         primes, [FactoredRational.from_fraction(q) for q in alphas], [_FULL_PLAN] * len(alphas)
     )
     assert ind.shape == (len(alphas), primes.size)
+    # a prime dividing alpha reads it as 1, whose index is p - 1
     for q, row in zip(alphas, ind.tolist()):
-        for got, want in zip(row, expected_indices(q, primes)):
-            assert want is None or got == want
+        for got, want, p in zip(row, expected_indices(q, primes), primes.tolist()):
+            assert got == (p - 1 if want is None else want)
 
 
 nonunit = st.integers(-10**6, 10**6).filter(lambda n: n not in (-1, 0, 1))
