@@ -303,76 +303,24 @@ def _one_candidate(view: AlphaBoxes, members: list, v, M, congruences: list):
     return count
 
 
-def evaluate(
-    spec: ConditionSpec,
-    nmax: int = DEFAULT_NMAX,
-    tmax: int = DEFAULT_TMAX,
-    *,
-    log_terms: bool = False,
-    cache: Optional[DegreeCache] = None,
-) -> DensityResult:
-    """Density of primes meeting the spec's condition, summed as
-    inclusion-exclusion terms over squarefree N <= nmax, block by block.
-
-    A block (T, congruences, extra_level) fixes the index targets, the unit
-    congruences and the level joined to the field level.  IndexFixed has the
-    one block T; IndexSet has every T in the product of the sets up to tmax.
-    OrderAP sums over T <= tmax with the unit congruence
-    c = 1 + a_i t_i (mod d_i t_i) carrying the progression and the level
-    lcm(d_i t_i); T tuples whose congruence system is unsolvable are skipped
-    (they cover finitely many primes), and so are T with
-    gcd(1 + a_i t_i, d_i) > 1.  The tail estimate covers N and each
-    truncated T variable with the lcm of the failure ratios seen.
-
-    The terms run in chunks of at most _CHUNK, in block order and each
-    block's N in itertools.product order, as arrays of m_i = n_i t_i,
-    M = lcm(m, level), phi(M) and the Moebius products; `AlphaBoxes.field`
-    gives the chunk's degrees, failure ratios and relation-group members.
-    `_one_candidate` counts every term's units: M is the CRT modulus of the
-    term's unit congruences, so each Frobenius class has at most one
-    candidate unit, found and tested over the chunk's arrays.  A chunk runs
-    on int64 and divides mu * count / degree in float64 only when the
-    largest of its blocks' bounds on phi(M) * prod(m_i) lies below 2^53:
-    there every integer converts exactly and the quotient rounds as
-    Python's int / int does.  Otherwise the chunk runs on arrays of Python
-    ints.  The quotients of nonzero counts are Kahan-summed in term order.
-    """
-    mode, order = spec.mode, None
-    caps = (nmax, tmax)
-    tail_caps = [nmax] * spec.rank
-    if isinstance(mode, IndexFixed):
-        blocks: Iterable[_Block] = [(mode.T, (), 1)]
-        caps = (nmax, 0)
-    elif isinstance(mode, IndexSet):
-        blocks = ((T, (), 1) for T in itertools.product(*(s.upto(tmax) for s in mode.S)))
-        tail_caps += [tmax for s in mode.S if s.truncated_above(tmax)]
-    else:
-        blocks = _order_blocks(tuple(a % d for a, d in zip(mode.a, mode.d)), mode.d, tmax)
-        tail_caps += [tmax] * spec.rank
-        order = mode
-    grids = _tail_grids(tail_caps)  # any cap error fires before the series runs
-    frobenius = spec.frobenius
-    f = frobenius[0] if frobenius else 1
-    moebius_of = np.array([0, *map(moebius, range(1, nmax + 1))], dtype=np.int64)
-    sf = np.flatnonzero(moebius_of).tolist()
-    if order is None:
-        ns = [sf] * spec.rank
-    else:
-        # identity on zeta_(n_i t_i) and the progression action on
-        # zeta_(d_i t_i) must agree on the overlap: a_i t_i = 0 (mod
-        # gcd(d_i, n_i) t_i), that is a_i = 0 (mod gcd(d_i, n_i)) whatever
-        # t_i is; filtering each factor keeps the other terms in order
-        ns = [[n for n in sf if a % math.gcd(d, n) == 0] for a, d in zip(order.a, order.d)]
-    sizes = [len(ns_i) for ns_i in ns]
+def _terms(view: AlphaBoxes, blocks: Iterable[_Block], support: tuple, picks: list,
+           fixed: set[int], frobenius, log: Optional[list]) -> Iterator[tuple]:
+    """The (mu, count, degree, |Rel|) arrays of each run of _chunks, terms in
+    block order and each block's N in itertools.product order, logged to
+    `log` unless it is None.  `support` is ascending arrays of squarefree n,
+    closed under divisors, with mu(n) and phi(n); alpha i takes its n_i from
+    the entries picks[i], and `fixed` holds the primes every block's level
+    adds to its T.  `_one_candidate` counts the units: M is the CRT modulus
+    of a term's unit congruences, so each Frobenius class has at most one
+    candidate.  A run holds int64 when its blocks' bound on phi(M) *
+    prod(m_i) lies below 2^53, where float64 converts every integer
+    exactly, and Python ints otherwise."""
+    n_of, mu_of, phi_of = support
+    ns, mus = ([col[pick] for pick in picks] for col in (n_of, mu_of))
+    sizes = [pick.size for pick in picks]
     size = math.prod(sizes)
-    n_top = math.prod(map(max, ns))
-    ns = [np.array(ns_i, dtype=np.int64) for ns_i in ns]
-    mus = [moebius_of[ns_i] for ns_i in ns]
-    totient = phi_sieve(nmax)
-    # A block's extra level is 1 or lcm(d_i t_i), so the primes of T * level
-    # are those of T, of the d_i and of f
-    moduli = (f, *order.d) if order is not None else (f,)
-    fixed = {p for x in moduli for p, _ in factorize(x).factors}
+    n_top = math.prod(int(ns_i.max()) for ns_i in ns)
+    f = frobenius[0] if frobenius else 1
     primes: dict[int, set[int]] = {}
 
     def radical(T: tuple[int, ...]) -> tuple[int, int]:
@@ -399,25 +347,18 @@ def evaluate(
         M = np.lcm(v, np.array(levels, dtype=dtype)[block])
         # phi(M) = M / R * phi(R) with R = rad(M) = lcm(n_1, ..., n_r,
         # rad(T * level)), as the n_i are squarefree; each step takes
-        # phi(lcm(R, n)) = phi(R) phi(n) / phi(gcd(R, n)), gcd(R, n) <= nmax
+        # phi(lcm(R, n)) = phi(R) phi(n / gcd(R, n)), n / gcd(R, n) in the support
         R, phi = (np.array(col, dtype=dtype)[block] for col in zip(*map(radical, Ts)))
         for n_i in n:
             g = np.gcd(R, n_i)
-            g_int, n_int = (x.astype(np.int64, copy=False) for x in (g, n_i))
-            phi = phi // totient[g_int] * totient[n_int]
+            phi = phi * phi_of[np.searchsorted(n_of, (n_i // g).astype(np.int64, copy=False))]
             R = R // g * n_i
         mu = math.prod(mus_i[k] for mus_i, k in zip(mus, idx))
         return block, m, mu, v, M, M // R * phi
 
-    # the spec is validated, so each term's field Q(zeta_M, alpha_i^(1/m_i))
-    # is read off the alphas' box view without building a FieldSpec
-    view = (cache if cache is not None else DEFAULT_CACHE).view(spec.alphas)
-    log: Optional[list] = [] if log_terms else None
-
     def run(held: list[_Block], start: int, width: int) -> tuple:
-        """(mu * count / degree for the nonzero counts, as float64, and the
-        distinct failure ratios) of a run, whose terms it logs.  Its arrays
-        die on return, so one run's arrays are alive at a time."""
+        """(mu, count, degree, |Rel|) of a run, whose terms it logs.  Its
+        arrays die on return, so one run's arrays are alive at a time."""
         levels = [math.lcm(extra_level, f) for _, _, extra_level in held]
         # phi(M) * prod(m_i) <= M * prod(m_i) <= prod(m_i)^2 * level, and
         # _one_candidate multiplies two residues mod level
@@ -429,7 +370,7 @@ def evaluate(
         block, m, mu, v, M, phi = columns(held, levels, start, width, dtype)
         degree, fail, members = view.field(m, M, phi)
         pairs = [(frobenius[1], f)] if frobenius else []
-        if order is not None:
+        if held[0][1]:
             cols = zip(*(congruences[0] for _, congruences, _ in held))
             residue, level = (np.array(col, dtype=dtype)[block] for col in cols)
             pairs.insert(0, ([residue], level))
@@ -441,17 +382,77 @@ def evaluate(
                 T = held[b][0]
                 N = tuple(x // t for x, t in zip(m_j, T))
                 log.append({"N": N, "T": T, "mu": mu_j, "c": c_j, "degree": deg})
-        quotients = (mu * count / degree)[count != 0]
-        return quotients.astype(float, copy=False), set(fail.tolist())
+        return mu, count, degree, fail
 
-    acc = KahanSum()
-    terms = 0
-    b_seen = 1
     for held, start, width in _chunks(blocks, size):
-        quotients, fails = run(held, start, width)
-        acc.extend(memoryview(quotients))
-        b_seen = math.lcm(b_seen, *fails)
-        terms += width
+        yield run(held, start, width)
+
+
+def evaluate(
+    spec: ConditionSpec,
+    nmax: int = DEFAULT_NMAX,
+    tmax: int = DEFAULT_TMAX,
+    *,
+    log_terms: bool = False,
+    cache: Optional[DegreeCache] = None,
+) -> DensityResult:
+    """Density of primes meeting the spec's condition, summed as
+    inclusion-exclusion terms over squarefree N <= nmax, block by block.
+
+    A block (T, congruences, extra_level) fixes the index targets, the unit
+    congruences and the level joined to the field level.  IndexFixed has the
+    one block T; IndexSet has every T in the product of the sets up to tmax.
+    OrderAP sums over T <= tmax with the unit congruence
+    c = 1 + a_i t_i (mod d_i t_i) carrying the progression and the level
+    lcm(d_i t_i); T tuples whose congruence system is unsolvable are skipped
+    (they cover finitely many primes), and so are T with
+    gcd(1 + a_i t_i, d_i) > 1.  The tail estimate covers N and each
+    truncated T variable with the lcm of the failure ratios seen.
+
+    `_terms` walks the squarefree n <= nmax, mu and phi read off sieves.  Each
+    run divides mu * count / degree in float64, rounded as Python's int / int
+    is, and the quotients of nonzero counts are Kahan-summed in term order.
+    """
+    mode, order = spec.mode, None
+    caps = (nmax, tmax)
+    tail_caps = [nmax] * spec.rank
+    if isinstance(mode, IndexFixed):
+        blocks: Iterable[_Block] = [(mode.T, (), 1)]
+        caps = (nmax, 0)
+    elif isinstance(mode, IndexSet):
+        blocks = ((T, (), 1) for T in itertools.product(*(s.upto(tmax) for s in mode.S)))
+        tail_caps += [tmax for s in mode.S if s.truncated_above(tmax)]
+    else:
+        blocks = _order_blocks(tuple(a % d for a, d in zip(mode.a, mode.d)), mode.d, tmax)
+        tail_caps += [tmax] * spec.rank
+        order = mode
+    grids = _tail_grids(tail_caps)  # any cap error fires before the series runs
+    moebius_of = np.array([0, *map(moebius, range(1, nmax + 1))], dtype=np.int64)
+    sf = np.flatnonzero(moebius_of)
+    support = (sf, moebius_of[sf], phi_sieve(nmax)[sf])
+    if order is None:
+        picks = [np.arange(sf.size)] * spec.rank
+    else:
+        # identity on zeta_(n_i t_i) and the progression action on
+        # zeta_(d_i t_i) must agree on the overlap: a_i t_i = 0 (mod
+        # gcd(d_i, n_i) t_i), that is a_i = 0 (mod gcd(d_i, n_i)) whatever
+        # t_i is; filtering each factor keeps the other terms in order
+        ok = [[a % math.gcd(d, n) == 0 for n in sf.tolist()] for a, d in zip(order.a, order.d)]
+        picks = list(map(np.flatnonzero, ok))
+    # A block's extra level is 1 or lcm(d_i t_i), so the primes of T * level
+    # are those of T, of the d_i and of f
+    moduli = (spec.frobenius[0] if spec.frobenius else 1, *(order.d if order else ()))
+    fixed = {p for x in moduli for p, _ in factorize(x).factors}
+    # the spec is validated, so each term's field Q(zeta_M, alpha_i^(1/m_i))
+    # is read off the alphas' box view without building a FieldSpec
+    view = (cache if cache is not None else DEFAULT_CACHE).view(spec.alphas)
+    log: Optional[list] = [] if log_terms else None
+    acc, terms, b_seen = KahanSum(), 0, 1
+    for mu, count, degree, fail in _terms(view, blocks, support, picks, fixed, spec.frobenius, log):
+        acc.extend(memoryview((mu * count / degree)[count != 0].astype(float, copy=False)))
+        b_seen = math.lcm(b_seen, *set(fail.tolist()))
+        terms += mu.size
+        del mu, count, degree, fail  # before the next run's arrays are made
     return DensityResult(acc.value, terms, caps, _scaled_tail(grids, b_seen), log)
 
 

@@ -5,17 +5,18 @@ splitting fractions, and comparison against the series values.
 Scans and splitting fractions share one walk over the primes, `_walk`:
 data-parallel over fixed-width prime segments, with per-segment counts
 merged by addition in segment order, so results are identical for any worker
-count.  Every scan runs on one vectorised kernel over blocks of consecutive
-primes: it reduces each alpha mod p exactly, factors p-1 over the base
-primes <= sqrt(x) inside the block, and reads the q-parts of ind_p(alpha)
-off the quadratic character (arith.square_mask) and one modular power per
-stage (arith.powmod), whose rows test q^j | ind for each j up to the cap.
+count.  Every scan runs on one vectorised kernel over blocks, the primes of
+windows _BLOCK integers wide: it reduces each alpha mod p exactly, factors
+p-1 over the base primes <= sqrt(x) inside the window, and reads the q-parts
+of ind_p(alpha) off the quadratic character (arith.square_mask) and one
+modular power per stage (arith.powmod), whose rows test q^j | ind for each j
+up to the cap.
 A scan reads only the q-parts its specs need: each spec gives every alpha a
 q-part plan (_spec_plans), specs sharing an alpha take the per-q maximum,
 and each alpha raises its 2-part, then its odd q-parts, only on the primes
-where some spec can still match (scan_many).  Memory is bounded by _BLOCK
-and SEGMENT, not by x, and a walk whose processes would pass WALK_BYTES_CAP
-stops before it starts.
+where some spec can still match (scan_many).  Memory is bounded by the
+widths _BLOCK and SEGMENT, not by x, and a walk whose processes would pass
+WALK_BYTES_CAP stops before it starts.
 """
 
 from __future__ import annotations
@@ -189,9 +190,9 @@ def _frobenius_ok(spec: ConditionSpec, primes: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the per-prime kernel
 
-# Primes per block.  A block's p-1 factorisations and modular powers are held
-# at once, so this bounds the kernel's working memory whatever x and SEGMENT.
-_BLOCK = 4096
+# Integers per block: a block holds the primes of one window of this width,
+# and its p-1 factorisations and modular powers, whatever x and SEGMENT.
+_BLOCK = 1 << 16
 
 
 def _alpha_residues(alpha: FactoredRational, primes: np.ndarray) -> np.ndarray:
@@ -319,10 +320,11 @@ def check_scan_bound(x: int, workers: int = 1) -> int:
     n_segments = (x - 1 + SEGMENT - 1) // SEGMENT
     # Each process holds the interpreter with numpy (30 MB), one segment's
     # sieve flags and int64 primes (under 2 bytes per integer) and one
-    # block's kernel arrays (under 1 KB per prime): 42 MB, where one segment
-    # of the five acceptance specs just below 10^9 peaks at 35 MB RSS.
+    # block's kernel arrays (under 64 bytes per integer of its window): 42 MB,
+    # where one segment of the five acceptance specs just below 10^9 peaks
+    # at 35 MB RSS.
     processes = min(workers, n_segments)
-    need = processes * ((30 << 20) + 2 * SEGMENT + 1024 * _BLOCK)
+    need = processes * ((30 << 20) + 2 * SEGMENT + 64 * _BLOCK)
     if need > WALK_BYTES_CAP:
         raise ResourceCapError(
             f"{processes} scan processes need about {need >> 20} MB,"
@@ -337,19 +339,18 @@ _SCAN: dict = {}
 
 def _segment(idx: int):
     """The walk's count summed over the blocks of segment idx."""
-    st = _SCAN
     lo = 2 + idx * SEGMENT
-    primes = segmented_primes(lo, min(lo + SEGMENT, st["x"] + 1))
-    total = st["zero"]
-    for i in range(0, primes.size, _BLOCK):
-        total = total + st["count"](primes[i : i + _BLOCK])
-    return total
+    hi = min(lo + SEGMENT, _SCAN["x"] + 1)
+    primes = segmented_primes(lo, hi)
+    cuts = np.searchsorted(primes, range(lo, hi + _BLOCK, _BLOCK)).tolist()
+    blocks = (primes[i:j] for i, j in zip(cuts, cuts[1:]) if j > i)
+    return sum(map(_SCAN["count"], blocks), _SCAN["zero"])
 
 
 def _walk(x: int, count, zero, workers: int = 1):
-    """Sum count(block) over the primes p <= x, in blocks of at most _BLOCK
-    consecutive primes, one sieve call per segment [2 + k SEGMENT,
-    2 + (k + 1) SEGMENT) clipped to x + 1.
+    """Sum count(block) over the primes p <= x, one sieve call per segment
+    [2 + k SEGMENT, 2 + (k + 1) SEGMENT) clipped to x + 1, and one block per
+    nonempty window of _BLOCK integers from the segment's start.
 
     Segments are summed in order, starting from `zero`, so the result is
     the same for any worker count; with workers > 1 the segments run in a

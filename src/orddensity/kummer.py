@@ -181,7 +181,7 @@ class AlphaBoxes:
 
         The arrays hold int64 or Python ints (dtype=object), and the degrees
         take phi's dtype.  An int64 caller keeps phi(M) * prod(m_i) below
-        2^63; `density.evaluate` keeps it below 2^53, so that each degree
+        2^63; `density._terms` keeps it below 2^53, so that each degree
         converts to float64 exactly, and otherwise passes Python ints.  The
         divisibility of phi(M) * prod(m_i) by |Rel| is asserted over the
         whole array."""

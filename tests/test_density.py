@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orddensity.arith import FactoredRational, euler_phi
+from orddensity.arith import FactoredRational, euler_phi, factorize
 from orddensity.density import (
     ConditionSpec,
     IndexFixed,
@@ -428,7 +428,7 @@ def test_series_read_totients_without_factoring_levels(monkeypatch):
     for spec in specs:
         factored.clear()
         shared.append(density.evaluate(spec, 16, 16, cache=cache))
-        # phi(M) comes from a sieve up to nmax and the primes of f, the d_i
+        # phi(M) comes from the support's phi(n) and the primes of f, the d_i
         # and each t, factored once per series: no level is factored
         assert not calls
         assert len(factored) <= 2 + 16
@@ -444,11 +444,59 @@ def test_series_read_totients_without_factoring_levels(monkeypatch):
     assert calls == [M]
 
 
+def finite_sum(alphas, T) -> tuple[Fraction, list[int]]:
+    """(sum of mu * count / degree over the tuples of squarefree N_i | prod B,
+    B) for ind_p(alpha_i) = t_i, with B the primes of 2 Delta, the alphas'
+    supports and the t_i: density._terms over that support, summed exactly."""
+    alphas = tuple(map(FactoredRational.of, alphas))
+    top = 2 * kummer.exponent_minor_gcd(alphas) * math.prod(T)
+    top *= math.prod(p for a in alphas for p in a.support())
+    B = [p for p, _ in factorize(top).factors]
+    subsets = [c for k in range(len(B) + 1) for c in itertools.combinations(B, k)]
+    rows = sorted((math.prod(c), (-1) ** len(c), math.prod(p - 1 for p in c)) for c in subsets)
+    support = tuple(np.array(col, dtype=np.int64) for col in zip(*rows))
+    picks = [np.arange(len(rows))] * len(alphas)
+    view = DegreeCache().view(alphas)
+    total = Fraction(0)
+    runs = density._terms(view, [(T, (), 1)], support, picks, set(), None, None)
+    for mu, count, degree, _ in runs:
+        total += sum(map(Fraction, (mu * count).tolist(), degree.tolist()), Fraction(0))
+    return total, B
+
+
+# The finite entangled sums of ind_p = 1 over N_i | prod B, and Hooley's
+# correction factor A(g)/A = finite sum / prod_{l in B} (1 - 1/(l(l - 1)))
+# for rank 1 (Hooley 1967; Moree, "Artin's primitive root conjecture - a
+# survey"): 1 unless g is a power or its discriminant is 1 mod 4
+FINITE_SUMS = [
+    ((2,), Fraction(1, 2), Fraction(1)),
+    ((3,), Fraction(5, 12), Fraction(1)),
+    ((6,), Fraction(5, 12), Fraction(1)),
+    ((12,), Fraction(5, 12), Fraction(1)),
+    ((5,), Fraction(1, 2), Fraction(20, 19)),
+    ((-3,), Fraction(1, 2), Fraction(6, 5)),
+    ((-27,), Fraction(1, 2), Fraction(6, 5)),
+    ((8,), Fraction(1, 4), Fraction(3, 5)),
+    ((-15,), Fraction(47, 120), 1 - Fraction(1, 5 * 19)),
+    ((2, 3), Fraction(13, 72), None),
+    ((2, 3, 5), Fraction(35, 432), None),
+]
+
+
+@pytest.mark.parametrize("alphas, exact, hooley", FINITE_SUMS)
+def test_term_walker_sums_entangled_densities_exactly(alphas, exact, hooley):
+    total, B = finite_sum(alphas, (1,) * len(alphas))
+    assert total == exact
+    if hooley is not None:
+        assert total / math.prod(1 - Fraction(1, p * (p - 1)) for p in B) == hooley
+
+
 def test_series_memory_does_not_hold_the_term_product():
     # (2,3,5) index (1,1,1) at nmax 32 has 20^3 = 8,000 terms.  After a
     # warm-up call, the traced peak of this call, with a fresh DegreeCache,
-    # is about 177 KB, so a chunk-layout change has about 80 KB to spare
-    # under the bound; building the terms' product as a list took it to 2.0 MB
+    # is about 197 KB, so a chunk-layout change has about 60 KB to spare
+    # under the bound; building the terms' product as a list took it to 2.0 MB,
+    # and holding one run's arrays while the walker made the next, 230 KB
     spec = ConditionSpec.make([2, 3, 5], IndexFixed((1, 1, 1)))
     density.evaluate(spec, 32, cache=DegreeCache())
     tracemalloc.start()

@@ -167,7 +167,11 @@ def test_scan_worker_invariance():
 
 
 def test_scan_memory_is_bounded_by_the_segment():
-    # tracemalloc sees numpy's buffers; an O(x) table would grow 4x here
+    # tracemalloc sees numpy's buffers; an O(x) table would grow 4x here.  A
+    # block is the primes of a window of fixed width, so the peak is flat in
+    # x: when blocks held a fixed number of primes, a block's window grew as
+    # ln p and the peak by 10-12% per 4x in x.  The warm-up scan fills the
+    # caches (the base primes), which would move the first peak by ~2%
     both_even = IndexSet((SetDescriptor.progression(0, 2), SetDescriptor.progression(0, 2)))
     specs = [
         ConditionSpec.make([2], IndexFixed((1,))),
@@ -178,6 +182,7 @@ def test_scan_memory_is_bounded_by_the_segment():
     ]
     peaks = []
     with mock.patch.object(empirical, "SEGMENT", 1 << 16):
+        scan_many(specs, 10**5)
         for x in (10**6, 4 * 10**6):
             tracemalloc.start()
             try:
@@ -186,7 +191,7 @@ def test_scan_memory_is_bounded_by_the_segment():
             finally:
                 tracemalloc.stop()
     assert max(peaks) < 4 * 2**20
-    assert peaks[1] < 1.1 * peaks[0]
+    assert peaks[1] < 1.02 * peaks[0]
 
 
 def test_scan_checkpoints_monotone():

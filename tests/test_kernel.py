@@ -14,7 +14,6 @@ from orddensity.arith import (
     FactoredRational,
     factorize,
     powmod,
-    prime_list,
     residues,
     segmented_primes,
 )
@@ -304,30 +303,31 @@ STAGED = [
 
 
 def test_staged_scan_past_one_block_matches_brute_scan():
-    # two blocks of primes; every power runs in float64, whatever its size,
-    # so what needs checking is that the stages raise at all: each alpha
-    # raises at most one q-part power per stage and block, and 3/4 one
-    # denominator inverse with each
+    # [2, 60000] is four windows of 2^14 integers, so four blocks; every
+    # power runs in float64, whatever its size, so what needs checking is
+    # that the stages raise at all: each alpha raises at most one q-part
+    # power per stage and block, and 3/4 one denominator inverse with each
     x = 60000
-    assert prime_list(x).size > empirical._BLOCK
     want = [brute_scan(*cfg, x) for cfg in STAGED]
     built = [ConditionSpec.make(a, mode_of(m, params), frob) for a, m, params, frob in STAGED]
-    with powmod_sizes() as sizes:
-        results = scan_many(built, x, checkpoints=True)
-    assert 0 < len(sizes) <= 2 * 2 * (3 + 1)
-    for cfg, res, w in zip(STAGED, results, want):
-        assert (res.matched, res.considered, res.checkpoints) == w, cfg
-    for cfg, spec, w in zip(STAGED, built, want):
-        res = scan(spec, x, checkpoints=True)
-        assert (res.matched, res.considered, res.checkpoints) == w, cfg
+    with mock.patch.object(empirical, "_BLOCK", 1 << 14):
+        with powmod_sizes() as sizes:
+            results = scan_many(built, x, checkpoints=True)
+        assert 0 < len(sizes) <= 4 * 2 * (3 + 1)
+        for cfg, res, w in zip(STAGED, results, want):
+            assert (res.matched, res.considered, res.checkpoints) == w, cfg
+        for cfg, spec, w in zip(STAGED, built, want):
+            res = scan(spec, x, checkpoints=True)
+            assert (res.matched, res.considered, res.checkpoints) == w, cfg
 
 
 def test_acceptance_scan_powmod_elements_pinned():
     # the five acceptance specs at 10^6 raise only where some spec can still
     # match: 457,182 elements when every read q-part was raised on every prime.
-    # One power per stage that has rows: 20 blocks times the 2-part and odd
-    # stages of 2 and the odd stage of 3 (5's 2-part and 3's are the
-    # quadratic character alone), where an order search made 296 calls
+    # One power per stage that has rows: 16 blocks (windows of 2^16
+    # integers) times the 2-part and odd stages of 2 and the odd stage of 3
+    # (5's 2-part and 3's are the quadratic character alone), where an order
+    # search made 296 calls over 20 blocks of 4,096 primes
     both_even = IndexSet((SetDescriptor.progression(0, 2),) * 2)
     specs = [
         ConditionSpec.make([2], IndexFixed((1,))),
@@ -339,5 +339,6 @@ def test_acceptance_scan_powmod_elements_pinned():
     with powmod_sizes() as sizes:
         results = scan_many(specs, 10**6)
     assert [r.matched for r in results] == [29341, 55550, 11578, 19669, 19579]
-    assert len(sizes) == 60
+    assert empirical._BLOCK == 1 << 16
+    assert len(sizes) == 48
     assert sum(sizes) == 193752
