@@ -6,11 +6,10 @@ Scans and splitting fractions share one walk over the primes, `_walk`:
 data-parallel over fixed-width prime segments, with per-segment counts
 merged by addition in segment order, so results are identical for any worker
 count.  Every scan runs on one vectorised kernel over blocks, the primes of
-windows _BLOCK integers wide: it reduces each alpha mod p exactly, factors
-p-1 over the base primes <= sqrt(x) inside the window, and reads the q-parts
-of ind_p(alpha) off the quadratic character (arith.square_mask) and one
-modular power per stage (arith.powmod), whose rows test q^j | ind for each j
-up to the cap.
+windows _BLOCK wide: it reduces each alpha mod p exactly, factors p-1 over
+the base primes <= sqrt(x) inside the window, and reads the q-parts of
+ind_p(alpha) off the quadratic character (arith.square_mask) and one modular
+power per stage (arith.powmod), whose rows test q^j | ind up to the cap.
 A scan reads only the q-parts its specs need: each spec gives every alpha a
 q-part plan (_spec_plans), specs sharing an alpha take the per-q maximum,
 and each alpha raises its 2-part, then its odd q-parts, only on the primes

@@ -167,11 +167,10 @@ def test_scan_worker_invariance():
 
 
 def test_scan_memory_is_bounded_by_the_segment():
-    # tracemalloc sees numpy's buffers; an O(x) table would grow 4x here.  A
-    # block is the primes of a window of fixed width, so the peak is flat in
-    # x: when blocks held a fixed number of primes, a block's window grew as
-    # ln p and the peak by 10-12% per 4x in x.  The warm-up scan fills the
-    # caches (the base primes), which would move the first peak by ~2%
+    # tracemalloc sees numpy's buffers; an O(x) table would grow 4x here, and
+    # blocks of a fixed prime count, spanning count * ln p integers, 10-12%.
+    # The warm-up scan fills the caches (the base primes), which would
+    # otherwise move the first peak by about 2%
     both_even = IndexSet((SetDescriptor.progression(0, 2), SetDescriptor.progression(0, 2)))
     specs = [
         ConditionSpec.make([2], IndexFixed((1,))),
