@@ -13,7 +13,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -49,10 +49,6 @@ class FactoredRational:
             prev = p
 
     @staticmethod
-    def one() -> "FactoredRational":
-        return FactoredRational(1, ())
-
-    @staticmethod
     def from_map(sign: int, exps: dict[int, int]) -> "FactoredRational":
         items = tuple(sorted((p, e) for p, e in exps.items() if e != 0))
         return FactoredRational(sign, items)
@@ -62,9 +58,10 @@ class FactoredRational:
         q = Fraction(q)
         if q == 0:
             raise ValueError("zero has no factored representation")
-        num = factorize(q.numerator)
-        den = factorize(q.denominator)
-        return num.mul(den.pow_(-1))
+        num, den = factorize(q.numerator), factorize(q.denominator)
+        # the two are coprime, so no prime is in both maps
+        exps = {**dict(num.factors), **{p: -e for p, e in den.factors}}
+        return FactoredRational.from_map(num.sign, exps)
 
     @staticmethod
     def of(q) -> "FactoredRational":
@@ -95,20 +92,6 @@ class FactoredRational:
         for p, e in self.factors:
             v *= Fraction(p) ** e
         return v
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def mul(self, other: "FactoredRational") -> "FactoredRational":
-        exps = dict(self.factors)
-        for p, e in other.factors:
-            exps[p] = exps.get(p, 0) + e
-        return FactoredRational.from_map(self.sign * other.sign, exps)
-
-    def pow_(self, k: int) -> "FactoredRational":
-        if k == 0:
-            return FactoredRational.one()
-        sign = self.sign if k % 2 else 1
-        return FactoredRational(sign, tuple((p, e * k) for p, e in self.factors))
 
 
 # ---------------------------------------------------------------------------
@@ -441,31 +424,3 @@ def multiplicative_order(a: int, p: int) -> int:
             else:
                 break
     return o
-
-
-# ---------------------------------------------------------------------------
-# congruence plumbing
-
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> Optional[tuple[int, int]]:
-    """Merge c = r1 (mod m1) with c = r2 (mod m2); None when inconsistent."""
-    g = math.gcd(m1, m2)
-    if (r2 - r1) % g != 0:
-        return None
-    l = m1 // g * m2
-    if m1 == 1:
-        return r2 % m2, m2
-    step = m2 // g
-    k = ((r2 - r1) // g * pow(m1 // g, -1, step)) % step if step > 1 else 0
-    return (r1 + m1 * k) % l, l
-
-
-def crt_merge(pairs: Iterable[tuple[int, int]]) -> Optional[tuple[int, int]]:
-    """Merge (residue, modulus) congruences; None when inconsistent."""
-    r, m = 0, 1
-    for r2, m2 in pairs:
-        merged = crt_pair(r, m, r2 % m2, m2)
-        if merged is None:
-            return None
-        r, m = merged
-    return r, m

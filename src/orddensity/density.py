@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .arith import FactoredRational, as_int, crt_merge, factorize, moebius, phi_sieve
+from .arith import FactoredRational, as_int, factorize, moebius, phi_sieve
 from .eulerseries import KahanSum, phi_lcm_tail
 from .kummer import DEFAULT_CACHE, AlphaBoxes, DegreeCache, exponent_minor_gcd
 
@@ -173,7 +173,7 @@ class DensityResult:
 
     value: float
     terms_evaluated: int
-    caps: tuple[int, int]  # (Nmax, Tmax); Tmax = 0 when T was not truncated
+    caps: tuple[int, int]  # (Nmax, Tmax); Tmax = 0 for IndexFixed, whose one T has no cap
     tail_estimate: float
     per_term_log: Optional[list[dict]] = None
 
@@ -207,18 +207,23 @@ _Block = tuple[tuple[int, ...], tuple[tuple[int, int], ...], int]
 
 
 def _order_blocks(a: tuple[int, ...], d: tuple[int, ...], tmax: int) -> Iterator[_Block]:
-    """(T, ((c, L),), L) for the admissible T, with L = lcm(d_i t_i) and c
-    the one unit class mod L meeting every c = 1 + a_i t_i (mod d_i t_i).
-    A solvable system has exactly one solution mod L, so the merged
-    congruence admits the same units as the r separate ones."""
-    for T in itertools.product(range(1, tmax + 1), repeat=len(a)):
-        if any(math.gcd(1 + ai * ti, di) != 1 for ai, di, ti in zip(a, d, T)):
+    """(T, congruences, L) for the admissible T: the r unit congruences
+    c = 1 + a_i t_i (mod d_i t_i), as (residue, modulus) pairs, and their
+    level L = lcm(d_i t_i).  T is admissible when no 1 + a_i t_i shares a
+    prime with d_i and the system is solvable, which by the generalised CRT
+    holds exactly when every two congruences agree modulo the gcd of their
+    moduli; it then has one solution mod L, a unit.  The first test runs
+    once per alpha and t, on the product's factors, which keeps its order."""
+    choices = [
+        [(t, ((1 + ai * t) % (di * t), di * t)) for t in range(1, tmax + 1)
+         if math.gcd(1 + ai * t, di) == 1]
+        for ai, di in zip(a, d)
+    ]
+    for picked in itertools.product(*choices):
+        T, pairs = zip(*picked)
+        if any((x - y) % math.gcd(m, n) for (x, m), (y, n) in itertools.combinations(pairs, 2)):
             continue
-        merged = crt_merge([(ai * ti, di * ti) for ai, di, ti in zip(a, d, T)])
-        if merged is None:
-            continue
-        rho, level = merged
-        yield T, (((1 + rho) % level, level),), level
+        yield T, pairs, math.lcm(*(m for _, m in pairs))
 
 
 _CHUNK = 1024  # terms per array chunk; a rank-3 chunk peaks at about 130 KB of arrays
@@ -266,12 +271,12 @@ def _one_candidate(view: AlphaBoxes, members: list, v, M, congruences: list):
     """The unit count of each term of a chunk, as int64: the units c of
     Z/M with c = 1 (mod v) that fix the values of the `members` the term
     holds, its witnesses, and meet `congruences`: pairs (classes, L),
-    L an array of one modulus per term or an int, such as a block's
-    progression ([residue], L) and a Frobenius condition (C, f).  A term's
-    M = lcm(v, every L) is the CRT modulus of its congruences, so each
-    choice of classes meets one c in [1, M] or none.  From c = 1 (mod v),
-    each pair folds into c (mod mod): with g = gcd(mod, L) and n = L / g, c
-    meets the class x when g | x - c, at
+    L an array of one modulus per term or an int, such as each of an order
+    block's r progressions ([residue], d_i t_i), folded as they come, and a
+    Frobenius condition (C, f).  A term's M = lcm(v, every L) is the CRT
+    modulus of its congruences, so each choice of classes meets one c in
+    [1, M] or none.  From c = 1 (mod v), each pair folds into c (mod mod):
+    with g = gcd(mod, L) and n = L / g, c meets the class x when g | x - c, at
     c + mod * ((x - c) / g * (mod / g)^-1 % n), one inverse per pair.  Each
     candidate, made and tested one at a time, counts when it is prime to M
     and, lifted to the odd c or c + M, fixes every witness: one `view.fixes`
@@ -310,11 +315,12 @@ def _terms(view: AlphaBoxes, blocks: Iterable[_Block], support: tuple, picks: li
     `log` unless it is None.  `support` is ascending arrays of squarefree n,
     closed under divisors, with mu(n) and phi(n); alpha i takes its n_i from
     the entries picks[i], and `fixed` holds the primes every block's level
-    adds to its T.  `_one_candidate` counts the units: M is the CRT modulus
-    of a term's unit congruences, so each Frobenius class has at most one
-    candidate.  A run holds int64 when its blocks' bound on phi(M) *
-    prod(m_i) lies below 2^53, where float64 converts every integer
-    exactly, and Python ints otherwise."""
+    adds to its T.  `_one_candidate` counts the units from an order block's
+    r congruences, handed over as `_order_blocks` yields them, and then the
+    Frobenius pair: M is the CRT modulus of a term's unit congruences, so
+    each Frobenius class has at most one candidate.  A run holds int64 when
+    its blocks' bound on phi(M) * prod(m_i) lies below 2^53, where float64
+    converts every integer exactly, and Python ints otherwise."""
     n_of, mu_of, phi_of = support
     ns, mus = ([col[pick] for pick in picks] for col in (n_of, mu_of))
     sizes = [pick.size for pick in picks]
@@ -361,7 +367,8 @@ def _terms(view: AlphaBoxes, blocks: Iterable[_Block], support: tuple, picks: li
         arrays die on return, so one run's arrays are alive at a time."""
         levels = [math.lcm(extra_level, f) for _, _, extra_level in held]
         # phi(M) * prod(m_i) <= M * prod(m_i) <= prod(m_i)^2 * level, and
-        # _one_candidate multiplies two residues mod level
+        # _one_candidate multiplies two residues mod a divisor of f or of an
+        # order modulus d_i t_i, and each of those divides level for any r
         top = max(
             max((n_top * math.prod(T)) ** 2, level) * level
             for (T, _, _), level in zip(held, levels)
@@ -369,11 +376,12 @@ def _terms(view: AlphaBoxes, blocks: Iterable[_Block], support: tuple, picks: li
         dtype = np.int64 if top < _EXACT else object
         block, m, mu, v, M, phi = columns(held, levels, start, width, dtype)
         degree, fail, members = view.field(m, M, phi)
-        pairs = [(frobenius[1], f)] if frobenius else []
-        if held[0][1]:
-            cols = zip(*(congruences[0] for _, congruences, _ in held))
-            residue, level = (np.array(col, dtype=dtype)[block] for col in cols)
-            pairs.insert(0, ([residue], level))
+        pairs = []  # each order congruence of the run's blocks, then Frobenius
+        for column in zip(*(congruences for _, congruences, _ in held)):
+            residue, modulus = (np.array(x, dtype=dtype)[block] for x in zip(*column))
+            pairs.append(([residue], modulus))
+        if frobenius:
+            pairs.append((frobenius[1], f))
         count = _one_candidate(view, members, v, M, pairs).astype(dtype)
         if log is not None:
             ms = zip(*(mi.tolist() for mi in m))
@@ -402,8 +410,8 @@ def evaluate(
     A block (T, congruences, extra_level) fixes the index targets, the unit
     congruences and the level joined to the field level.  IndexFixed has the
     one block T; IndexSet has every T in the product of the sets up to tmax.
-    OrderAP sums over T <= tmax with the unit congruence
-    c = 1 + a_i t_i (mod d_i t_i) carrying the progression and the level
+    OrderAP sums over T <= tmax with the r unit congruences
+    c = 1 + a_i t_i (mod d_i t_i) carrying the progressions and the level
     lcm(d_i t_i); T tuples whose congruence system is unsolvable are skipped
     (they cover finitely many primes), and so are T with
     gcd(1 + a_i t_i, d_i) > 1.  The tail estimate covers N and each

@@ -13,7 +13,6 @@ import numpy as np
 from orddensity.arith import (
     FactoredRational,
     ResourceCapError,
-    crt_pair,
     euler_phi,
     factor_p_minus_1,
     kronecker,
@@ -411,13 +410,14 @@ def _count_units(
     """`count_automorphisms` for the field of level W whose relation group has
     the given witnesses, every level already known to divide W.  The unit
     c = 1 acts as sigma_1, the identity, so it counts without a test of the
-    witnesses."""
-    rho, mu = 1 % fix_level, fix_level
-    for residue, mod in congruences:
-        merged = crt_pair(rho, mu, residue % mod, mod)
-        if merged is None:
-            return 0
-        rho, mu = merged
+    witnesses.  sympy's `solve_congruence` merges the congruences, so the
+    oracle shares no CRT code with the series."""
+    from sympy.ntheory.modular import solve_congruence
+
+    merged = solve_congruence((1, fix_level), *((r % mod, mod) for r, mod in congruences))
+    if merged is None:
+        return 0
+    rho, mu = merged
     if math.gcd(rho, mu) != 1:
         return 0
     if frobenius is not None:

@@ -76,7 +76,7 @@ def test_is_power_trivial_cases():
         for M in (1, 4, 7, 24):
             assert is_power_in_cyclotomic(fr, 1, M)
             for n in (2, 3, 4, 6):
-                assert is_power_in_cyclotomic(fr.pow_(n), n, M)
+                assert is_power_in_cyclotomic(FactoredRational.of(q**n), n, M)
 
 
 def test_power_oracle_soundness_all_primes():
@@ -141,25 +141,25 @@ def test_radical_product_power_consistency():
 
 
 def test_fixed_by_examples():
-    sqrt2 = RadicalValue.make(1, 0, FactoredRational.one(), 2)
+    sqrt2 = RadicalValue.make(1, 0, FactoredRational(1, ()), 2)
     assert not fixed_by(5, sqrt2, 8)
     assert fixed_by(7, sqrt2, 8)
     assert fixed_by(1, sqrt2, 8)
-    i_sqrt2 = RadicalValue.make(4, 1, FactoredRational.one(), 2)
+    i_sqrt2 = RadicalValue.make(4, 1, FactoredRational(1, ()), 2)
     assert fixed_by(1, i_sqrt2, 8)
 
 
 def test_fixed_by_rejects_noncoprime():
-    sqrt2 = RadicalValue.make(1, 0, FactoredRational.one(), 2)
+    sqrt2 = RadicalValue.make(1, 0, FactoredRational(1, ()), 2)
     with pytest.raises(ValueError):
         fixed_by(2, sqrt2, 8)
 
 
 def test_lies_in_cyclotomic_matches_conductors():
     for d in (2, 3, 5, -1, -2, -3, 6, 10):
-        rv = RadicalValue.make(1, 0, FactoredRational.one(), d if d > 0 else -d)
+        rv = RadicalValue.make(1, 0, FactoredRational(1, ()), d if d > 0 else -d)
         if d < 0:
-            rv = RadicalValue.make(4, 1, FactoredRational.one(), -d)
+            rv = RadicalValue.make(4, 1, FactoredRational(1, ()), -d)
         for M in (3, 4, 5, 8, 12, 20, 24, 40, 60, 120):
             assert lies_in_cyclotomic(rv, M) == (M % conductor(d) == 0), (d, M)
 
@@ -177,7 +177,7 @@ def test_lies_in_cyclotomic_matches_conductors():
     ],
 )
 def test_radical_value_conductor_examples(zorder, zexp, d, expected):
-    v = RadicalValue.make(zorder, zexp, FactoredRational.one(), d)
+    v = RadicalValue.make(zorder, zexp, FactoredRational(1, ()), d)
     assert v.conductor() == expected
     assert lies_in_cyclotomic(v, expected)
     assert not any(lies_in_cyclotomic(v, M) for M in range(1, expected))
@@ -192,7 +192,7 @@ def test_lies_in_cyclotomic_matches_character_loop_oracle():
         units = [s for s in range(n) if math.gcd(s, n) == 1]
         for s in {units[0], units[len(units) // 2], units[-1]}:
             for d in squarefree:
-                v = RadicalValue.make(n, s, FactoredRational.one(), d)
+                v = RadicalValue.make(n, s, FactoredRational(1, ()), d)
                 for M in range(1, 121):
                     got = lies_in_cyclotomic(v, M)
                     assert got == _zeta_sqrt_in_cyclotomic(n, s, d, M), (n, s, d, M)
@@ -224,9 +224,9 @@ def test_power_oracle_against_cyclotomic_factorization():
 
 
 def test_radical_value_normal_form():
-    rv = RadicalValue.make(8, 6, FactoredRational.one(), 3)
+    rv = RadicalValue.make(8, 6, FactoredRational(1, ()), 3)
     assert (rv.zeta_order, rv.zeta_exp) == (4, 3)
-    rv = RadicalValue.make(12, 0, FactoredRational.one(), 1)
+    rv = RadicalValue.make(12, 0, FactoredRational(1, ()), 1)
     assert (rv.zeta_order, rv.zeta_exp) == (1, 0)
     with pytest.raises(ValueError):
         RadicalValue.make(4, 1, factorize(-2), 2)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orddensity.arith import FactoredRational, euler_phi, factorize
 from orddensity.density import (
@@ -35,6 +37,39 @@ def test_artin_constant_from_series():
     assert res.terms_evaluated == sum(
         1 for n in range(1, 121) if all(n % (p * p) for p in range(2, 11))
     )
+
+
+# rank 1 to 3 order progressions ord = a_i (mod d_i), a_i in [0, d_i)
+progressions = st.lists(
+    st.integers(2, 12).flatmap(lambda d: st.tuples(st.integers(0, d - 1), st.just(d))),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(progressions, st.integers(1, 6))
+@example([(1, 2), (0, 3)], 4)  # T = (2, 4): c = 3 (mod 4) and c = 1 (mod 12) clash
+def test_order_blocks_are_the_solvable_unit_systems(progression, tmax):
+    # brute force over [0, lcm(d_i t_i)): T is a block exactly when some c
+    # prime to every d_i meets every c = 1 + a_i t_i (mod d_i t_i)
+    a, d = (tuple(col) for col in zip(*progression))
+    want = {}
+    for T in itertools.product(range(1, tmax + 1), repeat=len(a)):
+        moduli = [di * ti for di, ti in zip(d, T)]
+        c = np.arange(math.lcm(*moduli))
+        meets = np.gcd(c, math.prod(d)) == 1
+        for ai, ti, m in zip(a, T, moduli):
+            meets &= (c - 1 - ai * ti) % m == 0
+        if meets.any():
+            want[T] = c.size
+    blocks = list(density._order_blocks(a, d, tmax))
+    assert {T: level for T, _, level in blocks} == want
+    assert len(blocks) == len(want)
+    for T, congruences, _ in blocks:
+        assert congruences == tuple(
+            ((1 + ai * ti) % (di * ti), di * ti) for ai, di, ti in zip(a, d, T)
+        )
 
 
 def test_order_parity_values():
