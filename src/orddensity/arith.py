@@ -1,7 +1,7 @@
 """Exact integer arithmetic primitives: sieves, factorization, multiplicative
 functions, Kronecker symbol, multiplicative order, and the elementwise
 kernels over int64 arrays the prime scans run on (residues, modular powers,
-quadratic characters, factoring p - 1).
+quadratic characters, factoring p - 1 in one strided pass).
 
 Everything here is pure and reentrant.
 """
@@ -121,9 +121,6 @@ def segmented_primes(lo: int, hi: int) -> np.ndarray:
 # elementwise kernels over int64 arrays of primes
 
 SCAN_X_CAP = 10**9  # the kernels' int64 modular products need p^2 < 2^63
-# Base primes below this divide-test every p - 1; larger ones visit only
-# their own multiples, which is cheaper once q exceeds the prime gap ~ log p.
-_STRIDE_FROM = 64
 # Odd primes l up to this bound enter a Legendre symbol through a table of
 # the squares mod l; the larger ones through one modular power.
 LEGENDRE_TABLE_BOUND = 1 << 16
@@ -244,12 +241,12 @@ def factor_p_minus_1(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     primes p <= SCAN_X_CAP, as flat arrays (row, q, e) with q^e exactly
     dividing primes[row] - 1.
 
-    Base primes q <= sqrt(max p), a slice of the primes <= sqrt(SCAN_X_CAP)
-    sieved once, below _STRIDE_FROM are tested against every p; larger ones
-    are strided, all at once, over their multiples in the window
-    [min p - 1, max p - 1], so the cost is the window width times sum 1/q
-    instead of #primes * pi(sqrt(max p)).  The cofactor left after the base
-    primes is 1 or a single prime.
+    v_2(p - 1) is read off the lowest set bit of p - 1, with no factoring.
+    Each odd base prime q <= sqrt(max p), a slice of the primes
+    <= sqrt(SCAN_X_CAP) sieved once, is strided, all at once, over its even
+    multiples in the window [min p - 1, max p - 1], so the cost is the window
+    width times sum 1/(2q) instead of #primes * pi(sqrt(max p)).  The cofactor
+    left after the base primes is 1 or a single prime.
     """
     pm1 = primes - 1
     if not pm1.size:
@@ -257,25 +254,24 @@ def factor_p_minus_1(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     if pm1[-1] >= SCAN_X_CAP:
         raise ValueError(f"factor_p_minus_1 needs p <= {SCAN_X_CAP}")
     base = _base_primes()
-    base = base[: np.searchsorted(base, math.isqrt(int(pm1[-1])), side="right")]
-    small, large = base[base < _STRIDE_FROM], base[base >= _STRIDE_FROM]
-    hits = [np.flatnonzero(pm1 % q == 0) for q in small.tolist()]
+    odd = base[1 : np.searchsorted(base, math.isqrt(int(pm1[-1])), side="right")]
+    step = 2 * odd  # p - 1 is even but for p = 2
     lo, hi = int(pm1[0]), int(pm1[-1])
-    first = -(-lo // large) * large
-    count = np.maximum((hi - first) // large + 1, 0)
-    strided = np.repeat(large, count)
-    # the i-th multiple overall, the k-th of its q, sits at first_q + q k - lo
+    first = -(-lo // step) * step
+    count = np.maximum((hi - first) // step + 1, 0)
+    strided = np.repeat(odd, count)
+    # the i-th multiple overall, the k-th of its q, sits at first_q + 2q k - lo
     # with k = i - (the index of q's first multiple); in place, to keep the
     # block's peak memory at a few arrays of multiples
     at = np.arange(strided.size)
     at *= strided
-    at += np.repeat(first - lo - large * (np.cumsum(count) - count), count)
+    at *= 2
+    at += np.repeat(first - lo - step * (np.cumsum(count) - count), count)
     slot = np.full(hi - lo + 1, -1, dtype=np.int32)  # rows < len(primes)
     slot[pm1 - lo] = np.arange(pm1.size)
     at = slot[at]  # row of each multiple, or -1
     found = at >= 0
-    row = np.concatenate(hits + [at[found]])
-    q = np.concatenate([np.repeat(small, [h.size for h in hits]), strided[found]])
+    row, q = at[found], strided[found]
     v = pm1[row] // q
     e = np.ones_like(v)
     live = np.flatnonzero(v % q == 0)  # the pairs whose q still divides v
@@ -283,14 +279,16 @@ def factor_p_minus_1(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
         e[live] += 1
         v[live] //= q[live]
         live = live[v[live] % q[live] == 0]
-    smooth = np.ones_like(pm1)
+    smooth = pm1 & -pm1  # 2^v_2(p - 1), so log2 is exact; 1 for p = 2
+    two = np.flatnonzero(smooth > 1)
+    e2 = np.log2(smooth[two]).astype(np.int64)
     np.multiply.at(smooth, row, q**e)
     cofactor = pm1 // smooth
     big = np.flatnonzero(cofactor > 1)
     return (
-        np.concatenate([row, big]),
-        np.concatenate([q, cofactor[big]]),
-        np.concatenate([e, np.ones_like(big)]),
+        np.concatenate([two, row, big]),
+        np.concatenate([np.full_like(two, 2), q, cofactor[big]]),
+        np.concatenate([e2, e, np.ones_like(big)]),
     )
 
 

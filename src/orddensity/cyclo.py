@@ -88,35 +88,21 @@ def radical_product(
     s = 0
     exps: dict[int, int] = {}
     for ai, mi, ei in zip(alphas, m, e):
-        if ei == 0:
-            continue
         w = ei * (L // mi)
         if ai.sign < 0:
             s += w
         for p, pe in ai.factors:
             exps[p] = exps.get(p, 0) + pe * w
-    s %= 2 * L
-    half = L if L % 2 else L // 2
-    if any(pe % half for pe in exps.values()):
-        return None
-    # |product|^(2/L) = t^2 * d with d the squarefree part
-    d = 1
-    t_exps: dict[int, int] = {}
+    # |product| = prod p^(k_p / 2) with k_p = 2 pe / L: abelian exactly when
+    # every k_p is an integer, and then |product| = t sqrt(d) with
+    # t = prod p^floor(k_p / 2) and d the product of the p of odd k_p
+    k = {}
     for p, pe in exps.items():
-        he = pe // half  # exponent in h = |product|^(1/half); h = t^2 d for even L
-        if L % 2:
-            if he:
-                t_exps[p] = he
-            continue
-        if he % 2:
-            d *= p
-            he -= 1
-        if he:
-            t_exps[p] = he // 2
-    t = FactoredRational.from_map(1, t_exps)
-    if L % 2:
-        return RadicalValue.make(2 * L, s, t, 1)
-    return RadicalValue.make(2 * L, s, t, d)
+        k[p], r = divmod(2 * pe, L)
+        if r:
+            return None
+    t = FactoredRational.from_map(1, {p: kp // 2 for p, kp in k.items()})
+    return RadicalValue.make(2 * L, s, t, math.prod(p for p, kp in k.items() if kp % 2))
 
 
 def fixed_by(c: int, v: RadicalValue, M: int) -> bool:

@@ -6,10 +6,11 @@ Scans and splitting fractions share one walk over the primes, `_walk`:
 data-parallel over fixed-width prime segments, with per-segment counts
 merged by addition in segment order, so results are identical for any worker
 count.  Every scan runs on one vectorised kernel over blocks, the primes of
-windows _BLOCK wide: it reduces each alpha mod p exactly, factors p-1 over
-the base primes <= sqrt(x) inside the window, and reads the q-parts of
-ind_p(alpha) off the quadratic character (arith.square_mask) and one modular
-power per stage (arith.powmod), whose rows test q^j | ind up to the cap.
+windows _BLOCK wide: it reduces each alpha mod p exactly, factors p-1 (v_2
+from its lowest set bit, odd base primes <= sqrt(x) strided over the window),
+and reads the q-parts of ind_p(alpha) off the quadratic character
+(arith.square_mask) and one modular power per stage (arith.powmod), whose
+rows test q^j | ind up to the cap.
 A scan reads only the q-parts its specs need: each spec gives every alpha a
 q-part plan (_spec_plans), specs sharing an alpha take the per-q maximum,
 and each alpha raises its 2-part, then its odd q-parts, only on the primes
@@ -319,9 +320,9 @@ def check_scan_bound(x: int, workers: int = 1) -> int:
     n_segments = (x - 1 + SEGMENT - 1) // SEGMENT
     # Each process holds the interpreter with numpy (30 MB), one segment's
     # sieve flags and int64 primes (under 2 bytes per integer) and one
-    # block's kernel arrays (under 64 bytes per integer of its window): 42 MB,
-    # where one segment of the five acceptance specs just below 10^9 peaks
-    # at 35 MB RSS.
+    # block's kernel arrays (under 64 bytes per integer of its window; the
+    # five acceptance specs trace 30 at 10^6 and just below 10^9): 42 MB,
+    # where one segment of those specs just below 10^9 peaks at 34 MB RSS.
     processes = min(workers, n_segments)
     need = processes * ((30 << 20) + 2 * SEGMENT + 64 * _BLOCK)
     if need > WALK_BYTES_CAP:
@@ -337,23 +338,24 @@ _SCAN: dict = {}
 
 
 def _segment(idx: int):
-    """The walk's count summed over the blocks of segment idx."""
+    """The walk's count summed over the blocks of segment idx (0 if none)."""
     lo = 2 + idx * SEGMENT
     hi = min(lo + SEGMENT, _SCAN["x"] + 1)
     primes = segmented_primes(lo, hi)
     cuts = np.searchsorted(primes, range(lo, hi + _BLOCK, _BLOCK)).tolist()
     blocks = (primes[i:j] for i, j in zip(cuts, cuts[1:]) if j > i)
-    return sum(map(_SCAN["count"], blocks), _SCAN["zero"])
+    return sum(map(_SCAN["count"], blocks))
 
 
-def _walk(x: int, count, zero, workers: int = 1):
+def _walk(x: int, count, workers: int = 1):
     """Sum count(block) over the primes p <= x, one sieve call per segment
     [2 + k SEGMENT, 2 + (k + 1) SEGMENT) clipped to x + 1, and one block per
     nonempty window of _BLOCK integers from the segment's start.
 
-    Segments are summed in order, starting from `zero`, so the result is
-    the same for any worker count; with workers > 1 the segments run in a
-    fork pool whose workers inherit `count` through _SCAN.  ResourceCapError
+    Segments are summed in order, starting from 0, so the result is the
+    same for any worker count, and is count's array as segment 0 holds the
+    prime 2; with workers > 1 the segments run in a fork pool whose workers
+    inherit `count` through _SCAN.  ResourceCapError
     before any sieving or forking when the min(workers, segments) processes
     would pass WALK_BYTES_CAP.
     """
@@ -363,7 +365,7 @@ def _walk(x: int, count, zero, workers: int = 1):
     if workers < 1:
         raise ValueError("need workers >= 1")
     _SCAN.clear()
-    _SCAN.update({"x": x, "count": count, "zero": zero})
+    _SCAN.update({"x": x, "count": count})
     ctx = None
     if workers > 1 and n_segments > 1:
         try:
@@ -372,8 +374,8 @@ def _walk(x: int, count, zero, workers: int = 1):
             ctx = None
     if ctx is not None:
         with ctx.Pool(min(workers, n_segments)) as pool:
-            return sum(pool.imap(_segment, range(n_segments)), zero)
-    return sum(map(_segment, range(n_segments)), zero)
+            return sum(pool.imap(_segment, range(n_segments)))
+    return sum(map(_segment, range(n_segments)))
 
 
 def scan_many(
@@ -439,8 +441,7 @@ def scan_many(
             counts[si, 1] = np.bincount(bucket[considered[si]], minlength=bounds.size + 1)
         return counts
 
-    zero = np.zeros((len(specs), 2, bounds.size + 1), dtype=np.int64)
-    totals = _walk(x, count, zero, workers)
+    totals = _walk(x, count, workers)
     li_x = li(x)
     out = []
     for (matched, considered), excl in zip(totals, excluded):
@@ -510,7 +511,7 @@ def splitting_fraction_many(fspecs: Sequence[FieldSpec], x: int) -> list[float]:
             counts[k] = split.size, np.count_nonzero(keep)
         return counts
 
-    totals = _walk(x, count, np.zeros((len(data), 2), dtype=np.int64))
+    totals = _walk(x, count)
     return [m / c if c else 0.0 for m, c in totals.tolist()]
 
 

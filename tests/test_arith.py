@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orddensity.arith import (
@@ -234,7 +234,7 @@ def test_segmented_primes_rejects_bad_range():
 
 def test_factor_p_minus_1_matches_trial_division():
     # consecutive primes from 2 up; a window below the 10^9 scan cap where
-    # base primes above the direct-test bound and large cofactors occur; one
+    # the largest base primes and large cofactors occur; one
     # across 2^25; and windows around primes p with p - 1 = 2^16, 5 * 2^25
     # and 2 * 3^17, rows on which the exponent loop runs longest
     deep = [2**16 + 1, 5 * 2**25 + 1, 2 * 3**17 + 1]
@@ -250,6 +250,36 @@ def test_factor_p_minus_1_matches_trial_division():
         for p, pairs in zip(primes.tolist(), got):
             assert pairs == dict(factorize(p - 1).factors)
             assert all(is_prime(qi) for qi in pairs)
+
+
+@st.composite
+def prime_windows(draw):
+    # widths up to a scan block's 2^16 integers, anywhere below the cap
+    w = draw(st.integers(1, 1 << 16))
+    return draw(st.integers(2, SCAN_X_CAP - w - 1)), w
+
+
+@settings(max_examples=20, deadline=None)
+@given(prime_windows())
+# from p = 2, whose p - 1 has no factor, and p = 3; from primes p whose
+# p - 1 is the first even multiple in the window of two odd base primes: of
+# 3 and 5, and of 3 and 31607, the largest below sqrt(SCAN_X_CAP)
+@example((2, 1 << 16))
+@example((3, 5000))
+@example((31, 5000))
+@example((6 * 31607 * 5245 + 1, 1 << 16))
+def test_factor_p_minus_1_on_random_windows(window):
+    lo, w = window
+    primes = segmented_primes(lo, lo + w)
+    row, q, e = factor_p_minus_1(primes)
+    assert row.dtype == q.dtype == e.dtype == np.int64
+    assert np.all(row < primes.size)
+    got = [dict() for _ in primes]
+    for i, qi, ei in zip(row.tolist(), q.tolist(), e.tolist()):
+        assert qi not in got[i]
+        got[i][qi] = ei
+    for p, pairs in zip(primes.tolist(), got):
+        assert pairs == dict(factorize(p - 1).factors), p
 
 
 # powmod's moduli: every m below 2^11, composite ones included (only there
