@@ -96,7 +96,7 @@ def radical_product(
     # |product| = prod p^(k_p / 2) with k_p = 2 pe / L: abelian exactly when
     # every k_p is an integer, and then |product| = t sqrt(d) with
     # t = prod p^floor(k_p / 2) and d the product of the p of odd k_p
-    k = {}
+    k: dict[int, int] = {}
     for p, pe in exps.items():
         k[p], r = divmod(2 * pe, L)
         if r:

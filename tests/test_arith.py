@@ -232,24 +232,30 @@ def test_segmented_primes_rejects_bad_range():
         segmented_primes(10, 10)
 
 
+def assert_factors_p_minus_1(primes):
+    # int64 triples, each (row, q) once, that are the factorisation of p - 1
+    row, q, e = factor_p_minus_1(primes)
+    assert row.dtype == q.dtype == e.dtype == np.int64
+    assert np.all(row < primes.size)
+    got = [dict() for _ in primes]
+    for i, qi, ei in zip(row.tolist(), q.tolist(), e.tolist()):
+        assert qi not in got[i]
+        got[i][qi] = ei
+    for p, pairs in zip(primes.tolist(), got):
+        assert pairs == dict(factorize(p - 1).factors), p
+        assert all(is_prime(qi) for qi in pairs)
+
+
 def test_factor_p_minus_1_matches_trial_division():
     # consecutive primes from 2 up; a window below the 10^9 scan cap where
-    # the largest base primes and large cofactors occur; one
-    # across 2^25; and windows around primes p with p - 1 = 2^16, 5 * 2^25
-    # and 2 * 3^17, rows on which the exponent loop runs longest
+    # the largest base primes and large cofactors occur; one across 2^25;
+    # and windows around primes p with p - 1 = 2^16, 5 * 2^25 and 2 * 3^17,
+    # rows on which the exponent loop runs longest
     deep = [2**16 + 1, 5 * 2**25 + 1, 2 * 3**17 + 1]
     assert all(map(is_prime, deep))
     windows = [(2, 5000), (10**9 - 3000, 10**9), (2**25 - 2000, 2**25 + 2000)]
     for lo, hi in windows + [(p - 1000, p + 1000) for p in deep]:
-        primes = segmented_primes(lo, hi)
-        row, q, e = factor_p_minus_1(primes)
-        got = [dict() for _ in primes]
-        for i, qi, ei in zip(row.tolist(), q.tolist(), e.tolist()):
-            assert qi not in got[i]
-            got[i][qi] = ei
-        for p, pairs in zip(primes.tolist(), got):
-            assert pairs == dict(factorize(p - 1).factors)
-            assert all(is_prime(qi) for qi in pairs)
+        assert_factors_p_minus_1(segmented_primes(lo, hi))
 
 
 @st.composite
@@ -270,16 +276,7 @@ def prime_windows(draw):
 @example((6 * 31607 * 5245 + 1, 1 << 16))
 def test_factor_p_minus_1_on_random_windows(window):
     lo, w = window
-    primes = segmented_primes(lo, lo + w)
-    row, q, e = factor_p_minus_1(primes)
-    assert row.dtype == q.dtype == e.dtype == np.int64
-    assert np.all(row < primes.size)
-    got = [dict() for _ in primes]
-    for i, qi, ei in zip(row.tolist(), q.tolist(), e.tolist()):
-        assert qi not in got[i]
-        got[i][qi] = ei
-    for p, pairs in zip(primes.tolist(), got):
-        assert pairs == dict(factorize(p - 1).factors), p
+    assert_factors_p_minus_1(segmented_primes(lo, lo + w))
 
 
 # powmod's moduli: every m below 2^11, composite ones included (only there
