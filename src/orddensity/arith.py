@@ -1,7 +1,7 @@
 """Exact integer arithmetic primitives: sieves, factorization, multiplicative
 functions, Kronecker symbol, multiplicative order, and the elementwise
 kernels over int64 arrays the prime scans run on (residues, modular powers,
-quadratic characters, factoring p - 1 in one strided pass).
+quadratic characters, odd parts of p - 1 in one strided pass).
 
 Everything here is pure and reentrant.
 """
@@ -236,60 +236,56 @@ def _base_primes() -> np.ndarray:
     return base
 
 
-def factor_p_minus_1(primes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factorisations of p - 1 for an ascending int64 array of consecutive
-    primes p <= SCAN_X_CAP, as flat arrays (row, q, e) with q^e exactly
-    dividing primes[row] - 1.
+def factor_p_minus_1(primes: np.ndarray, rows: np.ndarray) -> tuple:
+    """The odd part of p - 1 on the given rows (ascending, distinct) of an
+    ascending int64 array of primes p <= SCAN_X_CAP: flat int64 arrays
+    (row, q, e), one per odd q^e exactly dividing primes[row] - 1, none on
+    any other row.
 
-    v_2(p - 1) is read off the lowest set bit of p - 1, with no factoring.
-    Each odd base prime q <= sqrt(max p), a slice of the primes
+    Each odd base prime q <= sqrt(max p - 1), a slice of the primes
     <= sqrt(SCAN_X_CAP) sieved once, is strided, all at once, over its even
-    multiples in the window [min p - 1, max p - 1], so the cost is the window
-    width times sum 1/(2q) instead of #primes * pi(sqrt(max p)).  The cofactor
-    left after the base primes is 1 or a single prime.
+    multiples in the window [lo, hi] of the asked p - 1, so the cost is the
+    window width times sum 1/(2q); a multiple on a row not asked for finds
+    no slot.  The cofactor left after the 2-part and the base primes is 1 or
+    a single prime.  The multiples are int32 offsets k 2q + (first_q - lo),
+    each term at most hi - lo < SCAN_X_CAP; k, and the places in the pass it
+    is the difference of, are below the count of multiples, at most
+    (hi - lo) sum_q 1/(2q) + pi(sqrt(hi)) < 1.1 SCAN_X_CAP < 2^31.
     """
-    pm1 = primes - 1
+    pm1 = primes[rows] - 1
     if not pm1.size:
-        return pm1, pm1, pm1
-    if pm1[-1] >= SCAN_X_CAP:
+        return rows, pm1, pm1
+    lo, hi = int(pm1[0]), int(pm1[-1])
+    if hi >= SCAN_X_CAP:
         raise ValueError(f"factor_p_minus_1 needs p <= {SCAN_X_CAP}")
     base = _base_primes()
-    odd = base[1 : np.searchsorted(base, math.isqrt(int(pm1[-1])), side="right")]
+    odd = base[1 : np.searchsorted(base, math.isqrt(hi), side="right")]
     step = 2 * odd  # p - 1 is even but for p = 2
-    lo, hi = int(pm1[0]), int(pm1[-1])
     first = -(-lo // step) * step
     count = np.maximum((hi - first) // step + 1, 0)
-    strided = np.repeat(odd, count)
-    # the i-th multiple overall, the k-th of its q, sits at first_q + 2q k - lo
-    # with k = i - (the index of q's first multiple); in place, to keep the
-    # block's peak memory at a few arrays of multiples
-    at = np.arange(strided.size)
-    at *= strided
-    at *= 2
-    at += np.repeat(first - lo - step * (np.cumsum(count) - count), count)
-    slot = np.full(hi - lo + 1, -1, dtype=np.int32)  # rows < len(primes)
-    slot[pm1 - lo] = np.arange(pm1.size)
-    at = slot[at]  # row of each multiple, or -1
-    found = at >= 0
-    row, q = at[found], strided[found]
-    v = pm1[row] // q
+    # in place, to keep the block's peak memory at a few arrays of multiples
+    at = np.arange(count.sum(), dtype=np.int32)
+    at -= np.repeat((np.cumsum(count) - count).astype(np.int32), count)
+    at *= np.repeat(step.astype(np.int32), count)
+    at += np.repeat((first - lo).astype(np.int32), count)
+    slot = np.full(hi - lo + 1, -1, dtype=np.int32)  # place in rows, or -1
+    slot[pm1 - lo] = np.arange(pm1.size, dtype=np.int32)
+    at = np.take(slot, at)
+    found = np.flatnonzero(at >= 0)
+    at, q = at[found], np.repeat(odd, count)[found]
+    v = pm1[at] // q
     e = np.ones_like(v)
     live = np.flatnonzero(v % q == 0)  # the pairs whose q still divides v
     while live.size:
         e[live] += 1
         v[live] //= q[live]
         live = live[v[live] % q[live] == 0]
-    smooth = pm1 & -pm1  # 2^v_2(p - 1), so log2 is exact; 1 for p = 2
-    two = np.flatnonzero(smooth > 1)
-    e2 = np.log2(smooth[two]).astype(np.int64)
-    np.multiply.at(smooth, row, q**e)
+    smooth = pm1 & -pm1  # 2^v_2(p - 1); 1 for p = 2
+    np.multiply.at(smooth, at, q**e)
     cofactor = pm1 // smooth
     big = np.flatnonzero(cofactor > 1)
-    return (
-        np.concatenate([two, row, big]),
-        np.concatenate([np.full_like(two, 2), q, cofactor[big]]),
-        np.concatenate([e2, e, np.ones_like(big)]),
-    )
+    row = rows[np.concatenate([at, big])]
+    return row, np.concatenate([q, cofactor[big]]), np.concatenate([e, np.ones_like(big)])
 
 
 def phi_sieve(limit: int) -> np.ndarray:

@@ -6,17 +6,18 @@ Scans and splitting fractions share one walk over the primes, `_walk`:
 data-parallel over fixed-width prime segments, with per-segment counts
 merged by addition in segment order, so results are identical for any worker
 count.  Every scan runs on one vectorised kernel over blocks, the primes of
-windows _BLOCK wide: it reduces each alpha mod p exactly, factors p-1 (v_2
-from its lowest set bit, odd base primes <= sqrt(x) strided over the window),
-and reads the q-parts of ind_p(alpha) off the quadratic character
-(arith.square_mask) and one modular power per stage (arith.powmod), whose
-rows test q^j | ind up to the cap.
+windows _BLOCK wide: it reduces each alpha mod p exactly, reads v_2(p-1) off
+its lowest set bit, and reads the q-parts of ind_p(alpha) off the quadratic
+character (arith.square_mask) and one modular power per stage
+(arith.powmod), whose rows test q^j | ind up to the cap.
 A scan reads only the q-parts its specs need: each spec gives every alpha a
 q-part plan (_spec_plans), specs sharing an alpha take the per-q maximum,
 and each alpha raises its 2-part, then its odd q-parts, only on the primes
-where some spec can still match (scan_many).  Memory is bounded by the
-widths _BLOCK and SEGMENT, not by x, and a walk whose processes would pass
-WALK_BYTES_CAP stops before it starts.
+where some spec can still match (scan_many).  The odd part of p-1 is
+factored (odd base primes <= sqrt(x) strided over the window) once per
+block, only on the primes some odd stage will read.  Memory is bounded by
+the widths _BLOCK and SEGMENT, not by x, and a walk whose processes would
+pass WALK_BYTES_CAP stops before it starts.
 """
 
 from __future__ import annotations
@@ -266,10 +267,18 @@ def _spec_plans(spec: ConditionSpec) -> list[tuple]:
     return [_set_plan(s) for s in mode.S]
 
 
+def _two_pairs(primes: np.ndarray) -> tuple:
+    """The pairs (row, 2, v_2(p-1)), one per prime, with no factoring: log2 of
+    the lowest set bit (p-1) & -(p-1) is exact, and 0 for p = 2."""
+    pm1 = primes - 1
+    return np.arange(pm1.size), np.full_like(pm1, 2), np.log2(pm1 & -pm1).astype(np.int64)
+
+
 def _q_parts(out, primes, pairs, alpha: FactoredRational, plan: tuple, want) -> None:
     """Multiply `out` by q^min(v_q(ind), cap_q), ind = ind_p(alpha) =
-    (p-1)/ord_p(alpha), for each pair (row, q, e) of factor_p_minus_1(primes)
-    flagged in `want`, under the q-part plan (rest, caps).
+    (p-1)/ord_p(alpha), for each pair (row, q, e) flagged in `want`, under the
+    q-part plan (rest, caps): the 2-part stage passes a block's _two_pairs,
+    the odd stage the odd pairs of factor_p_minus_1(primes, rows).
 
     For q^e exactly dividing p-1 and j <= e, q^j | ind iff
     alpha^((p-1)/q^j) = 1 (mod p), and the j at which it holds form an
@@ -321,8 +330,8 @@ def check_scan_bound(x: int, workers: int = 1) -> int:
     # Each process holds the interpreter with numpy (30 MB), one segment's
     # sieve flags and int64 primes (under 2 bytes per integer) and one
     # block's kernel arrays (under 64 bytes per integer of its window; the
-    # five acceptance specs trace 30 at 10^6 and just below 10^9): 42 MB,
-    # where one segment of those specs just below 10^9 peaks at 34 MB RSS.
+    # five acceptance specs trace 21 at 10^6, 23 at 3*10^7 and 25 just below
+    # 10^9): 42 MB, where one segment of them below 10^9 peaks at 34 MB RSS.
     processes = min(workers, n_segments)
     need = processes * ((30 << 20) + 2 * SEGMENT + 64 * _BLOCK)
     if need > WALK_BYTES_CAP:
@@ -395,6 +404,12 @@ def scan_many(
     2-part is 2^v_2(t), exact since the merged cap on 2 passes v_2(t); after
     the odd q-parts every spec keeps the primes meeting _alpha_ok, so live
     ends as the matched primes.  Results are independent of the worker count.
+
+    A block's odd pairs come from one factor_p_minus_1 call at its first odd
+    stage with demand, on the rows where some spec reading an odd q-part of
+    any alpha is live: exact, since live[spec] only shrinks, so every later
+    odd demand, a union of live[spec] over some of those specs, lies inside.
+    A block where no such spec is live never factors.
     """
     alphas = list(dict.fromkeys(a for s in specs for a in s.alphas))
     plans = [(0, {})] * len(alphas)
@@ -405,6 +420,7 @@ def scan_many(
             plans[i] = _merge_plans(plans[i], (rest, caps))
             odd = rest > 0 or any(c for q, c in caps.items() if q != 2)
             users[i].append((si, k, (caps.get(2, rest) > 0, odd)))
+    odd_readers = sorted({si for used in users for si, _, reads in used if reads[1]})
     # dyadic checkpoints x // 2^k >= 4, ascending
     thresholds = sorted(x >> k for k in range(1, x.bit_length() - 2)) if checkpoints else []
     bounds = np.array(thresholds, dtype=np.int64)
@@ -416,18 +432,21 @@ def scan_many(
 
     def count(primes: np.ndarray) -> np.ndarray:
         """counts[spec, 0 matched | 1 considered, checkpoint bucket]."""
-        pairs = factor_p_minus_1(primes)
-        odd = pairs[1] != 2
+        pairs = [_two_pairs(primes), None]  # the odd pairs on first demand
         considered = [_kept(primes, excl) for excl in spec_excl]
         live = [c & _frobenius_ok(spec, primes) for c, spec in zip(considered, specs)]
         for alpha, plan, used in zip(alphas, plans, users):
             ind = np.ones(primes.size, dtype=np.int64)
-            for stage, in_stage in enumerate((~odd, odd)):
+            for stage in (0, 1):
                 demand = np.zeros(primes.size, dtype=bool)
                 for si, _, reads in used:
                     if reads[stage]:
                         demand |= live[si]
-                _q_parts(ind, primes, pairs, alpha, plan, in_stage & demand[pairs[0]])
+                if demand.any():
+                    if pairs[stage] is None:
+                        readers = reduce(np.logical_or, [live[si] for si in odd_readers])
+                        pairs[stage] = factor_p_minus_1(primes, np.flatnonzero(readers))
+                    _q_parts(ind, primes, pairs[stage], alpha, plan, demand[pairs[stage][0]])
                 for si, k, _ in used:
                     mode = specs[si].mode
                     if stage:

@@ -34,7 +34,7 @@ from orddensity.density import (
     _scaled_tail,
     _tail_grids,
 )
-from orddensity.empirical import _q_parts
+from orddensity.empirical import _q_parts, _two_pairs
 from orddensity.kummer import (
     DEFAULT_CACHE,
     FieldSpec,
@@ -277,12 +277,14 @@ def block_indices(primes: np.ndarray, alphas: Sequence[FactoredRational], plans)
     """prod_q q^min(v_q(ind), cap_q) for ind = ind_p(alpha), shape
     (len(alphas), n): the scan kernel's _q_parts on every pair of p - 1 of a
     block of consecutive primes, one q-part plan per alpha (_FULL_PLAN reads
-    the whole index).  Not an oracle: the kernel tests check it against
+    the whole index).  Like the scan, it passes the 2-pairs and the odd pairs
+    in two stages.  Not an oracle: the kernel tests check it against
     trial-division orders."""
-    pairs = factor_p_minus_1(primes)
+    stages = _two_pairs(primes), factor_p_minus_1(primes, np.arange(primes.size))
     ind = np.ones((len(alphas), primes.size), dtype=np.int64)
     for out, alpha, plan in zip(ind, alphas, plans):
-        _q_parts(out, primes, pairs, alpha, plan, np.ones(pairs[0].size, dtype=bool))
+        for pairs in stages:
+            _q_parts(out, primes, pairs, alpha, plan, np.ones(pairs[0].size, dtype=bool))
     return ind
 
 

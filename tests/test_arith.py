@@ -25,6 +25,8 @@ from orddensity.arith import (
     square_mask,
 )
 
+from orddensity.empirical import _two_pairs
+
 from oracles import abs_, is_prime, root
 
 
@@ -232,51 +234,72 @@ def test_segmented_primes_rejects_bad_range():
         segmented_primes(10, 10)
 
 
-def assert_factors_p_minus_1(primes):
-    # int64 triples, each (row, q) once, that are the factorisation of p - 1
-    row, q, e = factor_p_minus_1(primes)
+def assert_factors_p_minus_1(primes, rows):
+    # int64 triples, each (row, q) once and none off the asked rows, that are
+    # the odd part of the factorisation of p - 1 there; with the scan's
+    # 2-pairs, v_2(p - 1) off the lowest set bit, they make all of it
+    row, q, e = factor_p_minus_1(primes, rows)
     assert row.dtype == q.dtype == e.dtype == np.int64
-    assert np.all(row < primes.size)
+    asked = set(rows.tolist())
     got = [dict() for _ in primes]
     for i, qi, ei in zip(row.tolist(), q.tolist(), e.tolist()):
-        assert qi not in got[i]
+        assert i in asked and qi not in got[i]
         got[i][qi] = ei
-    for p, pairs in zip(primes.tolist(), got):
-        assert pairs == dict(factorize(p - 1).factors), p
+    _, two, v2 = _two_pairs(primes)
+    assert two.dtype == v2.dtype == np.int64 and np.all(two == 2)
+    for i, (p, pairs) in enumerate(zip(primes.tolist(), got)):
+        want = dict(factorize(p - 1).factors)
+        assert v2[i] == want.pop(2, 0), p
+        assert pairs == (want if i in asked else {}), p
         assert all(is_prime(qi) for qi in pairs)
+
+
+def row_subsets(primes, seed):
+    # every row, none, a random half and a random twentieth, ascending
+    rng = np.random.default_rng(seed)
+    for share in (1.0, 0.0, 0.5, 0.05):
+        yield np.flatnonzero(rng.random(primes.size) < share)
 
 
 def test_factor_p_minus_1_matches_trial_division():
     # consecutive primes from 2 up; a window below the 10^9 scan cap where
     # the largest base primes and large cofactors occur; one across 2^25;
     # and windows around primes p with p - 1 = 2^16, 5 * 2^25 and 2 * 3^17,
-    # rows on which the exponent loop runs longest
+    # rows on which the exponent loop runs longest; each on row subsets
     deep = [2**16 + 1, 5 * 2**25 + 1, 2 * 3**17 + 1]
     assert all(map(is_prime, deep))
     windows = [(2, 5000), (10**9 - 3000, 10**9), (2**25 - 2000, 2**25 + 2000)]
     for lo, hi in windows + [(p - 1000, p + 1000) for p in deep]:
-        assert_factors_p_minus_1(segmented_primes(lo, hi))
+        primes = segmented_primes(lo, hi)
+        for rows in row_subsets(primes, lo):
+            assert_factors_p_minus_1(primes, rows)
 
 
 @st.composite
 def prime_windows(draw):
-    # widths up to a scan block's 2^16 integers, anywhere below the cap
+    # widths up to a scan block's 2^16 integers, anywhere below the cap, and
+    # the share of rows asked for
     w = draw(st.integers(1, 1 << 16))
-    return draw(st.integers(2, SCAN_X_CAP - w - 1)), w
+    share = draw(st.sampled_from([1.0, 0.5, 0.05]))
+    return draw(st.integers(2, SCAN_X_CAP - w - 1)), w, share
 
 
 @settings(max_examples=20, deadline=None)
 @given(prime_windows())
-# from p = 2, whose p - 1 has no factor, and p = 3; from primes p whose
+# from p = 2, whose p - 1 has no odd factor, and p = 3; from primes p whose
 # p - 1 is the first even multiple in the window of two odd base primes: of
-# 3 and 5, and of 3 and 31607, the largest below sqrt(SCAN_X_CAP)
-@example((2, 1 << 16))
-@example((3, 5000))
-@example((31, 5000))
-@example((6 * 31607 * 5245 + 1, 1 << 16))
+# 3 and 5, and of 3 and 31607, the largest below sqrt(SCAN_X_CAP); all rows,
+# and the window from 3 on a random half too
+@example((2, 1 << 16, 1.0))
+@example((3, 5000, 1.0))
+@example((3, 5000, 0.5))
+@example((31, 5000, 1.0))
+@example((6 * 31607 * 5245 + 1, 1 << 16, 1.0))
 def test_factor_p_minus_1_on_random_windows(window):
-    lo, w = window
-    assert_factors_p_minus_1(segmented_primes(lo, lo + w))
+    lo, w, share = window
+    primes = segmented_primes(lo, lo + w)
+    rows = np.flatnonzero(np.random.default_rng(lo).random(primes.size) < share)
+    assert_factors_p_minus_1(primes, rows)
 
 
 # powmod's moduli: every m below 2^11, composite ones included (only there

@@ -5,6 +5,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -319,6 +320,65 @@ def test_staged_scan_past_one_block_matches_brute_scan():
         for cfg, spec, w in zip(STAGED, built, want):
             res = scan(spec, x, checkpoints=True)
             assert (res.matched, res.considered, res.checkpoints) == w, cfg
+
+
+@contextmanager
+def factored_primes():
+    """The primes of the rows of every factor_p_minus_1 call the scan makes."""
+    calls = []
+
+    def spy(primes, rows):
+        calls.append(primes[rows])
+        return arith.factor_p_minus_1(primes, rows)
+
+    with mock.patch.object(empirical, "factor_p_minus_1", spy):
+        yield calls
+
+
+def test_scan_factors_only_the_rows_an_odd_stage_reads():
+    # [2, 2 * 10^5] is four windows of 2^16 integers, so four blocks
+    x = 2 * 10**5
+    # order even and both indices even read 2-parts alone: nothing is factored
+    both_even = IndexSet((SetDescriptor.progression(0, 2),) * 2)
+    no_odd = [ConditionSpec.make([2], OrderAP((0,), (2,))), ConditionSpec.make([2, 5], both_even)]
+    with factored_primes() as calls:
+        scan_many(no_odd, x)
+    assert calls == []
+    # index 1 reads odd q-parts only where the 2-part of ind_p(2) is 1, at
+    # the non-squares of 2, p = 3, 5 (mod 8): one call per block, on them alone
+    with factored_primes() as calls:
+        scan(ConditionSpec.make([2], IndexFixed((1,))), x)
+    assert len(calls) == 4
+    primes = segmented_primes(3, x + 1)
+    assert np.concatenate(calls).tolist() == primes[primes % 8 % 6 != 1].tolist()
+
+
+# Spec lists whose first odd demand comes from a later alpha: 5's plan reads
+# its 2-part alone, so 3's index 1 triggers the factoring; and with 2 of
+# even order first, 3 index 1 either triggers it, or, with 2 index 1 too,
+# must find its rows among those factored at 2's odd stage before 3's 2-part
+# has pruned anything
+FIVE, THREE = Fraction(5), Fraction(3)
+LATE_ODD = [
+    ([FIVE, THREE], "indexset", [("ap", 0, 2), ("finite", (1,))], None),
+    ([TWO], "order", [(0, 2)], None),
+    ([THREE], "index", (1,), None),
+    ([TWO], "index", (1,), None),
+]
+
+
+def test_late_first_odd_demand_matches_brute_scan():
+    # in one block of 2^16 integers and in five of 2^12
+    x = 2 * 10**4
+    want = [brute_scan(*cfg, x) for cfg in LATE_ODD]
+    built = [ConditionSpec.make(a, mode_of(m, params), frob) for a, m, params, frob in LATE_ODD]
+    groups = [[0], [1], [2], [3], [1, 2], [1, 2, 3]]
+    for block in (1 << 16, 1 << 12):
+        with mock.patch.object(empirical, "_BLOCK", block):
+            for group in groups:
+                results = scan_many([built[i] for i in group], x, checkpoints=True)
+                for i, res in zip(group, results):
+                    assert (res.matched, res.considered, res.checkpoints) == want[i], LATE_ODD[i]
 
 
 def test_acceptance_scan_powmod_elements_pinned():
