@@ -23,7 +23,6 @@ pass WALK_BYTES_CAP stops before it starts.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Sequence
@@ -377,6 +376,9 @@ def _walk(x: int, count, workers: int = 1):
     _SCAN.update({"x": x, "count": count})
     ctx = None
     if workers > 1 and n_segments > 1:
+        # imported here, as only a forked walk needs it and it costs start-up
+        import multiprocessing
+
         try:
             ctx = multiprocessing.get_context("fork")  # workers inherit _SCAN
         except ValueError:

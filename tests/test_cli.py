@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import re
 import time
 
@@ -216,7 +217,7 @@ NMAX_PAST_CAP = "5000001"  # its tail grid 4 * nmax passes phi_lcm_tail's rank-1
         pytest.param(
             # 239 segments at x = 10^9, one process each, pass the walk's memory cap
             SCAN_INDEX_ONE + ["--x", str(empirical.SCAN_X_CAP), "--workers", "1000"],
-            [(empirical, "multiprocessing"), (empirical, "segmented_primes")],
+            [(multiprocessing, "get_context"), (empirical, "segmented_primes")],
             id="scan-workers",
         ),
         pytest.param(

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -159,10 +160,16 @@ def test_index_set_scan_matches_union_of_fixed():
 
 
 def test_scan_worker_invariance():
+    # the spy shows the workers=3 scan forks: the serial fallback would
+    # give the same counts
     spec = ConditionSpec.make([2, 3], IndexFixed((1, 1)))
-    with mock.patch.object(empirical, "SEGMENT", 1 << 14):
+    with mock.patch.object(empirical, "SEGMENT", 1 << 14), mock.patch.object(
+        multiprocessing, "get_context", wraps=multiprocessing.get_context
+    ) as get_context:
         serial = scan(spec, 10**5, workers=1)
+        get_context.assert_not_called()
         forked = scan(spec, 10**5, workers=3)
+    get_context.assert_called_once_with("fork")
     assert (serial.matched, serial.considered) == (forked.matched, forked.considered)
 
 
@@ -248,6 +255,29 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_only_a_forked_walk_loads_multiprocessing():
+    # a fresh interpreter: imports, a one-worker scan and a series value leave
+    # the fork pool's module unloaded; a forked walk loads it and counts the same
+    code = """
+import sys
+import orddensity, orddensity.cli
+from orddensity import density, empirical
+spec = density.ConditionSpec.make([2, 3], density.IndexFixed((1, 1)))
+serial = empirical.scan_many([spec], 10**5, checkpoints=True)
+density.evaluate(spec, 8)
+print("multiprocessing" in sys.modules)
+empirical.SEGMENT = 1 << 14
+forked = empirical.scan_many([spec], 10**5, workers=2, checkpoints=True)
+print("multiprocessing" in sys.modules, forked == serial)
+"""
+    path = [str(Path(orddensity.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "True", "True"]
 
 
 def test_star_import_binds_all():

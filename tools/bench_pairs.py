@@ -17,7 +17,7 @@ the sha256 of its src/ and the machine, from perfbench's stamp line), each
 side's `final_json` (the result line of its first run of every workload),
 every pair in order, and a summary of each side's quartiles per metric
 (statistics.quantiles, inclusive method) with the pairs the change wins on
-wall_norm_s.
+each metric (every metric is better lower).
 """
 
 from __future__ import annotations
@@ -83,9 +83,8 @@ def summary(pairs: dict) -> dict:
         for metric in METRICS:
             entry = {f"{side}_q1_median_q3": quartiles([p[side][metric] for p in runs])
                      for side in SIDES}
-            if metric == "wall_norm_s":
-                wins = sum(p["change"][metric] < p["parent"][metric] for p in runs)
-                entry["change_wins"] = f"{wins}/{len(runs)}"
+            wins = sum(p["change"][metric] < p["parent"][metric] for p in runs)
+            entry["change_wins"] = f"{wins}/{len(runs)}"
             out[workload][metric] = entry
     return out
 
