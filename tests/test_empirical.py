@@ -238,6 +238,16 @@ def test_li_matches_mpmath():
     assert li(2) == li(1) == 0.0
 
 
+def run_fresh(code: str) -> str:
+    """The stdout of code run in a fresh interpreter that imports this package."""
+    path = [str(Path(orddensity.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout
+
+
 def test_package_runs_without_scipy():
     # a fresh interpreter: a scan, a series value and a compare load no scipy
     code = """
@@ -249,12 +259,7 @@ res = empirical.scan(spec, 1000)
 empirical.compare(density.evaluate(spec, 8), res)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
-    path = [str(Path(orddensity.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    assert run_fresh(code).strip() == "[]"
 
 
 def test_only_a_forked_walk_loads_multiprocessing():
@@ -272,12 +277,7 @@ empirical.SEGMENT = 1 << 14
 forked = empirical.scan_many([spec], 10**5, workers=2, checkpoints=True)
 print("multiprocessing" in sys.modules, forked == serial)
 """
-    path = [str(Path(orddensity.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.split() == ["False", "True", "True"]
+    assert run_fresh(code).split() == ["False", "True", "True"]
 
 
 def test_star_import_binds_all():
