@@ -106,15 +106,22 @@ def prime_list(limit: int) -> np.ndarray:
 
 
 def segmented_primes(lo: int, hi: int) -> np.ndarray:
-    """Primes in [lo, hi), ascending, from one sieve window of hi - lo flags
-    crossed off by the base primes <= sqrt(hi - 1); memory is O(hi - lo)."""
+    """Primes in [lo, hi), ascending, from flags for the window's odd integers
+    only (half a byte per integer), crossed off by the odd base primes <= sqrt(hi - 1)."""
     if not (2 <= lo < hi):
         raise ValueError("need 2 <= lo < hi")
-    flags = np.ones(hi - lo, dtype=bool)
-    for p in prime_list(math.isqrt(hi - 1)).tolist():
-        # from p*p, so base primes inside the window stay marked prime
-        flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
-    return np.flatnonzero(flags) + lo
+    start = lo | 1 if lo > 2 else 1  # flag i stands for start + 2i, and 1 for 2
+    flags = np.ones((hi - start + 1) // 2, dtype=bool)
+    for p in prime_list(math.isqrt(hi - 1))[1:].tolist():
+        # every p-th flag (odd multiples 2p apart) from the first odd kp >= max(p*p, lo)
+        k = max(p, -(-lo // p) | 1)
+        flags[(k * p - start) // 2 :: p] = False
+    primes = np.flatnonzero(flags)  # in place: no second int64 copy
+    primes *= 2
+    primes += start
+    if start == 1:
+        primes[0] = 2  # 1 is never crossed off, and 2 sorts where it stood
+    return primes
 
 
 # ---------------------------------------------------------------------------

@@ -327,10 +327,10 @@ def check_scan_bound(x: int, workers: int = 1) -> int:
         raise ResourceCapError(f"scan bound {x} exceeds cap {SCAN_X_CAP}")
     n_segments = (x - 1 + SEGMENT - 1) // SEGMENT
     # Each process holds the interpreter with numpy (30 MB), one segment's
-    # sieve flags and int64 primes (under 2 bytes per integer) and one
-    # block's kernel arrays (under 64 bytes per integer of its window; the
-    # five acceptance specs trace 21 at 10^6, 23 at 3*10^7 and 25 just below
-    # 10^9): 42 MB, where one segment of them below 10^9 peaks at 34 MB RSS.
+    # sieve flags for odd integers and int64 primes (under 1.1 bytes per
+    # integer; 2 counted) and one block's kernel arrays (under 64 bytes per
+    # integer of its window; the five acceptance specs trace 21 at 10^6, 23 at
+    # 3*10^7, 25 below 10^9): 42 MB; one segment below 10^9 peaks at 33 MB RSS.
     processes = min(workers, n_segments)
     need = processes * ((30 << 20) + 2 * SEGMENT + 64 * _BLOCK)
     if need > WALK_BYTES_CAP:
@@ -394,9 +394,10 @@ def scan_many(
     x: int,
     *,
     workers: int = 1,
-    checkpoints: bool = False,
+    checkpoints: bool | Sequence[int] = False,
 ) -> list[ScanResult]:
-    """Scan all primes p <= x once, classifying against every spec.
+    """Scan all primes p <= x once, classifying against every spec; a true
+    `checkpoints` adds the dyadic ones, and a sequence its bounds below x too.
 
     Each distinct alpha's q-parts are raised once per prime and shared by
     the specs, on demand: live[spec] starts as the considered primes meeting
@@ -423,8 +424,10 @@ def scan_many(
             odd = rest > 0 or any(c for q, c in caps.items() if q != 2)
             users[i].append((si, k, (caps.get(2, rest) > 0, odd)))
     odd_readers = sorted({si for used in users for si, _, reads in used if reads[1]})
-    # dyadic checkpoints x // 2^k >= 4, ascending
-    thresholds = sorted(x >> k for k in range(1, x.bit_length() - 2)) if checkpoints else []
+    # dyadic checkpoints x // 2^k >= 4 and any given bounds below x, ascending
+    given = {int(t) for t in (() if isinstance(checkpoints, bool) else checkpoints) if t < x}
+    dyadic = {x >> k for k in range(1, x.bit_length() - 2)}
+    thresholds = sorted(dyadic | given) if checkpoints else []
     bounds = np.array(thresholds, dtype=np.int64)
     excluded = []
     for spec in specs:
