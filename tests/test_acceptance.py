@@ -7,8 +7,10 @@ determinism criterion can compare full reruns.
 """
 
 import itertools
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +194,31 @@ def test_criterion_3_empirical_agreement(empirical_runs):
 def test_scan_counts_pinned_at_1e7(empirical_runs):
     for run in empirical_runs:
         assert run["counts"] == SCAN_COUNTS_1E7
+
+
+# the five configs' counts at 10^9, from tools/reference_counts.py: one
+# scan_many of 239 segments, with 2 workers
+REFERENCE_1E9 = Path(__file__).resolve().parent.parent / "REFERENCE_1e9.json"
+SCAN_COUNTS_1E9 = [
+    (19014787, 50847533),
+    (36016626, 50847533),
+    (7492962, 50847532),
+    (12711702, 50847533),
+    (12709817, 50847532),
+]
+
+
+def test_reference_counts_tie_to_the_pins():
+    # the file's 10^7 checkpoints are tier-1's pins and its 10^6 ones a fresh
+    # scan's, so its counts come from the scan tier-1 tests
+    ref = json.loads(REFERENCE_1E9.read_text())
+    assert ref["x"] == 10**9
+    at = [{x: (m, c) for x, m, c in spec["checkpoints"]} for spec in ref["specs"]]
+    assert [a[SCAN_X] for a in at] == SCAN_COUNTS_1E7
+    fresh = scan_many([make() for _, make, _, _, _ in FIVE_CONFIGS], 10**6)
+    assert [a[10**6] for a in at] == [(s.matched, s.considered) for s in fresh]
+    assert [(s["matched"], s["considered"]) for s in ref["specs"]] == SCAN_COUNTS_1E9
+    assert [a[10**9] for a in at] == SCAN_COUNTS_1E9
 
 
 # closed forms of the five configs: Artin's constant, Hasse's 17/24, the

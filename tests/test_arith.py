@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -210,6 +211,43 @@ def test_segmented_primes_examples():
 def test_segmented_primes_past_million_against_trial_division():
     got = list(segmented_primes(10**6, 10**6 + 100))
     assert got == trial_division_primes(10**6, 10**6 + 100)
+
+
+# the sieve keeps flags for the odd integers of [lo, hi) only: windows whose
+# lo and hi take each parity; lo in {2, 3, 4}, around the prime 2 it adds
+# itself; the one-integer windows [2, 3), [3, 4) and [4, 5), the last with no
+# odd integer; windows that open on a base prime's square, or whose last
+# integer is one; and one closing on the scan cap
+SIEVE_EDGE_WINDOWS = [
+    (10, 50), (10, 51), (11, 50), (11, 51),
+    (2, 30), (3, 30), (4, 30),
+    (2, 3), (3, 4), (4, 5),
+    (9, 30), (25, 60), (169, 200), (961, 1000), (2, 10), (150, 170),
+    (SCAN_X_CAP - 500, SCAN_X_CAP + 1),
+]
+
+
+@pytest.mark.parametrize("lo, hi", SIEVE_EDGE_WINDOWS)
+def test_segmented_primes_edge_windows_against_trial_division(lo, hi):
+    got = segmented_primes(lo, hi)
+    assert got.dtype == np.int64
+    assert got.tolist() == trial_division_primes(lo, hi)
+
+
+def test_segmented_primes_segment_below_the_cap_traces_under_4_mb():
+    # one scan segment of 2^22 integers below 10^9: flags for its odd
+    # integers (2 MiB) and its primes, turned from flag indices in place
+    # (1.5 MiB), trace 3.5 MiB; a flag for every integer and a second int64
+    # copy of the primes traced 7.1 MiB
+    hi = SCAN_X_CAP
+    tracemalloc.start()
+    try:
+        primes = segmented_primes(hi - (1 << 22), hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert primes.size == 202473
+    assert peak < 4 << 20
 
 
 def plain_sieve(limit):

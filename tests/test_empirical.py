@@ -211,6 +211,18 @@ def test_scan_checkpoints_monotone():
     assert res.checkpoints[-1][1] == res.matched
 
 
+def test_scan_checkpoints_at_given_bounds():
+    # a sequence of bounds adds its bounds below x to the dyadic checkpoints,
+    # each with the counts a scan to that bound gives
+    spec = ConditionSpec.make([2], IndexFixed((1,)))
+    dyadic = scan(spec, 10**5, checkpoints=True).checkpoints
+    got = scan(spec, 10**5, checkpoints=[10**4, 10**3, 10**5, 10**6]).checkpoints
+    at = {bound: (bound, r.matched, r.considered) for bound in (10**3, 10**4)
+          for r in [scan(spec, bound)]}
+    assert got == sorted(dyadic + list(at.values()))
+    assert scan(spec, 10**5, checkpoints=[]).checkpoints is None
+
+
 def test_scan_resource_guard():
     spec = ConditionSpec.make([2], IndexFixed((1,)))
     with pytest.raises(ResourceCapError):
