@@ -237,8 +237,8 @@ def test_segmented_primes_edge_windows_against_trial_division(lo, hi):
 def test_segmented_primes_segment_below_the_cap_traces_under_4_mb():
     # one scan segment of 2^22 integers below 10^9: flags for its odd
     # integers (2 MiB) and its primes, turned from flag indices in place
-    # (1.5 MiB), trace 3.5 MiB; a flag for every integer and a second int64
-    # copy of the primes traced 7.1 MiB
+    # (1.5 MiB), trace 3.5 MiB; a flag for every integer (2 MiB more) or a
+    # second int64 copy of the primes (1.5 MiB more) passes 4 MiB
     hi = SCAN_X_CAP
     tracemalloc.start()
     try:
