@@ -110,18 +110,17 @@ def segmented_primes(lo: int, hi: int) -> np.ndarray:
     only (half a byte per integer), crossed off by the odd base primes <= sqrt(hi - 1)."""
     if not (2 <= lo < hi):
         raise ValueError("need 2 <= lo < hi")
-    start = lo | 1 if lo > 2 else 1  # flag i stands for start + 2i, and 1 for 2
+    start = lo | 1  # flag i stands for start + 2i
     flags = np.ones((hi - start + 1) // 2, dtype=bool)
     for p in prime_list(math.isqrt(hi - 1))[1:].tolist():
         # every p-th flag (odd multiples 2p apart) from the first odd kp >= max(p*p, lo)
         k = max(p, -(-lo // p) | 1)
         flags[(k * p - start) // 2 :: p] = False
     primes = np.flatnonzero(flags)  # in place: no second int64 copy
+    del flags  # first, so prepending 2 below holds two arrays of primes, not flags too
     primes *= 2
     primes += start
-    if start == 1:
-        primes[0] = 2  # 1 is never crossed off, and 2 sorts where it stood
-    return primes
+    return np.concatenate(([2], primes)) if lo <= 2 else primes
 
 
 # ---------------------------------------------------------------------------

@@ -327,7 +327,7 @@ def check_scan_bound(x: int, workers: int = 1) -> int:
         raise ResourceCapError(f"scan bound {x} exceeds cap {SCAN_X_CAP}")
     n_segments = (x - 1 + SEGMENT - 1) // SEGMENT
     # Each process holds the interpreter with numpy (30 MB), one segment's
-    # sieve flags for odd integers and int64 primes (under 1.1 bytes per
+    # sieve flags for odd integers and int64 primes (under 1.2 bytes per
     # integer; 2 counted) and one block's kernel arrays (under 64 bytes per
     # integer of its window; the five acceptance specs trace 21 at 10^6, 23 at
     # 3*10^7, 25 below 10^9): 42 MB; one segment below 10^9 peaks at 33 MB RSS.
