@@ -9,10 +9,9 @@ holds, per spec, `matched`, `considered` and the running counts at the
 dyadic checkpoints x // 2^k and at every power of 10 below x, with the
 commit and the sha256 of src/ (perfbench's digest) it came from.  Counts do
 not depend on the worker count.  Wall time and peak RSS (this process and
-the largest forked worker) go to stderr, not into the file, which is the
-same for the same counts.  Scans are deterministic, so the file is never
-re-generated to make a check pass: a changed count is a scan bug or a spec
-change.
+the largest forked worker) go to stderr, not into the file.  Scans are
+deterministic, so the file is never re-generated to make a check pass: a
+changed count is a scan bug or a spec change.
 """
 
 from __future__ import annotations
@@ -65,8 +64,11 @@ def src_digest() -> str:
 
 
 def commit() -> str:
-    proc = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
-                          capture_output=True, text=True)
+    try:
+        proc = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
+                              capture_output=True, text=True)
+    except OSError:  # no git on the path
+        return "unknown"
     return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
