@@ -218,11 +218,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.x is None:
         raise ConfigError("scan needs --x (flag or config file)")
     started = time.monotonic()
-    result = empirical.scan(spec, args.x, workers=args.workers, checkpoints=bool(args.csv))
-    counts = result.to_dict()
-    counts.pop("checkpoints", None)
-    _report(args, "scan-result/1", started, mode=args.mode, alphas=args.alpha, **counts)
-    if args.csv and result.checkpoints:
+    result = empirical.scan(spec, args.x, workers=args.workers)
+    _report(args, "scan-result/1", started, mode=args.mode, alphas=args.alpha, **result.to_dict())
+    if args.csv:
         with _open_output(args.csv) as fh:
             w = csv.writer(fh)
             w.writerow(["x", "matched", "considered"])

@@ -146,6 +146,8 @@ class ConditionSpec:
         elif isinstance(self.mode, IndexSet):
             if len(self.mode.S) != r:
                 raise ValueError("need one index set per alpha")
+            if not all(isinstance(s, SetDescriptor) for s in self.mode.S):
+                raise ValueError("index sets must be SetDescriptors")
         else:
             raise ValueError("unknown mode")
         if self.frobenius is not None:

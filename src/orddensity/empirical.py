@@ -84,19 +84,31 @@ def li(x: float) -> float:
 
 @dataclass
 class ScanResult:
-    """Empirical counts for one condition spec over primes p <= x."""
+    """Empirical counts for one condition spec over primes p <= x, with the
+    running counts at ascending checkpoints, the last at x.  Li(x) and both
+    ratios are computed from the counts."""
 
     x: int
     matched: int
     considered: int
     excluded: tuple[int, ...]
-    li_x: float
-    ratio_considered: float
-    ratio_li: float
-    checkpoints: Optional[list[tuple[int, int, int]]] = None  # (x_k, matched, considered)
+    checkpoints: list[tuple[int, int, int]]  # (x_k, matched, considered)
+
+    @property
+    def li_x(self) -> float:
+        return li(self.x)
+
+    @property
+    def ratio_considered(self) -> float:
+        return self.matched / self.considered if self.considered else 0.0
+
+    @property
+    def ratio_li(self) -> float:
+        li_x = self.li_x
+        return self.matched / li_x if li_x else 0.0
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "x": self.x,
             "matched": self.matched,
             "considered": self.considered,
@@ -107,11 +119,6 @@ class ScanResult:
                 "matched_over_li": self.ratio_li,
             },
         }
-        if self.checkpoints is not None:
-            out["checkpoints"] = [
-                {"x": a, "matched": b, "considered": c} for a, b, c in self.checkpoints
-            ]
-        return out
 
 
 @dataclass
@@ -145,13 +152,14 @@ def _kept(primes: np.ndarray, excluded: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _excluded(alphas: Sequence[FactoredRational], level: int) -> frozenset[int]:
-    """Primes dividing a numerator or denominator of some alpha, or the level:
-    the Frobenius level of a scan, the cyclotomic level M of a field."""
+def _excluded(alphas: Sequence[FactoredRational], level: int, x: int) -> tuple[int, ...]:
+    """The primes p <= x dividing a numerator or denominator of some alpha, or
+    the level (the Frobenius level of a scan, the cyclotomic level M of a
+    field), ascending."""
     out = {p for a in alphas for p in a.support()}
     if level > 1:
         out.update(p for p, _ in factorize(level).factors)
-    return frozenset(out)
+    return tuple(sorted(p for p in out if p <= x))
 
 
 def _alpha_ok(mode, k: int, ind: np.ndarray, primes: np.ndarray) -> np.ndarray:
@@ -394,10 +402,11 @@ def scan_many(
     x: int,
     *,
     workers: int = 1,
-    checkpoints: bool | Sequence[int] = False,
+    checkpoints: Sequence[int] = (),
 ) -> list[ScanResult]:
-    """Scan all primes p <= x once, classifying against every spec; a true
-    `checkpoints` adds the dyadic ones, and a sequence its bounds below x too.
+    """Scan all primes p <= x once, classifying against every spec, with the
+    running counts at the dyadic checkpoints x // 2^k >= 4, at the given
+    `checkpoints` below x and at x.
 
     Each distinct alpha's q-parts are raised once per prime and shared by
     the specs, on demand: live[spec] starts as the considered primes meeting
@@ -424,15 +433,10 @@ def scan_many(
             odd = rest > 0 or any(c for q, c in caps.items() if q != 2)
             users[i].append((si, k, (caps.get(2, rest) > 0, odd)))
     odd_readers = sorted({si for used in users for si, _, reads in used if reads[1]})
-    # dyadic checkpoints x // 2^k >= 4 and any given bounds below x, ascending
-    given = {int(t) for t in (() if isinstance(checkpoints, bool) else checkpoints) if t < x}
     dyadic = {x >> k for k in range(1, x.bit_length() - 2)}
-    thresholds = sorted(dyadic | given) if checkpoints else []
+    thresholds = sorted(dyadic | {int(t) for t in checkpoints if t < x})
     bounds = np.array(thresholds, dtype=np.int64)
-    excluded = []
-    for spec in specs:
-        level = spec.frobenius[0] if spec.frobenius else 1
-        excluded.append(tuple(sorted(p for p in _excluded(spec.alphas, level) if p <= x)))
+    excluded = [_excluded(s.alphas, s.frobenius[0] if s.frobenius else 1, x) for s in specs]
     spec_excl = [np.array(e, dtype=np.int64) for e in excluded]
 
     def count(primes: np.ndarray) -> np.ndarray:
@@ -466,32 +470,16 @@ def scan_many(
         return counts
 
     totals = _walk(x, count, workers)
-    li_x = li(x)
     out = []
-    for (matched, considered), excl in zip(totals, excluded):
-        running = (np.cumsum(c).tolist() for c in (matched, considered))
-        ck = list(zip(thresholds + [x], *running)) if checkpoints else None
-        matched, considered = int(matched.sum()), int(considered.sum())
-        out.append(
-            ScanResult(
-                x=x,
-                matched=matched,
-                considered=considered,
-                excluded=excl,
-                li_x=li_x,
-                ratio_considered=matched / considered if considered else 0.0,
-                ratio_li=matched / li_x if li_x else 0.0,
-                checkpoints=ck,
-            )
-        )
+    for counts, excl in zip(totals, excluded):
+        ck = list(zip(thresholds + [x], *np.cumsum(counts, axis=1).tolist()))
+        out.append(ScanResult(x, ck[-1][1], ck[-1][2], excl, ck))
     return out
 
 
-def scan(
-    spec: ConditionSpec, x: int, *, workers: int = 1, checkpoints: bool = False
-) -> ScanResult:
+def scan(spec: ConditionSpec, x: int, *, workers: int = 1) -> ScanResult:
     """Scan primes p <= x against one condition spec."""
-    return scan_many([spec], x, workers=workers, checkpoints=checkpoints)[0]
+    return scan_many([spec], x, workers=workers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +499,7 @@ def splitting_fraction_many(fspecs: Sequence[FieldSpec], x: int) -> list[float]:
     raised.
     """
     data = [
-        (fs.M, fs.m, fs.alphas,
-         np.array(sorted(p for p in _excluded(fs.alphas, fs.M) if p <= x), dtype=np.int64))
+        (fs.M, fs.m, fs.alphas, np.array(_excluded(fs.alphas, fs.M, x), dtype=np.int64))
         for fs in fspecs
     ]
 

@@ -28,7 +28,7 @@ from orddensity.density import (
     index_density_set,
     order_density,
 )
-from orddensity.empirical import ScanResult, compare, li, scan_many, splitting_fraction_many
+from orddensity.empirical import ScanResult, compare, scan_many, splitting_fraction_many
 from orddensity.eulerseries import phi_lcm_tail
 from orddensity.cli import FAILURE_POOL, failure_bound
 from orddensity.kummer import DegreeCache, FieldSpec, failure_ratio, kummer_degree
@@ -229,13 +229,9 @@ CLOSED_FORMS = [0.3739558136, 17 / 24, 0.14734941998, 1 / 4, 1 / 4]
 
 
 def test_compare_z_from_pinned_counts():
-    li_x = li(SCAN_X)
-
     def z(k, delta):
         matched, considered = SCAN_COUNTS_1E7[k]
-        scan = ScanResult(
-            SCAN_X, matched, considered, (), li_x, matched / considered, matched / li_x
-        )
+        scan = ScanResult(SCAN_X, matched, considered, (), [(SCAN_X, matched, considered)])
         rep = compare(DensityResult(delta, 1, (0, 0), 0.0), scan, FIVE_CONFIGS[k][3])
         assert rep.sigma == pytest.approx(math.sqrt(delta * (1 - delta) / considered))
         return rep.z

@@ -781,6 +781,11 @@ def test_condition_spec_validation():
         ConditionSpec.make([2], IndexFixed((1,)), frobenius=(0, {1}))  # level < 1
     with pytest.raises(ValueError):
         ConditionSpec.make([-2, 2], IndexFixed((1, 1)))  # (-2)^2 = 2^2
+    # an index set given as the CLI's string, not parsed, or as a bare index
+    with pytest.raises(ValueError, match="SetDescriptor"):
+        ConditionSpec.make([2], IndexSet(("ap:0:2",)))
+    with pytest.raises(ValueError, match="SetDescriptor"):
+        ConditionSpec.make([2, 3], IndexSet((EVEN, 2)))
     ConditionSpec.make([6, 10, 15], IndexFixed((1, 1, 1)))
 
 

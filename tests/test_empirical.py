@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -201,26 +202,43 @@ def test_scan_memory_is_bounded_by_the_segment():
 
 
 def test_scan_checkpoints_monotone():
+    # every scan carries its dyadic checkpoints, ending at (x, matched, considered)
     spec = ConditionSpec.make([2], IndexFixed((1,)))
-    res = scan(spec, 10**4, checkpoints=True)
-    assert res.checkpoints is not None
+    res = scan(spec, 10**4)
     xs = [c[0] for c in res.checkpoints]
-    assert xs == sorted(xs) and xs[-1] == 10**4
+    assert xs == sorted({10**4 >> k for k in range(1, 12)} | {10**4})
     matched = [c[1] for c in res.checkpoints]
     assert matched == sorted(matched)
-    assert res.checkpoints[-1][1] == res.matched
+    assert res.checkpoints[-1] == (10**4, res.matched, res.considered)
 
 
 def test_scan_checkpoints_at_given_bounds():
     # a sequence of bounds adds its bounds below x to the dyadic checkpoints,
     # each with the counts a scan to that bound gives
     spec = ConditionSpec.make([2], IndexFixed((1,)))
-    dyadic = scan(spec, 10**5, checkpoints=True).checkpoints
-    got = scan(spec, 10**5, checkpoints=[10**4, 10**3, 10**5, 10**6]).checkpoints
+    dyadic = scan(spec, 10**5).checkpoints
+    got = scan_many([spec], 10**5, checkpoints=[10**4, 10**3, 10**5, 10**6])[0].checkpoints
     at = {bound: (bound, r.matched, r.considered) for bound in (10**3, 10**4)
           for r in [scan(spec, bound)]}
     assert got == sorted(dyadic + list(at.values()))
-    assert scan(spec, 10**5, checkpoints=[]).checkpoints is None
+    assert scan_many([spec], 10**5, checkpoints=[])[0].checkpoints == dyadic
+
+
+def test_scan_ratios_follow_the_counts():
+    # Li(x) and the ratios are read off the counts, so a result with a
+    # replaced count cannot keep the old ratios
+    res = scan(ConditionSpec.make([2], IndexFixed((1,))), 10**4)
+    k = res.matched + 7
+    moved = dataclasses.replace(res, matched=k)
+    assert moved.ratio_considered == k / res.considered
+    assert moved.ratio_li == k / li(10**4) == k / moved.li_x
+
+
+def test_scan_to_dict_holds_the_readme_keys():
+    # the checkpoints go to --csv, not to the scan's JSON
+    res = scan(ConditionSpec.make([2], IndexFixed((1,))), 10**4)
+    assert res.checkpoints
+    assert sorted(res.to_dict()) == ["considered", "excluded", "li_x", "matched", "ratios", "x"]
 
 
 def test_scan_resource_guard():
@@ -231,7 +249,8 @@ def test_scan_resource_guard():
 
 def test_excluded_primes():
     spec = ConditionSpec.make(["10/21"], IndexFixed((1,)), frobenius=(6, {1}))
-    assert _excluded(spec.alphas, spec.frobenius[0]) == frozenset({2, 3, 5, 7})
+    assert _excluded(spec.alphas, spec.frobenius[0], 100) == (2, 3, 5, 7)
+    assert _excluded(spec.alphas, spec.frobenius[0], 6) == (2, 3, 5)
     assert scan(spec, 100).excluded == (2, 3, 5, 7)
 
 
@@ -282,11 +301,11 @@ import sys
 import orddensity, orddensity.cli
 from orddensity import density, empirical
 spec = density.ConditionSpec.make([2, 3], density.IndexFixed((1, 1)))
-serial = empirical.scan_many([spec], 10**5, checkpoints=True)
+serial = empirical.scan_many([spec], 10**5)
 density.evaluate(spec, 8)
 print("multiprocessing" in sys.modules)
 empirical.SEGMENT = 1 << 14
-forked = empirical.scan_many([spec], 10**5, workers=2, checkpoints=True)
+forked = empirical.scan_many([spec], 10**5, workers=2)
 print("multiprocessing" in sys.modules, forked == serial)
 """
     assert run_fresh(code).split() == ["False", "True", "True"]

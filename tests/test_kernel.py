@@ -150,7 +150,7 @@ def test_scan_many_matches_prime_by_prime_classifier(specs, x, segment):
         assume(multiplicatively_independent([FactoredRational.from_fraction(q) for q in alphas]))
     built = [ConditionSpec.make(alphas, m, frob) for alphas, _, _, m, frob in specs]
     with mock.patch.object(empirical, "SEGMENT", segment):
-        results = scan_many(built, x, checkpoints=True)
+        results = scan_many(built, x)
     for (alphas, mode, params, _, frob), res in zip(specs, results):
         matched, considered, checkpoints = brute_scan(alphas, mode, params, frob, x)
         assert (res.matched, res.considered) == (matched, considered)
@@ -231,7 +231,7 @@ def test_scan_many_with_shared_alpha_plans_matches_brute_scan():
     built = [ConditionSpec.make(a, mode_of(m, params), frob) for a, m, params, frob in configs]
     groups = [[i] for i in range(len(built))] + [range(len(NARROW_PLANS)), range(len(built))]
     for group in groups:
-        results = scan_many([built[i] for i in group], x, checkpoints=True)
+        results = scan_many([built[i] for i in group], x)
         for i, res in zip(group, results):
             assert (res.matched, res.considered, res.checkpoints) == want[i], configs[i]
 
@@ -254,7 +254,7 @@ def test_scan_with_moduli_past_int64_matches_brute_scan():
     want = [brute_scan(*cfg, x) for cfg in HUGE_MODULI]
     assert [w[0] for w in want] == [2, 0, 255, 65, 0, 1]
     built = [ConditionSpec.make(a, mode_of(m, params), frob) for a, m, params, frob in HUGE_MODULI]
-    for cfg, res, w in zip(HUGE_MODULI, scan_many(built, x, checkpoints=True), want):
+    for cfg, res, w in zip(HUGE_MODULI, scan_many(built, x), want):
         assert (res.matched, res.considered, res.checkpoints) == w, cfg
 
 
@@ -313,12 +313,12 @@ def test_staged_scan_past_one_block_matches_brute_scan():
     built = [ConditionSpec.make(a, mode_of(m, params), frob) for a, m, params, frob in STAGED]
     with mock.patch.object(empirical, "_BLOCK", 1 << 14):
         with powmod_sizes() as sizes:
-            results = scan_many(built, x, checkpoints=True)
+            results = scan_many(built, x)
         assert 0 < len(sizes) <= 4 * 2 * (3 + 1)
         for cfg, res, w in zip(STAGED, results, want):
             assert (res.matched, res.considered, res.checkpoints) == w, cfg
         for cfg, spec, w in zip(STAGED, built, want):
-            res = scan(spec, x, checkpoints=True)
+            res = scan(spec, x)
             assert (res.matched, res.considered, res.checkpoints) == w, cfg
 
 
@@ -376,7 +376,7 @@ def test_late_first_odd_demand_matches_brute_scan():
     for block in (1 << 16, 1 << 12):
         with mock.patch.object(empirical, "_BLOCK", block):
             for group in groups:
-                results = scan_many([built[i] for i in group], x, checkpoints=True)
+                results = scan_many([built[i] for i in group], x)
                 for i, res in zip(group, results):
                     assert (res.matched, res.considered, res.checkpoints) == want[i], LATE_ODD[i]
 

@@ -52,3 +52,24 @@ def test_reference_counts_at_a_small_bound(tmp_path):
         got = [{c[0]: tuple(c[1:]) for c in s["checkpoints"]}[x] for s in ref["specs"]]
         assert got == want, x
     assert [(s["matched"], s["considered"]) for s in ref["specs"]] == want
+
+
+def test_bench_pairs_summarises_the_declared_metrics(bench_pairs, monkeypatch, tmp_path):
+    # the summary covers exactly BENCHMARK.json's end-to-end metrics, read
+    # from the file: here its list loses its last metric and gains another,
+    # and a metric a run reports beyond the list is left out
+    bench = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())
+    real = [m["name"] for m in bench["end_to_end"]]
+    declared = real[:-1] + ["extra_s"]
+    bench["end_to_end"] = [{"name": m} for m in declared]
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, into: into.mkdir(parents=True) or rev)
+    reported = real + ["extra_s", "unlisted_s"]
+    result = {"failed": 0, "metrics": {m: {"value": 1.0} for m in reported}}
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *_: ({"src_sha256": "0" * 64}, result))
+    argv = ["--parent", "a", "--change", "b", "--label", "t", "--workload", "chebotarev:2"]
+    assert bench_pairs.main(argv) == 0
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert list(out["summary"]["chebotarev"]) == declared
+    assert all(set(p["parent"]) == set(declared) | {"failed"} for p in out["pairs"]["chebotarev"])

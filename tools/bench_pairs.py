@@ -17,7 +17,8 @@ the sha256 of its src/ and the machine, from perfbench's stamp line), each
 side's `final_json` (the result line of its first run of every workload),
 every pair in order, and a summary of each side's quartiles per metric
 (statistics.quantiles, inclusive method) with the pairs the change wins on
-each metric (every metric is better lower).
+each metric.  The metrics are BENCHMARK.json's `end_to_end` list, each of
+them better lower.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-METRICS = ("wall_norm_s", "setup_s", "peak_rss_mb", "max_rel_err")
 PAIRS = 10
 
 
@@ -64,8 +64,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     return stamp, json.loads(lines[-1])
 
 
-def row(result: dict) -> dict:
-    out = {k: round(result["metrics"][k]["value"], 6) for k in METRICS}
+def row(result: dict, metrics: list[str]) -> dict:
+    out = {k: round(result["metrics"][k]["value"], 6) for k in metrics}
     out["failed"] = result["failed"]
     return out
 
@@ -76,11 +76,11 @@ def quartiles(values: list[float]) -> list[float]:
     return [round(v, 4) for v in statistics.quantiles(values, n=4, method="inclusive")]
 
 
-def summary(pairs: dict) -> dict:
+def summary(pairs: dict, metrics: list[str]) -> dict:
     out = {}
     for workload, runs in pairs.items():
         out[workload] = {}
-        for metric in METRICS:
+        for metric in metrics:
             entry = {f"{side}_q1_median_q3": quartiles([p[side][metric] for p in runs])
                      for side in SIDES}
             wins = sum(p["change"][metric] < p["parent"][metric] for p in runs)
@@ -101,6 +101,7 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     declared = [w["name"] for w in bench["workloads"]]
+    metrics = [m["name"] for m in bench["end_to_end"]]
     seconds = bench["run_seconds"]
     plan = {}
     for spec in args.workload or declared:
@@ -124,7 +125,7 @@ def main(argv=None) -> int:
                 pair: dict = {"first": order[0]}
                 for side in order:
                     stamp, result = run_once(trees[side], name, args.seed, seconds)
-                    pair[side] = row(result)
+                    pair[side] = row(result, metrics)
                     st = stamps[side]
                     st.setdefault("src_sha256", stamp["src_sha256"])
                     st.setdefault("machine", {k: stamp.get(k) for k in
@@ -141,7 +142,8 @@ def main(argv=None) -> int:
             " quartiles and median (statistics.quantiles, inclusive method)")
     if args.note:
         note += "; " + args.note
-    out = {"command": command, "note": note, **stamps, "summary": summary(pairs), "pairs": pairs}
+    out = {"command": command, "note": note, **stamps,
+           "summary": summary(pairs, metrics), "pairs": pairs}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     print(path)
