@@ -1,5 +1,5 @@
-"""Argument checks of the benchmark tools, run without a benchmark, and the
-reference-count tool on a small bound."""
+"""Argument checks and the summary of the benchmark tools, run without a
+benchmark, and the reference-count tool on a small bound."""
 
 import importlib.util
 import json
