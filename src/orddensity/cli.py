@@ -117,7 +117,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
     replaces the earlier, and an appended flag in argv drops the file's
     values, which split on whitespace.  A key that is another subcommand's
     flag (`x` in a `density` run) passes unread; one that is no subcommand's
-    flag is a ConfigError."""
+    flag, or is `config` itself, is a ConfigError."""
     args = parser.parse_args(argv)
     if not getattr(args, "config", None):
         return args
@@ -127,7 +127,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
         a.dest
         for p in commands.choices.values()
         for a in p._actions
-        if a.option_strings and a.dest != "help"
+        if a.option_strings and a.dest not in ("help", "config")
     }
     unknown = sorted(set(filed) - flags)
     if unknown:
@@ -150,9 +150,12 @@ def build_condition_spec(args: argparse.Namespace) -> ConditionSpec:
     argparse has converted the integer flags; the index sets are parsed
     here whatever the mode, so a malformed one fails before any
     computation.  The semantic checks are ConditionSpec.make's; any
-    ValueError becomes a ConfigError.
+    ValueError becomes a ConfigError, as does a class set `--c` with no
+    level `--f`, which means nothing in any mode.
     """
     try:
+        if args.f is None and args.c:
+            raise ValueError("--c needs --f: a Frobenius class set needs its level")
         modes = {
             "order": OrderAP(tuple(args.a or ()), tuple(args.d or ())),
             "index": IndexFixed(tuple(args.t or ())),

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .arith import FactoredRational, as_int, factorize, moebius, phi_sieve
-from .eulerseries import KahanSum, phi_lcm_tail
+from .eulerseries import phi_lcm_tail
 from .kummer import DEFAULT_CACHE, AlphaBoxes, DegreeCache, exponent_minor_gcd
 
 DEFAULT_NMAX = 64
@@ -421,7 +421,8 @@ def evaluate(
 
     `_terms` walks the squarefree n <= nmax, mu and phi read off sieves.  Each
     run divides mu * count / degree in float64, rounded as Python's int / int
-    is, and the quotients of nonzero counts are Kahan-summed in term order.
+    is, and one `math.fsum` adds the quotients of nonzero counts of every run:
+    the value is their correctly rounded sum, independent of term order.
     """
     mode, order = spec.mode, None
     caps = (nmax, tmax)
@@ -457,13 +458,18 @@ def evaluate(
     # is read off the alphas' box view without building a FieldSpec
     view = (cache if cache is not None else DEFAULT_CACHE).view(spec.alphas)
     log: Optional[list] = [] if log_terms else None
-    acc, terms, b_seen = KahanSum(), 0, 1
-    for mu, count, degree, fail in _terms(view, blocks, support, picks, fixed, spec.frobenius, log):
-        acc.extend(memoryview((mu * count / degree)[count != 0].astype(float, copy=False)))
-        b_seen = math.lcm(b_seen, *set(fail.tolist()))
-        terms += mu.size
-        del mu, count, degree, fail  # before the next run's arrays are made
-    return DensityResult(acc.value, terms, caps, _scaled_tail(grids, b_seen), log)
+    runs, terms, b_seen = _terms(view, blocks, support, picks, fixed, spec.frobenius, log), 0, 1
+
+    def quotients() -> Iterator[list]:
+        nonlocal terms, b_seen
+        for mu, count, degree, fail in runs:
+            b_seen = math.lcm(b_seen, *set(fail.tolist()))
+            terms += mu.size
+            yield (mu * count / degree)[count != 0].tolist()
+            del mu, count, degree, fail  # before the next run's arrays are made
+
+    value = math.fsum(itertools.chain.from_iterable(quotients()))
+    return DensityResult(value, terms, caps, _scaled_tail(grids, b_seen), log)
 
 
 # The per-mode names of the public API.  Each evaluates the spec's own mode.

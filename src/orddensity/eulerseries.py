@@ -40,30 +40,6 @@ _BOX_CAP = 4096  # r = 3 collects its pair weights in an array of size cap^2
 _R1_CAP = 2 * 10**7
 
 
-class KahanSum:
-    """Compensated accumulator; keeps long sums reproducible to ~1 ulp."""
-
-    __slots__ = ("_s", "_c")
-
-    def __init__(self):
-        self._s = 0.0
-        self._c = 0.0
-
-    def extend(self, xs) -> None:
-        """Add each float of xs in turn."""
-        s, c = self._s, self._c
-        for x in xs:
-            y = x - c
-            t = s + y
-            c = (t - s) - y
-            s = t
-        self._s, self._c = s, c
-
-    @property
-    def value(self) -> float:
-        return self._s
-
-
 _MARGINAL_CACHE: dict[tuple[int, int], np.ndarray] = {}
 _R1_TAIL_CACHE: dict[tuple[int, int], float] = {}  # the rank-1 tail by (x, cap)
 

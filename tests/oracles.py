@@ -472,7 +472,8 @@ def scalar_series(spec, nmax: int, tmax: int) -> DensityResult:
     blocks and term order, each degree phi(M) * prod(m_i) / |Rel| straight
     from `_abelian_box` and `euler_phi`, every count from `_count_units`
     (count-one blocks included), and the nonzero quotients of Python's
-    int / int Kahan-summed in term order."""
+    int / int added by `math.fsum`, correctly rounded, independent of term
+    order."""
     mode, order = spec.mode, None
     caps = (nmax, tmax)
     tail_caps = [nmax] * spec.rank
@@ -496,7 +497,6 @@ def scalar_series(spec, nmax: int, tmax: int) -> DensityResult:
         ns = [[n for n in sf if a % math.gcd(d, n) == 0] for a, d in zip(order.a, order.d)]
     two_delta = 2 * exponent_minor_gcd(spec.alphas)
     boxes: dict = {}
-    total = compensation = 0.0
     log: list = []
     b_seen = 1
     for T, congruences, extra_level in blocks:
@@ -514,13 +514,9 @@ def scalar_series(spec, nmax: int, tmax: int) -> DensityResult:
             count = _count_units(M, v, congruences, frobenius, witnesses)
             b_seen = math.lcm(b_seen, fail)
             mu = math.prod(map(moebius, N))
-            if count:
-                y = mu * count / degree - compensation
-                t = total + y
-                compensation = (t - total) - y
-                total = t
             log.append({"N": N, "T": T, "mu": mu, "c": count, "degree": degree})
-    return DensityResult(total, len(log), caps, _scaled_tail(grids, b_seen), log)
+    value = math.fsum(row["mu"] * row["c"] / row["degree"] for row in log if row["c"])
+    return DensityResult(value, len(log), caps, _scaled_tail(grids, b_seen), log)
 
 
 def phi_lcm_marginal(r: int, cap: int) -> list[Fraction]:

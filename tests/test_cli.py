@@ -145,6 +145,9 @@ COMPARE_INDEX_ONE = ["compare", "--mode", "index", "--alpha", "2", "--t", "1", "
         DENSITY_INDEX_ONE + ["--config", "{tmp}/nmax0.conf"],
         SCAN_INDEX_ONE + ["--config", "{tmp}/x1.conf"],
         SCAN_INDEX_ONE + ["--x", "100", "--config", "{tmp}/workers_abc.conf"],
+        # a class set with no level
+        DENSITY_INDEX_ONE + ["--c", "3"],
+        SCAN_INDEX_ONE + ["--x", "100", "--config", "{tmp}/c_only.conf"],
     ],
 )
 def test_malformed_scan_inputs_exit_2(tmp_path, capsys, monkeypatch, argv):
@@ -155,6 +158,7 @@ def test_malformed_scan_inputs_exit_2(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(dens, "evaluate", never)
     (tmp_path / "latin1.conf").write_bytes(b"x = 100 # caf\xe9\n")
     (tmp_path / "bad_c.conf").write_text("x = 100\nc = abc\n")
+    (tmp_path / "c_only.conf").write_text("c = 1 3\n")
     (tmp_path / "typo.conf").write_text("alpha = 2\nt = 1\nnmx = 5\n")
     (tmp_path / "nmax0.conf").write_text("nmax = 0\n")
     (tmp_path / "x1.conf").write_text("x = 1\n")
@@ -416,6 +420,22 @@ def test_config_file_merge(tmp_path):
     )
     doc2 = json.loads(out2.read_text())
     assert doc2["caps"]["nmax"] == 20
+
+
+def test_config_key_in_a_config_file_exits_2(tmp_path, capsys):
+    # argv's own --config names the file; a file naming another one, found
+    # or not, is refused rather than left unread
+    good = tmp_path / "good.cfg"
+    good.write_text("nmax = 8\n")
+    for target in (good, tmp_path / "missing.cfg"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"alpha = 2\nt = 1\nconfig = {target}\n")
+        argv = ["density", "--mode", "index", "--config", str(cfg)]
+        assert main(argv + ["--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: unknown config key(s): config" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o.json").exists()
 
 
 def test_verify_euler(tmp_path):

@@ -586,7 +586,10 @@ PINNED_SERIES = [
 # (2,5) both indices even.  The last three, recorded before its term loop
 # dropped the unit count where that count is 1, pin the terms that still
 # count units: a Frobenius condition on a fixed index and on an index set,
-# and a rank-2 order progression
+# and a rank-2 order progression.  The values of index-2-3,
+# index-2-3-frobenius and order-2-3 moved by 1-2 ulp when the quotients
+# came to be added by `math.fsum` instead of a compensated loop, each to the
+# correctly rounded sum of its logged quotients
 GOLDEN_SERIES = [
     pytest.param(
         ConditionSpec.make([2], IndexFixed((1,))), 64, 64,
@@ -598,7 +601,7 @@ GOLDEN_SERIES = [
     ),
     pytest.param(
         ConditionSpec.make([2, 3], IndexFixed((1, 1))), 16, 64,
-        ("0x1.2ddeb49c0313cp-3", 121, "0x1.d49d14601854fp-3"), id="index-2-3",
+        ("0x1.2ddeb49c0313bp-3", 121, "0x1.d49d14601854fp-3"), id="index-2-3",
     ),
     pytest.param(
         ConditionSpec.make([2, 5], IndexSet((EVEN, EVEN))), 8, 16,
@@ -606,7 +609,7 @@ GOLDEN_SERIES = [
     ),
     pytest.param(
         ConditionSpec.make([2, 3], IndexFixed((1, 1)), frobenius=(5, {1, 4})), 16, 64,
-        ("0x1.134be18abf612p-4", 121, "0x1.d49d14601854fp-3"), id="index-2-3-frobenius",
+        ("0x1.134be18abf614p-4", 121, "0x1.d49d14601854fp-3"), id="index-2-3-frobenius",
     ),
     pytest.param(
         ConditionSpec.make([2, 5], IndexSet((EVEN, EVEN)), frobenius=(3, {2})), 8, 16,
@@ -614,7 +617,7 @@ GOLDEN_SERIES = [
     ),
     pytest.param(
         ConditionSpec.make([2, 3], OrderAP((0, 1), (2, 3))), 8, 8,
-        ("0x1.a5457ddf8539fp-3", 816, "0x1.c0dbf77a79295p+1"), id="order-2-3",
+        ("0x1.a5457ddf8539ep-3", 816, "0x1.c0dbf77a79295p+1"), id="order-2-3",
     ),
 ]
 
@@ -643,12 +646,13 @@ def test_evaluate_matches_golden_series(spec, nmax, tmax, pinned):
 
 # (spec, nmax, (value.hex(), terms_evaluated, caps, tail_estimate.hex()),
 # terms of degree >= 2^53), recorded before the series ran in array chunks.
-# The first runs on Python ints, the one block of the second spans many
-# chunks
+# The first runs on Python ints, and its value moved by 1 ulp to the
+# correctly rounded sum of `math.fsum`; the one block of the second spans
+# many chunks
 LARGE_SERIES = [
     pytest.param(
         ConditionSpec.make([2, 3], IndexFixed((10**5, 10**5))), 64,
-        ("0x1.4cd4a745c920ep-50", 1521, (64, 0), "0x1.ebe31daa031bbp-3"), 1502,
+        ("0x1.4cd4a745c920fp-50", 1521, (64, 0), "0x1.ebe31daa031bbp-3"), 1502,
         id="index-2-3-past-2^53",
     ),
     pytest.param(
@@ -726,6 +730,24 @@ def test_evaluate_matches_scalar_series(monkeypatch, spec, nmax, tmax, chunk):
     )
     assert got.per_term_log == want.per_term_log
     assert density.evaluate(spec, nmax, tmax).value.hex() == got.value.hex()
+
+
+# (spec, nmax, tmax) of every pinned and oracle-checked series above
+SUMMED_SERIES = [
+    *(pytest.param(*p.values[:3], id=f"golden-{p.id}") for p in GOLDEN_SERIES),
+    *(pytest.param(*p.values[:2], density.DEFAULT_TMAX, id=f"large-{p.id}") for p in LARGE_SERIES),
+    *(pytest.param(*p.values, id=f"grid-{p.id}") for p in ORACLE_GRID),
+]
+
+
+@pytest.mark.parametrize("spec, nmax, tmax", SUMMED_SERIES)
+def test_evaluate_is_the_correctly_rounded_sum(spec, nmax, tmax):
+    # the value is the exact sum of the float64 quotients of the term log,
+    # rounded once, whatever their order
+    res = density.evaluate(spec, nmax, tmax, log_terms=True)
+    log = res.per_term_log
+    exact = sum(Fraction(row["mu"] * row["c"] / row["degree"]) for row in log if row["c"])
+    assert res.value == float(exact)
 
 
 @pytest.mark.parametrize("spec, nmax, tmax, pinned", PINNED_SERIES)

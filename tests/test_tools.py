@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from orddensity.arith import SCAN_X_CAP
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -33,17 +35,48 @@ def test_bench_pairs_rejects_a_bad_pair_count(bench_pairs, workload, capsys):
     assert "not a positive integer" in capsys.readouterr().err
 
 
+def reference_counts():
+    """tools/reference_counts.py as a module."""
+    spec = importlib.util.spec_from_file_location("reference_counts", TOOLS / "reference_counts.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--x", "1"], "need --x >= 2"),
+        (["--x", str(SCAN_X_CAP + 1)], f"exceeds cap {SCAN_X_CAP}"),
+        (["--workers", "0"], "--workers >= 1"),
+        # 128 processes of about 42 MB each pass the walk's 4 GB cap at 10^9
+        (["--workers", "128"], "over the cap"),
+    ],
+    ids=["x-1", "x-past-cap", "workers-0", "workers-past-memory-cap"],
+)
+def test_reference_counts_rejects_bad_arguments(monkeypatch, tmp_path, capsys, argv, message):
+    module = reference_counts()
+
+    def never(*args, **kwargs):
+        raise AssertionError("scanned before the arguments were checked")
+
+    monkeypatch.setattr(module, "scan_many", never)
+    out = tmp_path / "ref.json"
+    with pytest.raises(SystemExit) as exit_:
+        module.main(argv + ["--out", str(out)])
+    assert exit_.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reference_counts_at_a_small_bound(tmp_path):
     # the tool's five specs, in order, at 10^5: counts and the checkpoints at
     # each power of 10 equal those of separate scans
     from orddensity.empirical import scan_many
     from test_acceptance import FIVE_CONFIGS
 
-    spec = importlib.util.spec_from_file_location("reference_counts", TOOLS / "reference_counts.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
     out = tmp_path / "ref.json"
-    assert module.main(["--x", "100000", "--out", str(out)]) == 0
+    assert reference_counts().main(["--x", "100000", "--out", str(out)]) == 0
     ref = json.loads(out.read_text())
     assert ref["x"] == 10**5 and len(ref["src_sha256"]) == 64
     specs = [make() for _, make, _, _, _ in FIVE_CONFIGS]

@@ -9,7 +9,9 @@ holds, per spec, `matched`, `considered` and the running counts at the
 dyadic checkpoints x // 2^k and at every power of 10 below x, with the
 commit and the sha256 of src/ (perfbench's digest) it came from.  Counts do
 not depend on the worker count.  Wall time and peak RSS (this process and
-the largest forked worker) go to stderr, not into the file.  Scans are
+the largest forked worker) go to stderr, not into the file.  An --x below 2
+or past the scan cap, a --workers below 1, or more workers than the scan's
+memory cap allows exits 2 before any scan.  Scans are
 deterministic, so the file is never re-generated to make a check pass: a
 changed count is a scan bug or a spec change.
 """
@@ -36,7 +38,8 @@ from orddensity.density import (  # noqa: E402
     OrderAP,
     SetDescriptor,
 )
-from orddensity.empirical import scan_many  # noqa: E402
+from orddensity.arith import ResourceCapError  # noqa: E402
+from orddensity.empirical import check_scan_bound, scan_many  # noqa: E402
 
 X = 10**9
 
@@ -94,6 +97,12 @@ def main(argv=None) -> int:
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", type=Path, default=ROOT / "REFERENCE_1e9.json")
     args = ap.parse_args(argv)
+    if args.x < 2 or args.workers < 1:
+        ap.error(f"need --x >= 2 and --workers >= 1, got {args.x} and {args.workers}")
+    try:  # x past SCAN_X_CAP, or more workers than the walk's memory cap allows
+        check_scan_bound(args.x, args.workers)
+    except ResourceCapError as exc:
+        ap.error(str(exc))
 
     started = time.perf_counter()
     specs = reference(args.x, args.workers)
