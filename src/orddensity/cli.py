@@ -64,13 +64,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _load_config_file(path: str) -> list[tuple[str, str]]:
+    """The file's `key = value` lines in file order; blank and `#` lines skipped."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    out: dict[str, str] = {}
+    out = []
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
@@ -78,14 +79,14 @@ def _load_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"bad config line: {line!r}")
         key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        out.append((key.strip(), val.strip()))
     return out
 
 
-def _open_output(path: str):
-    """Open a file for writing; a path that cannot be written is a config error."""
+def _open_output(path: str, mode: str):
+    """Open a file in `mode`; a path that cannot be written is a config error."""
     try:
-        return open(path, "w", newline="", encoding="utf-8")
+        return open(path, mode, newline="", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 
@@ -102,20 +103,18 @@ def _check_writable(*paths: Optional[str]) -> None:
         raise ConfigError(f"two outputs name the same file: {', '.join(paths)}")
     for path in paths:
         existed = os.path.exists(path)
-        try:
-            with open(path, "a", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+        with _open_output(path, "a"):
+            pass
         if not existed:
             os.remove(path)
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Parse argv; with --config, parse it again with the file's values as
-    `--flag=value` ahead of argv's flags, which win: a flag's later value
-    replaces the earlier, and an appended flag in argv drops the file's
-    values, which split on whitespace.  A key that is another subcommand's
+    """Parse argv; with --config, parse it again with each line of the file,
+    in file order, as one `--flag=value` ahead of argv's flags, which win.
+    So a flag's later value replaces the earlier, a repeatable flag's lines
+    accumulate, each value split on whitespace, and a repeatable flag given
+    in argv drops the file's values.  A key that is another subcommand's
     flag (`x` in a `density` run) passes unread; one that is no subcommand's
     flag, or is `config` itself, is a ConfigError."""
     args = parser.parse_args(argv)
@@ -129,16 +128,18 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
         for a in p._actions
         if a.option_strings and a.dest not in ("help", "config")
     }
-    unknown = sorted(set(filed) - flags)
+    unknown = sorted({key for key, _ in filed} - flags)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    actions = {a.dest: a for a in commands.choices[args.command]._actions}
     spliced = []
-    for action in commands.choices[args.command]._actions:
-        if action.dest not in filed:
+    for key, value in filed:
+        action = actions.get(key)
+        if action is None:
             continue
-        values = [filed[action.dest]]
+        values = [value]
         if isinstance(action, argparse._AppendAction):
-            values = [] if getattr(args, action.dest) is not None else values[0].split()
+            values = [] if getattr(args, key) is not None else value.split()
         spliced += [f"{action.option_strings[0]}={v}" for v in values]
     at = argv.index(args.command) + 1
     return parser.parse_args(argv[:at] + spliced + argv[at:])
@@ -168,12 +169,21 @@ def build_condition_spec(args: argparse.Namespace) -> ConditionSpec:
 
 
 def _emit(doc: dict, out: Optional[str]) -> None:
+    """Write doc, stamped with the current UTC time, as JSON to out or stdout."""
+    doc["timestamp"] = datetime.now(timezone.utc).isoformat()
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if out:
-        with _open_output(out) as fh:
+        with _open_output(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    with _open_output(path, "w") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _report(args: argparse.Namespace, schema: str, started: float, **fields) -> None:
@@ -182,7 +192,6 @@ def _report(args: argparse.Namespace, schema: str, started: float, **fields) -> 
     params = {key: getattr(args, key) for key in ("mode", "a", "d", "t", "s", "f", "c")}
     doc = {
         "schema": schema,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
         "params": {**params, "alphas": args.alpha},
         "runtime_ms": int((time.monotonic() - started) * 1000),
     }
@@ -199,20 +208,12 @@ def cmd_density(args: argparse.Namespace) -> int:
         tail_estimate=result.tail_estimate, terms_evaluated=result.terms_evaluated,
         caps={"nmax": result.caps[0], "tmax": result.caps[1]},
     )
-    if args.term_log and result.per_term_log is not None:
-        with _open_output(args.term_log) as fh:
-            w = csv.writer(fh)
-            w.writerow(["N", "T", "mu", "c", "degree"])
-            for row in result.per_term_log:
-                w.writerow(
-                    [
-                        " ".join(map(str, row["N"])),
-                        " ".join(map(str, row["T"])),
-                        row["mu"],
-                        row["c"],
-                        row["degree"],
-                    ]
-                )
+    if args.term_log:
+        _write_csv(
+            args.term_log, ["N", "T", "mu", "c", "degree"],
+            ([" ".join(map(str, row["N"])), " ".join(map(str, row["T"])),
+              row["mu"], row["c"], row["degree"]] for row in result.per_term_log),
+        )
     return 0
 
 
@@ -224,10 +225,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     result = empirical.scan(spec, args.x, workers=args.workers)
     _report(args, "scan-result/1", started, mode=args.mode, alphas=args.alpha, **result.to_dict())
     if args.csv:
-        with _open_output(args.csv) as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "matched", "considered"])
-            w.writerows(result.checkpoints)
+        _write_csv(args.csv, ["x", "matched", "considered"], result.checkpoints)
     return 0
 
 
@@ -347,16 +345,15 @@ def verify_chebotarev(x: int) -> dict:
     return {"target": "chebotarev", "x": x, "rows": rows, "passed": bool(passed)}
 
 
+VERIFY = {  # target -> its grid, run on the parsed flags
+    "euler": lambda args: verify_euler(args.r, args.cap),
+    "kummer": lambda args: verify_kummer(args.grid),
+    "chebotarev": lambda args: verify_chebotarev(args.x),
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.target == "euler":
-        doc = verify_euler(args.r, args.cap)
-    elif args.target == "kummer":
-        doc = verify_kummer(args.grid)
-    elif args.target == "chebotarev":
-        doc = verify_chebotarev(args.x)
-    else:  # argparse choices guard this
-        raise ConfigError(f"unknown verify target {args.target!r}")
-    doc["timestamp"] = datetime.now(timezone.utc).isoformat()
+    doc = VERIFY[args.target](args)
     _emit(doc, args.out)
     return 0 if doc["passed"] else 1
 
@@ -408,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("verify", help="run a property grid")
-    p.add_argument("target", choices=["euler", "kummer", "chebotarev"])
+    p.add_argument("target", choices=list(VERIFY))
     p.add_argument("--r", type=_int_in(1, 3), default=2, help="rank for the euler grid")
     p.add_argument(
         "--cap", type=_int_in(EULER_MIN_CAP), default=4096, help="series cap for the euler grid"

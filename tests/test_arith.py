@@ -26,7 +26,10 @@ from orddensity.arith import (
     square_mask,
 )
 
-from orddensity.empirical import _two_pairs
+from orddensity.cyclo import quadratic_discriminant, radical_product
+from orddensity.density import ConditionSpec, IndexFixed
+from orddensity.empirical import _two_pairs, li, scan_many
+from orddensity.kummer import FieldSpec
 
 from oracles import abs_, is_prime, root
 
@@ -170,6 +173,8 @@ def test_kronecker_two_and_negative_conventions():
     assert kronecker(-5, -1) == -1
     assert kronecker(0, 1) == 1
     assert kronecker(0, 5) == 0
+    # (a|0) is 1 for the units and 0 for every other a
+    assert [kronecker(a, 0) for a in (1, -1, 0, 2, -2, 3)] == [1, 1, 0, 0, 0, 0]
 
 
 def test_multiplicative_order_examples():
@@ -270,6 +275,48 @@ def test_prime_list_matches_plain_sieve():
 def test_segmented_primes_rejects_bad_range():
     with pytest.raises(ValueError):
         segmented_primes(10, 10)
+
+
+TWO = FactoredRational.of(2)
+SPEC_2_INDEX_1 = ConditionSpec.make([2], IndexFixed((1,)))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: scan_many([SPEC_2_INDEX_1], 1), "x >= 2", id="scan_many-x-1"),
+        pytest.param(
+            lambda: scan_many([SPEC_2_INDEX_1], 100, workers=0), "workers >= 1",
+            id="scan_many-workers-0",
+        ),
+        pytest.param(lambda: li(float("inf")), "finite x", id="li-inf"),
+        pytest.param(lambda: FieldSpec((TWO,), (0,), 2), "positive", id="FieldSpec-m-0"),
+        pytest.param(lambda: FieldSpec((TWO,), (2,), 0), "positive", id="FieldSpec-M-0"),
+        pytest.param(
+            lambda: radical_product([TWO], [2, 2], [1]), "equal length",
+            id="radical_product-lengths",
+        ),
+        pytest.param(
+            lambda: radical_product([TWO], [2], [2]), "e_i < m_i", id="radical_product-e-m"
+        ),
+        pytest.param(lambda: moebius(0), "n >= 1", id="moebius-0"),
+        pytest.param(lambda: euler_phi(0), "n >= 1", id="euler_phi-0"),
+        pytest.param(lambda: quadratic_discriminant(0), "nonzero", id="quadratic_discriminant-0"),
+        pytest.param(lambda: FactoredRational(2, ()), "sign", id="FactoredRational-sign"),
+        pytest.param(
+            lambda: FactoredRational(1, ((3, 1), (2, 1))), "ascending",
+            id="FactoredRational-unsorted",
+        ),
+        pytest.param(
+            # 10^9 + 7 is prime
+            lambda: factor_p_minus_1(np.array([SCAN_X_CAP + 7]), np.array([0])),
+            "p <=", id="factor_p_minus_1-past-cap",
+        ),
+    ],
+)
+def test_library_guards_raise_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def assert_factors_p_minus_1(primes, rows):

@@ -148,6 +148,11 @@ COMPARE_INDEX_ONE = ["compare", "--mode", "index", "--alpha", "2", "--t", "1", "
         # a class set with no level
         DENSITY_INDEX_ONE + ["--c", "3"],
         SCAN_INDEX_ONE + ["--x", "100", "--config", "{tmp}/c_only.conf"],
+        # a config line with no `=`, a spec with no alpha, and fewer index
+        # sets than alphas
+        SCAN_INDEX_ONE + ["--x", "100", "--config", "{tmp}/no_equals.conf"],
+        ["density", "--mode", "index", "--t", "1"],
+        ["density", "--mode", "indexset", "--alpha", "2", "--alpha", "3", "--s", "1"],
     ],
 )
 def test_malformed_scan_inputs_exit_2(tmp_path, capsys, monkeypatch, argv):
@@ -163,10 +168,19 @@ def test_malformed_scan_inputs_exit_2(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "nmax0.conf").write_text("nmax = 0\n")
     (tmp_path / "x1.conf").write_text("x = 1\n")
     (tmp_path / "workers_abc.conf").write_text("workers = abc\n")
+    (tmp_path / "no_equals.conf").write_text("alpha 2\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [SCAN_INDEX_ONE, COMPARE_INDEX_ONE[:-2]])
+def test_scan_and_compare_without_x_exit_2(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {argv[0]} needs --x" in err and "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_unwritable_out_path_exits_2(tmp_path, capsys, monkeypatch):
@@ -420,6 +434,72 @@ def test_config_file_merge(tmp_path):
     )
     doc2 = json.loads(out2.read_text())
     assert doc2["caps"]["nmax"] == 20
+
+
+@pytest.mark.parametrize(
+    "lines, argv, same_as",
+    [
+        pytest.param(
+            "alpha = 2\nalpha = 3\nt = 1 1\nnmax = 16\n", [],
+            ["--alpha", "2", "--alpha", "3", "--t", "1", "--t", "1", "--nmax", "16"],
+            id="repeatable-key-accumulates",
+        ),
+        pytest.param(
+            "alpha = 2\nt = 1\nnmax = 8\nnmax = 9\n", [],
+            ["--alpha", "2", "--t", "1", "--nmax", "8", "--nmax", "9"],
+            id="scalar-key-keeps-its-last-line",
+        ),
+        pytest.param(
+            "alpha = 2\nalpha = 3\nt = 1\nnmax = 16\n", ["--alpha", "5"],
+            ["--alpha", "5", "--t", "1", "--nmax", "16"],
+            id="argv-replaces-the-file's-repeatable-key",
+        ),
+    ],
+)
+def test_config_lines_mean_the_flags_they_name(tmp_path, lines, argv, same_as):
+    # each line of the file is one --flag=value ahead of argv's flags
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines)
+    code, filed = run(tmp_path, "density", "--mode", "index", "--config", str(cfg), *argv)
+    assert code == 0
+    code, flagged = run(tmp_path, "density", "--mode", "index", *same_as)
+    assert code == 0
+    for doc in (filed, flagged):
+        del doc["timestamp"], doc["runtime_ms"]
+    assert filed == flagged
+    alphas = [v for flag, v in zip(same_as, same_as[1:]) if flag == "--alpha"]
+    nmax = [int(v) for flag, v in zip(same_as, same_as[1:]) if flag == "--nmax"][-1]
+    assert (filed["params"]["alphas"], filed["caps"]["nmax"]) == (alphas, nmax)
+
+
+def test_config_comment_and_blank_lines_are_skipped(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# index 1 for alpha 2\n\nalpha = 2\n   \nt = 1\n  # nmax = 0\nnmax = 8\n")
+    code, doc = run(tmp_path, "density", "--mode", "index", "--config", str(cfg))
+    assert code == 0
+    assert (doc["params"]["alphas"], doc["params"]["t"], doc["caps"]["nmax"]) == (["2"], [1], 8)
+
+
+@pytest.mark.parametrize(
+    "argv, schema",
+    [
+        (DENSITY_INDEX_ONE + ["--nmax", "8"], "density-result/1"),
+        (["verify", "euler", "--cap", "64"], None),
+    ],
+    ids=["density", "verify"],
+)
+def test_json_goes_to_stdout_without_out(capsys, argv, schema):
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc.get("schema") == schema
+    assert isinstance(doc["timestamp"], str)
+
+
+def test_density_help_exits_0(capsys):
+    assert main(["density", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage:") and "--term-log" in captured.out
+    assert "Traceback" not in captured.err
 
 
 def test_config_key_in_a_config_file_exits_2(tmp_path, capsys):
