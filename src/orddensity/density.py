@@ -27,7 +27,7 @@ import numpy as np
 
 from .arith import FactoredRational, as_int, factorize, moebius, phi_sieve
 from .eulerseries import phi_lcm_tail
-from .kummer import DEFAULT_CACHE, AlphaBoxes, DegreeCache, exponent_minor_gcd
+from .kummer import DEFAULT_CACHE, AlphaBoxes, DegreeCache, exponent_minor_gcd, field_degree
 
 DEFAULT_NMAX = 64
 DEFAULT_TMAX = 64
@@ -377,7 +377,8 @@ def _terms(view: AlphaBoxes, blocks: Iterable[_Block], support: tuple, picks: li
         )
         dtype = np.int64 if top < _EXACT else object
         block, m, mu, v, M, phi = columns(held, levels, start, width, dtype)
-        degree, fail, members = view.field(m, M, phi)
+        fail, members = view.field(m, M)
+        degree = field_degree(phi, m, fail)
         pairs = []  # each order congruence of the run's blocks, then Frobenius
         for column in zip(*(congruences for _, congruences, _ in held)):
             residue, modulus = (np.array(x, dtype=dtype)[block] for x in zip(*column))
@@ -419,7 +420,8 @@ def evaluate(
     gcd(1 + a_i t_i, d_i) > 1.  The tail estimate covers N and each
     truncated T variable with the lcm of the failure ratios seen.
 
-    `_terms` walks the squarefree n <= nmax, mu and phi read off sieves.  Each
+    `_terms` walks the squarefree n <= nmax, with mu(n) from one `moebius`
+    call per n <= nmax and phi(n) read off a sieve.  Each
     run divides mu * count / degree in float64, rounded as Python's int / int
     is, and one `math.fsum` adds the quotients of nonzero counts of every run:
     the value is their correctly rounded sum, independent of term order.

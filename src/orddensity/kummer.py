@@ -23,14 +23,14 @@ in prod Z/g_i, and its radical product is prod alpha_i^(k_i/g_i).  So Rel
 depends on m only through g and on M only through the test that a product's
 conductor divides M: `DegreeCache` enumerates a box once per (alphas, g).
 It hands out one `AlphaBoxes` view per alpha tuple, holding 2 Delta, that
-tuple's boxes, each looked up by `AlphaBoxes.box`, the witness tables of
-`AlphaBoxes.fixes` and phi(M) per level for the FieldSpec functions.
-`AlphaBoxes.field` reads arrays of fields, given their phi(M), and returns
-their degrees, |Rel| and the members of their relation groups off one box
-with sides lcm_j g_ij.  A series looks its alphas up once and then pays, per
-chunk of terms, one array test per box entry; the FieldSpec functions below
-read one field of the shared `DEFAULT_CACHE` on Python ints, from the same
-boxes.
+tuple's boxes, each looked up by `AlphaBoxes.box`, and the witness tables of
+`AlphaBoxes.fixes`.  `AlphaBoxes.field` reads arrays of fields and returns
+their |Rel| and the members of their relation groups off one box with sides
+lcm_j g_ij.  A series looks its alphas up once and then pays, per chunk of
+terms, one array test per box entry; the FieldSpec functions below read one
+field of the shared `DEFAULT_CACHE` on Python ints, from the same boxes.
+Every degree, of a chunk or of one field, comes from |Rel| by
+`field_degree`.
 
 Each unit c mod M that fixes the witnesses of all members of Rel extends to
 exactly prod(m_i)/|Rel| automorphisms of the full field, one of which acts
@@ -134,19 +134,17 @@ CACHE_SIZE = 1024
 
 
 class AlphaBoxes:
-    """The boxes of one alpha tuple: 2 Delta and `_abelian_box(alphas, g)`
-    per side tuple g, `tables`, the witness table of `fixes` per value, and
-    `phis`, phi(M) per level M of a field the FieldSpec functions read, each
+    """The boxes of one alpha tuple: 2 Delta, `_abelian_box(alphas, g)` per
+    side tuple g and `tables`, the witness table of `fixes` per value, each
     filled on first use."""
 
-    __slots__ = ("alphas", "two_delta", "boxes", "tables", "phis")
+    __slots__ = ("alphas", "two_delta", "boxes", "tables")
 
     def __init__(self, alphas: tuple[FactoredRational, ...]):
         self.alphas = alphas
         self.two_delta = 2 * exponent_minor_gcd(alphas)
         self.boxes: dict[tuple[int, ...], list] = {}
         self.tables: dict[RadicalValue, object] = {}
-        self.phis: dict[int, int] = {}
 
     def box(self, g: tuple[int, ...]) -> list:
         """`_abelian_box(alphas, g)`, enumerated on first use."""
@@ -155,15 +153,16 @@ class AlphaBoxes:
             box = self.boxes[g] = _abelian_box(self.alphas, g)
         return box
 
-    def field(self, m: Sequence, M, phi) -> tuple:
-        """(degree, |Rel|, members) of the fields Q(zeta_M, alpha_i^(1/m_i)),
-        one field per entry of the arrays: `m` holds one array of radical
-        indices per alpha, `M` one level per field and `phi` its phi(M).  The
-        degree is phi(M) * prod(m_i) / |Rel|.  `members` lists the nonzero
-        members of the fields' relation groups as pairs (value, inside): the
-        member's radical value and the int64 array of the fields whose group
-        holds it, in the lexicographic order of the box below, so that field
-        j's witnesses are the values whose `inside` holds j.
+    def field(self, m: Sequence, M) -> tuple:
+        """(|Rel|, members) of the fields Q(zeta_M, alpha_i^(1/m_i)), one
+        field per entry of the arrays: `m` holds one array of radical
+        indices per alpha and `M` one level per field, int64 or Python ints
+        (dtype=object).  |Rel| is an int64 array.  `members` lists the
+        nonzero members of the fields' relation groups as pairs (value,
+        inside): the member's radical value and the int64 array of the
+        fields whose group holds it, in the lexicographic order of the box
+        below, so that field j's witnesses are the values whose `inside`
+        holds j.
 
         All the fields read one box, with sides G_i = lcm_j g_ij, where
         g_ij = gcd(m_ij, 2 Delta) are the sides of field j's own box.  As G_i
@@ -177,14 +176,7 @@ class AlphaBoxes:
         RELATION_ENUMERATION_CAP when no field's own box does; then each
         field reads its own box, so that the cap fires only as it does for
         one field, and each of its entries joins the member at its image
-        k * G / g.
-
-        The arrays hold int64 or Python ints (dtype=object), and the degrees
-        take phi's dtype.  An int64 caller keeps phi(M) * prod(m_i) below
-        2^63; `density._terms` keeps it below 2^53, so that each degree
-        converts to float64 exactly, and otherwise passes Python ints.  The
-        divisibility of phi(M) * prod(m_i) by |Rel| is asserted over the
-        whole array."""
+        k * G / g."""
         sides = tuple(math.lcm(*set(np.gcd(mi, self.two_delta).tolist())) for mi in m)
         rel = np.ones(len(M), dtype=np.int64)
         members = []
@@ -212,9 +204,7 @@ class AlphaBoxes:
                             inside &= mi % q == 0
                     rel += inside
                     members.append((value, np.flatnonzero(inside)))
-        numerator = phi * math.prod(m)
-        assert not (numerator % rel).any()
-        return numerator // rel, rel, members
+        return rel, members
 
     def fixes(self, value: RadicalValue, c):
         """Whether sigma_c fixes the value, per entry of the array c of odd
@@ -260,24 +250,32 @@ class DegreeCache:
 DEFAULT_CACHE = DegreeCache()
 
 
-def _one_field(view: AlphaBoxes, m: Sequence[int], M: int) -> tuple[int, int, list[RadicalValue]]:
-    """(degree, |Rel|, witnesses) of the one field (m, M), read on Python
-    ints with phi(M) from the view's memo: `view.field` of that field, its
-    members' values listed, that is its box entries whose conductor divides M."""
-    box = view.box(tuple([math.gcd(mi, view.two_delta) for mi in m]))
-    witnesses = [value for _, value, cond in box if M % cond == 0]
-    rel = 1 + len(witnesses)
-    phi = view.phis.get(M)
-    if phi is None:
-        phi = view.phis[M] = euler_phi(M)
+def field_degree(phi, m: Sequence, rel):
+    """[Q(zeta_M, alpha_i^(1/m_i)) : Q] = phi(M) * prod(m_i) / |Rel|, given
+    phi(M), the radical indices m_i and |Rel|, on Python ints or on arrays
+    with one entry per field, int64 or Python ints (dtype=object).  The
+    degrees take the dtype of phi(M) * prod(m_i): an int64 caller keeps that
+    below 2^63, and `density._terms` keeps it below 2^53, so that each
+    degree converts to float64 exactly, and otherwise passes Python ints.
+    The divisibility of phi(M) * prod(m_i) by |Rel| is asserted for every
+    field."""
     numerator = phi * math.prod(m)
-    assert numerator % rel == 0
-    return numerator // rel, rel, witnesses
+    assert not np.any(numerator % rel)
+    return numerator // rel
+
+
+def _witnesses(view: AlphaBoxes, m: Sequence[int], M: int) -> list[RadicalValue]:
+    """The witnesses of the one field (m, M), read on Python ints: the
+    values of its box entries whose conductor divides M, that is the values
+    `view.field` lists for that field, in the same order."""
+    box = view.box(tuple([math.gcd(mi, view.two_delta) for mi in m]))
+    return [value for _, value, cond in box if M % cond == 0]
 
 
 def degree_info(spec: FieldSpec) -> tuple[int, int]:
     """(field degree over Q, failure ratio |Rel|)."""
-    return _one_field(DEFAULT_CACHE.view(spec.alphas), spec.m, spec.M)[:2]
+    rel = failure_ratio(spec)
+    return field_degree(euler_phi(spec.M), spec.m, rel), rel
 
 
 def kummer_degree(spec: FieldSpec) -> int:
@@ -286,5 +284,5 @@ def kummer_degree(spec: FieldSpec) -> int:
 
 
 def failure_ratio(spec: FieldSpec) -> int:
-    """Integer ratio by which the degree falls short of phi(M) * prod(m_i)."""
-    return degree_info(spec)[1]
+    """Integer ratio |Rel| by which the degree falls short of phi(M) * prod(m_i)."""
+    return 1 + len(_witnesses(DEFAULT_CACHE.view(spec.alphas), spec.m, spec.M))

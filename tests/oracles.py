@@ -39,7 +39,7 @@ from orddensity.kummer import (
     DEFAULT_CACHE,
     FieldSpec,
     _abelian_box,
-    _one_field,
+    _witnesses,
     exponent_minor_gcd,
 )
 
@@ -398,7 +398,7 @@ def count_automorphisms(
     for level in levels:
         if level < 1 or spec.M % level:
             raise ValueError("spec.M must be a common multiple of all levels, each >= 1")
-    witnesses = _one_field(DEFAULT_CACHE.view(spec.alphas), spec.m, spec.M)[2]
+    witnesses = _witnesses(DEFAULT_CACHE.view(spec.alphas), spec.m, spec.M)
     return _count_units(spec.M, fix_level, congruences, frobenius, witnesses)
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orddensity.arith import FactoredRational, euler_phi, prime_list
+from orddensity.arith import FactoredRational, prime_list
 from orddensity.density import (
     ConditionSpec,
     DensityResult,
@@ -30,7 +30,7 @@ from orddensity.density import (
 )
 from orddensity.empirical import ScanResult, compare, scan_many, splitting_fraction_many
 from orddensity.eulerseries import phi_lcm_tail
-from orddensity.cli import FAILURE_POOL, failure_bound
+from orddensity.cli import CHEBOTAREV_FIELDS, FAILURE_POOL, failure_bound
 from orddensity.kummer import DegreeCache, FieldSpec, failure_ratio, kummer_degree
 
 from oracles import (
@@ -245,19 +245,8 @@ def test_compare_z_from_pinned_counts():
 
 
 def test_criterion_4_kummer_degrees_vs_splitting():
-    fields = [
-        ((2,), (2,), 8),
-        ((2,), (2,), 4),
-        ((2, 3), (2, 2), 24),
-        ((2, 3), (2, 2), 12),
-        ((5,), (2,), 10),
-        ((-2,), (2,), 8),
-        ((8,), (4,), 8),
-        ((2,), (4,), 8),
-        ((12,), (2,), 12),
-        ((3, 5), (2, 2), 60),
-    ]
-    fspecs = [FieldSpec.make(a, m, M) for a, m, M in fields]
+    # the fields `verify chebotarev` checks
+    fspecs = [FieldSpec.make(a, m, M) for a, m, M in CHEBOTAREV_FIELDS]
     fractions = splitting_fraction_many(fspecs, SCAN_X)
     products = [f * kummer_degree(fs) for f, fs in zip(fractions, fspecs)]
     ok = all(0.95 <= p <= 1.05 for p in products)
@@ -311,9 +300,7 @@ def test_criterion_6_vanishing_conditions():
         ms = [m[i] for i in rows]
         v = np.lcm.reduce(ms)
         M = np.lcm.reduce([v, *(L[i] for i in rows)])
-        levels, at = np.unique(M, return_inverse=True)
-        phi = np.array([euler_phi(x) for x in levels.tolist()], dtype=np.int64)[at]
-        _, _, members = view.field(ms, M, phi)
+        _, members = view.field(ms, M)
         return _one_candidate(view, members, v, M, [([residue[i]], L[i]) for i in rows])
 
     rank1 = np.flatnonzero(violating)

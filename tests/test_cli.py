@@ -6,7 +6,7 @@ import time
 import pytest
 
 from orddensity import density as dens
-from orddensity import empirical, eulerseries, kummer
+from orddensity import cli, empirical, eulerseries, kummer
 from orddensity.cli import main
 
 
@@ -530,19 +530,36 @@ def test_verify_euler(tmp_path):
 
 def test_verify_kummer(tmp_path):
     out = tmp_path / "v.json"
-    code = main(["verify", "kummer", "--grid", "small", "--out", str(out)])
+    code = main(["verify", "kummer", "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["passed"] is True
     assert doc["B_observed"] >= 1
 
 
+def test_verify_kummer_fails_when_the_bounds_differ(tmp_path, monkeypatch):
+    # every run compares the bound at M | 240 with the one at M | 480
+    monkeypatch.setattr(cli, "failure_bound", lambda M_divisor: M_divisor)
+    out = tmp_path / "v.json"
+    assert main(["verify", "kummer", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert (doc["B_observed"], doc["B_observed_doubled"], doc["passed"]) == (240, 480, False)
+
+
+def test_verify_kummer_has_no_grid_flag(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    assert main(["verify", "kummer", "--grid", "small", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --grid small" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_kummer_double_golden(tmp_path):
     # pinned: a change to the failure-ratio grid or to a failure ratio moves them
     out = tmp_path / "v.json"
-    code = main(["verify", "kummer", "--grid", "double", "--out", str(out)])
+    code = main(["verify", "kummer", "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
+    assert "grid" not in doc
     assert (doc["B_observed"], doc["B_observed_doubled"]) == (24, 24)
     assert doc["grid_description"] == (
         "alphas in [2, 3, 5, -2, 8, 12], ranks [1, 2], m | 12, M | 240"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orddensity.arith import FactoredRational, euler_phi, factorize
+from orddensity.arith import FactoredRational, factorize
 from orddensity.density import (
     ConditionSpec,
     IndexFixed,
@@ -20,7 +20,7 @@ from orddensity.density import (
     multiplicatively_independent,
     order_density,
 )
-from orddensity import density, kummer
+from orddensity import cli, density, kummer
 from orddensity.eulerseries import phi_lcm_tail
 from orddensity.kummer import DegreeCache, FieldSpec, kummer_degree
 
@@ -252,10 +252,10 @@ def spy_on_series(monkeypatch) -> dict[str, list]:
         calls["views"].append(alphas)
         return view(cache, alphas)
 
-    def lookup(view, m, M, phi):
+    def lookup(view, m, M):
         calls["chunks"].append(len(M))
         calls["looked_up"].extend(zip(zip(*(mi.tolist() for mi in m)), M.tolist()))
-        return field(view, m, M, phi)
+        return field(view, m, M)
 
     def build(field):
         calls["built"].append(field)
@@ -398,12 +398,10 @@ def test_one_candidate_matches_count_units_term_by_term(alphas, ms, levels):
                 for m in ms
             ]
             m, v, M, congruences = zip(*rows)
-            phis = {x: euler_phi(x) for x in set(M)}
             for dtype in (object, np.int64)[: 1 + (max(M) < 2**26)]:
                 v_, M_ = (np.array(xs, dtype=dtype) for xs in (v, M))
-                phi = np.array([phis[x] for x in M], dtype=dtype)
                 mi = [np.array(column, dtype=dtype) for column in zip(*m)]
-                _, _, members = view.field(mi, M_, phi)
+                _, members = view.field(mi, M_)
                 pairs = [(C, f)] if frobenius else []
                 if blocks is progressions:
                     residue, L = (
@@ -471,11 +469,11 @@ def test_series_read_totients_without_factoring_levels(monkeypatch):
         assert (a.value.hex(), a.terms_evaluated, a.caps, a.tail_estimate.hex()) == (
             b.value.hex(), b.terms_evaluated, b.caps, b.tail_estimate.hex()
         )
-    # a field lookup of the FieldSpec functions computes phi once per level
-    M = max(levels[1])
-    for _ in range(2):
-        assert kummer._one_field(cache.view(TWO), (1,), M)[0] == euler_phi(M)
-    assert calls == [M]
+    # a failure ratio computes no phi: not one field's, nor the failure
+    # bound's over the grid of `verify kummer`
+    assert kummer.failure_ratio(FieldSpec(TWO, (2,), 8 * max(levels[1]))) == 2
+    assert cli.failure_bound(240) == 24
+    assert not calls
 
 
 def finite_sum(alphas, T) -> tuple[Fraction, list[int]]:

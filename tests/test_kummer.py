@@ -12,10 +12,11 @@ from orddensity.cyclo import radical_product
 from orddensity.kummer import (
     DegreeCache,
     FieldSpec,
-    _one_field,
+    _witnesses,
     degree_info,
     exponent_minor_gcd,
     failure_ratio,
+    field_degree,
     kummer_degree,
 )
 
@@ -54,12 +55,13 @@ def fs(alphas, m, M):
 
 def cached_degree(cache, spec):
     """`degree_info(spec)` read from `cache` instead of the default cache."""
-    return _one_field(cache.view(spec.alphas), spec.m, spec.M)[:2]
+    rel = 1 + len(_witnesses(cache.view(spec.alphas), spec.m, spec.M))
+    return field_degree(euler_phi(spec.M), spec.m, rel), rel
 
 
 def cached_count(cache, spec, fix, congruences=(), frobenius=None):
     """`count_automorphisms` read from `cache` instead of the default cache."""
-    witnesses = _one_field(cache.view(spec.alphas), spec.m, spec.M)[2]
+    witnesses = _witnesses(cache.view(spec.alphas), spec.m, spec.M)
     return _count_units(spec.M, fix, congruences, frobenius, witnesses)
 
 
@@ -561,17 +563,16 @@ def one_field_grid():
 
 
 def read_fields(view, ms, Ms) -> tuple:
-    """`view.field` of the fields (ms[j], Ms[j]) on arrays of Python ints,
-    with phi(M) from euler_phi: (degree, |Rel|, witnesses), where
-    witnesses(j) lists the values of the members that field j holds."""
+    """`view.field` of the fields (ms[j], Ms[j]) on arrays of Python ints:
+    (|Rel|, witnesses), where witnesses(j) lists the values of the members
+    that field j holds."""
     M = np.array(Ms, dtype=object)
-    phi = np.array([euler_phi(x) for x in Ms], dtype=object)
-    degree, rel, members = view.field([np.array(mi, dtype=object) for mi in zip(*ms)], M, phi)
+    rel, members = view.field([np.array(mi, dtype=object) for mi in zip(*ms)], M)
 
     def witnesses(j):
         return [value for value, inside in members if j in inside.tolist()]
 
-    return degree, rel, witnesses
+    return rel, witnesses
 
 
 def test_one_field_matches_field_on_one_element_arrays():
@@ -579,23 +580,59 @@ def test_one_field_matches_field_on_one_element_arrays():
     seen = {"level past 2^63": 0, "witness": 0, "conductor past 2^63": 0}
     fields: dict = {}
     for alphas, m, M in one_field_grid():
-        got = _one_field(scalar.view(alphas), m, M)
-        degree, rel, witnesses = read_fields(arrays.view(alphas), [m], [M])
-        assert got == (degree[0], rel[0], witnesses(0)), (alphas, m, M)
+        got = _witnesses(scalar.view(alphas), m, M)
+        rel, witnesses = read_fields(arrays.view(alphas), [m], [M])
+        assert (1 + len(got), got) == (rel[0], witnesses(0)), (alphas, m, M)
         fields.setdefault(alphas, []).append((m, M, got))
         seen["level past 2^63"] += M >= 2**63
-        seen["witness"] += bool(got[2])
-        seen["conductor past 2^63"] += any(w.conductor() >= 2**63 for w in got[2])
+        seen["witness"] += bool(got)
+        seen["conductor past 2^63"] += any(w.conductor() >= 2**63 for w in got)
     assert all(seen.values()), seen
     # one call per alpha tuple over all of its fields, whose side tuples
     # differ, reads one box for all of them and gives each the same field
     for alphas, rows in fields.items():
         ms, Ms, want = zip(*rows)
-        degree, rel, witnesses = read_fields(shared.view(alphas), ms, Ms)
+        rel, witnesses = read_fields(shared.view(alphas), ms, Ms)
         sides = {tuple(math.gcd(mi, shared.view(alphas).two_delta) for mi in m) for m in ms}
         assert len(sides) > 1 and len(shared.view(alphas).boxes) == 1
         for j, (m, M, got) in enumerate(rows):
-            assert got == (degree[j], rel[j], witnesses(j)), (alphas, m, M)
+            assert (1 + len(got), got) == (rel[j], witnesses(j)), (alphas, m, M)
+
+
+def test_field_degree_agrees_on_ints_int64_and_object_arrays():
+    # the fields of one_field_grid, each with the |Rel| that `field` gives
+    # it: the degree rule on Python ints, on object arrays of all the fields
+    # of one rank, and on int64 arrays of those whose phi(M) * prod(m_i)
+    # lies below 2^63
+    cache, by_rank = DegreeCache(), {}
+    for alphas, m, M in one_field_grid():
+        rel, _ = read_fields(cache.view(alphas), [m], [M])
+        phi = euler_phi(M)
+        by_rank.setdefault(len(m), []).append((m, phi, int(rel[0])))
+    seen = {"past 2^63": 0, "int64": 0, "rel > 1": 0}
+    for rows in by_rank.values():
+        ms, phis, rels = zip(*rows)
+        want = [field_degree(phi, m, rel) for m, phi, rel in rows]
+        assert all(type(d) is int for d in want)
+        assert want == [phi * math.prod(m) // rel for m, phi, rel in rows]
+        rel = np.array(rels, dtype=np.int64)
+        m = [np.array(mi, dtype=object) for mi in zip(*ms)]
+        got = field_degree(np.array(phis, dtype=object), m, rel)
+        assert got.dtype == object and got.tolist() == want
+        small = [phi * math.prod(m) < 2**63 for m, phi, _ in rows]
+        at = np.flatnonzero(small)
+        m64 = [np.array(mi, dtype=np.int64)[at] for mi in zip(*ms)]
+        got = field_degree(np.array(phis, dtype=object)[at].astype(np.int64), m64, rel[at])
+        assert got.dtype == np.int64 and got.tolist() == [want[j] for j in at]
+        seen["past 2^63"] += small.count(False)
+        seen["int64"] += at.size
+        seen["rel > 1"] += int((rel > 1).sum())
+    assert all(seen.values()), seen
+    # the one divisibility assert, on ints and on arrays
+    with pytest.raises(AssertionError):
+        field_degree(euler_phi(8), (1,), 3)
+    with pytest.raises(AssertionError):
+        field_degree(np.array([4, 4]), [np.array([2, 1])], np.array([2, 3]))
 
 
 def test_field_reads_each_field_alone_past_the_box_cap():
@@ -607,10 +644,11 @@ def test_field_reads_each_field_alone_past_the_box_cap():
     Ms = [math.lcm(*m, mult) for m, mult in zip(ms, (1, 4, 2**64, 12, 1))]
     view = DegreeCache().view(alphas)
     assert view.two_delta == 3198 and 3198**2 > kummer.RELATION_ENUMERATION_CAP
-    degree, rel, witnesses = read_fields(view, ms, Ms)
+    rel, witnesses = read_fields(view, ms, Ms)
     scalar = DegreeCache().view(alphas)
     for j, (m, M) in enumerate(zip(ms, Ms)):
-        assert _one_field(scalar, m, M) == (degree[j], rel[j], witnesses(j))
+        got = _witnesses(scalar, m, M)
+        assert (1 + len(got), got) == (rel[j], witnesses(j))
     assert max(map(math.prod, view.boxes)) <= kummer.RELATION_ENUMERATION_CAP
 
 
