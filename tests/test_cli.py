@@ -533,6 +533,10 @@ def test_verify_kummer(tmp_path):
     code = main(["verify", "kummer", "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
+    # README's schema: both bounds on every run, and no grid key
+    assert set(doc) == {
+        "target", "B_observed", "B_observed_doubled", "grid_description", "passed", "timestamp"
+    }
     assert doc["passed"] is True
     assert doc["B_observed"] >= 1
 
@@ -559,7 +563,6 @@ def test_verify_kummer_double_golden(tmp_path):
     code = main(["verify", "kummer", "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    assert "grid" not in doc
     assert (doc["B_observed"], doc["B_observed_doubled"]) == (24, 24)
     assert doc["grid_description"] == (
         "alphas in [2, 3, 5, -2, 8, 12], ranks [1, 2], m | 12, M | 240"
